@@ -17,7 +17,6 @@ __all__ = [
     "NonpositiveWeight",
     "DuplicatePoint",
     "InvalidNormOrder",
-    "DimensionTooSmall",
     "LengthMismatch",
     "EigenFailure",
     "InvalidCap",
@@ -70,7 +69,7 @@ class TriangleViolation(NegTypeError):
 
 
 class NegativeExponent(NegTypeError):
-    """Exponent p must be nonnegative."""
+    """Exponent p must be finite and nonnegative."""
 
 
 class DisconnectedGraph(NegTypeError):
@@ -97,10 +96,6 @@ class InvalidNormOrder(NegTypeError):
 # quadratic-form analysis
 # ---------------------------------------------------------------------------
 
-class DimensionTooSmall(NegTypeError):
-    """The zero-sum hyperplane needs at least 2 ambient dimensions."""
-
-
 class LengthMismatch(NegTypeError):
     def __init__(self, expected: int, got: int):
         self.expected, self.got = expected, got
@@ -112,7 +107,7 @@ class EigenFailure(NegTypeError):
 
 
 class InvalidCap(NegTypeError):
-    """Search cap for the supremal exponent must be positive."""
+    """The supremal search cap and bracket width must be finite and positive."""
 
 
 # ---------------------------------------------------------------------------

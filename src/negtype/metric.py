@@ -31,7 +31,6 @@ from .errors import (
 
 __all__ = [
     "MetricSpace",
-    "PowerMatrix",
     "validate_metric",
     "power_matrix",
     "is_ultrametric",
@@ -72,17 +71,6 @@ class MetricSpace:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-
-@dataclass(frozen=True, eq=False)
-class PowerMatrix:
-    """Entrywise p-th power of a distance matrix, zero diagonal for all p."""
-
-    p: float
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
 
 
 def validate_metric(labels, matrix) -> MetricSpace:
@@ -140,13 +128,18 @@ def validate_metric(labels, matrix) -> MetricSpace:
     return MetricSpace(labels, canon)
 
 
-def power_matrix(X: MetricSpace, p: float) -> PowerMatrix:
-    """Entrywise p-th power of the distances; the diagonal stays exactly 0."""
-    if p < 0:
+def power_matrix(X: MetricSpace, p: float) -> np.ndarray:
+    """Read-only entrywise p-th power of the distances, diagonal exactly 0.
+
+    This is the one place D_p is built, so it is also where the exponent is
+    checked: p must be finite and nonnegative.
+    """
+    if not 0.0 <= p < math.inf:
         raise NegativeExponent(f"p = {p}")
-    entries = X.dist ** float(p)
-    np.fill_diagonal(entries, 0.0)
-    return PowerMatrix(float(p), entries)
+    d = X.dist ** float(p)
+    np.fill_diagonal(d, 0.0)
+    d.setflags(write=False)
+    return d
 
 
 def is_ultrametric(X: MetricSpace) -> bool:

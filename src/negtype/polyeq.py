@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRange,
-    LengthMismatch,
     NoRootInUnitInterval,
     NotApplicable,
     NotBalanced,
@@ -43,8 +42,8 @@ from .quadform import (
     QuadFormReport,
     SupremalResult,
     SupremalStatus,
-    classify,
-    quad_form,
+    _classify,
+    _weights,
 )
 
 __all__ = [
@@ -68,7 +67,8 @@ __all__ = [
     "polygonal_interval",
 ]
 
-# Relative tolerance for weight balance and for dropping negligible components.
+# Relative tolerance for weight balance (against the larger side total) and for
+# dropping negligible net weights (against the largest weight).
 CLEANUP_REL = 1e-12
 # Singular-value ratio below which a power matrix counts as singular.
 SINGULAR_REL = 1e-9
@@ -186,16 +186,8 @@ def _split(Q: SignedSimplex, m: int):
     return li, lw, ri, rw
 
 
-def _check_balance(lw: np.ndarray, rw: np.ndarray) -> None:
-    scale = max(float(np.abs(lw).sum()), float(np.abs(rw).sum()))
-    if abs(float(lw.sum()) - float(rw.sum())) > CLEANUP_REL * scale:
-        raise UnbalancedWeights(float(lw.sum()), float(rw.sum()))
-
-
-def _sums(X: MetricSpace, p: float, Q: SignedSimplex):
-    """(cross, same_left, same_right) weighted sums of p-th power distances."""
-    li, lw, ri, rw = _split(Q, X.size)
-    d = power_matrix(X, p).entries
+def _sums(d: np.ndarray, li, lw, ri, rw):
+    """(cross, same_left, same_right) weighted sums of the entries of D_p."""
     cross = float(lw @ d[np.ix_(li, ri)] @ rw) if li.size and ri.size else 0.0
     same_l = 0.5 * float(lw @ d[np.ix_(li, li)] @ lw) if li.size else 0.0
     same_r = 0.5 * float(rw @ d[np.ix_(ri, ri)] @ rw) if ri.size else 0.0
@@ -204,50 +196,60 @@ def _sums(X: MetricSpace, p: float, Q: SignedSimplex):
 
 def gap(X: MetricSpace, p: float, Q: SignedSimplex) -> float:
     """The p-simplex gap: cross-side sum minus the two same-side sums."""
-    cross, same_l, same_r = _sums(X, p, Q)
+    parts = _split(Q, X.size)
+    cross, same_l, same_r = _sums(power_matrix(X, p), *parts)
     return cross - same_l - same_r
 
 
-def simplex_to_vector(X: MetricSpace, Q: SignedSimplex) -> BalancedVector:
-    """Net weight per point: left total minus right total, 0 elsewhere.
+def _net_vector(m: int, li, lw, ri, rw) -> BalancedVector:
+    """Net weight per point of balanced sides, with cancellation noise zeroed.
 
-    Requires balanced weight totals so the result lies in the zero-sum
-    hyperplane. Components below CLEANUP_REL of the total weight mass are
-    zeroed, so exact cancellations survive float rounding.
+    A net weight counts as zero when it is at most CLEANUP_REL times the
+    largest weight written on either side. vector_to_simplex drops the same
+    components by the same rule, so every simplex it emits converts back to
+    the vector it kept.
     """
-    li, lw, ri, rw = _split(Q, X.size)
-    _check_balance(lw, rw)
-    xi = np.zeros(X.size)
+    mass = max(float(np.abs(lw).sum()), float(np.abs(rw).sum()))
+    if abs(float(lw.sum()) - float(rw.sum())) > CLEANUP_REL * mass:
+        raise UnbalancedWeights(float(lw.sum()), float(rw.sum()))
+    xi = np.zeros(m)
     np.add.at(xi, li, lw)
     np.subtract.at(xi, ri, rw)
-
-    mass = max(float(np.abs(lw).sum()), float(np.abs(rw).sum()))
-    xi[np.abs(xi) <= CLEANUP_REL * mass] = 0.0
+    top = max(float(np.abs(lw).max(initial=0.0)), float(np.abs(rw).max(initial=0.0)))
+    xi[np.abs(xi) <= CLEANUP_REL * top] = 0.0
     try:
         return BalancedVector(xi)
     except NotBalanced:
         raise UnbalancedWeights(float(lw.sum()), float(rw.sum())) from None
 
 
+def simplex_to_vector(X: MetricSpace, Q: SignedSimplex) -> BalancedVector:
+    """Net weight per point: left total minus right total, 0 elsewhere.
+
+    Requires balanced weight totals so the result lies in the zero-sum
+    hyperplane. Net weights at most CLEANUP_REL times the largest weight are
+    zeroed, so exact cancellations survive float rounding.
+    """
+    return _net_vector(X.size, *_split(Q, X.size))
+
+
 def vector_to_simplex(X: MetricSpace, xi) -> SignedSimplex:
     """Sign-split a nonzero zero-sum vector into a completely refined simplex.
 
     Positive components become left weights, negated negative components
-    become right weights; components below CLEANUP_REL of the largest are
-    dropped so eigenvector noise cannot create spurious vertices.
+    become right weights; components at most CLEANUP_REL times the largest
+    are dropped so eigenvector noise cannot create spurious vertices. The
+    kept components must sum to zero, as simplex_to_vector requires of the
+    result.
     """
-    w = xi.weights if isinstance(xi, BalancedVector) else np.asarray(xi, dtype=float)
-    w = w.ravel()
-    if w.size != X.size:
-        raise LengthMismatch(X.size, w.size)
+    w = _weights(xi, X.size)
     top = float(np.abs(w).max(initial=0.0))
     if top == 0.0:
         raise ZeroVector("all components are zero")
-    if abs(float(w.sum())) > CLEANUP_REL * top:
-        raise NotBalanced(float(w.sum()))
-    theta = CLEANUP_REL * top
-    left = tuple((int(i), float(w[i])) for i in range(w.size) if w[i] > theta)
-    right = tuple((int(i), float(-w[i])) for i in range(w.size) if w[i] < -theta)
+    w = np.where(np.abs(w) > CLEANUP_REL * top, w, 0.0)
+    BalancedVector(w)  # raises NotBalanced
+    left = tuple((int(i), float(w[i])) for i in np.flatnonzero(w > 0.0))
+    right = tuple((int(i), float(-w[i])) for i in np.flatnonzero(w < 0.0))
     if not left and not right:
         raise ZeroVector("all components below cleanup threshold")
     return SignedSimplex(left, right)
@@ -282,9 +284,9 @@ def verify_equality(
     simplex is nondegenerate. The two together certify a nontrivial
     p-polygonal equality.
     """
-    li, lw, ri, rw = _split(Q, X.size)
-    _check_balance(lw, rw)
-    cross, same_l, same_r = _sums(X, p, Q)
+    parts = _split(Q, X.size)
+    xi = _net_vector(X.size, *parts)
+    cross, same_l, same_r = _sums(power_matrix(X, p), *parts)
     rhs = same_l + same_r
     g = cross - rhs
     scale = max(abs(cross), abs(rhs), 1.0)
@@ -294,13 +296,13 @@ def verify_equality(
         rhs=rhs,
         gap=g,
         holds=abs(g) <= tol * scale,
-        nontrivial=is_nondegenerate(X, Q),
+        nontrivial=bool(np.any(xi.weights)),
         tolerance=float(tol),
     )
 
 
 def _witness_from_vector(
-    X: MetricSpace, p: float, raw: np.ndarray, method: WitnessMethod
+    X: MetricSpace, d: np.ndarray, p: float, raw: np.ndarray, method: WitnessMethod
 ) -> WitnessReport:
     """Project onto the zero-sum hyperplane, normalize, and package."""
     v = raw - raw.mean()
@@ -310,13 +312,12 @@ def _witness_from_vector(
     v = v / norm
     xi = BalancedVector(v)
     simplex = vector_to_simplex(X, xi)
-    residual = abs(quad_form(X, p, v))
-    cross, same_l, same_r = _sums(X, p, simplex)
+    cross, same_l, same_r = _sums(d, *_split(simplex, X.size))
     return WitnessReport(
         p=float(p),
         xi=xi,
         simplex=simplex,
-        residual=residual,
+        residual=abs(float(v @ d @ v)),
         method=method,
         lhs=cross,
         rhs=same_l + same_r,
@@ -338,8 +339,14 @@ def witness_ivt(
     vector cannot occur there: it would force xi1 parallel to xi0, whose
     form value is negative.
     """
+    d = power_matrix(X, p)
     if report is None:
-        report = classify(X, p)
+        report = _classify(d, p, None)
+    return _witness_ivt(X, d, p, report, base_pair)
+
+
+def _witness_ivt(X: MetricSpace, d: np.ndarray, p: float, report: QuadFormReport,
+                 base_pair: tuple[int, int]) -> WitnessReport:
     if report.classification is not Classification.NOT_NEG_TYPE:
         raise NotApplicable(
             f"space has {report.p}-negative type (lambda_max = {report.lambda_max:g})"
@@ -352,7 +359,6 @@ def witness_ivt(
     xi0 = np.zeros(m)
     xi0[a_idx], xi0[b_idx] = 1.0, -1.0
     xi1 = report.direction.weights
-    d = power_matrix(X, p).entries
 
     f00 = float(xi0 @ d @ xi0)  # -2 d(x_a, x_b)^p
     f01 = float(xi0 @ d @ xi1)
@@ -385,7 +391,7 @@ def witness_ivt(
     xi_s = (1.0 - s) * xi0 + s * xi1
     if float(np.linalg.norm(xi_s)) <= 1e-12:
         raise NoRootInUnitInterval("interpolated vector vanished")
-    return _witness_from_vector(X, p, xi_s, WitnessMethod.IVT)
+    return _witness_from_vector(X, d, p, xi_s, WitnessMethod.IVT)
 
 
 def witness_at_p(
@@ -398,15 +404,16 @@ def witness_at_p(
     zero. STRICT raises NotApplicable: no nontrivial p-polygonal equality
     exists there.
     """
-    report = classify(X, p, epsilon)
+    d = power_matrix(X, p)
+    report = _classify(d, p, epsilon)
     if report.classification is Classification.STRICT:
         raise NotApplicable(
             f"strict {p:g}-negative type: no nontrivial {p:g}-polygonal equality"
         )
     if report.classification is Classification.NOT_NEG_TYPE:
-        return witness_ivt(X, p, report)
+        return _witness_ivt(X, d, p, report, (0, 1))
     return _witness_from_vector(
-        X, p, report.direction.weights, WitnessMethod.EIGEN_DIRECTION
+        X, d, p, report.direction.weights, WitnessMethod.EIGEN_DIRECTION
     )
 
 
@@ -424,7 +431,7 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
     if sup.status is not SupremalStatus.FINITE:
         raise NotApplicable(f"supremal status is {sup.status.value}")
     p = sup.midpoint
-    d = power_matrix(X, p).entries
+    d = power_matrix(X, p)
     gate = RESIDUAL_REL * float(d.max())
 
     def candidates():
@@ -438,7 +445,7 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
             yield WitnessMethod.INVERSE, np.linalg.solve(d, np.ones(X.size))
         except np.linalg.LinAlgError:
             pass
-        yield WitnessMethod.EIGEN_DIRECTION, classify(X, p).direction.weights
+        yield WitnessMethod.EIGEN_DIRECTION, _classify(d, p, None).direction.weights
 
     for method, raw in candidates():
         # near-balance is expected for the first two; the projection inside
@@ -446,7 +453,7 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
         if abs(float(raw.sum())) > 1e-6 * float(np.abs(raw).max()) * X.size:
             continue
         try:
-            report = _witness_from_vector(X, p, raw, method)
+            report = _witness_from_vector(X, d, p, raw, method)
         except ZeroVector:
             continue
         if report.residual <= gate:

@@ -7,6 +7,12 @@ negative definite. The set of such p is a closed interval [0, w] (all of
 [0, inf) exactly for ultrametric spaces), so the right endpoint w -- the
 supremal p-negative type -- can be bracketed by bisecting the sign of the
 largest restricted eigenvalue.
+
+The restriction uses one Householder reflection H = I - beta u u^T mapping
+the unit all-ones vector to -e_m: the first m-1 columns of H are an
+orthonormal basis of F0, so the leading (m-1) x (m-1) block of H D_p H is
+the form in that basis. The block costs O(m^2) and an eigenvector maps back
+through one O(m) reflection. Each public call builds D_p once.
 """
 
 from __future__ import annotations
@@ -18,11 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionTooSmall,
     EigenFailure,
     InvalidCap,
     LengthMismatch,
-    NegativeExponent,
     NotBalanced,
 )
 from .metric import MetricSpace, is_ultrametric, power_matrix
@@ -33,8 +37,6 @@ __all__ = [
     "QuadFormReport",
     "SupremalStatus",
     "SupremalResult",
-    "balanced_basis",
-    "basis_matrix",
     "restricted_form",
     "quad_form",
     "classify",
@@ -44,7 +46,7 @@ __all__ = [
 
 # Balance slack for constructing a BalancedVector, relative to max |component|.
 BALANCE_REL = 1e-12
-# Classification tolerance, relative to the largest entry of the restricted form.
+# Classification tolerance, relative to the largest entry of D_p.
 EPSILON_REL = 1e-9
 
 
@@ -123,60 +125,63 @@ def _weights(xi, m: int) -> np.ndarray:
     return w
 
 
-def basis_matrix(m: int) -> np.ndarray:
-    """m x (m-1) matrix whose orthonormal columns span the zero-sum hyperplane.
-
-    Column k has k leading entries 1/sqrt(k(k+1)) followed by -k/sqrt(k(k+1)).
-    """
-    if m < 2:
-        raise DimensionTooSmall(f"m = {m}")
-    b = np.zeros((m, m - 1))
-    for k in range(1, m):
-        s = math.sqrt(k * (k + 1))
-        b[:k, k - 1] = 1.0 / s
-        b[k, k - 1] = -k / s
-    return b
+def _reflector(m: int) -> tuple[np.ndarray, float]:
+    """u and beta of the reflection H = I - beta u u^T with H 1/sqrt(m) = -e_m."""
+    u = np.full(m, 1.0 / math.sqrt(m))
+    u[-1] += 1.0
+    return u, 2.0 / float(u @ u)
 
 
-def balanced_basis(m: int) -> list[BalancedVector]:
-    """Orthonormal basis of the zero-sum hyperplane, as balanced vectors."""
-    b = basis_matrix(m)
-    return [BalancedVector(b[:, k]) for k in range(m - 1)]
+def _restrict(d: np.ndarray) -> np.ndarray:
+    """Leading (m-1) x (m-1) block of H D_p H: the form in the basis of F0."""
+    u, beta = _reflector(d.shape[0])
+    w = beta * (d @ u)
+    z = w - (0.5 * beta * float(u @ w)) * u
+    # H D_p H = D_p - (u z^T + z u^T); the sum is formed first so that the
+    # result is exactly symmetric
+    a = np.outer(u, z)
+    a += a.T
+    np.subtract(d, a, out=a)
+    return a[:-1, :-1]
+
+
+def _lift(y: np.ndarray) -> np.ndarray:
+    """H [y; 0]: basis coordinates of F0 back to a zero-sum vector in R^m."""
+    u, beta = _reflector(y.size + 1)
+    x = np.append(y, 0.0)
+    x -= (beta * float(u[:-1] @ y)) * u
+    return x
 
 
 def quad_form(X: MetricSpace, p: float, xi) -> float:
     """<D_p xi, xi> = sum_{i,j} d(x_i,x_j)^p xi_i xi_j over ordered pairs."""
     w = _weights(xi, X.size)
-    d = power_matrix(X, p).entries
-    return float(w @ d @ w)
+    return float(w @ power_matrix(X, p) @ w)
 
 
 def restricted_form(X: MetricSpace, p: float) -> np.ndarray:
-    """The (m-1) x (m-1) symmetric matrix of the form in basis coordinates."""
-    b = basis_matrix(X.size)
-    d = power_matrix(X, p).entries
-    m = b.T @ d @ b
-    return 0.5 * (m + m.T)
+    """The (m-1) x (m-1) symmetric matrix of the form in an orthonormal basis of F0."""
+    return _restrict(power_matrix(X, p))
 
 
 def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadFormReport:
     """Three-way negative-type classification at exponent p.
 
     Computes the largest eigenvalue of the restricted form and compares it
-    against epsilon (default EPSILON_REL times the largest matrix entry).
+    against epsilon (default EPSILON_REL times the largest entry of D_p).
     """
-    if p < 0:
-        raise NegativeExponent(f"p = {p}")
-    m = restricted_form(X, p)
+    return _classify(power_matrix(X, p), p, epsilon)
+
+
+def _classify(d: np.ndarray, p: float, epsilon: float | None) -> QuadFormReport:
+    """classify on an already built D_p."""
     try:
-        evals, evecs = np.linalg.eigh(m)
+        evals, evecs = np.linalg.eigh(_restrict(d))
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     if epsilon is None:
-        epsilon = EPSILON_REL * float(np.abs(m).max())
+        epsilon = EPSILON_REL * float(d.max())
     lam = float(evals[-1])
-    direction = basis_matrix(X.size) @ evecs[:, -1]
-    direction = direction / np.linalg.norm(direction)
 
     if lam < -epsilon:
         cls = Classification.STRICT
@@ -184,13 +189,13 @@ def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadForm
         cls = Classification.NOT_NEG_TYPE
     else:
         cls = Classification.BOUNDARY
-    return QuadFormReport(float(p), lam, cls, BalancedVector(direction), float(epsilon))
+    direction = BalancedVector(_lift(evecs[:, -1]))
+    return QuadFormReport(float(p), lam, cls, direction, float(epsilon))
 
 
-def _lambda_max(X: MetricSpace, p: float) -> float:
-    m = restricted_form(X, p)
+def _lambda_max(d: np.ndarray) -> float:
     try:
-        return float(np.linalg.eigvalsh(m)[-1])
+        return float(np.linalg.eigvalsh(_restrict(d))[-1])
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
 
@@ -207,9 +212,9 @@ def supremal(
     width_tol by bisection on raw eigenvalue signs; the tolerance applies
     only to the reported bracket width.
     """
-    if cap <= 0:
+    if not 0.0 < cap < math.inf:
         raise InvalidCap(f"cap = {cap}")
-    if width_tol <= 0:
+    if not 0.0 < width_tol < math.inf:
         raise InvalidCap(f"width_tol = {width_tol}")
     if is_ultrametric(X):
         return SupremalResult(SupremalStatus.INFINITE_ULTRAMETRIC, None, None, float(cap), 0)
@@ -219,7 +224,7 @@ def supremal(
     def positive(p: float) -> bool:
         nonlocal evaluations
         evaluations += 1
-        return _lambda_max(X, p) > 0.0
+        return _lambda_max(power_matrix(X, p)) > 0.0
 
     lo, hi = 0.0, None
     probe = min(1.0, cap)

@@ -56,8 +56,8 @@ def gap_reference(X: MetricSpace, p: float, Q: SignedSimplex) -> float:
     return cross - same_l - same_r
 
 
-def centered_lambda_max(X: MetricSpace, p: float) -> float:
-    """Largest eigenvalue of the form on the zero-sum hyperplane.
+def centered_spectrum(X: MetricSpace, p: float) -> np.ndarray:
+    """Ascending eigenvalues of the form on the zero-sum hyperplane.
 
     Uses the centering projector P = I - J/m and scipy's eigensolver, then
     discards the eigenpair carried by the all-ones direction.
@@ -68,7 +68,12 @@ def centered_lambda_max(X: MetricSpace, p: float) -> float:
     evals, evecs = scipy.linalg.eigh(0.5 * (a + a.T))
     ones = np.ones(m) / np.sqrt(m)
     drop = int(np.argmax(np.abs(evecs.T @ ones)))
-    return max(evals[i] for i in range(m) if i != drop)
+    return np.delete(evals, drop)
+
+
+def centered_lambda_max(X: MetricSpace, p: float) -> float:
+    """Largest eigenvalue of the form on the zero-sum hyperplane."""
+    return float(centered_spectrum(X, p)[-1])
 
 
 def sampled_form_max(X: MetricSpace, p: float, trials: int, seed: int) -> float:

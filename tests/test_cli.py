@@ -107,6 +107,11 @@ class TestCheckCommand:
         assert main(["check", collinear_file]) == 3  # --p required
         capsys.readouterr()
 
+    @pytest.mark.parametrize("p", ["nan", "inf", "-1"])
+    def test_invalid_exponent_exits_3(self, collinear_file, capsys, p):
+        assert main(["check", collinear_file, "--p", p]) == 3
+        assert "p = " in capsys.readouterr().err
+
 
 class TestSupremalCommand:
     def test_collinear_midpoint(self, collinear_file, capsys):
@@ -130,6 +135,12 @@ class TestSupremalCommand:
         assert main(["supremal", collinear_file, "--p", "2"]) == 3
         assert main(["interval", collinear_file, "--p", "2"]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--cap", "--width-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_invalid_cap_or_width_exits_3(self, cycle_file, capsys, flag, value):
+        assert main(["supremal", cycle_file, flag, value]) == 3
+        assert "error" in capsys.readouterr().err
 
     def test_exceeds_cap_is_success_exit(self, collinear_file, capsys):
         assert main(["supremal", collinear_file, "--cap", "1.5", "--format", "json"]) == 0

@@ -80,30 +80,39 @@ class TestValidateMetric:
 class TestPowerMatrix:
     def test_squares_collinear(self, collinear):
         pm = power_matrix(collinear, 2.0)
-        np.testing.assert_allclose(pm.entries, [[0, 1, 4], [1, 0, 1], [4, 1, 0]])
+        np.testing.assert_allclose(pm, [[0, 1, 4], [1, 0, 1], [4, 1, 0]])
 
     def test_p_zero_is_discrete(self, collinear):
         pm = power_matrix(collinear, 0.0)
         expected = np.ones((3, 3)) - np.eye(3)
-        np.testing.assert_array_equal(pm.entries, expected)
+        np.testing.assert_array_equal(pm, expected)
 
     def test_p_one_is_identity_map(self, collinear):
-        np.testing.assert_array_equal(power_matrix(collinear, 1.0).entries, collinear.dist)
+        np.testing.assert_array_equal(power_matrix(collinear, 1.0), collinear.dist)
 
     def test_negative_exponent(self, collinear):
         with pytest.raises(NegativeExponent):
             power_matrix(collinear, -0.5)
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf")])
+    def test_non_finite_exponent(self, collinear, p):
+        with pytest.raises(NegativeExponent):
+            power_matrix(collinear, p)
+
+    def test_read_only(self, collinear):
+        with pytest.raises(ValueError):
+            power_matrix(collinear, 1.0)[0, 1] = 5.0
+
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0, 7.3])
     def test_diagonal_exactly_zero(self, collinear, p):
-        assert (np.diag(power_matrix(collinear, p).entries) == 0.0).all()
+        assert (np.diag(power_matrix(collinear, p)) == 0.0).all()
 
     def test_monotone_in_p_for_distances_at_least_one(self):
         X = from_graph(5, [(i, i + 1, 1.0) for i in range(4)])
         assert (X.dist[~np.eye(5, dtype=bool)] >= 1.0).all()
-        prev = power_matrix(X, 0.5).entries
+        prev = power_matrix(X, 0.5)
         for p in (1.0, 2.0, 4.0):
-            cur = power_matrix(X, p).entries
+            cur = power_matrix(X, p)
             assert (cur >= prev).all()
             prev = cur
 
@@ -214,6 +223,6 @@ def test_permutation_equivariance():
         [X.labels[i] for i in perm], X.dist[np.ix_(perm, perm)]
     )
     for p in (0.0, 0.7, 2.0, 3.5):
-        a = power_matrix(X, p).entries[np.ix_(perm, perm)]
-        b = power_matrix(relabeled, p).entries
+        a = power_matrix(X, p)[np.ix_(perm, perm)]
+        b = power_matrix(relabeled, p)
         np.testing.assert_allclose(a, b, rtol=0, atol=0)

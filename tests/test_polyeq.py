@@ -13,18 +13,24 @@ from helpers import (
     random_space,
 )
 from negtype import (
+    BalancedVector,
     Classification,
     IndexOutOfRange,
     IntervalKind,
+    NoRootInUnitInterval,
     NotApplicable,
     NotBalanced,
+    NoWitnessFound,
+    QuadFormReport,
     ReducedKind,
     SignedSimplex,
+    SupremalResult,
     SupremalStatus,
     UnbalancedWeights,
     WitnessMethod,
     ZeroVector,
     classify,
+    from_graph,
     gap,
     is_nondegenerate,
     polygonal_interval,
@@ -39,6 +45,7 @@ from negtype import (
     witness_at_supremal,
     witness_ivt,
 )
+from negtype import metric, polyeq, quadform
 
 TRIVIAL_PAIR = SignedSimplex(((0, 1.0), (1, 1.0)), ((0, 1.0), (1, 1.0)))
 COLLINEAR_WITNESS = SignedSimplex(((0, 1.0), (2, 1.0)), ((1, 2.0),))
@@ -133,6 +140,25 @@ class TestVectorToSimplex:
             Q = vector_to_simplex(X, v)
             back = simplex_to_vector(X, Q)
             np.testing.assert_allclose(back.weights, v, atol=1e-15)
+
+    def test_kept_small_component_survives_the_round_trip(self):
+        # c is above the drop threshold (1e-12 of the largest component) but
+        # below 1e-12 of the side total 3; both conversions must keep it
+        X = from_graph(7, [(i, i + 1, 1.0) for i in range(6)])
+        c = 2e-12
+        v = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0 - c, c])
+        Q = vector_to_simplex(X, v)
+        assert (6, c) in Q.left
+        np.testing.assert_array_equal(simplex_to_vector(X, Q).weights, v)
+        assert reduce(X, Q).simplex == Q
+        rep = verify_equality(X, 1.0, Q)
+        assert rep.nontrivial
+
+    def test_dropped_components_must_not_unbalance(self, four_cycle):
+        # the two tiny components are dropped, and what is left sums to
+        # 1.8e-12, which simplex_to_vector would reject
+        with pytest.raises(NotBalanced):
+            vector_to_simplex(four_cycle, [1.0, -1.0 + 1.8e-12, -0.9e-12, -0.9e-12])
 
 
 class TestReduce:
@@ -262,6 +288,14 @@ class TestWitnessIvt:
         w = witness_ivt(four_cycle, 2.0, base_pair=(2, 3))
         assert w.residual <= 1e-9
 
+    def test_direction_parallel_to_base_pair_has_no_root(self, collinear):
+        # xi1 parallel to xi0 = e0 - e1 keeps the segment form negative;
+        # its roots (about 3.41) lie outside (0, 1)
+        direction = BalancedVector(np.array([1.0, -1.0, 0.0]) / math.sqrt(2))
+        rep = QuadFormReport(3.0, 4 / 3, Classification.NOT_NEG_TYPE, direction, 1e-9)
+        with pytest.raises(NoRootInUnitInterval):
+            witness_ivt(collinear, 3.0, rep)
+
 
 class TestWitnessAtP:
     def test_strict_declines(self, collinear):
@@ -295,6 +329,13 @@ class TestWitnessAtSupremal:
     def test_ultrametric_not_applicable(self, equilateral):
         with pytest.raises(NotApplicable):
             witness_at_supremal(equilateral, supremal(equilateral))
+
+    def test_no_candidate_below_supremal(self, four_cycle):
+        # a bracket at 0.5, below w = 1: the space is strict there and every
+        # candidate misses the residual gate
+        sup = SupremalResult(SupremalStatus.FINITE, 0.5, 0.5, 64.0, 0)
+        with pytest.raises(NoWitnessFound):
+            witness_at_supremal(four_cycle, sup)
 
     def test_witness_verifies(self):
         rng = np.random.default_rng(97)
@@ -336,6 +377,48 @@ class TestVerifyEquality:
     def test_index_out_of_range(self, collinear):
         with pytest.raises(IndexOutOfRange):
             verify_equality(collinear, 1.0, SignedSimplex(((0, 1.0),), ((9, 1.0),)))
+
+
+class TestBuildOnce:
+    """Each public call builds D_p once and shares it with its helpers."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        real = metric.power_matrix
+
+        def counting(X, p):
+            calls.append(p)
+            return real(X, p)
+
+        for module in (quadform, polyeq):
+            monkeypatch.setattr(module, "power_matrix", counting)
+        return calls
+
+    def test_witness_at_p(self, collinear, four_cycle, builds):
+        assert witness_at_p(collinear, 3.0).method is WitnessMethod.IVT
+        assert len(builds) == 1
+        assert witness_at_p(four_cycle, 1.0).method is WitnessMethod.EIGEN_DIRECTION
+        assert len(builds) == 2
+
+    def test_witness_ivt(self, collinear, builds):
+        witness_ivt(collinear, 3.0)
+        assert len(builds) == 1
+
+    def test_witness_at_supremal(self, collinear, four_cycle, builds):
+        sup = supremal(collinear)
+        builds.clear()
+        witness_at_supremal(collinear, sup)
+        assert len(builds) == 1
+        # every candidate, the eigendirection fallback included, is tried
+        low = SupremalResult(SupremalStatus.FINITE, 0.5, 0.5, 64.0, 0)
+        with pytest.raises(NoWitnessFound):
+            witness_at_supremal(four_cycle, low)
+        assert len(builds) == 2
+
+    def test_verify_equality(self, collinear, builds):
+        assert verify_equality(collinear, 2.0, COLLINEAR_WITNESS).nontrivial_equality
+        assert len(builds) == 1
 
 
 class TestDichotomy:

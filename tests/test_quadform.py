@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     centered_lambda_max,
+    centered_spectrum,
     quad_reference,
     random_balanced,
     random_space,
@@ -14,13 +15,12 @@ from helpers import (
 )
 from negtype import (
     Classification,
-    DimensionTooSmall,
+    EigenFailure,
     InvalidCap,
     LengthMismatch,
+    NegativeExponent,
     NotBalanced,
     SupremalStatus,
-    balanced_basis,
-    basis_matrix,
     classify,
     from_points,
     hilbert_embeddable,
@@ -33,27 +33,6 @@ from negtype import (
 
 
 class TestBalancedBasis:
-    def test_m2_single_direction(self):
-        (v,) = balanced_basis(2)
-        np.testing.assert_allclose(v.weights, [1 / math.sqrt(2), -1 / math.sqrt(2)])
-
-    @pytest.mark.parametrize("m", [2, 3, 5, 9])
-    def test_orthonormal_zero_sum(self, m):
-        b = basis_matrix(m)
-        np.testing.assert_allclose(b.T @ b, np.eye(m - 1), atol=1e-14)
-        assert np.abs(b.sum(axis=0)).max() < 1e-14
-
-    def test_list_form_spans_hyperplane(self):
-        vs = balanced_basis(5)
-        assert len(vs) == 4
-        g = np.array([[u.weights @ v.weights for v in vs] for u in vs])
-        np.testing.assert_allclose(g, np.eye(4), atol=1e-14)
-        assert all(abs(v.weights.sum()) < 1e-14 for v in vs)
-
-    def test_dimension_too_small(self):
-        with pytest.raises(DimensionTooSmall):
-            balanced_basis(1)
-
     def test_unbalanced_vector_rejected(self):
         from negtype import BalancedVector
 
@@ -140,6 +119,26 @@ class TestClassify:
                 rep.lambda_max, rel=1e-9, abs=1e-12
             )
 
+    @pytest.mark.parametrize("p", [-1.0, math.nan, math.inf])
+    def test_invalid_exponent(self, collinear, p):
+        with pytest.raises(NegativeExponent):
+            classify(collinear, p)
+
+    def test_eigensolver_failure_is_typed(self, collinear, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(EigenFailure):
+            classify(collinear, 1.0)
+        with pytest.raises(EigenFailure):
+            supremal(collinear)
+
+    def test_tolerance_scales_with_power_matrix(self, collinear):
+        # default tolerance is EPSILON_REL times max D_p = 2^p
+        assert classify(collinear, 3.0).tolerance == pytest.approx(8e-9, rel=1e-12)
+
     def test_lambda_max_at_zero_is_negative(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
@@ -152,17 +151,17 @@ class TestClassify:
 
 class TestRestrictionCorrectness:
     def test_matches_quad_form(self):
+        # the restriction is an orthonormal change of basis on the zero-sum
+        # hyperplane, so its spectrum is the form's spectrum there
         rng = np.random.default_rng(31)
         X = random_space(rng)
-        b = basis_matrix(X.size)
         for p in (0.5, 1.0, 2.0, 3.7):
             m = restricted_form(X, p)
-            for _ in range(250):
-                v = rng.standard_normal(X.size - 1)
-                v /= np.linalg.norm(v)
-                assert quad_form(X, p, b @ v) == pytest.approx(
-                    float(v @ m @ v), rel=1e-10, abs=1e-12
-                )
+            assert m.shape == (X.size - 1, X.size - 1)
+            np.testing.assert_array_equal(m, m.T)
+            np.testing.assert_allclose(
+                np.linalg.eigvalsh(m), centered_spectrum(X, p), rtol=1e-10, atol=1e-12
+            )
 
 
 class TestSupremal:
@@ -209,6 +208,11 @@ class TestSupremal:
             supremal(collinear, cap=0.0)
         with pytest.raises(InvalidCap):
             supremal(collinear, width_tol=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidCap):
+                supremal(collinear, cap=bad)
+            with pytest.raises(InvalidCap):
+                supremal(collinear, width_tol=bad)
 
     def test_bracket_endpoints_have_correct_signs(self):
         rng = np.random.default_rng(41)
