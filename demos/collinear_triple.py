@@ -34,8 +34,8 @@ sup = supremal(X)
 print(f"\nsupremal exponent bracket: [{sup.lo:.12f}, {sup.hi:.12f}]"
       f" (midpoint {sup.midpoint:.10f}, {sup.evaluations} eigenvalue evaluations)")
 
-# At the supremal exponent the power matrix is invertible, and applying the
-# inverse to the all-ones vector lands in the zero-sum hyperplane: a witness.
+# At the supremal exponent the largest eigenvalue of the restricted form is
+# zero, so its eigendirection is a zero-sum vector with vanishing form: a witness.
 w = witness_at_supremal(X, sup)
 print(f"\nwitness at the supremal exponent ({w.method.value}):")
 print(f"  xi       = {np.round(w.xi.weights, 6)}")

@@ -137,13 +137,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write(path: str | None, text: str) -> None:
+    """Write text and a newline to path, or print it when path is unset."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     out = render_json(payload) if args.format == "json" else "\n".join(text_lines)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
+    _write(args.out, out)
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +247,6 @@ def _cmd_witness(args) -> int:
     try:
         if args.at_supremal:
             sup = supremal(X, cap=args.cap, width_tol=args.width_tol)
-            if sup.status is not SupremalStatus.FINITE:
-                raise NotApplicable(
-                    "ultrametric space: no nontrivial polygonal equality at any exponent"
-                    if sup.status is SupremalStatus.INFINITE_ULTRAMETRIC
-                    else f"supremal exponent exceeds cap {sup.cap:g}; no witness located"
-                )
             wit = witness_at_supremal(X, sup)
         else:
             wit = witness_at_p(X, args.p, args.tol)
@@ -317,12 +316,7 @@ def _cmd_interval(args) -> int:
 
 def _cmd_gen(args) -> int:
     X = generate_space(args.kind, args.n, dim=args.dim, q=args.q, seed=args.seed)
-    out = render_json(space_payload(X))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
+    _write(args.out, render_json(space_payload(X)))
     return 0
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "LengthMismatch",
     "EigenFailure",
     "InvalidCap",
+    "InvalidTolerance",
     "IndexOutOfRange",
     "UnbalancedWeights",
     "ZeroVector",
@@ -110,6 +111,10 @@ class InvalidCap(NegTypeError):
     """The supremal search cap and bracket width must be finite and positive."""
 
 
+class InvalidTolerance(NegTypeError):
+    """A classification or verification tolerance must be finite and nonnegative."""
+
+
 # ---------------------------------------------------------------------------
 # signed simplices and witnesses
 # ---------------------------------------------------------------------------
@@ -147,4 +152,4 @@ class NoRootInUnitInterval(NegTypeError):
 
 
 class NoWitnessFound(NegTypeError):
-    """All witness candidates failed the residual check."""
+    """The witness vector failed the residual check."""

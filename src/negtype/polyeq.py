@@ -14,8 +14,8 @@ p-polygonal equality. Witness constructions exploit this: at an exponent
 where the form takes positive values, a segment from the always-negative
 direction e1 - e2 to a positive direction crosses zero (the quadratic in
 the segment parameter is solved in closed form); at the supremal exponent
-the kernel of D_p, or D_p^{-1} applied to the all-ones vector, lands in
-the zero-sum hyperplane with vanishing form.
+the largest restricted eigenvalue is zero, so its eigendirection is itself
+a zero-sum vector with vanishing form.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRange,
+    InvalidTolerance,
     NoRootInUnitInterval,
     NotApplicable,
     NotBalanced,
@@ -70,8 +71,6 @@ __all__ = [
 # Relative tolerance for weight balance (against the larger side total) and for
 # dropping negligible net weights (against the largest weight).
 CLEANUP_REL = 1e-12
-# Singular-value ratio below which a power matrix counts as singular.
-SINGULAR_REL = 1e-9
 # Residual acceptance for supremal witnesses, relative to max matrix entry.
 RESIDUAL_REL = 1e-6
 # Default tolerance for verifying an equality, relative to max(|lhs|,|rhs|,1).
@@ -107,8 +106,6 @@ class ReducedForm:
 
 class WitnessMethod(str, enum.Enum):
     IVT = "IVT"
-    KERNEL = "KERNEL"
-    INVERSE = "INVERSE"
     EIGEN_DIRECTION = "EIGEN_DIRECTION"
 
 
@@ -282,8 +279,10 @@ def verify_equality(
     holds compares the cross-side sum (lhs) against the same-side sums
     (rhs) relative to max(|lhs|, |rhs|, 1); nontrivial reports whether the
     simplex is nondegenerate. The two together certify a nontrivial
-    p-polygonal equality.
+    p-polygonal equality. tol must be finite and nonnegative.
     """
+    if not 0.0 <= tol < math.inf:
+        raise InvalidTolerance(f"tol = {tol}")
     parts = _split(Q, X.size)
     xi = _net_vector(X.size, *parts)
     cross, same_l, same_r = _sums(power_matrix(X, p), *parts)
@@ -308,7 +307,7 @@ def _witness_from_vector(
     v = raw - raw.mean()
     norm = float(np.linalg.norm(v))
     if norm <= 0.0:
-        raise ZeroVector("witness candidate vanishes")
+        raise ZeroVector("witness vector vanishes")
     v = v / norm
     xi = BalancedVector(v)
     simplex = vector_to_simplex(X, xi)
@@ -324,43 +323,32 @@ def _witness_from_vector(
     )
 
 
-def witness_ivt(
-    X: MetricSpace,
-    p: float,
-    report: QuadFormReport | None = None,
-    base_pair: tuple[int, int] = (0, 1),
-) -> WitnessReport:
+def witness_ivt(X: MetricSpace, p: float) -> WitnessReport:
     """Zero of the form along a segment from a negative to a positive direction.
 
-    Requires NOT_NEG_TYPE at p. With xi0 = e_a - e_b (form value
-    -2 d(x_a, x_b)^p < 0) and xi1 the positive eigendirection, the form
+    Requires NOT_NEG_TYPE at p. With xi0 = e_0 - e_1 (form value
+    -2 d(x_0, x_1)^p < 0) and xi1 the positive eigendirection, the form
     along (1-t) xi0 + t xi1 is a quadratic in t with opposite signs at the
     endpoints, so its root in (0, 1) is solved in closed form. The zero
     vector cannot occur there: it would force xi1 parallel to xi0, whose
     form value is negative.
     """
     d = power_matrix(X, p)
-    if report is None:
-        report = _classify(d, p, None)
-    return _witness_ivt(X, d, p, report, base_pair)
+    return _witness_ivt(X, d, p, _classify(d, p, None))
 
 
-def _witness_ivt(X: MetricSpace, d: np.ndarray, p: float, report: QuadFormReport,
-                 base_pair: tuple[int, int]) -> WitnessReport:
+def _witness_ivt(
+    X: MetricSpace, d: np.ndarray, p: float, report: QuadFormReport
+) -> WitnessReport:
     if report.classification is not Classification.NOT_NEG_TYPE:
         raise NotApplicable(
             f"space has {report.p}-negative type (lambda_max = {report.lambda_max:g})"
         )
-    a_idx, b_idx = base_pair
-    m = X.size
-    if not (0 <= a_idx < m and 0 <= b_idx < m) or a_idx == b_idx:
-        raise IndexOutOfRange(max(a_idx, b_idx), m)
-
-    xi0 = np.zeros(m)
-    xi0[a_idx], xi0[b_idx] = 1.0, -1.0
+    xi0 = np.zeros(X.size)
+    xi0[0], xi0[1] = 1.0, -1.0
     xi1 = report.direction.weights
 
-    f00 = float(xi0 @ d @ xi0)  # -2 d(x_a, x_b)^p
+    f00 = float(xi0 @ d @ xi0)  # -2 d(x_0, x_1)^p
     f01 = float(xi0 @ d @ xi1)
     f11 = float(xi1 @ d @ xi1)
 
@@ -411,7 +399,7 @@ def witness_at_p(
             f"strict {p:g}-negative type: no nontrivial {p:g}-polygonal equality"
         )
     if report.classification is Classification.NOT_NEG_TYPE:
-        return _witness_ivt(X, d, p, report, (0, 1))
+        return _witness_ivt(X, d, p, report)
     return _witness_from_vector(
         X, d, p, report.direction.weights, WitnessMethod.EIGEN_DIRECTION
     )
@@ -420,45 +408,31 @@ def witness_at_p(
 def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
     """Witness at the midpoint of a FINITE supremal bracket.
 
-    Candidates in order: a unit kernel vector of D_p when the smallest
-    singular value is below SINGULAR_REL of the largest (the kernel lies in
-    the zero-sum hyperplane at the supremal exponent); D_p^{-1} applied to
-    the all-ones vector, which is zero-sum there with vanishing form; the
-    top eigendirection as fallback. Each candidate is projected onto the
-    hyperplane and accepted when its residual is below RESIDUAL_REL of the
-    largest matrix entry.
+    At the supremal exponent the largest restricted eigenvalue is zero, so
+    its eigendirection is a unit zero-sum vector with vanishing form. It is
+    accepted when its residual is at most RESIDUAL_REL of the largest entry
+    of D_p; a bracket away from the supremal exponent raises NoWitnessFound.
+    Ultrametric spaces and capped searches raise NotApplicable.
     """
-    if sup.status is not SupremalStatus.FINITE:
-        raise NotApplicable(f"supremal status is {sup.status.value}")
+    if sup.status is SupremalStatus.INFINITE_ULTRAMETRIC:
+        raise NotApplicable(
+            "ultrametric space: no nontrivial polygonal equality at any exponent"
+        )
+    if sup.status is SupremalStatus.EXCEEDS_CAP:
+        raise NotApplicable(
+            f"supremal exponent exceeds cap {sup.cap:g}; no witness located"
+        )
     p = sup.midpoint
     d = power_matrix(X, p)
+    report = _witness_from_vector(
+        X, d, p, _classify(d, p, None).direction.weights, WitnessMethod.EIGEN_DIRECTION
+    )
     gate = RESIDUAL_REL * float(d.max())
-
-    def candidates():
-        try:
-            sv = np.linalg.svd(d, compute_uv=True)
-        except np.linalg.LinAlgError:
-            sv = None
-        if sv is not None and sv[1][-1] <= SINGULAR_REL * sv[1][0]:
-            yield WitnessMethod.KERNEL, sv[2][-1]
-        try:
-            yield WitnessMethod.INVERSE, np.linalg.solve(d, np.ones(X.size))
-        except np.linalg.LinAlgError:
-            pass
-        yield WitnessMethod.EIGEN_DIRECTION, _classify(d, p, None).direction.weights
-
-    for method, raw in candidates():
-        # near-balance is expected for the first two; the projection inside
-        # _witness_from_vector makes it exact
-        if abs(float(raw.sum())) > 1e-6 * float(np.abs(raw).max()) * X.size:
-            continue
-        try:
-            report = _witness_from_vector(X, d, p, raw, method)
-        except ZeroVector:
-            continue
-        if report.residual <= gate:
-            return report
-    raise NoWitnessFound(f"no candidate met residual <= {gate:g} at p = {p:g}")
+    if report.residual > gate:
+        raise NoWitnessFound(
+            f"eigendirection residual {report.residual:g} exceeds {gate:g} at p = {p:g}"
+        )
+    return report
 
 
 def polygonal_interval(X: MetricSpace, sup: SupremalResult) -> IntervalReport:

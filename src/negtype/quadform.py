@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     EigenFailure,
     InvalidCap,
+    InvalidTolerance,
     LengthMismatch,
     NotBalanced,
 )
@@ -168,13 +169,16 @@ def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadForm
     """Three-way negative-type classification at exponent p.
 
     Computes the largest eigenvalue of the restricted form and compares it
-    against epsilon (default EPSILON_REL times the largest entry of D_p).
+    against epsilon (default EPSILON_REL times the largest entry of D_p),
+    which must be finite and nonnegative.
     """
     return _classify(power_matrix(X, p), p, epsilon)
 
 
 def _classify(d: np.ndarray, p: float, epsilon: float | None) -> QuadFormReport:
     """classify on an already built D_p."""
+    if epsilon is not None and not 0.0 <= epsilon < math.inf:
+        raise InvalidTolerance(f"epsilon = {epsilon}")
     try:
         evals, evecs = np.linalg.eigh(_restrict(d))
     except np.linalg.LinAlgError as exc:

@@ -112,6 +112,17 @@ class TestCheckCommand:
         assert main(["check", collinear_file, "--p", p]) == 3
         assert "p = " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_invalid_tolerance_exits_3(self, collinear_file, witness_simplex_file,
+                                       capsys, tol):
+        assert main(["check", collinear_file, "--p", "1", "--tol", tol]) == 3
+        assert "epsilon = " in capsys.readouterr().err
+        assert main(["witness", collinear_file, "--p", "3", "--tol", tol]) == 3
+        assert "epsilon = " in capsys.readouterr().err
+        assert main(["verify", collinear_file, witness_simplex_file, "--p", "2",
+                     "--tol", tol]) == 3
+        assert "tol = " in capsys.readouterr().err
+
 
 class TestSupremalCommand:
     def test_collinear_midpoint(self, collinear_file, capsys):
@@ -173,9 +184,17 @@ class TestWitnessCommand:
         target = np.array([1.0, -2.0, 1.0]) / np.sqrt(6)
         assert min(np.abs(xi - target).max(), np.abs(xi + target).max()) < 1e-6
 
-    def test_ultrametric_exits_1(self, two_point_file, capsys):
+    def test_ultrametric_exits_1(self, two_point_file, tmp_path, capsys):
         assert main(["witness", two_point_file, "--at-supremal"]) == 1
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("no witness: ultrametric space")
+        beyond_cap = tmp_path / "beyond_cap.json"
+        beyond_cap.write_text(json.dumps(
+            {"matrix": [[0, 1, 1], [1, 0, 1.001], [1, 1.001, 0]]}
+        ))
+        assert main(["witness", str(beyond_cap), "--at-supremal"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "no witness: supremal exponent exceeds cap 64"
+        )
 
     def test_requires_exactly_one_mode(self, collinear_file, capsys):
         assert main(["witness", collinear_file]) == 3

@@ -17,6 +17,7 @@ from negtype import (
     Classification,
     IndexOutOfRange,
     IntervalKind,
+    InvalidTolerance,
     NoRootInUnitInterval,
     NotApplicable,
     NotBalanced,
@@ -46,6 +47,7 @@ from negtype import (
     witness_ivt,
 )
 from negtype import metric, polyeq, quadform
+from negtype.cli import generate_space
 
 TRIVIAL_PAIR = SignedSimplex(((0, 1.0), (1, 1.0)), ((0, 1.0), (1, 1.0)))
 COLLINEAR_WITNESS = SignedSimplex(((0, 1.0), (2, 1.0)), ((1, 2.0),))
@@ -279,22 +281,14 @@ class TestWitnessIvt:
         w = witness_ivt(four_cycle, 2.0)
         assert abs(w.lhs - w.rhs) <= 0.5 * w.residual + 1e-10
 
-    def test_accepts_precomputed_report(self, collinear):
-        rep = classify(collinear, 3.0)
-        w = witness_ivt(collinear, 3.0, rep)
-        assert w.residual <= 1e-9
-
-    def test_configurable_base_pair(self, four_cycle):
-        w = witness_ivt(four_cycle, 2.0, base_pair=(2, 3))
-        assert w.residual <= 1e-9
-
     def test_direction_parallel_to_base_pair_has_no_root(self, collinear):
         # xi1 parallel to xi0 = e0 - e1 keeps the segment form negative;
         # its roots (about 3.41) lie outside (0, 1)
         direction = BalancedVector(np.array([1.0, -1.0, 0.0]) / math.sqrt(2))
         rep = QuadFormReport(3.0, 4 / 3, Classification.NOT_NEG_TYPE, direction, 1e-9)
+        d = metric.power_matrix(collinear, 3.0)
         with pytest.raises(NoRootInUnitInterval):
-            witness_ivt(collinear, 3.0, rep)
+            polyeq._witness_ivt(collinear, d, 3.0, rep)
 
 
 class TestWitnessAtP:
@@ -313,10 +307,25 @@ class TestWitnessAtP:
 
 
 class TestWitnessAtSupremal:
-    def test_collinear_inverse(self, collinear):
-        sup = supremal(collinear)
-        w = witness_at_supremal(collinear, sup)
-        assert w.method is WitnessMethod.INVERSE
+    # both regimes at w: D_p singular (path, even cycle, l2 cloud) and D_p
+    # invertible (l1 cloud, random graph)
+    @pytest.mark.parametrize(
+        "kind, n, q",
+        [("path", 6, 2.0), ("cycle", 6, 2.0), ("points", 8, 2.0),
+         ("points", 8, 1.0), ("random", 7, 2.0)],
+        ids=["path", "even_cycle", "l2_cloud", "l1_cloud", "random_graph"],
+    )
+    def test_eigendirection_verifies(self, kind, n, q):
+        X = generate_space(kind, n, q=q, seed=5)
+        w = witness_at_supremal(X, supremal(X))
+        assert w.method is WitnessMethod.EIGEN_DIRECTION
+        assert w.residual <= polyeq.RESIDUAL_REL * float(metric.power_matrix(X, w.p).max())
+        rep = verify_equality(X, w.p, w.simplex)
+        assert rep.holds and rep.nontrivial
+
+    def test_collinear_eigendirection(self, collinear):
+        w = witness_at_supremal(collinear, supremal(collinear))
+        assert w.method is WitnessMethod.EIGEN_DIRECTION
         assert angular_deviation(w.xi.weights, [1, -2, 1]) < 1e-6
         assert w.residual <= 1e-6 * 4.0
 
@@ -327,12 +336,15 @@ class TestWitnessAtSupremal:
         assert w.residual <= 1e-6 * 2.0
 
     def test_ultrametric_not_applicable(self, equilateral):
-        with pytest.raises(NotApplicable):
+        with pytest.raises(NotApplicable, match="ultrametric"):
             witness_at_supremal(equilateral, supremal(equilateral))
+        beyond_cap = validate_metric(None, [[0, 1, 1], [1, 0, 1.001], [1, 1.001, 0]])
+        with pytest.raises(NotApplicable, match="exceeds cap"):
+            witness_at_supremal(beyond_cap, supremal(beyond_cap))
 
     def test_no_candidate_below_supremal(self, four_cycle):
-        # a bracket at 0.5, below w = 1: the space is strict there and every
-        # candidate misses the residual gate
+        # a bracket at 0.5, below w = 1: the space is strict there and the
+        # eigendirection misses the residual gate
         sup = SupremalResult(SupremalStatus.FINITE, 0.5, 0.5, 64.0, 0)
         with pytest.raises(NoWitnessFound):
             witness_at_supremal(four_cycle, sup)
@@ -378,6 +390,11 @@ class TestVerifyEquality:
         with pytest.raises(IndexOutOfRange):
             verify_equality(collinear, 1.0, SignedSimplex(((0, 1.0),), ((9, 1.0),)))
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_invalid_tolerance(self, collinear, tol):
+        with pytest.raises(InvalidTolerance):
+            verify_equality(collinear, 2.0, COLLINEAR_WITNESS, tol=tol)
+
 
 class TestBuildOnce:
     """Each public call builds D_p once and shares it with its helpers."""
@@ -405,16 +422,23 @@ class TestBuildOnce:
         witness_ivt(collinear, 3.0)
         assert len(builds) == 1
 
-    def test_witness_at_supremal(self, collinear, four_cycle, builds):
+    def test_witness_at_supremal(self, collinear, four_cycle, builds, monkeypatch):
+        eigensolves = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            eigensolves.append(a)
+            return real_eigh(a)
+
         sup = supremal(collinear)
         builds.clear()
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         witness_at_supremal(collinear, sup)
-        assert len(builds) == 1
-        # every candidate, the eigendirection fallback included, is tried
+        assert len(builds) == 1 and len(eigensolves) == 1
         low = SupremalResult(SupremalStatus.FINITE, 0.5, 0.5, 64.0, 0)
         with pytest.raises(NoWitnessFound):
             witness_at_supremal(four_cycle, low)
-        assert len(builds) == 2
+        assert len(builds) == 2 and len(eigensolves) == 2
 
     def test_verify_equality(self, collinear, builds):
         assert verify_equality(collinear, 2.0, COLLINEAR_WITNESS).nontrivial_equality

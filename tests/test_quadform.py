@@ -17,6 +17,7 @@ from negtype import (
     Classification,
     EigenFailure,
     InvalidCap,
+    InvalidTolerance,
     LengthMismatch,
     NegativeExponent,
     NotBalanced,
@@ -123,6 +124,14 @@ class TestClassify:
     def test_invalid_exponent(self, collinear, p):
         with pytest.raises(NegativeExponent):
             classify(collinear, p)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
+    def test_invalid_tolerance(self, collinear, epsilon):
+        with pytest.raises(InvalidTolerance):
+            classify(collinear, 1.0, epsilon)
+
+    def test_zero_tolerance_is_valid(self, collinear):
+        assert classify(collinear, 1.0, 0.0).classification is Classification.STRICT
 
     def test_eigensolver_failure_is_typed(self, collinear, monkeypatch):
         def fail(*args, **kwargs):
