@@ -15,8 +15,8 @@ from negtype import (
     quad_form,
     supremal,
     verify_equality,
+    witness_at_p,
     witness_at_supremal,
-    witness_ivt,
 )
 
 X = from_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -51,7 +51,7 @@ print(f"\nhand-written equality at p = 2: lhs = {rep.lhs}, rhs = {rep.rhs},"
 # Above the supremal exponent a witness always exists; the segment
 # construction finds a zero of the form between e1 - e2 and the positive
 # eigendirection.
-w3 = witness_ivt(X, 3.0)
+w3 = witness_at_p(X, 3.0)
 print(f"\nwitness at p = 3 ({w3.method.value}): xi = {np.round(w3.xi.weights, 6)},"
       f" residual = {w3.residual:.3g}")
 print(f"its equality: lhs = {w3.lhs:.12f}, rhs = {w3.rhs:.12f}")

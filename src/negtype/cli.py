@@ -244,6 +244,8 @@ def _cmd_witness(args) -> int:
     X = load_space(args.space)
     if args.at_supremal == (args.p is not None):
         raise ValueError("witness needs exactly one of --p or --at-supremal")
+    if args.at_supremal and args.tol is not None:
+        raise ValueError("--tol applies only with --p; --at-supremal gates by residual")
     try:
         if args.at_supremal:
             sup = supremal(X, cap=args.cap, width_tol=args.width_tol)

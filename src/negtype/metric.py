@@ -2,9 +2,12 @@
 
 A space is a list of point labels plus a dense, validated distance matrix.
 Validation tolerances are relative to the largest distance so that the
-metric axioms are checked scale-free. Power matrices raise every distance
-to a fixed exponent p >= 0 with the convention 0**0 = 0 on the diagonal,
-so the p = 0 matrix is the discrete-metric matrix.
+metric axioms are checked scale-free. The triangle check of validate_metric
+and the ultrametric check of is_ultrametric are one O(m^3) scan over all
+triples, with d(i,j) + d(j,k) or max(d(i,j), d(j,k)) as the bound on
+d(i,k). Power matrices raise every distance to a fixed exponent p >= 0 with
+the convention 0**0 = 0 on the diagonal, so the p = 0 matrix is the
+discrete-metric matrix.
 """
 
 from __future__ import annotations
@@ -73,6 +76,26 @@ class MetricSpace:
         return len(self.labels)
 
 
+def _first_violation(d: np.ndarray, bound, tol: float) -> tuple[int, int, int] | None:
+    """First triple with d[i, k] - bound(d[i, j], d[j, k]) > tol, or None.
+
+    bound is np.add (triangle inequality) or np.maximum (ultrametric
+    inequality). Triples are scanned j-major, then (i, k) row-major; each
+    pass reuses two m x m buffers and looks for the indices only once a
+    violation is known to exist.
+    """
+    slack = np.empty_like(d)
+    bad = np.empty(d.shape, dtype=bool)
+    for j in range(d.shape[0]):
+        bound(d[:, j, None], d[j], out=slack)
+        np.subtract(d, slack, out=slack)
+        np.greater(slack, tol, out=bad)
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
+            return int(i), j, int(k)
+    return None
+
+
 def validate_metric(labels, matrix) -> MetricSpace:
     """Check the metric axioms and return a canonicalized space.
 
@@ -116,12 +139,9 @@ def validate_metric(labels, matrix) -> MetricSpace:
         i, j = map(int, nonpos[0])
         raise NonpositiveDistance(i, j)
 
-    for j in range(m):
-        slack = a - (a[:, j][:, None] + a[j, :][None, :])
-        viol = np.argwhere(slack > tol)
-        if viol.size:
-            i, k = map(int, viol[0])
-            raise TriangleViolation(i, j, k)
+    viol = _first_violation(a, np.add, tol)
+    if viol is not None:
+        raise TriangleViolation(*viol)
 
     canon = 0.5 * (a + a.T)
     np.fill_diagonal(canon, 0.0)
@@ -145,11 +165,7 @@ def power_matrix(X: MetricSpace, p: float) -> np.ndarray:
 def is_ultrametric(X: MetricSpace) -> bool:
     """True iff every triple satisfies d(i,k) <= max(d(i,j), d(j,k)) + slack."""
     d = X.dist
-    tol = REL_TOL * float(d.max())
-    for j in range(X.size):
-        if (d > np.maximum.outer(d[:, j], d[j, :]) + tol).any():
-            return False
-    return True
+    return _first_violation(d, np.maximum, REL_TOL * float(d.max())) is None
 
 
 def from_graph(n: int, weighted_edges) -> MetricSpace:
@@ -219,9 +235,8 @@ def random_ultrametric(n: int, seed: int | None = None) -> MetricSpace:
     for h in heights:
         a, b = rng.choice(len(clusters), size=2, replace=False)
         a, b = (int(a), int(b)) if a < b else (int(b), int(a))
-        for u in clusters[a]:
-            for v in clusters[b]:
-                dist[u, v] = dist[v, u] = h
-        clusters[a].extend(clusters[b])
+        A, B = clusters[a], clusters[b]
+        dist[np.ix_(A, B)] = dist[np.ix_(B, A)] = h
+        A.extend(B)
         del clusters[b]
     return validate_metric(None, dist)

@@ -40,10 +40,10 @@ from .metric import MetricSpace, power_matrix
 from .quadform import (
     BalancedVector,
     Classification,
-    QuadFormReport,
     SupremalResult,
     SupremalStatus,
     _classify,
+    _top,
     _weights,
 )
 
@@ -61,7 +61,6 @@ __all__ = [
     "vector_to_simplex",
     "reduce",
     "is_nondegenerate",
-    "witness_ivt",
     "witness_at_p",
     "witness_at_supremal",
     "verify_equality",
@@ -73,7 +72,7 @@ __all__ = [
 CLEANUP_REL = 1e-12
 # Residual acceptance for supremal witnesses, relative to max matrix entry.
 RESIDUAL_REL = 1e-6
-# Default tolerance for verifying an equality, relative to max(|lhs|,|rhs|,1).
+# Default tolerance for verifying an equality, relative to max(|lhs|, |rhs|).
 VERIFY_REL = 1e-9
 
 
@@ -277,8 +276,9 @@ def verify_equality(
     """Check whether a signed simplex realizes a p-polygonal equality.
 
     holds compares the cross-side sum (lhs) against the same-side sums
-    (rhs) relative to max(|lhs|, |rhs|, 1); nontrivial reports whether the
-    simplex is nondegenerate. The two together certify a nontrivial
+    (rhs) relative to max(|lhs|, |rhs|), so the test does not depend on the
+    unit of distance; nontrivial reports whether the simplex is
+    nondegenerate. The two together certify a nontrivial
     p-polygonal equality. tol must be finite and nonnegative.
     """
     if not 0.0 <= tol < math.inf:
@@ -288,7 +288,7 @@ def verify_equality(
     cross, same_l, same_r = _sums(power_matrix(X, p), *parts)
     rhs = same_l + same_r
     g = cross - rhs
-    scale = max(abs(cross), abs(rhs), 1.0)
+    scale = max(abs(cross), abs(rhs))
     return EqualityReport(
         p=float(p),
         lhs=cross,
@@ -323,30 +323,19 @@ def _witness_from_vector(
     )
 
 
-def witness_ivt(X: MetricSpace, p: float) -> WitnessReport:
+def _witness_ivt(
+    X: MetricSpace, d: np.ndarray, p: float, xi1: np.ndarray
+) -> WitnessReport:
     """Zero of the form along a segment from a negative to a positive direction.
 
-    Requires NOT_NEG_TYPE at p. With xi0 = e_0 - e_1 (form value
-    -2 d(x_0, x_1)^p < 0) and xi1 the positive eigendirection, the form
-    along (1-t) xi0 + t xi1 is a quadratic in t with opposite signs at the
-    endpoints, so its root in (0, 1) is solved in closed form. The zero
-    vector cannot occur there: it would force xi1 parallel to xi0, whose
-    form value is negative.
+    xi1 is a direction with positive form value. With xi0 = e_0 - e_1 (form
+    value -2 d(x_0, x_1)^p < 0), the form along (1-t) xi0 + t xi1 is a
+    quadratic in t with opposite signs at the endpoints, so its root in
+    (0, 1) is solved in closed form. The zero vector cannot occur there: it
+    would force xi1 parallel to xi0, whose form value is negative.
     """
-    d = power_matrix(X, p)
-    return _witness_ivt(X, d, p, _classify(d, p, None))
-
-
-def _witness_ivt(
-    X: MetricSpace, d: np.ndarray, p: float, report: QuadFormReport
-) -> WitnessReport:
-    if report.classification is not Classification.NOT_NEG_TYPE:
-        raise NotApplicable(
-            f"space has {report.p}-negative type (lambda_max = {report.lambda_max:g})"
-        )
     xi0 = np.zeros(X.size)
     xi0[0], xi0[1] = 1.0, -1.0
-    xi1 = report.direction.weights
 
     f00 = float(xi0 @ d @ xi0)  # -2 d(x_0, x_1)^p
     f01 = float(xi0 @ d @ xi1)
@@ -387,10 +376,11 @@ def witness_at_p(
 ) -> WitnessReport:
     """Witness at a fixed exponent, when one exists.
 
-    NOT_NEG_TYPE uses the segment construction; BOUNDARY uses the top
-    eigendirection, whose form value is within classification tolerance of
-    zero. STRICT raises NotApplicable: no nontrivial p-polygonal equality
-    exists there.
+    NOT_NEG_TYPE uses the segment construction (method IVT) from e_0 - e_1
+    to the positive top eigendirection; BOUNDARY uses the top eigendirection
+    itself, whose form value is within classification tolerance of zero.
+    STRICT raises NotApplicable: no nontrivial p-polygonal equality exists
+    there.
     """
     d = power_matrix(X, p)
     report = _classify(d, p, epsilon)
@@ -399,7 +389,7 @@ def witness_at_p(
             f"strict {p:g}-negative type: no nontrivial {p:g}-polygonal equality"
         )
     if report.classification is Classification.NOT_NEG_TYPE:
-        return _witness_ivt(X, d, p, report)
+        return _witness_ivt(X, d, p, report.direction.weights)
     return _witness_from_vector(
         X, d, p, report.direction.weights, WitnessMethod.EIGEN_DIRECTION
     )
@@ -424,9 +414,7 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
         )
     p = sup.midpoint
     d = power_matrix(X, p)
-    report = _witness_from_vector(
-        X, d, p, _classify(d, p, None).direction.weights, WitnessMethod.EIGEN_DIRECTION
-    )
+    report = _witness_from_vector(X, d, p, _top(d)[1], WitnessMethod.EIGEN_DIRECTION)
     gate = RESIDUAL_REL * float(d.max())
     if report.residual > gate:
         raise NoWitnessFound(

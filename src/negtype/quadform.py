@@ -13,6 +13,11 @@ the unit all-ones vector to -e_m: the first m-1 columns of H are an
 orthonormal basis of F0, so the leading (m-1) x (m-1) block of H D_p H is
 the form in that basis. The block costs O(m^2) and an eigenvector maps back
 through one O(m) reflection. Each public call builds D_p once.
+
+Every decision -- the class at one exponent, each sign probe of supremal,
+and the directions the witnesses in polyeq start from -- comes from one
+eigensolve of that block per (space, p), in one helper (_top); a sign probe
+computes eigenvalues only.
 """
 
 from __future__ import annotations
@@ -140,10 +145,10 @@ def _restrict(d: np.ndarray) -> np.ndarray:
     z = w - (0.5 * beta * float(u @ w)) * u
     # H D_p H = D_p - (u z^T + z u^T); the sum is formed first so that the
     # result is exactly symmetric
-    a = np.outer(u, z)
+    a = np.outer(u[:-1], z[:-1])
     a += a.T
-    np.subtract(d, a, out=a)
-    return a[:-1, :-1]
+    np.subtract(d[:-1, :-1], a, out=a)
+    return a
 
 
 def _lift(y: np.ndarray) -> np.ndarray:
@@ -152,6 +157,30 @@ def _lift(y: np.ndarray) -> np.ndarray:
     x = np.append(y, 0.0)
     x -= (beta * float(u[:-1] @ y)) * u
     return x
+
+
+def _top(d: np.ndarray, vector: bool = True) -> tuple[float, np.ndarray | None]:
+    """Largest eigenvalue of the restricted form and its unit zero-sum eigenvector.
+
+    The one eigensolve of the package. A sign probe asks only for the value
+    (vector=False, eigvalsh, about half the cost; the eigenvector is None);
+    every other caller gets the pair from eigh. Both run in the LAPACK that
+    numpy loads: scipy.linalg bundles a second OpenBLAS, whose idle worker
+    threads keep spinning after each call and slow the caller's next numpy
+    BLAS call several-fold on a host with as many cores as BLAS threads. A
+    form that is not finite (an overflowed D_p) and a convergence failure
+    both raise EigenFailure.
+    """
+    a = _restrict(d)
+    if not np.isfinite(a).all():
+        raise EigenFailure("restricted form is not finite")
+    try:
+        if not vector:
+            return float(np.linalg.eigvalsh(a)[-1]), None
+        evals, evecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+    return float(evals[-1]), _lift(evecs[:, -1])
 
 
 def quad_form(X: MetricSpace, p: float, xi) -> float:
@@ -179,13 +208,9 @@ def _classify(d: np.ndarray, p: float, epsilon: float | None) -> QuadFormReport:
     """classify on an already built D_p."""
     if epsilon is not None and not 0.0 <= epsilon < math.inf:
         raise InvalidTolerance(f"epsilon = {epsilon}")
-    try:
-        evals, evecs = np.linalg.eigh(_restrict(d))
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
+    lam, direction = _top(d)
     if epsilon is None:
         epsilon = EPSILON_REL * float(d.max())
-    lam = float(evals[-1])
 
     if lam < -epsilon:
         cls = Classification.STRICT
@@ -193,15 +218,7 @@ def _classify(d: np.ndarray, p: float, epsilon: float | None) -> QuadFormReport:
         cls = Classification.NOT_NEG_TYPE
     else:
         cls = Classification.BOUNDARY
-    direction = BalancedVector(_lift(evecs[:, -1]))
-    return QuadFormReport(float(p), lam, cls, direction, float(epsilon))
-
-
-def _lambda_max(d: np.ndarray) -> float:
-    try:
-        return float(np.linalg.eigvalsh(_restrict(d))[-1])
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
+    return QuadFormReport(float(p), lam, cls, BalancedVector(direction), float(epsilon))
 
 
 def supremal(
@@ -228,7 +245,7 @@ def supremal(
     def positive(p: float) -> bool:
         nonlocal evaluations
         evaluations += 1
-        return _lambda_max(power_matrix(X, p)) > 0.0
+        return _top(power_matrix(X, p), vector=False)[0] > 0.0
 
     lo, hi = 0.0, None
     probe = min(1.0, cap)

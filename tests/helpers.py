@@ -2,14 +2,17 @@
 
 The oracles deliberately avoid the library's code paths: eigenvalues come
 from scipy on the centered m x m matrix rather than the package's
-(m-1)-dimensional restriction, and gap/form references are literal loops
-over the defining sums.
+(m-1)-dimensional restriction, gap/form references are literal loops
+over the defining sums, the triangle reference is a literal triple loop,
+and the ultrametric reference is scipy's single-linkage clustering.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.cluster.hierarchy import cophenet, linkage
+from scipy.spatial.distance import squareform
 
 from negtype import MetricSpace, SignedSimplex, validate_metric
 from negtype.cli import generate_space
@@ -56,11 +59,12 @@ def gap_reference(X: MetricSpace, p: float, Q: SignedSimplex) -> float:
     return cross - same_l - same_r
 
 
-def centered_spectrum(X: MetricSpace, p: float) -> np.ndarray:
-    """Ascending eigenvalues of the form on the zero-sum hyperplane.
+def centered_eigenpairs(X: MetricSpace, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of the form on the zero-sum hyperplane, with
+    unit eigenvectors in R^m as columns.
 
-    Uses the centering projector P = I - J/m and scipy's eigensolver, then
-    discards the eigenpair carried by the all-ones direction.
+    Uses the centering projector P = I - J/m and scipy's full eigensolver,
+    then discards the eigenpair carried by the all-ones direction.
     """
     m = X.size
     proj = np.eye(m) - np.full((m, m), 1.0 / m)
@@ -68,12 +72,41 @@ def centered_spectrum(X: MetricSpace, p: float) -> np.ndarray:
     evals, evecs = scipy.linalg.eigh(0.5 * (a + a.T))
     ones = np.ones(m) / np.sqrt(m)
     drop = int(np.argmax(np.abs(evecs.T @ ones)))
-    return np.delete(evals, drop)
+    keep = np.delete(evecs, drop, axis=1)
+    # where 0 is also an eigenvalue on the hyperplane (an l2 cloud at p = 2),
+    # the solver may mix the all-ones direction into a kept eigenvector
+    keep -= keep.mean(axis=0)
+    keep /= np.linalg.norm(keep, axis=0)
+    return np.delete(evals, drop), keep
+
+
+def centered_spectrum(X: MetricSpace, p: float) -> np.ndarray:
+    """Ascending eigenvalues of the form on the zero-sum hyperplane."""
+    return centered_eigenpairs(X, p)[0]
 
 
 def centered_lambda_max(X: MetricSpace, p: float) -> float:
     """Largest eigenvalue of the form on the zero-sum hyperplane."""
     return float(centered_spectrum(X, p)[-1])
+
+
+def first_triangle_violation(d: np.ndarray, tol: float):
+    """First (i, j, k), j-major then i then k, with d[i,k] - (d[i,j] + d[j,k]) > tol."""
+    m = len(d)
+    for j in range(m):
+        for i in range(m):
+            for k in range(m):
+                if d[i, k] - (d[i, j] + d[j, k]) > tol:
+                    return i, j, k
+    return None
+
+
+def subdominant_ultrametric(d: np.ndarray) -> np.ndarray:
+    """Single-linkage cophenetic distances: the largest ultrametric below d.
+
+    A metric is ultrametric exactly when it equals this matrix.
+    """
+    return squareform(cophenet(linkage(squareform(d, checks=False), "single")))
 
 
 def sampled_form_max(X: MetricSpace, p: float, trials: int, seed: int) -> float:

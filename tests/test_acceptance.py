@@ -19,6 +19,7 @@ from negtype import (
     NotApplicable,
     SignedSimplex,
     SupremalStatus,
+    WitnessMethod,
     classify,
     from_points,
     gap,
@@ -32,7 +33,6 @@ from negtype import (
     verify_equality,
     witness_at_p,
     witness_at_supremal,
-    witness_ivt,
 )
 from negtype.cli import main
 
@@ -128,12 +128,11 @@ def test_criterion_5_dichotomy_suite():
                 if cls is Classification.STRICT:
                     strict_cases += 1
                     with pytest.raises(NotApplicable):
-                        witness_ivt(X, p)
-                    with pytest.raises(NotApplicable):
                         witness_at_p(X, p)
                 elif cls is Classification.NOT_NEG_TYPE:
                     witness_cases += 1
-                    w = witness_ivt(X, p)
+                    w = witness_at_p(X, p)
+                    assert w.method is WitnessMethod.IVT
                     assert np.linalg.norm(w.xi.weights) > 0
                     assert w.residual <= 1e-8
                     rep = verify_equality(X, p, w.simplex)

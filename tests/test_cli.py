@@ -201,6 +201,13 @@ class TestWitnessCommand:
         assert main(["witness", collinear_file, "--p", "2", "--at-supremal"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("tol", ["nan", "1e-9"])
+    def test_tol_rejected_at_supremal(self, collinear_file, capsys, tol):
+        # the supremal witness is gated by its residual; a --tol there
+        # would be silently ignored
+        assert main(["witness", collinear_file, "--at-supremal", "--tol", tol]) == 3
+        assert "--tol" in capsys.readouterr().err
+
     def test_boundary_p_uses_eigendirection(self, cycle_file, capsys):
         assert main(["witness", cycle_file, "--p", "1"]) == 0
         data = json.loads(capsys.readouterr().out)

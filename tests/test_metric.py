@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import first_triangle_violation, random_space, subdominant_ultrametric
 from negtype import (
     AsymmetricEntry,
     DisconnectedGraph,
@@ -19,6 +20,7 @@ from negtype import (
     random_ultrametric,
     validate_metric,
 )
+from negtype.metric import REL_TOL
 
 
 class TestValidateMetric:
@@ -41,6 +43,31 @@ class TestValidateMetric:
         with pytest.raises(TriangleViolation) as exc:
             validate_metric(None, [[0, 1, 3], [1, 0, 1], [3, 1, 0]])
         assert (exc.value.i, exc.value.j, exc.value.k) == (0, 1, 2)
+
+    def test_triangle_violation_matches_brute_force(self):
+        # random symmetric matrices break the triangle inequality early;
+        # metrics with one stretched entry break it at a later j or not at all
+        rng = np.random.default_rng(13)
+        seen = set()
+        for trial in range(120):
+            m = int(rng.integers(3, 9))
+            if trial % 2:
+                a = rng.uniform(0.1, 3.0, (m, m))
+                a = np.triu(a, 1) + np.triu(a, 1).T
+            else:
+                a = np.array(random_space(rng, min_n=m, max_n=m).dist)
+                i, k = rng.choice(m, size=2, replace=False)
+                a[i, k] = a[k, i] = a[i, k] * rng.uniform(1.0, 2.0)
+            want = first_triangle_violation(a, REL_TOL * float(a.max()))
+            if want is None:
+                np.testing.assert_array_equal(validate_metric(None, a).dist, a)
+                seen.add(None)
+                continue
+            with pytest.raises(TriangleViolation) as exc:
+                validate_metric(None, a)
+            assert (exc.value.i, exc.value.j, exc.value.k) == want
+            seen.add(want[1] > 0)
+        assert seen == {None, False, True}
 
     def test_not_square(self):
         with pytest.raises(NotSquare):
@@ -130,6 +157,23 @@ class TestIsUltrametric:
     def test_nested_clusters(self):
         X = validate_metric(None, [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]])
         assert is_ultrametric(X)
+
+    def test_matches_single_linkage_reference(self):
+        # random ultrametrics, the same with one distance scaled by 0.9..1.1
+        # (still a metric, usually no longer ultrametric), and random spaces
+        rng = np.random.default_rng(17)
+        verdicts = []
+        for _ in range(40):
+            n = int(rng.integers(3, 12))
+            U = random_ultrametric(n, seed=int(rng.integers(0, 2**31)))
+            d = np.array(U.dist)
+            i, k = rng.choice(n, size=2, replace=False)
+            d[i, k] = d[k, i] = d[i, k] * rng.uniform(0.9, 1.1)
+            for X in (U, validate_metric(None, d), random_space(rng)):
+                want = np.allclose(subdominant_ultrametric(X.dist), X.dist, rtol=1e-9, atol=0)
+                assert is_ultrametric(X) == want
+                verdicts.append(want)
+        assert 40 < sum(verdicts) < len(verdicts)
 
 
 class TestFromGraph:

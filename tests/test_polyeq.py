@@ -13,7 +13,6 @@ from helpers import (
     random_space,
 )
 from negtype import (
-    BalancedVector,
     Classification,
     IndexOutOfRange,
     IntervalKind,
@@ -22,7 +21,6 @@ from negtype import (
     NotApplicable,
     NotBalanced,
     NoWitnessFound,
-    QuadFormReport,
     ReducedKind,
     SignedSimplex,
     SupremalResult,
@@ -44,7 +42,6 @@ from negtype import (
     verify_equality,
     witness_at_p,
     witness_at_supremal,
-    witness_ivt,
 )
 from negtype import metric, polyeq, quadform
 from negtype.cli import generate_space
@@ -259,8 +256,10 @@ class TestLinkIdentity:
 
 
 class TestWitnessIvt:
+    """The segment construction, which witness_at_p runs at NOT_NEG_TYPE."""
+
     def test_collinear_p3(self, collinear):
-        w = witness_ivt(collinear, 3.0)
+        w = witness_at_p(collinear, 3.0)
         assert w.method is WitnessMethod.IVT
         assert np.linalg.norm(w.xi.weights) == pytest.approx(1.0, rel=1e-12)
         assert w.residual <= 1e-9
@@ -270,25 +269,26 @@ class TestWitnessIvt:
 
     def test_collinear_p1_not_applicable(self, collinear):
         with pytest.raises(NotApplicable):
-            witness_ivt(collinear, 1.0)
+            witness_at_p(collinear, 1.0)
 
     def test_four_cycle_p2(self, four_cycle):
-        w = witness_ivt(four_cycle, 2.0)
+        w = witness_at_p(four_cycle, 2.0)
+        assert w.method is WitnessMethod.IVT
         assert w.residual <= 1e-9
         assert is_nondegenerate(four_cycle, w.simplex)
 
     def test_lhs_rhs_mirror_residual(self, four_cycle):
-        w = witness_ivt(four_cycle, 2.0)
+        w = witness_at_p(four_cycle, 2.0)
+        assert w.method is WitnessMethod.IVT
         assert abs(w.lhs - w.rhs) <= 0.5 * w.residual + 1e-10
 
     def test_direction_parallel_to_base_pair_has_no_root(self, collinear):
         # xi1 parallel to xi0 = e0 - e1 keeps the segment form negative;
         # its roots (about 3.41) lie outside (0, 1)
-        direction = BalancedVector(np.array([1.0, -1.0, 0.0]) / math.sqrt(2))
-        rep = QuadFormReport(3.0, 4 / 3, Classification.NOT_NEG_TYPE, direction, 1e-9)
+        direction = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
         d = metric.power_matrix(collinear, 3.0)
         with pytest.raises(NoRootInUnitInterval):
-            polyeq._witness_ivt(collinear, d, 3.0, rep)
+            polyeq._witness_ivt(collinear, d, 3.0, direction)
 
 
 class TestWitnessAtP:
@@ -376,6 +376,15 @@ class TestVerifyEquality:
         assert rep.gap == pytest.approx(2.0)
         assert rep.lhs == 4.0 and rep.rhs == 2.0
 
+    def test_scale_free_at_small_distances(self, collinear):
+        # at unit distance 1e-6 and p = 2 every sum is about 1e-12: the plain
+        # pair {0} | {1} (gap 1e-12) must fail, the true equality must hold
+        Y = validate_metric(None, 1e-6 * collinear.dist)
+        pair = verify_equality(Y, 2.0, SignedSimplex(((0, 1.0),), ((1, 1.0),)))
+        assert pair.nontrivial and not pair.holds
+        rep = verify_equality(Y, 2.0, COLLINEAR_WITNESS)
+        assert rep.holds and rep.nontrivial
+
     def test_trivial_pair_holds_trivially(self, collinear):
         for p in (0.5, 1.0, 2.0, 5.0):
             rep = verify_equality(collinear, p, TRIVIAL_PAIR)
@@ -418,10 +427,6 @@ class TestBuildOnce:
         assert witness_at_p(four_cycle, 1.0).method is WitnessMethod.EIGEN_DIRECTION
         assert len(builds) == 2
 
-    def test_witness_ivt(self, collinear, builds):
-        witness_ivt(collinear, 3.0)
-        assert len(builds) == 1
-
     def test_witness_at_supremal(self, collinear, four_cycle, builds, monkeypatch):
         eigensolves = []
         real_eigh = np.linalg.eigh
@@ -456,12 +461,11 @@ class TestDichotomy:
             if cls is Classification.STRICT:
                 strict_seen += 1
                 with pytest.raises(NotApplicable):
-                    witness_ivt(X, p)
-                with pytest.raises(NotApplicable):
                     witness_at_p(X, p)
             elif cls is Classification.NOT_NEG_TYPE:
                 witnessed += 1
-                w = witness_ivt(X, p)
+                w = witness_at_p(X, p)
+                assert w.method is WitnessMethod.IVT
                 assert np.linalg.norm(w.xi.weights) == pytest.approx(1.0, rel=1e-12)
                 assert w.residual <= 1e-8
                 rep = verify_equality(X, p, w.simplex)

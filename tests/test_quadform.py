@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    angular_deviation,
+    centered_eigenpairs,
     centered_lambda_max,
     centered_spectrum,
     quad_reference,
@@ -143,6 +145,32 @@ class TestClassify:
             classify(collinear, 1.0)
         with pytest.raises(EigenFailure):
             supremal(collinear)
+
+    def test_non_finite_form_is_typed(self):
+        # 1e6^60 and 1e6^64 overflow to inf, and the restriction turns
+        # inf - inf into nan; such a form is rejected before the eigensolve
+        Y = validate_metric(None, 1e6 * np.array([[0, 1, 1], [1, 0, 1.001], [1, 1.001, 0]]))
+        Z = validate_metric(None, [[0, 1, 1e6], [1, 0, 1e6], [1e6, 1e6, 0]])
+        with np.errstate(all="ignore"):
+            for call in (lambda: classify(Z, 60.0), lambda: classify(Y, 64.0),
+                         lambda: supremal(Y)):
+                with pytest.raises(EigenFailure):
+                    call()
+
+    def test_top_pair_matches_centered_reference(self, two_point):
+        # the top eigenpair against scipy's full solve of the centred m x m
+        # matrix, from m = 2 (one restricted dimension) up
+        rng = np.random.default_rng(19)
+        spaces = [two_point, validate_metric(None, [[0, 0.3], [0.3, 0]])]
+        spaces += [random_space(rng, min_n=2, max_n=9) for _ in range(12)]
+        for X in spaces:
+            for p in (0.0, 0.6, 1.0, 2.0, 4.5):
+                rep = classify(X, p)
+                evals, evecs = centered_eigenpairs(X, p)
+                scale = float(X.dist.max()) ** p
+                assert rep.lambda_max == pytest.approx(evals[-1], rel=1e-10, abs=1e-12 * scale)
+                if X.size == 2 or evals[-1] - evals[-2] > 1e-6 * scale:
+                    assert angular_deviation(rep.direction.weights, evecs[:, -1]) < 1e-6
 
     def test_tolerance_scales_with_power_matrix(self, collinear):
         # default tolerance is EPSILON_REL times max D_p = 2^p
