@@ -152,4 +152,14 @@ class NoRootInUnitInterval(NegTypeError):
 
 
 class NoWitnessFound(NegTypeError):
-    """The witness vector failed the residual check."""
+    """The witness vector failed the residual check.
+
+    residual is the form residual of the rejected vector and gate the
+    largest residual accepted at exponent p.
+    """
+
+    def __init__(self, residual: float, gate: float, p: float):
+        self.residual, self.gate = residual, gate
+        super().__init__(
+            f"eigendirection residual {residual:g} exceeds {gate:g} at p = {p:g}"
+        )

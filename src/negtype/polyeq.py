@@ -417,9 +417,7 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
     report = _witness_from_vector(X, d, p, _top(d)[1], WitnessMethod.EIGEN_DIRECTION)
     gate = RESIDUAL_REL * float(d.max())
     if report.residual > gate:
-        raise NoWitnessFound(
-            f"eigendirection residual {report.residual:g} exceeds {gate:g} at p = {p:g}"
-        )
+        raise NoWitnessFound(report.residual, gate, p)
     return report
 
 

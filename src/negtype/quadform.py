@@ -4,9 +4,9 @@ For a space X and exponent p, the form xi -> <D_p xi, xi> restricted to the
 hyperplane F0 = {xi : sum xi = 0} decides p-negative type: the space has
 p-negative type iff the form is nonpositive there, strictly so iff it is
 negative definite. The set of such p is a closed interval [0, w] (all of
-[0, inf) exactly for ultrametric spaces), so the right endpoint w -- the
-supremal p-negative type -- can be bracketed by bisecting the sign of the
-largest restricted eigenvalue.
+[0, inf) exactly for ultrametric spaces), so the largest restricted
+eigenvalue changes sign once, at the supremal p-negative type w, and a
+regula falsi on that eigenvalue (divided by max D_p) brackets w.
 
 The restriction uses one Householder reflection H = I - beta u u^T mapping
 the unit all-ones vector to -e_m: the first m-1 columns of H are an
@@ -224,14 +224,24 @@ def _classify(d: np.ndarray, p: float, epsilon: float | None) -> QuadFormReport:
 def supremal(
     X: MetricSpace, cap: float = 64.0, width_tol: float = 1e-10
 ) -> SupremalResult:
-    """Bracket the supremal p-negative type by doubling then bisection.
+    """Bracket the supremal p-negative type by doubling then regula falsi.
 
     Ultrametric spaces short-circuit to INFINITE_ULTRAMETRIC. Otherwise the
-    largest restricted eigenvalue is probed at p = 1, 2, 4, ... (the last
-    probe clamped to cap); the form at p = 0 equals -|xi|^2 on F0, so p = 0
-    always anchors the nonpositive side. A sign change is narrowed to
-    width_tol by bisection on raw eigenvalue signs; the tolerance applies
-    only to the reported bracket width.
+    normalised value g(p) = lambda_max(p) / max D_p of the restricted form
+    is probed at p = 1, 2, 4, ... (the last probe clamped to cap); the form
+    at p = 0 equals -|xi|^2 on F0, so g(0) = -1 anchors the nonpositive side
+    without a probe. The exponents of p-negative type are [0, w], so g
+    changes sign once. Its sign change is narrowed to width_tol by an
+    Illinois regula falsi on g that keeps g(lo) <= 0 < g(hi):
+    - each interpolated exponent stays width_tol/4 inside the bracket, so
+      an accurate estimate lands on the far side and closes the bracket;
+    - the search may spend 2 * ceil(log2(W / width_tol)) probes after
+      doubling found a bracket of width W, and a step falls back to the
+      midpoint once one more step that fails to shrink the bracket would
+      leave too few probes for bisection to finish.
+    A bracket is a sign change of the computed lambda_max; where that value
+    is below rounding the bracket can sit anywhere in that band. The
+    tolerance applies only to the reported bracket width.
     """
     if not 0.0 < cap < math.inf:
         raise InvalidCap(f"cap = {cap}")
@@ -242,18 +252,23 @@ def supremal(
 
     evaluations = 0
 
-    def positive(p: float) -> bool:
+    def value(p: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return _top(power_matrix(X, p), vector=False)[0] > 0.0
+        d = power_matrix(X, p)
+        scale = float(d.max())
+        if scale == 0.0:
+            raise EigenFailure(f"power matrix underflows to zero at p = {p:g}")
+        return _top(d, vector=False)[0] / scale
 
-    lo, hi = 0.0, None
+    lo, g_lo, hi, g_hi = 0.0, -1.0, None, None
     probe = min(1.0, cap)
     while True:
-        if positive(probe):
-            hi = probe
+        g = value(probe)
+        if g > 0.0:
+            hi, g_hi = probe, g
             break
-        lo = probe
+        lo, g_lo = probe, g
         if probe >= cap:
             break
         probe = min(2.0 * probe, cap)
@@ -261,14 +276,29 @@ def supremal(
     if hi is None:
         return SupremalResult(SupremalStatus.EXCEEDS_CAP, None, None, float(cap), evaluations)
 
+    left = 2 * math.ceil(math.log2(hi - lo) - math.log2(width_tol))
+    kept = 0  # which end the last probe moved: +1 hi, -1 lo
     while hi - lo > width_tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # reached float spacing
+        p = 0.5 * (lo + hi)
+        if math.log2(hi - lo) - math.log2(width_tol) <= left - 1:
+            step = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+            step = min(max(step, lo + 0.25 * width_tol), hi - 0.25 * width_tol)
+            if lo < step < hi:
+                p = step
+        if p <= lo or p >= hi:  # reached float spacing
             break
-        if positive(mid):
-            hi = mid
+        left -= 1
+        g = value(p)
+        if g > 0.0:
+            hi, g_hi = p, g
+            if kept > 0:  # lo kept twice: halve its weight
+                g_lo *= 0.5
+            kept = 1
         else:
-            lo = mid
+            lo, g_lo = p, g
+            if kept < 0:
+                g_hi *= 0.5
+            kept = -1
     return SupremalResult(SupremalStatus.FINITE, lo, hi, float(cap), evaluations)
 
 

@@ -4,10 +4,13 @@ The oracles deliberately avoid the library's code paths: eigenvalues come
 from scipy on the centered m x m matrix rather than the package's
 (m-1)-dimensional restriction, gap/form references are literal loops
 over the defining sums, the triangle reference is a literal triple loop,
-and the ultrametric reference is scipy's single-linkage clustering.
+the ultrametric reference is scipy's single-linkage clustering, and the
+supremal reference is a sign-only bisection on the scipy eigenvalues.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -88,6 +91,45 @@ def centered_spectrum(X: MetricSpace, p: float) -> np.ndarray:
 def centered_lambda_max(X: MetricSpace, p: float) -> float:
     """Largest eigenvalue of the form on the zero-sum hyperplane."""
     return float(centered_spectrum(X, p)[-1])
+
+
+def doubling_probes(cap: float = 64.0) -> list[float]:
+    """The exponents 1, 2, 4, ... that supremal probes first, the last clamped to cap."""
+    probes = [min(1.0, cap)]
+    while probes[-1] < cap:
+        probes.append(min(2.0 * probes[-1], cap))
+    return probes
+
+
+def reference_supremal(X: MetricSpace, cap: float = 64.0, width_tol: float = 1e-10):
+    """(lo, hi) from doubling then sign-only bisection on centered_lambda_max,
+    or None when no sign change is found at or below cap."""
+    lo, hi = 0.0, None
+    for p in doubling_probes(cap):
+        if centered_lambda_max(X, p) > 0.0:
+            hi = p
+            break
+        lo = p
+    if hi is None:
+        return None
+    while hi - lo > width_tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if centered_lambda_max(X, mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def probe_bound(sup, width_tol: float = 1e-10) -> int:
+    """Most probes a FINITE supremal search may make: the doubling probes plus
+    2 * ceil(log2((hi0 - lo0) / width_tol)) for the bracket doubling found."""
+    probes = doubling_probes(sup.cap)
+    k = next(i for i, p in enumerate(probes) if p >= sup.hi)
+    lo0 = probes[k - 1] if k else 0.0
+    return k + 1 + 2 * max(0, math.ceil(math.log2((probes[k] - lo0) / width_tol)))
 
 
 def first_triangle_violation(d: np.ndarray, tol: float):

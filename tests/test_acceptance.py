@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import angular_deviation, random_refined_simplex, random_space
+from helpers import angular_deviation, probe_bound, random_refined_simplex, random_space
 from negtype import (
     Classification,
     IntervalKind,
@@ -187,7 +187,10 @@ def test_criterion_7_ultrametric_characterization():
             assert polygonal_interval(X, sup).kind is IntervalKind.EMPTY
 
             Y = _break_ultrametricity(X, rng)
-            assert supremal(Y).status is not SupremalStatus.INFINITE_ULTRAMETRIC
+            sup_y = supremal(Y)
+            assert sup_y.status is not SupremalStatus.INFINITE_ULTRAMETRIC
+            if sup_y.status is SupremalStatus.FINITE:
+                assert sup_y.evaluations <= probe_bound(sup_y)
 
 
 def test_criterion_8_scale_invariance():

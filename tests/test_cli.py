@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from negtype import is_ultrametric, validate_metric, verify_equality
+from negtype import is_ultrametric, supremal, validate_metric, verify_equality
 from negtype.cli import (
     generate_space,
     load_space,
@@ -135,6 +135,12 @@ class TestSupremalCommand:
         main(["supremal", cycle_file, "--format", "json"])
         data = json.loads(capsys.readouterr().out)
         assert data["midpoint"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_evaluations_match_library(self, collinear_file, cycle_file, capsys):
+        for path in (collinear_file, cycle_file):
+            assert main(["supremal", path, "--format", "json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["evaluations"] == supremal(load_space(path)).evaluations
 
     def test_ultrametric_diagnosis(self, two_point_file, capsys):
         assert main(["supremal", two_point_file]) == 0

@@ -346,8 +346,13 @@ class TestWitnessAtSupremal:
         # a bracket at 0.5, below w = 1: the space is strict there and the
         # eigendirection misses the residual gate
         sup = SupremalResult(SupremalStatus.FINITE, 0.5, 0.5, 64.0, 0)
-        with pytest.raises(NoWitnessFound):
+        with pytest.raises(NoWitnessFound, match=r"^eigendirection residual \S+ exceeds "
+                           r"\S+ at p = 0\.5$") as exc:
             witness_at_supremal(four_cycle, sup)
+        # the gate is RESIDUAL_REL * max D_p, with max D_p = 2^0.5 here
+        assert exc.value.gate == pytest.approx(1e-6 * math.sqrt(2.0), rel=1e-12)
+        assert exc.value.residual > exc.value.gate
+        assert f"residual {exc.value.residual:g} exceeds {exc.value.gate:g}" in str(exc.value)
 
     def test_witness_verifies(self):
         rng = np.random.default_rng(97)

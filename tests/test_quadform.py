@@ -10,11 +10,14 @@ from helpers import (
     centered_eigenpairs,
     centered_lambda_max,
     centered_spectrum,
+    probe_bound,
     quad_reference,
     random_balanced,
     random_space,
+    reference_supremal,
     sampled_form_max,
 )
+from negtype import quadform
 from negtype import (
     Classification,
     EigenFailure,
@@ -261,6 +264,59 @@ class TestSupremal:
             assert centered_lambda_max(X, sup.lo) <= 1e-9
             assert centered_lambda_max(X, sup.hi) >= -1e-9
 
+    def test_brackets_match_reference_bisection(self, collinear, four_cycle):
+        rng = np.random.default_rng(71)
+        for X in [collinear, four_cycle] + [random_space(rng) for _ in range(12)]:
+            sup = supremal(X)
+            ref = reference_supremal(X)
+            if ref is None:
+                assert sup.status is SupremalStatus.EXCEEDS_CAP
+                continue
+            assert sup.status is SupremalStatus.FINITE
+            assert sup.hi - sup.lo <= 1e-10
+            assert abs(sup.lo - ref[0]) <= 1e-10
+            assert abs(sup.hi - ref[1]) <= 1e-10
+
+    def test_probe_counts(self, collinear, four_cycle):
+        # bisection takes 36 and 35 probes on these two
+        assert supremal(collinear).evaluations <= 4
+        assert supremal(four_cycle).evaluations <= 4
+        rng = np.random.default_rng(41)
+        sups = [supremal(random_space(rng)) for _ in range(5)]
+        assert np.mean([s.evaluations for s in sups]) <= 15
+        for sup in sups:
+            if sup.status is SupremalStatus.FINITE:
+                assert sup.evaluations <= probe_bound(sup)
+
+    @pytest.mark.parametrize("neg,pos", [(1e-300, 1e300), (1e300, 1e-300)])
+    def test_probe_bound_with_adversarial_magnitudes(self, collinear, four_cycle,
+                                                     monkeypatch, neg, pos):
+        # the probes keep their signs but their sizes mislead every secant step
+        rng = np.random.default_rng(73)
+        spaces = [collinear, four_cycle] + [random_space(rng) for _ in range(4)]
+        honest = [supremal(X) for X in spaces]
+        real_top = quadform._top
+
+        def skewed(d, vector=True):
+            lam = real_top(d, vector)[0]
+            return (pos if lam > 0 else -neg if lam < 0 else 0.0), None
+
+        monkeypatch.setattr(quadform, "_top", skewed)
+        for X, ref in zip(spaces, honest):
+            sup = supremal(X)
+            assert sup.status is ref.status
+            if sup.status is not SupremalStatus.FINITE:
+                continue
+            assert sup.hi - sup.lo <= 1e-10
+            assert abs(sup.lo - ref.lo) <= 1e-10
+            assert sup.evaluations <= probe_bound(sup)
+
+    def test_underflowed_power_matrix_is_typed(self, collinear):
+        # (2e-200)^2 underflows to 0, so g = lambda_max / max D_p is undefined
+        X = validate_metric(None, 1e-200 * collinear.dist)
+        with pytest.raises(EigenFailure, match="underflows"):
+            supremal(X)
+
     def test_finite_lower_endpoint_positive(self):
         rng = np.random.default_rng(43)
         for _ in range(10):
@@ -303,7 +359,8 @@ class TestIntervalStructure:
         for _ in range(5):
             X = random_space(rng)
             ps = rng.uniform(0.1, 5, size=3)
-            for c in (0.1, 3.0):
+            # c^64 * max d stays finite for c = 1e3
+            for c in (0.1, 3.0, 1e-3, 1e3):
                 Y = validate_metric(X.labels, c * X.dist)
                 for p in ps:
                     assert classify(X, p).classification is classify(Y, p).classification
