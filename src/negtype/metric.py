@@ -2,12 +2,23 @@
 
 A space is a list of point labels plus a dense, validated distance matrix.
 Validation tolerances are relative to the largest distance so that the
-metric axioms are checked scale-free. The triangle check of validate_metric
-and the ultrametric check of is_ultrametric are one O(m^3) scan over all
-triples, with d(i,j) + d(j,k) or max(d(i,j), d(j,k)) as the bound on
-d(i,k). Power matrices raise every distance to a fixed exponent p >= 0 with
-the convention 0**0 = 0 on the diagonal, so the p = 0 matrix is the
-discrete-metric matrix.
+metric axioms are checked scale-free. Every matrix gets the O(m^2) checks
+(finite, symmetric, zero diagonal, positive). The triangle inequality is an
+O(m^3) scan over all triples with d(i,j) + d(j,k) as the bound on d(i,k);
+it runs on every raw matrix. A constructor skips it only inside a domain
+where a rounding-error bound shows that the scan cannot fail:
+- random_ultrametric always: its block fill is an exact ultrametric, and
+  fl(a + b) >= max(a, b) for positive a and b;
+- from_graph up to 3000 vertices;
+- from_points when q = inf, or when the error floor of the computed l_q
+  distances is below REL_TOL / 8 of the largest one.
+is_ultrametric returns the answer of the same scan with max(d(i,j), d(j,k))
+as the bound, but decides most spaces in O(m^2): a few passes of the scan
+reject, and a comparison with the subdominant ultrametric certifies.
+Power matrices raise every distance to a fixed exponent p >= 0 with the
+convention 0**0 = 0 on the diagonal, so the p = 0 matrix is the
+discrete-metric matrix. scipy is imported only inside from_graph and
+from_points, so loading the package does not load it.
 """
 
 from __future__ import annotations
@@ -16,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import floyd_warshall
-from scipy.spatial.distance import cdist
 
 from .errors import (
     AsymmetricEntry,
@@ -44,6 +53,20 @@ __all__ = [
 
 # Relative tolerance for symmetry, diagonal, triangle, and ultrametric checks.
 REL_TOL = 1e-12
+
+_U = 2.0**-53  # unit roundoff of float64
+_TINY = 2.0**-1074  # smallest positive float64
+
+# Largest graph whose shortest-path distances skip the triangle scan. Each
+# computed distance is a sum of edge weights along a real path, rounded at
+# most m times over, so it lies within a factor 1 +- m*u of the exact
+# distance, and the scan's slack d(i,k) - fl(d(i,j) + d(j,k)) is at most
+# (2m + 1) * u * max d: 6.7e-13 * max d at m = 3000, below REL_TOL * max d.
+_GRAPH_SCAN_FREE_MAX = 3000
+
+# Passes of the ultrametric scan made before the O(m^2) certificate; on a
+# space that is not ultrametric they usually find a bad triple.
+_QUICK_PASSES = 4
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -76,17 +99,18 @@ class MetricSpace:
         return len(self.labels)
 
 
-def _first_violation(d: np.ndarray, bound, tol: float) -> tuple[int, int, int] | None:
+def _first_violation(d: np.ndarray, bound, tol: float,
+                     js: range | None = None) -> tuple[int, int, int] | None:
     """First triple with d[i, k] - bound(d[i, j], d[j, k]) > tol, or None.
 
     bound is np.add (triangle inequality) or np.maximum (ultrametric
-    inequality). Triples are scanned j-major, then (i, k) row-major; each
-    pass reuses two m x m buffers and looks for the indices only once a
-    violation is known to exist.
+    inequality). Triples are scanned j-major (over js, default all j), then
+    (i, k) row-major; each pass reuses two m x m buffers and looks for the
+    indices only once a violation is known to exist.
     """
     slack = np.empty_like(d)
     bad = np.empty(d.shape, dtype=bool)
-    for j in range(d.shape[0]):
+    for j in range(d.shape[0]) if js is None else js:
         bound(d[:, j, None], d[j], out=slack)
         np.subtract(d, slack, out=slack)
         np.greater(slack, tol, out=bad)
@@ -103,6 +127,11 @@ def validate_metric(labels, matrix) -> MetricSpace:
     the checks themselves allow slack REL_TOL * max distance. ``labels``
     may be None, in which case "x1".."xm" are used.
     """
+    return _validated(labels, matrix, scan=True)
+
+
+def _validated(labels, matrix, scan: bool) -> MetricSpace:
+    """validate_metric, with the triangle scan only when ``scan`` is set."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSquare(f"matrix has shape {a.shape}")
@@ -115,31 +144,30 @@ def validate_metric(labels, matrix) -> MetricSpace:
     if len(labels) != m:
         raise ValueError(f"{len(labels)} labels for {m}x{m} matrix")
 
-    bad = np.argwhere(~np.isfinite(a))
-    if bad.size:
-        i, j = map(int, bad[0])
+    finite = np.isfinite(a)
+    if not finite.all():
+        i, j = map(int, np.argwhere(~finite)[0])
         if i == j:
             raise NonzeroDiagonal(i)
         raise NonpositiveDistance(i, j, reason="is not finite")
 
     tol = REL_TOL * float(np.abs(a).max())
 
-    asym = np.argwhere(np.abs(a - a.T) > tol)
-    if asym.size:
-        i, j = map(int, asym[0])
+    asym = np.abs(a - a.T) > tol
+    if asym.any():
+        i, j = map(int, np.argwhere(asym)[0])
         raise AsymmetricEntry(i, j)
 
     diag = np.abs(np.diag(a))
     if (diag > tol).any():
         raise NonzeroDiagonal(int(np.argmax(diag > tol)))
 
-    off = a + np.eye(m)  # mask the diagonal
-    nonpos = np.argwhere(off <= 0)
-    if nonpos.size:
-        i, j = map(int, nonpos[0])
+    nonpos = a + np.eye(m) <= 0  # the diagonal masked
+    if nonpos.any():
+        i, j = map(int, np.argwhere(nonpos)[0])
         raise NonpositiveDistance(i, j)
 
-    viol = _first_violation(a, np.add, tol)
+    viol = _first_violation(a, np.add, tol) if scan else None
     if viol is not None:
         raise TriangleViolation(*viol)
 
@@ -163,17 +191,66 @@ def power_matrix(X: MetricSpace, p: float) -> np.ndarray:
 
 
 def is_ultrametric(X: MetricSpace) -> bool:
-    """True iff every triple satisfies d(i,k) <= max(d(i,j), d(j,k)) + slack."""
+    """True iff every triple satisfies d(i,k) <= max(d(i,j), d(j,k)) + slack.
+
+    The answer is that of the full O(m^3) scan. Its first passes run first;
+    a space they pass is then compared with its subdominant ultrametric in
+    O(m^2), and the rest of the scan runs only when that comparison fails.
+    """
     d = X.dist
-    return _first_violation(d, np.maximum, REL_TOL * float(d.max())) is None
+    tol = REL_TOL * float(d.max())
+    quick = range(min(len(d), _QUICK_PASSES))
+    if _first_violation(d, np.maximum, tol, quick) is not None:
+        return False
+    return (_within_subdominant(d, tol)
+            or _first_violation(d, np.maximum, tol, range(quick.stop, len(d))) is None)
+
+
+def _within_subdominant(d: np.ndarray, tol: float) -> bool:
+    """True if d - u <= tol for u the subdominant ultrametric of d.
+
+    u(i,k) is the heaviest edge on the minimum-spanning-tree path from i to
+    k: a copy of an entry of d, at most d(i,k), and an exact ultrametric. So
+    for every j, max(d(i,j), d(j,k)) >= max(u(i,j), u(j,k)) >= u(i,k), and
+    since rounding is monotone no triple fails the scan's test when
+    d(i,k) - u(i,k) <= tol. Prim's algorithm adds one vertex k per step; the
+    new row of u is the row of k's tree neighbour, raised to the joining
+    edge, and the comparison stops at the first row that fails.
+    """
+    m = len(d)
+    u = np.zeros_like(d)  # rows and columns in the order Prim adds vertices
+    order = np.zeros(m, dtype=int)  # the vertex added at each step
+    w = d.copy()  # edge weights, with the columns of tree vertices at inf
+    w[:, 0] = np.inf
+    best = w[0].copy()  # lightest edge from each vertex into the tree
+    via = np.zeros(m, dtype=int)  # the step that added its tree end
+    for t in range(1, m):
+        k = int(best.argmin())
+        row = np.maximum(u[via[k], :t], best[k])
+        if (d[k].take(order[:t]) - row).max() > tol:
+            return False
+        u[t, :t] = u[:t, t] = row
+        order[t] = k
+        w[:, k] = np.inf
+        closer = w[k] < best
+        np.copyto(best, w[k], where=closer)
+        via[closer] = t
+        best[k] = np.inf
+    return True
 
 
 def from_graph(n: int, weighted_edges) -> MetricSpace:
     """Shortest-path metric of a connected, positively weighted graph.
 
     Edges are (i, j, w) triples with 0-based endpoints; parallel edges keep
-    the lighter weight.
+    the lighter weight. Graphs with at most n^2 / 10 edges run Dijkstra from
+    every vertex, denser ones Floyd-Warshall; on unit weights both give the
+    same bits. The triangle scan runs only above 3000 vertices, where the
+    rounding bound of the path sums ends.
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra, floyd_warshall
+
     if n < 2:
         raise NotSquare("need at least 2 vertices")
     w = np.full((n, n), np.inf)
@@ -188,14 +265,24 @@ def from_graph(n: int, weighted_edges) -> MetricSpace:
             raise NonpositiveWeight(i, j)
         w[i, j] = w[j, i] = min(w[i, j], weight)
 
-    dist = floyd_warshall(w, directed=False)
+    edges = np.nonzero(np.triu(np.isfinite(w), 1))
+    if 10 * len(edges[0]) <= n * n:
+        dist = dijkstra(csr_array((w[edges], edges), shape=(n, n)), directed=False)
+    else:
+        dist = floyd_warshall(w, directed=False)
     if np.isinf(dist).any():
         raise DisconnectedGraph("graph is not connected")
-    return validate_metric(None, dist)
+    return _validated(None, dist, scan=n > _GRAPH_SCAN_FREE_MAX)
 
 
 def from_points(coords, q: float = 2.0) -> MetricSpace:
-    """Pairwise l_q distances of distinct points (q >= 1, or inf)."""
+    """Pairwise l_q distances of distinct points (q >= 1, or inf).
+
+    Two equal coordinate rows raise DuplicatePoint. Distinct points whose
+    computed distance underflows to 0 or overflows raise NonpositiveDistance.
+    """
+    from scipy.spatial.distance import cdist
+
     pts = np.asarray(coords, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -209,11 +296,31 @@ def from_points(coords, q: float = 2.0) -> MetricSpace:
     else:
         dist = cdist(pts, pts, "minkowski", p=q)
 
-    dup = np.argwhere((dist + np.eye(len(pts))) == 0)
-    if dup.size:
-        i, j = map(int, dup[0])
-        raise DuplicatePoint(i, j)
-    return validate_metric(None, dist)
+    zero = np.triu(dist == 0, 1)
+    if zero.any():
+        pairs = np.argwhere(zero)
+        same = (pts[pairs[:, 0]] == pts[pairs[:, 1]]).all(axis=1)
+        if same.any():
+            raise DuplicatePoint(*map(int, pairs[np.argmax(same)]))
+        raise NonpositiveDistance(*map(int, pairs[0]), reason=f"underflows to 0 at q = {q:g}")
+    big = ~np.isfinite(dist)
+    if big.any() and np.isfinite(pts).all():
+        raise NonpositiveDistance(*map(int, np.argwhere(big)[0]), reason=f"overflows at q = {q:g}")
+
+    # One computed distance errs by at most (dim + 2) * u relative (the root
+    # divides the rounding of the q-th powers by q) plus (dim * 2^-1074)^(1/q)
+    # absolute from powers that underflow; a rounded 1/q raises every norm
+    # to the same power 1 + O(u), which stretches a triangle by at most
+    # u * ln 2 relative. A Chebyshev distance is one rounded difference.
+    # The scan's slack is at most three such errors plus one rounded sum, so
+    # a floor below REL_TOL / 8 of the largest distance cannot trip it.
+    dmax = float(dist.max())
+    dim = pts.shape[1]
+    if math.isinf(q):
+        floor = _U * dmax
+    else:
+        floor = (dim * _TINY) ** (1.0 / q) + (dim + 2) * _U * dmax
+    return _validated(None, dist, scan=not 8.0 * floor <= REL_TOL * dmax)
 
 
 def random_ultrametric(n: int, seed: int | None = None) -> MetricSpace:
@@ -239,4 +346,4 @@ def random_ultrametric(n: int, seed: int | None = None) -> MetricSpace:
         dist[np.ix_(A, B)] = dist[np.ix_(B, A)] = h
         A.extend(B)
         del clusters[b]
-    return validate_metric(None, dist)
+    return _validated(None, dist, scan=False)

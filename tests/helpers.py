@@ -11,6 +11,7 @@ supremal reference is a sign-only bisection on the scipy eigenvalues.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 import scipy.linalg
@@ -132,13 +133,16 @@ def probe_bound(sup, width_tol: float = 1e-10) -> int:
     return k + 1 + 2 * max(0, math.ceil(math.log2((probes[k] - lo0) / width_tol)))
 
 
-def first_triangle_violation(d: np.ndarray, tol: float):
-    """First (i, j, k), j-major then i then k, with d[i,k] - (d[i,j] + d[j,k]) > tol."""
+def first_triangle_violation(d: np.ndarray, tol: float, bound=operator.add):
+    """First (i, j, k), j-major then i then k, with d[i,k] - bound(d[i,j], d[j,k]) > tol.
+
+    bound is addition (the triangle inequality) or max (the ultrametric one).
+    """
     m = len(d)
     for j in range(m):
         for i in range(m):
             for k in range(m):
-                if d[i, k] - (d[i, j] + d[j, k]) > tol:
+                if d[i, k] - bound(d[i, j], d[j, k]) > tol:
                     return i, j, k
     return None
 

@@ -1,10 +1,15 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import negtype
 from negtype import is_ultrametric, supremal, validate_metric, verify_equality
 from negtype.cli import (
+    GEN_KINDS,
     generate_space,
     load_space,
     main,
@@ -326,3 +331,63 @@ class TestDeterminism:
         main(["check", collinear_file, "--p", "1", "--format", "json"])
         out = capsys.readouterr().out
         assert "-0.666666666667" in out
+
+
+class TestRoundTrip:
+    # generated spaces skip the triangle scan inside their error bounds;
+    # reading a written space back as a matrix runs the full scan
+    @pytest.mark.parametrize("gen", [[k] for k in GEN_KINDS] + [
+        ["points", "--q", "1"], ["points", "--q", "inf"], ["points", "--dim", "1"],
+    ], ids="-".join)
+    def test_gen_check_witness_verify(self, gen, tmp_path, capsys):
+        space, wit, simplex = (str(tmp_path / f) for f in ("s.json", "w.json", "q.json"))
+        codes = []
+        for n in (2, 9, 40):
+            for seed in ("0", "1"):
+                assert main(["gen", gen[0], str(n), *gen[1:], "--seed", seed, "--out", space]) == 0
+                assert main(["check", space, "--p", "1"]) in (0, 1, 2)
+                codes.append(main(["witness", space, "--at-supremal", "--out", wit]))
+                if codes[-1] != 0:
+                    continue
+                # the supremal witness re-verifies from the files alone
+                data = json.loads(Path(wit).read_text(encoding="utf-8"))
+                Path(simplex).write_text(json.dumps(data["simplex"]), encoding="utf-8")
+                assert main(["verify", space, simplex, "--p", repr(data["p"])]) == 0
+        assert set(codes) <= {0, 1}
+        if gen[0] in ("cycle", "path", "points", "random"):
+            assert 0 in codes
+        capsys.readouterr()
+
+
+# run in a fresh interpreter; prints the scipy modules loaded at the end
+_PROBE = ("import json, sys; sys.path.insert(0, {src!r}); {body}; "
+          "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+
+
+def _scipy_loaded_by(body: str) -> list[str]:
+    src = str(Path(negtype.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-I", "-c", _PROBE.format(src=src, body=body)],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+class TestImportCost:
+    # scipy's graph and distance modules take most of the start-up time of
+    # every negtype command; only the constructors that use them load them
+    def test_importing_the_cli_loads_no_scipy(self):
+        assert _scipy_loaded_by("import negtype.cli") == []
+
+    def test_check_on_a_matrix_file_loads_no_scipy(self, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
+        body = ("from negtype.cli import main; "
+                f"rc = main(['check', {str(f)!r}, '--p', '1']); rc == 0 or sys.exit(rc)")
+        assert _scipy_loaded_by(body) == []
+
+    def test_graph_input_still_loads_it(self, tmp_path):
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps({"graph": {"n": 3, "edges": [[0, 1, 1], [1, 2, 1]]}}))
+        body = ("from negtype.cli import main; "
+                f"rc = main(['check', {str(f)!r}, '--p', '1']); rc == 0 or sys.exit(rc)")
+        assert "scipy.sparse.csgraph" in _scipy_loaded_by(body)

@@ -4,6 +4,7 @@ import pytest
 from helpers import first_triangle_violation, random_space, subdominant_ultrametric
 from negtype import (
     AsymmetricEntry,
+    Classification,
     DisconnectedGraph,
     DuplicatePoint,
     InvalidNormOrder,
@@ -12,15 +13,18 @@ from negtype import (
     NonpositiveWeight,
     NonzeroDiagonal,
     NotSquare,
+    SupremalStatus,
     TriangleViolation,
+    classify,
     from_graph,
     from_points,
     is_ultrametric,
     power_matrix,
     random_ultrametric,
+    supremal,
     validate_metric,
 )
-from negtype.metric import REL_TOL
+from negtype.metric import _QUICK_PASSES, REL_TOL, _within_subdominant
 
 
 class TestValidateMetric:
@@ -175,6 +179,39 @@ class TestIsUltrametric:
                 verdicts.append(want)
         assert 40 < sum(verdicts) < len(verdicts)
 
+    def test_matches_full_scan_at_the_slack_edge(self):
+        # ultrametrics with entries moved to either side of the slack, each
+        # compared with the literal triple loop of the scan's own test; the
+        # corpus reaches the exits: an early pass rejects, the subdominant
+        # comparison certifies, or the rest of the scan rejects (the test
+        # below reaches the last one, where the rest of the scan accepts)
+        rng = np.random.default_rng(29)
+        exits = set()
+        for trial in range(300):
+            n = int(rng.integers(3, 13))
+            d = np.array(random_ultrametric(n, seed=trial).dist)
+            tol = REL_TOL * float(d.max())
+            for _ in range(int(rng.integers(1, 4))):
+                i, k = rng.choice(n, size=2, replace=False)
+                c = rng.choice([-3.0, -1.0, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0])
+                d[i, k] = d[k, i] = d[i, k] + c * tol
+            X = validate_metric(None, d)
+            tol = REL_TOL * float(X.dist.max())
+            viol = first_triangle_violation(X.dist, tol, bound=max)
+            assert is_ultrametric(X) == (viol is None)
+            exits.add(("early" if viol and viol[1] < _QUICK_PASSES else "late" if viol else "holds",
+                       _within_subdominant(X.dist, tol)))
+        assert exits >= {("early", False), ("late", False), ("holds", True)}
+
+    def test_slack_spread_over_a_chain_falls_back_to_the_scan(self):
+        # every triple is within the slack, but d(0,3) exceeds the tree's
+        # heaviest edge by 1.6 slacks: the certificate fails, the scan passes
+        tol = REL_TOL * (1 + 1.6e-12)
+        a, b = 1 + 0.8 * tol, 1 + 1.6 * tol
+        X = validate_metric(None, [[0, 1, a, b], [1, 0, 1, a], [a, 1, 0, 1], [b, a, 1, 0]])
+        assert not _within_subdominant(X.dist, REL_TOL * float(X.dist.max()))
+        assert is_ultrametric(X)
+
 
 class TestFromGraph:
     def test_four_cycle(self, four_cycle):
@@ -198,6 +235,39 @@ class TestFromGraph:
         X = from_graph(2, [(0, 1, 3.0), (1, 0, 1.0)])
         assert X.dist[0, 1] == 1.0
 
+    def test_same_direction_parallel_edges_keep_lighter(self):
+        # a sparse matrix built from the edge list would sum the two weights
+        X = from_graph(2, [(0, 1, 3.0), (0, 1, 1.0)])
+        assert X.dist[0, 1] == 1.0
+        Y = from_graph(12, [(i, i + 1, 2.0) for i in range(11)] + [(0, 1, 1.0), (0, 1, 5.0)])
+        assert Y.dist[0, 1] == 1.0 and Y.dist[0, 11] == 21.0
+
+    def test_trees_have_strict_one_negative_type(self):
+        # finite metric trees have strict 1-negative type, so their supremal
+        # exponent exceeds 1 (Hjorth-Lisonek-Markvorsen-Thomassen 1998); at
+        # these sizes the edge count selects Dijkstra
+        rng = np.random.default_rng(31)
+        for n in (10, 14, 23, 40):
+            edges = [(v, int(rng.integers(0, v)), float(rng.uniform(0.5, 2.0)))
+                     for v in range(1, n)]
+            T = from_graph(n, edges)
+            assert first_triangle_violation(T.dist, REL_TOL * float(T.dist.max())) is None
+            assert classify(T, 1.0).classification is Classification.STRICT
+            sup = supremal(T)
+            assert sup.status is SupremalStatus.FINITE and sup.lo > 1.0
+
+    def test_dijkstra_and_floyd_warshall_agree(self):
+        # the same weighted graphs, sparse enough for Dijkstra, then padded
+        # with heavy edges that no shortest path uses until Floyd-Warshall runs
+        rng = np.random.default_rng(37)
+        for n in (24, 40):
+            ring = [(i, (i + 1) % n, float(rng.uniform(0.5, 2.0))) for i in range(n)]
+            chords = [(int(rng.integers(n)), int(rng.integers(n)), float(rng.uniform(0.5, 2.0)))
+                      for _ in range(n // 3)]
+            heavy = [(i, j, 1e3) for i in range(n) for j in range(i + 1, n)]
+            sparse, dense = from_graph(n, ring + chords), from_graph(n, ring + chords + heavy)
+            np.testing.assert_allclose(sparse.dist, dense.dist, rtol=4 * n * 2.0**-53, atol=0)
+
     def test_shortcut_beats_direct_edge(self):
         X = from_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
         assert X.dist[0, 2] == 2.0
@@ -214,8 +284,44 @@ class TestFromPoints:
         np.testing.assert_allclose(X.dist, four_cycle.dist)
 
     def test_duplicate_point(self):
-        with pytest.raises(DuplicatePoint):
+        with pytest.raises(DuplicatePoint) as exc:
             from_points([[0, 0], [1, 1], [0, 0]])
+        assert (exc.value.i, exc.value.j) == (0, 2)
+
+    def test_underflow_and_overflow_are_not_duplicates(self):
+        # no two rows are equal; at q = 500 the powers of these differences
+        # underflow to 0 (seed 5) or overflow (seed 1)
+        pts = np.random.default_rng(5).standard_normal((20, 3))
+        assert len(np.unique(pts, axis=0)) == 20
+        with pytest.raises(NonpositiveDistance, match="underflows to 0 at q = 500") as exc:
+            from_points(pts, q=500)
+        assert (exc.value.i, exc.value.j) == (9, 11)
+        with pytest.raises(NonpositiveDistance, match="overflows at q = 500"):
+            from_points(np.random.default_rng(1).standard_normal((20, 3)), q=500)
+        with pytest.raises(NonpositiveDistance, match="underflows to 0 at q = 2"):
+            from_points([[0.0, 0.0], [1e-170, 0.0], [1.0, 0.0]], q=2)
+
+    def test_large_q_rounding_keeps_the_scan(self):
+        # a true l_80 cloud whose computed distances break the triangle
+        # inequality beyond the slack: its underflow floor is far above
+        # REL_TOL * max d, so the scan runs and reports the triple
+        with pytest.raises(TriangleViolation) as exc:
+            from_points(1e-3 * np.random.default_rng(26).standard_normal((80, 3)), q=80)
+        assert (exc.value.i, exc.value.j, exc.value.k) == (4, 52, 59)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, np.inf])
+    def test_outputs_satisfy_the_triangle_inequality(self, q):
+        rng = np.random.default_rng(41)
+        for scale in (1e-100, 1e-3, 1.0, 1e50):
+            for dim in (1, 3, 8):
+                pts = scale * rng.standard_normal((14, dim))
+                pts[1] = pts[0] + scale * 1e-6  # a near-duplicate pair
+                X = from_points(pts, q=q)
+                d = X.dist
+                assert first_triangle_violation(d, REL_TOL * float(d.max())) is None
+                # a lattice with exactly collinear triples
+                Y = from_points(scale * np.arange(12.0)[:, None] * np.ones(dim), q=q)
+                assert first_triangle_violation(Y.dist, REL_TOL * float(Y.dist.max())) is None
 
     def test_invalid_norm_order(self):
         with pytest.raises(InvalidNormOrder):
@@ -248,8 +354,8 @@ class TestRandomUltrametric:
 
 
 def test_generated_spaces_validate():
-    # every generator funnels through validate_metric; re-validating the
-    # stored matrix must succeed and be idempotent
+    # generators skip the triangle scan inside their error bounds; the full
+    # validation of the stored matrix must succeed and be idempotent
     for X in (
         from_graph(6, [(i, (i + 1) % 6, 1.0) for i in range(6)]),
         from_points(np.random.default_rng(3).standard_normal((5, 3))),
@@ -257,6 +363,24 @@ def test_generated_spaces_validate():
     ):
         Y = validate_metric(X.labels, X.dist)
         np.testing.assert_array_equal(X.dist, Y.dist)
+
+
+def test_generator_outputs_have_no_violating_triple():
+    # brute force over sparse, dense and weighted graphs and ultrametrics
+    rng = np.random.default_rng(43)
+    spaces = [random_ultrametric(n, seed=s) for n in (3, 9, 16) for s in (0, 1)]
+    for n in (3, 9, 16):
+        spaces += [
+            from_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)]),
+            from_graph(n, [(i, i + 1, float(rng.uniform(1e-3, 1e3))) for i in range(n - 1)]),
+            from_graph(n, [(i, j, float(rng.uniform(0.5, 2.0)))
+                           for i in range(n) for j in range(i + 1, n)]),
+            from_graph(n, [(i, j, float(rng.lognormal(0.0, 3.0)))
+                           for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+                       + [(i, i + 1, 50.0) for i in range(n - 1)]),
+        ]
+    for X in spaces:
+        assert first_triangle_violation(X.dist, REL_TOL * float(X.dist.max())) is None
 
 
 def test_permutation_equivariance():
