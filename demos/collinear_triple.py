@@ -48,9 +48,9 @@ rep = verify_equality(X, 2.0, Q)
 print(f"\nhand-written equality at p = 2: lhs = {rep.lhs}, rhs = {rep.rhs},"
       f" holds = {rep.holds}, nontrivial = {rep.nontrivial}")
 
-# Above the supremal exponent a witness always exists; the segment
-# construction finds a zero of the form between e1 - e2 and the positive
-# eigendirection.
+# Above the supremal exponent a witness always exists: the form is zero at
+# a closed-form angle between the top (positive) and bottom (negative)
+# eigendirections of the restricted form.
 w3 = witness_at_p(X, 3.0)
 print(f"\nwitness at p = 3 ({w3.method.value}): xi = {np.round(w3.xi.weights, 6)},"
       f" residual = {w3.residual:.3g}")

@@ -26,7 +26,6 @@ __all__ = [
     "ZeroVector",
     "NotBalanced",
     "NotApplicable",
-    "NoRootInUnitInterval",
     "NoWitnessFound",
 ]
 
@@ -145,10 +144,6 @@ class NotBalanced(NegTypeError):
 
 class NotApplicable(NegTypeError):
     """Witness construction does not apply in this regime."""
-
-
-class NoRootInUnitInterval(NegTypeError):
-    """Numerical failure: the interpolating quadratic has no root in (0,1)."""
 
 
 class NoWitnessFound(NegTypeError):

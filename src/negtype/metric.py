@@ -245,11 +245,13 @@ def from_graph(n: int, weighted_edges) -> MetricSpace:
     Edges are (i, j, w) triples with 0-based endpoints; parallel edges keep
     the lighter weight. Graphs with at most n^2 / 10 edges run Dijkstra from
     every vertex, denser ones Floyd-Warshall; on unit weights both give the
-    same bits. The triangle scan runs only above 3000 vertices, where the
-    rounding bound of the path sums ends.
+    same bits. An infinite path length raises DisconnectedGraph when the
+    graph has more than one component and NonpositiveDistance when the path
+    sum overflows. The triangle scan runs only above 3000 vertices, where
+    the rounding bound of the path sums ends.
     """
     from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import dijkstra, floyd_warshall
+    from scipy.sparse.csgraph import connected_components, dijkstra, floyd_warshall
 
     if n < 2:
         raise NotSquare("need at least 2 vertices")
@@ -270,8 +272,12 @@ def from_graph(n: int, weighted_edges) -> MetricSpace:
         dist = dijkstra(csr_array((w[edges], edges), shape=(n, n)), directed=False)
     else:
         dist = floyd_warshall(w, directed=False)
-    if np.isinf(dist).any():
-        raise DisconnectedGraph("graph is not connected")
+    far = np.isinf(dist)
+    if far.any():
+        graph = csr_array((w[edges], edges), shape=(n, n))
+        if connected_components(graph, directed=False, return_labels=False) > 1:
+            raise DisconnectedGraph("graph is not connected")
+        raise NonpositiveDistance(*map(int, np.argwhere(far)[0]), reason="path length overflows")
     return _validated(None, dist, scan=n > _GRAPH_SCAN_FREE_MAX)
 
 

@@ -10,12 +10,13 @@ quadratic form through the induced zero-sum vector xi:
     <D_p xi, xi> = -2 * gap_p(Q)
 
 so a nonzero xi with vanishing form is the same thing as a nontrivial
-p-polygonal equality. Witness constructions exploit this: at an exponent
-where the form takes positive values, a segment from the always-negative
-direction e1 - e2 to a positive direction crosses zero (the quadratic in
-the segment parameter is solved in closed form); at the supremal exponent
-the largest restricted eigenvalue is zero, so its eigendirection is itself
-a zero-sum vector with vanishing form.
+p-polygonal equality. One witness construction serves every exponent: the
+top and bottom eigendirections of the restricted form, from its one
+eigensolve, span a plane of unit zero-sum vectors on which the form runs
+from lambda_max down to lambda_min < 0. Where lambda_max >= 0 the form
+vanishes at a closed-form angle in that plane; at the supremal exponent
+lambda_max is zero and the angle is zero, so the witness is the top
+eigendirection itself.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from .errors import (
     IndexOutOfRange,
     InvalidTolerance,
-    NoRootInUnitInterval,
     NotApplicable,
     NotBalanced,
     NoWitnessFound,
@@ -40,10 +40,10 @@ from .metric import MetricSpace, power_matrix
 from .quadform import (
     BalancedVector,
     Classification,
+    QuadFormReport,
     SupremalResult,
     SupremalStatus,
     _classify,
-    _top,
     _weights,
 )
 
@@ -198,16 +198,18 @@ def gap(X: MetricSpace, p: float, Q: SignedSimplex) -> float:
 
 
 def _net_vector(m: int, li, lw, ri, rw) -> BalancedVector:
-    """Net weight per point of balanced sides, with cancellation noise zeroed.
+    """Net weight per point of balanced finite sides, with cancellation noise zeroed.
 
     A net weight counts as zero when it is at most CLEANUP_REL times the
     largest weight written on either side. vector_to_simplex drops the same
     components by the same rule, so every simplex it emits converts back to
     the vector it kept.
     """
+    with np.errstate(invalid="ignore"):  # inf - inf within a side is NaN, rejected below
+        left, right = float(lw.sum()), float(rw.sum())
     mass = max(float(np.abs(lw).sum()), float(np.abs(rw).sum()))
-    if abs(float(lw.sum()) - float(rw.sum())) > CLEANUP_REL * mass:
-        raise UnbalancedWeights(float(lw.sum()), float(rw.sum()))
+    if not abs(left - right) <= CLEANUP_REL * mass < math.inf:
+        raise UnbalancedWeights(left, right)
     xi = np.zeros(m)
     np.add.at(xi, li, lw)
     np.subtract.at(xi, ri, rw)
@@ -216,7 +218,7 @@ def _net_vector(m: int, li, lw, ri, rw) -> BalancedVector:
     try:
         return BalancedVector(xi)
     except NotBalanced:
-        raise UnbalancedWeights(float(lw.sum()), float(rw.sum())) from None
+        raise UnbalancedWeights(left, right) from None
 
 
 def simplex_to_vector(X: MetricSpace, Q: SignedSimplex) -> BalancedVector:
@@ -236,10 +238,12 @@ def vector_to_simplex(X: MetricSpace, xi) -> SignedSimplex:
     become right weights; components at most CLEANUP_REL times the largest
     are dropped so eigenvector noise cannot create spurious vertices. The
     kept components must sum to zero, as simplex_to_vector requires of the
-    result.
+    result, and a NaN or infinite component raises NotBalanced.
     """
     w = _weights(xi, X.size)
     top = float(np.abs(w).max(initial=0.0))
+    if not top < math.inf:  # a NaN or infinite component has no finite sum
+        raise NotBalanced(math.nan)
     if top == 0.0:
         raise ZeroVector("all components are zero")
     w = np.where(np.abs(w) > CLEANUP_REL * top, w, 0.0)
@@ -300,75 +304,33 @@ def verify_equality(
     )
 
 
-def _witness_from_vector(
-    X: MetricSpace, d: np.ndarray, p: float, raw: np.ndarray, method: WitnessMethod
+def _witness(
+    X: MetricSpace, d: np.ndarray, report: QuadFormReport, lam_min: float, v_min: np.ndarray
 ) -> WitnessReport:
-    """Project onto the zero-sum hyperplane, normalize, and package."""
-    v = raw - raw.mean()
-    norm = float(np.linalg.norm(v))
-    if norm <= 0.0:
-        raise ZeroVector("witness vector vanishes")
-    v = v / norm
+    """The zero of the form in the plane of the top and bottom eigendirections.
+
+    report carries lambda_max and its eigenvector v_max; lambda_min < 0
+    always, since the form at e_i - e_j is -2 d(x_i, x_j)^p. The form at the
+    unit zero-sum vector cos(t) v_max + sin(t) v_min is lambda_max cos^2 t +
+    lambda_min sin^2 t: zero at tan^2 t = lambda_max / -lambda_min when
+    lambda_max > 0 (method IVT at NOT_NEG_TYPE), and t = 0 otherwise.
+    """
+    lam = report.lambda_max
+    ivt = report.classification is Classification.NOT_NEG_TYPE
+    theta = math.atan(math.sqrt(lam / -lam_min)) if lam > 0.0 else 0.0
+    v = math.cos(theta) * report.direction.weights + math.sin(theta) * v_min
     xi = BalancedVector(v)
     simplex = vector_to_simplex(X, xi)
     cross, same_l, same_r = _sums(d, *_split(simplex, X.size))
     return WitnessReport(
-        p=float(p),
+        p=report.p,
         xi=xi,
         simplex=simplex,
         residual=abs(float(v @ d @ v)),
-        method=method,
+        method=WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION,
         lhs=cross,
         rhs=same_l + same_r,
     )
-
-
-def _witness_ivt(
-    X: MetricSpace, d: np.ndarray, p: float, xi1: np.ndarray
-) -> WitnessReport:
-    """Zero of the form along a segment from a negative to a positive direction.
-
-    xi1 is a direction with positive form value. With xi0 = e_0 - e_1 (form
-    value -2 d(x_0, x_1)^p < 0), the form along (1-t) xi0 + t xi1 is a
-    quadratic in t with opposite signs at the endpoints, so its root in
-    (0, 1) is solved in closed form. The zero vector cannot occur there: it
-    would force xi1 parallel to xi0, whose form value is negative.
-    """
-    xi0 = np.zeros(X.size)
-    xi0[0], xi0[1] = 1.0, -1.0
-
-    f00 = float(xi0 @ d @ xi0)  # -2 d(x_0, x_1)^p
-    f01 = float(xi0 @ d @ xi1)
-    f11 = float(xi1 @ d @ xi1)
-
-    # form((1-t) xi0 + t xi1) = a t^2 + b t + c
-    a = f00 - 2.0 * f01 + f11
-    b = 2.0 * (f01 - f00)
-    c = f00
-    scale = max(abs(f00), abs(f01), abs(f11))
-
-    if abs(a) <= 1e-14 * scale:
-        if b == 0.0:
-            raise NoRootInUnitInterval("degenerate segment quadratic")
-        roots = [-c / b]
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            if disc < -1e-12 * scale * scale:
-                raise NoRootInUnitInterval(f"negative discriminant {disc:g}")
-            disc = 0.0
-        q = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0 else 1.0))
-        roots = [r for r in (q / a, c / q if q != 0 else np.nan) if np.isfinite(r)]
-
-    inside = sorted(t for t in roots if 0.0 < t < 1.0)
-    if not inside:
-        raise NoRootInUnitInterval(f"roots {roots} outside (0,1)")
-    s = inside[0]
-
-    xi_s = (1.0 - s) * xi0 + s * xi1
-    if float(np.linalg.norm(xi_s)) <= 1e-12:
-        raise NoRootInUnitInterval("interpolated vector vanished")
-    return _witness_from_vector(X, d, p, xi_s, WitnessMethod.IVT)
 
 
 def witness_at_p(
@@ -376,33 +338,33 @@ def witness_at_p(
 ) -> WitnessReport:
     """Witness at a fixed exponent, when one exists.
 
-    NOT_NEG_TYPE uses the segment construction (method IVT) from e_0 - e_1
-    to the positive top eigendirection; BOUNDARY uses the top eigendirection
-    itself, whose form value is within classification tolerance of zero.
-    STRICT raises NotApplicable: no nontrivial p-polygonal equality exists
-    there.
+    The witness is the zero of the form between the top and bottom
+    eigendirections of the restricted form (method IVT at NOT_NEG_TYPE).
+    At BOUNDARY it is the top eigendirection, turned towards the bottom one
+    by the angle that cancels a positive rounding-level lambda_max (method
+    EIGEN_DIRECTION). STRICT raises NotApplicable: no nontrivial
+    p-polygonal equality exists there.
     """
     d = power_matrix(X, p)
-    report = _classify(d, p, epsilon)
+    report, lam_min, v_min = _classify(d, p, epsilon)
     if report.classification is Classification.STRICT:
         raise NotApplicable(
             f"strict {p:g}-negative type: no nontrivial {p:g}-polygonal equality"
         )
-    if report.classification is Classification.NOT_NEG_TYPE:
-        return _witness_ivt(X, d, p, report.direction.weights)
-    return _witness_from_vector(
-        X, d, p, report.direction.weights, WitnessMethod.EIGEN_DIRECTION
-    )
+    return _witness(X, d, report, lam_min, v_min)
 
 
 def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
     """Witness at the midpoint of a FINITE supremal bracket.
 
-    At the supremal exponent the largest restricted eigenvalue is zero, so
-    its eigendirection is a unit zero-sum vector with vanishing form. It is
+    The construction is witness_at_p's at the default tolerance. At the
+    supremal exponent lambda_max is zero, so the witness is the top
+    eigendirection (method EIGEN_DIRECTION); a bracket above the supremal
+    exponent gets an exact zero of the form (method IVT). The witness is
     accepted when its residual is at most RESIDUAL_REL of the largest entry
-    of D_p; a bracket away from the supremal exponent raises NoWitnessFound.
-    Ultrametric spaces and capped searches raise NotApplicable.
+    of D_p, which fails only where lambda_max is negative: a bracket below
+    the supremal exponent raises NoWitnessFound. Ultrametric spaces and
+    capped searches raise NotApplicable.
     """
     if sup.status is SupremalStatus.INFINITE_ULTRAMETRIC:
         raise NotApplicable(
@@ -414,7 +376,7 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
         )
     p = sup.midpoint
     d = power_matrix(X, p)
-    report = _witness_from_vector(X, d, p, _top(d)[1], WitnessMethod.EIGEN_DIRECTION)
+    report = _witness(X, d, *_classify(d, p, None))
     gate = RESIDUAL_REL * float(d.max())
     if report.residual > gate:
         raise NoWitnessFound(report.residual, gate, p)

@@ -15,9 +15,9 @@ the form in that basis. The block costs O(m^2) and an eigenvector maps back
 through one O(m) reflection. Each public call builds D_p once.
 
 Every decision -- the class at one exponent, each sign probe of supremal,
-and the directions the witnesses in polyeq start from -- comes from one
-eigensolve of that block per (space, p), in one helper (_top); a sign probe
-computes eigenvalues only.
+and the two extreme eigendirections the witnesses in polyeq are built
+from -- comes from one eigensolve of that block per (space, p), in one
+helper (_top); a sign probe computes eigenvalues only.
 """
 
 from __future__ import annotations
@@ -58,14 +58,15 @@ EPSILON_REL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class BalancedVector:
-    """A vector whose components sum to zero (the hyperplane F0)."""
+    """A vector of finite components that sum to zero (the hyperplane F0)."""
 
     weights: np.ndarray
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float).ravel()
-        total = float(w.sum())
-        if abs(total) > BALANCE_REL * float(np.abs(w).max(initial=0.0)):
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
+            total = float(w.sum())
+        if not abs(total) <= BALANCE_REL * float(np.abs(w).max(initial=0.0)) < math.inf:
             raise NotBalanced(total)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -159,17 +160,17 @@ def _lift(y: np.ndarray) -> np.ndarray:
     return x
 
 
-def _top(d: np.ndarray, vector: bool = True) -> tuple[float, np.ndarray | None]:
-    """Largest eigenvalue of the restricted form and its unit zero-sum eigenvector.
+def _top(d: np.ndarray, vector: bool = True) -> tuple:
+    """Extreme eigenpairs of the restricted form, with unit zero-sum eigenvectors.
 
-    The one eigensolve of the package. A sign probe asks only for the value
-    (vector=False, eigvalsh, about half the cost; the eigenvector is None);
-    every other caller gets the pair from eigh. Both run in the LAPACK that
-    numpy loads: scipy.linalg bundles a second OpenBLAS, whose idle worker
-    threads keep spinning after each call and slow the caller's next numpy
-    BLAS call several-fold on a host with as many cores as BLAS threads. A
-    form that is not finite (an overflowed D_p) and a convergence failure
-    both raise EigenFailure.
+    The one eigensolve of the package. A sign probe (vector=False) gets
+    (lambda_max, None) from eigvalsh, about half the cost; every other
+    caller gets (lambda_max, v_max, lambda_min, v_min) from one eigh. Both
+    run in the LAPACK that numpy loads: scipy.linalg bundles a second
+    OpenBLAS, whose idle worker threads keep spinning after each call and
+    slow the caller's next numpy BLAS call several-fold on a host with as
+    many cores as BLAS threads. A form that is not finite (an overflowed
+    D_p) and a convergence failure both raise EigenFailure.
     """
     a = _restrict(d)
     if not np.isfinite(a).all():
@@ -180,7 +181,7 @@ def _top(d: np.ndarray, vector: bool = True) -> tuple[float, np.ndarray | None]:
         evals, evecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    return float(evals[-1]), _lift(evecs[:, -1])
+    return float(evals[-1]), _lift(evecs[:, -1]), float(evals[0]), _lift(evecs[:, 0])
 
 
 def quad_form(X: MetricSpace, p: float, xi) -> float:
@@ -201,14 +202,14 @@ def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadForm
     against epsilon (default EPSILON_REL times the largest entry of D_p),
     which must be finite and nonnegative.
     """
-    return _classify(power_matrix(X, p), p, epsilon)
+    return _classify(power_matrix(X, p), p, epsilon)[0]
 
 
-def _classify(d: np.ndarray, p: float, epsilon: float | None) -> QuadFormReport:
-    """classify on an already built D_p."""
+def _classify(d: np.ndarray, p: float, epsilon: float | None) -> tuple:
+    """classify on an already built D_p, plus (lambda_min, v_min) of the same solve."""
     if epsilon is not None and not 0.0 <= epsilon < math.inf:
         raise InvalidTolerance(f"epsilon = {epsilon}")
-    lam, direction = _top(d)
+    lam, direction, lam_min, v_min = _top(d)
     if epsilon is None:
         epsilon = EPSILON_REL * float(d.max())
 
@@ -218,7 +219,8 @@ def _classify(d: np.ndarray, p: float, epsilon: float | None) -> QuadFormReport:
         cls = Classification.NOT_NEG_TYPE
     else:
         cls = Classification.BOUNDARY
-    return QuadFormReport(float(p), lam, cls, BalancedVector(direction), float(epsilon))
+    report = QuadFormReport(float(p), lam, cls, BalancedVector(direction), float(epsilon))
+    return report, lam_min, v_min
 
 
 def supremal(

@@ -251,6 +251,13 @@ class TestVerifyCommand:
         assert main(["verify", collinear_file, str(f), "--p", "1"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity"])
+    def test_non_finite_weight_exit_3(self, collinear_file, tmp_path, capsys, weight):
+        f = tmp_path / "non_finite.json"
+        f.write_text(f'{{"left": [[0, {weight}]], "right": [[1, 1.0]]}}')
+        assert main(["verify", collinear_file, str(f), "--p", "2"]) == 3
+        assert "weight totals differ" in capsys.readouterr().err
+
 
 class TestIntervalCommand:
     def test_two_point_empty_set(self, two_point_file, capsys):

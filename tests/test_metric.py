@@ -227,6 +227,15 @@ class TestFromGraph:
         with pytest.raises(DisconnectedGraph):
             from_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
 
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(0, 1, 1e308), (1, 2, 1e308)]),  # Floyd-Warshall
+        (12, [(i, i + 1, 1e308) for i in range(11)]),  # Dijkstra
+    ], ids=["dense", "sparse"])
+    def test_overflowed_path_is_not_disconnected(self, n, edges):
+        with pytest.raises(NonpositiveDistance, match="path length overflows") as exc:
+            from_graph(n, edges)
+        assert (exc.value.i, exc.value.j) == (0, 2)
+
     def test_nonpositive_weight(self):
         with pytest.raises(NonpositiveWeight):
             from_graph(2, [(0, 1, 0.0)])

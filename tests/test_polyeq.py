@@ -17,7 +17,6 @@ from negtype import (
     IndexOutOfRange,
     IntervalKind,
     InvalidTolerance,
-    NoRootInUnitInterval,
     NotApplicable,
     NotBalanced,
     NoWitnessFound,
@@ -96,6 +95,15 @@ class TestSimplexToVector:
         with pytest.raises(UnbalancedWeights):
             simplex_to_vector(collinear, SignedSimplex(((0, 1.0),), ((1, 2.0),)))
 
+    @pytest.mark.parametrize("left, right", [
+        (((0, math.nan),), ((1, 1.0),)),
+        (((0, math.inf),), ((1, math.inf),)),
+        (((0, math.inf), (2, -math.inf)), ((1, 1.0),)),
+    ], ids=["nan", "inf_both_sides", "inf_minus_inf"])
+    def test_non_finite_weight(self, collinear, left, right):
+        with pytest.raises(UnbalancedWeights):
+            simplex_to_vector(collinear, SignedSimplex(left, right))
+
     def test_unused_points_padded_with_zero(self):
         X = validate_metric(None, np.abs(np.subtract.outer(range(5), range(5))).astype(float))
         Q = SignedSimplex(((1, 2.5),), ((3, 2.5),))
@@ -124,6 +132,11 @@ class TestVectorToSimplex:
     def test_not_balanced(self, collinear):
         with pytest.raises(NotBalanced):
             vector_to_simplex(collinear, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("v", [[math.nan, 1.0, -1.0], [math.inf, 1.0, -1.0]])
+    def test_non_finite_component(self, collinear, v):
+        with pytest.raises(NotBalanced):
+            vector_to_simplex(collinear, v)
 
     def test_tiny_components_dropped(self, collinear):
         Q = vector_to_simplex(collinear, [1.0, -1.0, 1e-15])
@@ -256,7 +269,7 @@ class TestLinkIdentity:
 
 
 class TestWitnessIvt:
-    """The segment construction, which witness_at_p runs at NOT_NEG_TYPE."""
+    """The witness at NOT_NEG_TYPE: the zero of the form between the extreme eigendirections."""
 
     def test_collinear_p3(self, collinear):
         w = witness_at_p(collinear, 3.0)
@@ -281,14 +294,6 @@ class TestWitnessIvt:
         w = witness_at_p(four_cycle, 2.0)
         assert w.method is WitnessMethod.IVT
         assert abs(w.lhs - w.rhs) <= 0.5 * w.residual + 1e-10
-
-    def test_direction_parallel_to_base_pair_has_no_root(self, collinear):
-        # xi1 parallel to xi0 = e0 - e1 keeps the segment form negative;
-        # its roots (about 3.41) lie outside (0, 1)
-        direction = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
-        d = metric.power_matrix(collinear, 3.0)
-        with pytest.raises(NoRootInUnitInterval):
-            polyeq._witness_ivt(collinear, d, 3.0, direction)
 
 
 class TestWitnessAtP:
@@ -354,6 +359,17 @@ class TestWitnessAtSupremal:
         assert exc.value.residual > exc.value.gate
         assert f"residual {exc.value.residual:g} exceeds {exc.value.gate:g}" in str(exc.value)
 
+    def test_bracket_above_supremal_verifies(self, collinear, four_cycle):
+        # above w the top eigenvalue is positive: the witness is the exact
+        # zero of the form between the top and bottom eigendirections
+        for X in (collinear, four_cycle):
+            p = supremal(X).hi + 1e-3
+            w = witness_at_supremal(X, SupremalResult(SupremalStatus.FINITE, p, p, 64.0, 0))
+            assert w.p == p and w.method is WitnessMethod.IVT
+            assert w.residual <= 1e-12 * float(metric.power_matrix(X, p).max())
+            rep = verify_equality(X, p, w.simplex)
+            assert rep.holds and rep.nontrivial
+
     def test_witness_verifies(self):
         rng = np.random.default_rng(97)
         done = 0
@@ -367,6 +383,40 @@ class TestWitnessAtSupremal:
             assert abs(w.xi.weights.sum()) <= 1e-10
             rep = verify_equality(X, w.p, w.simplex, tol=1e-5)
             assert rep.holds and rep.nontrivial
+
+
+class TestWitnessCorpus:
+    """The rotation to the zero of the form is exact to rounding wherever
+    the top eigenvalue is positive: at NOT_NEG_TYPE exponents and at
+    brackets above the supremal exponent."""
+
+    @pytest.mark.parametrize(
+        "kind, q",
+        [("path", 2.0), ("cycle", 2.0), ("points", 2.0), ("points", 1.0), ("random", 2.0)],
+        ids=["path", "cycle", "l2_cloud", "l1_cloud", "random_graph"],
+    )
+    def test_residual_norm_and_verification(self, kind, q):
+        cases = 0
+        for n in (6, 25):
+            for seed in range(3):
+                X = generate_space(kind, n, q=q, seed=seed)
+                sup = supremal(X)
+                above = [sup.hi + 1e-3] if sup.status is SupremalStatus.FINITE else []
+                for p in [2.5, 8.0] + above:
+                    if p in above:
+                        bracket = SupremalResult(SupremalStatus.FINITE, p, p, 64.0, 0)
+                        w = witness_at_supremal(X, bracket)
+                    elif classify(X, p).classification is Classification.NOT_NEG_TYPE:
+                        w = witness_at_p(X, p)
+                    else:
+                        continue
+                    cases += 1
+                    assert w.method is WitnessMethod.IVT
+                    assert w.residual <= 1e-12 * float(metric.power_matrix(X, p).max())
+                    assert abs(np.linalg.norm(w.xi.weights) - 1.0) <= 1e-12
+                    rep = verify_equality(X, p, w.simplex)
+                    assert rep.holds and rep.nontrivial
+        assert cases >= 6
 
 
 class TestVerifyEquality:
@@ -404,6 +454,13 @@ class TestVerifyEquality:
         with pytest.raises(IndexOutOfRange):
             verify_equality(collinear, 1.0, SignedSimplex(((0, 1.0),), ((9, 1.0),)))
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight(self, collinear, weight):
+        # RuntimeWarnings are errors in this suite: the weights are rejected
+        # before any sum is formed
+        with pytest.raises(UnbalancedWeights):
+            verify_equality(collinear, 2.0, SignedSimplex(((0, weight),), ((1, 1.0),)))
+
     @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
     def test_invalid_tolerance(self, collinear, tol):
         with pytest.raises(InvalidTolerance):
@@ -426,23 +483,28 @@ class TestBuildOnce:
             monkeypatch.setattr(module, "power_matrix", counting)
         return calls
 
-    def test_witness_at_p(self, collinear, four_cycle, builds):
+    @pytest.fixture()
+    def eigensolves(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    def test_witness_at_p(self, collinear, four_cycle, builds, eigensolves):
         assert witness_at_p(collinear, 3.0).method is WitnessMethod.IVT
-        assert len(builds) == 1
+        assert len(builds) == 1 and len(eigensolves) == 1
         assert witness_at_p(four_cycle, 1.0).method is WitnessMethod.EIGEN_DIRECTION
-        assert len(builds) == 2
+        assert len(builds) == 2 and len(eigensolves) == 2
 
-    def test_witness_at_supremal(self, collinear, four_cycle, builds, monkeypatch):
-        eigensolves = []
-        real_eigh = np.linalg.eigh
-
-        def counting_eigh(a):
-            eigensolves.append(a)
-            return real_eigh(a)
-
+    def test_witness_at_supremal(self, collinear, four_cycle, builds, eigensolves):
         sup = supremal(collinear)
         builds.clear()
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        eigensolves.clear()
         witness_at_supremal(collinear, sup)
         assert len(builds) == 1 and len(eigensolves) == 1
         low = SupremalResult(SupremalStatus.FINITE, 0.5, 0.5, 64.0, 0)

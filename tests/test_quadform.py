@@ -45,6 +45,14 @@ class TestBalancedBasis:
         with pytest.raises(NotBalanced):
             BalancedVector([1.0, 1.0])
 
+    @pytest.mark.parametrize("w", [[math.nan, 1.0, -1.0], [math.inf, 0.0, 0.0],
+                                   [math.inf, -math.inf, 0.0]])
+    def test_non_finite_component_rejected(self, w):
+        from negtype import BalancedVector
+
+        with pytest.raises(NotBalanced):
+            BalancedVector(w)
+
 
 class TestQuadForm:
     def test_two_point_closed_form(self, two_point):
