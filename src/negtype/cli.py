@@ -11,7 +11,9 @@ re-parse and re-verify exactly.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -128,7 +130,68 @@ def _round12(obj):
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(_round12(payload), indent=2, ensure_ascii=False)
+    """The bytes of json.dumps(_round12(payload), indent=2, ensure_ascii=False).
+
+    An indent sends json to its pure-Python encoder, which formats a
+    distance matrix one entry at a time. Here lists of floats (matrix rows,
+    xi) format each distinct value once, other ints and finite floats
+    format with repr as in json, and every other value goes through
+    json.dumps.
+    """
+    return _encode(_round12(payload), "")
+
+
+def _floats(v) -> bool:
+    return isinstance(v, list) and bool(v) and set(map(type, v)) == {float}
+
+
+def _encode(obj, indent: str) -> str:
+    """json.dumps(obj, indent=2, ensure_ascii=False), for obj nested at indent."""
+    if type(obj) is int or (type(obj) is float and math.isfinite(obj)):
+        return repr(obj)  # json's text, without a json.dumps call per simplex entry
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return _dumps(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        # json writes a key that is not a string as the string of its json text
+        items = [f"{_dumps(k if isinstance(k, str) else _dumps(k))}: {_encode(v, inner)}"
+                 for k, v in obj.items()]
+    elif _floats(obj):
+        return _float_lists([obj], indent)[0]
+    elif all(map(_floats, obj)):
+        items = _float_lists(obj, inner)
+    else:
+        items = [_encode(v, inner) for v in obj]
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, ensure_ascii=False)
+
+
+def _float_lists(lists: list[list[float]], indent: str) -> list[str]:
+    """The json text of each nonempty float list, formatting each distinct value once.
+
+    Values are told apart by their bits, since comparing values would merge
+    -0.0 with 0.0. A finite float formats as in json, with float.__repr__.
+    """
+    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=float,
+                       count=sum(map(len, lists)))
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    values = bits.view(float)
+    texts = np.array(list(map(repr, values.tolist())), dtype=object)
+    for i in np.flatnonzero(~np.isfinite(values)):
+        texts[i] = _dumps(float(values[i]))
+    words = texts[inverse].tolist()
+    inner = indent + "  "
+    sep = f",\n{inner}"
+    out, start = [], 0
+    for row in lists:
+        stop = start + len(row)
+        out.append(f"[\n{inner}" + sep.join(words[start:stop]) + f"\n{indent}]")
+        start = stop
+    return out
 
 
 def _fmt(x) -> str:

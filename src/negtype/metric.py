@@ -4,9 +4,11 @@ A space is a list of point labels plus a dense, validated distance matrix.
 Validation tolerances are relative to the largest distance so that the
 metric axioms are checked scale-free. Every matrix gets the O(m^2) checks
 (finite, symmetric, zero diagonal, positive). The triangle inequality is an
-O(m^3) scan over all triples with d(i,j) + d(j,k) as the bound on d(i,k);
-it runs on every raw matrix. A constructor skips it only inside a domain
-where a rounding-error bound shows that the scan cannot fail:
+O(m^3) scan over all triples with d(i,j) + d(j,k) as the bound on d(i,k).
+It has the answer of that scan on every raw matrix, but an O(m^2)
+certificate from the row and column minima settles most metrics first. A
+constructor skips the check only inside a domain where a rounding-error
+bound shows that the scan cannot fail:
 - random_ultrametric always: its block fill is an exact ultrametric, and
   fl(a + b) >= max(a, b) for positive a and b;
 - from_graph up to 3000 vertices;
@@ -120,6 +122,31 @@ def _first_violation(d: np.ndarray, bound, tol: float,
     return None
 
 
+def _triangle_violation(a: np.ndarray, tol: float) -> tuple[int, int, int] | None:
+    """_first_violation(a, np.add, tol), certified in O(m^2) where possible.
+
+    Let r_i and c_k be the smallest off-diagonal entries of row i and of
+    column k. For j outside {i, k}, a[i, j] >= r_i and a[j, k] >= c_k, and
+    rounded addition and subtraction are monotone, so the scan's slack
+    fl(a[i, k] - fl(a[i, j] + a[j, k])) is at most fl(a[i, k] - fl(r_i + c_k)).
+    When that is at most tol for every pair (i = k included), and the
+    triples with j = i or j = k pass the scan's own test, no triple fails,
+    and the full scan runs only otherwise. The certificate holds whenever
+    the largest distance is at most the sum of the two row minima, as in
+    every random_ultrametric output.
+    """
+    off = a.copy()
+    np.fill_diagonal(off, np.inf)
+    diag = np.diag(a)
+    with np.errstate(over="ignore"):  # a sum that overflows to inf only raises the bound
+        bound = off.min(axis=1)[:, None] + off.min(axis=0)
+    if ((a - bound <= tol).all()
+            and (a - (diag[:, None] + a) <= tol).all()
+            and (a - (a + diag) <= tol).all()):
+        return None
+    return _first_violation(a, np.add, tol)
+
+
 def validate_metric(labels, matrix) -> MetricSpace:
     """Check the metric axioms and return a canonicalized space.
 
@@ -167,9 +194,10 @@ def _validated(labels, matrix, scan: bool) -> MetricSpace:
         i, j = map(int, np.argwhere(nonpos)[0])
         raise NonpositiveDistance(i, j)
 
-    viol = _first_violation(a, np.add, tol) if scan else None
-    if viol is not None:
-        raise TriangleViolation(*viol)
+    if scan:
+        viol = _triangle_violation(a, tol)
+        if viol is not None:
+            raise TriangleViolation(*viol)
 
     canon = 0.5 * (a + a.T)
     np.fill_diagonal(canon, 0.0)
@@ -255,17 +283,27 @@ def from_graph(n: int, weighted_edges) -> MetricSpace:
 
     if n < 2:
         raise NotSquare("need at least 2 vertices")
-    w = np.full((n, n), np.inf)
-    np.fill_diagonal(w, 0.0)
-    for i, j, weight in weighted_edges:
-        i, j, weight = int(i), int(j), float(weight)
-        if not (0 <= i < n and 0 <= j < n):
+    e = np.asarray(weighted_edges, dtype=float)
+    if e.size == 0:
+        e = e.reshape(0, 3)
+    if e.ndim != 2 or e.shape[1] != 3:
+        raise ValueError("edges must be (i, j, w) triples")
+    # endpoints truncate as int() does; the range is checked before the cast
+    ends, weight = np.trunc(e[:, :2]), e[:, 2]
+    outside = ~((ends >= 0) & (ends < n)).all(axis=1)
+    loop = ends[:, 0] == ends[:, 1]
+    bad = outside | (~(np.isfinite(weight) & (weight > 0)) & ~loop)
+    if bad.any():  # the first bad edge, as an edge-by-edge check meets it
+        t = int(bad.argmax())
+        i, j = (int(x) if math.isfinite(x) else x for x in e[t, :2].tolist())
+        if outside[t]:
             raise ValueError(f"edge endpoint out of range: ({i},{j})")
-        if i == j:
-            continue
-        if not math.isfinite(weight) or weight <= 0:
-            raise NonpositiveWeight(i, j)
-        w[i, j] = w[j, i] = min(w[i, j], weight)
+        raise NonpositiveWeight(i, j)
+    i, j = np.sort(ends[~loop].astype(int), axis=1).T
+    w = np.full((n, n), np.inf)
+    np.minimum.at(w, (i, j), weight[~loop])  # parallel edges keep the lighter
+    w = np.minimum(w, w.T)
+    np.fill_diagonal(w, 0.0)
 
     edges = np.nonzero(np.triu(np.isfinite(w), 1))
     if 10 * len(edges[0]) <= n * n:

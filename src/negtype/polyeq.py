@@ -44,6 +44,7 @@ from .quadform import (
     SupremalResult,
     SupremalStatus,
     _classify,
+    _power,
     _weights,
 )
 
@@ -283,13 +284,15 @@ def verify_equality(
     (rhs) relative to max(|lhs|, |rhs|), so the test does not depend on the
     unit of distance; nontrivial reports whether the simplex is
     nondegenerate. The two together certify a nontrivial
-    p-polygonal equality. tol must be finite and nonnegative.
+    p-polygonal equality. tol must be finite and nonnegative. A D_p whose
+    every entry underflows to zero raises EigenFailure, since every sum
+    would then be 0.
     """
     if not 0.0 <= tol < math.inf:
         raise InvalidTolerance(f"tol = {tol}")
     parts = _split(Q, X.size)
     xi = _net_vector(X.size, *parts)
-    cross, same_l, same_r = _sums(power_matrix(X, p), *parts)
+    cross, same_l, same_r = _sums(_power(X, p), *parts)
     rhs = same_l + same_r
     g = cross - rhs
     scale = max(abs(cross), abs(rhs))
@@ -345,7 +348,7 @@ def witness_at_p(
     EIGEN_DIRECTION). STRICT raises NotApplicable: no nontrivial
     p-polygonal equality exists there.
     """
-    d = power_matrix(X, p)
+    d = _power(X, p)
     report, lam_min, v_min = _classify(d, p, epsilon)
     if report.classification is Classification.STRICT:
         raise NotApplicable(
@@ -375,7 +378,7 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
             f"supremal exponent exceeds cap {sup.cap:g}; no witness located"
         )
     p = sup.midpoint
-    d = power_matrix(X, p)
+    d = _power(X, p)
     report = _witness(X, d, *_classify(d, p, None))
     gate = RESIDUAL_REL * float(d.max())
     if report.residual > gate:

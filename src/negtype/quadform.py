@@ -160,6 +160,19 @@ def _lift(y: np.ndarray) -> np.ndarray:
     return x
 
 
+def _power(X: MetricSpace, p: float) -> np.ndarray:
+    """D_p for a decision; every entry underflowing to zero raises EigenFailure.
+
+    Such a D_p is the zero matrix: its form vanishes on all of F0, and each
+    tolerance relative to max D_p is 0, so a class, a witness or an equality
+    decided from it would be an artefact of the underflow.
+    """
+    d = power_matrix(X, p)
+    if float(d.max()) == 0.0:
+        raise EigenFailure(f"power matrix underflows to zero at p = {p:g}")
+    return d
+
+
 def _top(d: np.ndarray, vector: bool = True) -> tuple:
     """Extreme eigenpairs of the restricted form, with unit zero-sum eigenvectors.
 
@@ -200,9 +213,10 @@ def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadForm
 
     Computes the largest eigenvalue of the restricted form and compares it
     against epsilon (default EPSILON_REL times the largest entry of D_p),
-    which must be finite and nonnegative.
+    which must be finite and nonnegative. A D_p whose every entry
+    underflows to zero raises EigenFailure.
     """
-    return _classify(power_matrix(X, p), p, epsilon)[0]
+    return _classify(_power(X, p), p, epsilon)[0]
 
 
 def _classify(d: np.ndarray, p: float, epsilon: float | None) -> tuple:
@@ -257,11 +271,8 @@ def supremal(
     def value(p: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        d = power_matrix(X, p)
-        scale = float(d.max())
-        if scale == 0.0:
-            raise EigenFailure(f"power matrix underflows to zero at p = {p:g}")
-        return _top(d, vector=False)[0] / scale
+        d = _power(X, p)
+        return _top(d, vector=False)[0] / float(d.max())
 
     lo, g_lo, hi, g_hi = 0.0, -1.0, None, None
     probe = min(1.0, cap)

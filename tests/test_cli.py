@@ -8,13 +8,16 @@ import pytest
 
 import negtype
 from negtype import is_ultrametric, supremal, validate_metric, verify_equality
+from negtype import cli
 from negtype.cli import (
     GEN_KINDS,
+    _round12,
     generate_space,
     load_space,
     main,
     parse_simplex,
     parse_space,
+    render_json,
     simplex_payload,
     space_payload,
 )
@@ -127,6 +130,23 @@ class TestCheckCommand:
         assert main(["verify", collinear_file, witness_simplex_file, "--p", "2",
                      "--tol", tol]) == 3
         assert "tol = " in capsys.readouterr().err
+
+
+class TestUnderflowedPowerMatrix:
+    # every entry of D_p underflows to zero, so a class, a witness or an
+    # equality read from it would be an artefact: exit 3
+    def test_exit_3(self, tmp_path, witness_simplex_file, capsys):
+        cycle, tiny = tmp_path / "cycle.json", tmp_path / "tiny.json"
+        cycle.write_text(json.dumps({"matrix": (1e-6 * np.array(
+            [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])).tolist()}))
+        tiny.write_text(json.dumps({"matrix": (1e-200 * np.array(
+            [[0, 1, 2], [1, 0, 1], [2, 1, 0]])).tolist()}))
+        for argv in (["check", str(cycle), "--p", "60"],
+                     ["witness", str(cycle), "--p", "60"],
+                     ["witness", str(tiny), "--p", "2"],
+                     ["verify", str(tiny), witness_simplex_file, "--p", "2"]):
+            assert main(argv) == 3
+            assert "underflows to zero" in capsys.readouterr().err
 
 
 class TestSupremalCommand:
@@ -340,6 +360,68 @@ class TestDeterminism:
         assert "-0.666666666667" in out
 
 
+def _json_dumps_render(payload: dict) -> str:
+    # the rendering render_json must reproduce byte for byte
+    return json.dumps(_round12(payload), indent=2, ensure_ascii=False)
+
+
+class TestRenderJson:
+    @pytest.mark.parametrize("kind", GEN_KINDS)
+    def test_gen_payloads(self, kind):
+        for n in (2, 7, 40):
+            for seed in (0, 1):
+                payload = space_payload(generate_space(kind, n, seed=seed))
+                assert render_json(payload) == _json_dumps_render(payload)
+
+    def test_every_command_payload(self, collinear_file, cycle_file, two_point_file,
+                                   witness_simplex_file, tmp_path, monkeypatch, capsys):
+        payloads = []
+
+        def recording(payload):
+            payloads.append(payload)
+            return _json_dumps_render(payload)
+
+        monkeypatch.setattr(cli, "render_json", recording)
+        runs = [
+            ["check", collinear_file, "--p", "1"],
+            ["check", cycle_file, "--p", "3"],
+            ["supremal", collinear_file],
+            ["supremal", two_point_file],
+            ["supremal", cycle_file, "--cap", "0.5"],
+            ["witness", collinear_file, "--p", "3"],
+            ["witness", cycle_file, "--at-supremal"],
+            ["verify", collinear_file, witness_simplex_file, "--p", "2"],
+            ["interval", collinear_file],
+            ["interval", two_point_file],
+            ["interval", cycle_file, "--cap", "0.5"],
+        ]
+        for argv in runs:
+            assert main([*argv, "--format", "json"]) in (0, 1, 2)
+        assert main(["gen", "ultrametric", "9", "--seed", "4", "--out", str(tmp_path / "u.json")]) == 0
+        assert len(payloads) == len(runs) + 1
+        monkeypatch.undo()
+        expected = capsys.readouterr().out
+        assert "".join(render_json(p) + "\n" for p in payloads[:-1]) == expected
+        assert render_json(payloads[-1]) == _json_dumps_render(payloads[-1])
+
+    def test_edge_values(self):
+        tiny, huge = 5e-324, 1e300
+        payloads = [
+            space_payload(negtype.validate_metric(
+                ["α", "b", "点"], [[0, tiny, huge], [tiny, 0, huge], [huge, huge, 0]])),
+            {"p": 2.000000000000123, "method": "IVT",
+             "xi": [-0.0, 0.0, 0.5, -0.5, 2.2250738585072014e-309, -huge],
+             "simplex": {"left": [], "right": [[0, 0.5], [3, 0.5]]},
+             "residual": tiny, "lhs": huge, "rhs": -0.0},
+            {"mixed": [1, 2.5, True, None, "s", [], {}, [0.5, 1]], "rows": [[1.0], [], [2.0, -0.0]],
+             "nan": [float("nan"), float("inf"), -float("inf")], "empty": {}},
+        ]
+        for payload in payloads:
+            assert render_json(payload) == _json_dumps_render(payload)
+        # -0.0 and 0.0 are equal values with different bits
+        assert '"xi": [\n    -0.0,\n    0.0,' in render_json(payloads[1])
+
+
 class TestRoundTrip:
     # generated spaces skip the triangle scan inside their error bounds;
     # reading a written space back as a matrix runs the full scan
@@ -390,6 +472,14 @@ class TestImportCost:
         f.write_text(json.dumps({"matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
         body = ("from negtype.cli import main; "
                 f"rc = main(['check', {str(f)!r}, '--p', '1']); rc == 0 or sys.exit(rc)")
+        assert _scipy_loaded_by(body) == []
+
+    def test_interval_on_a_generated_ultrametric_loads_no_scipy(self, tmp_path):
+        # the triangle certificate and the ultrametric test are numpy only
+        f = tmp_path / "u.json"
+        assert main(["gen", "ultrametric", "60", "--seed", "2", "--out", str(f)]) == 0
+        body = ("from negtype.cli import main; "
+                f"rc = main(['interval', {str(f)!r}, '--format', 'json']); rc == 0 or sys.exit(rc)")
         assert _scipy_loaded_by(body) == []
 
     def test_graph_input_still_loads_it(self, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from negtype import (
     supremal,
     validate_metric,
 )
+from negtype import metric
 from negtype.metric import _QUICK_PASSES, REL_TOL, _within_subdominant
 
 
@@ -72,6 +75,59 @@ class TestValidateMetric:
             assert (exc.value.i, exc.value.j, exc.value.k) == want
             seen.add(want[1] > 0)
         assert seen == {None, False, True}
+
+    def test_certificate_agrees_with_the_scan(self, monkeypatch):
+        # raw matrices with and without violations, entries asymmetric within
+        # tol and diagonals of +-tol/2 or -tol: validate_metric raises the
+        # triple the plain scan finds first, or passes where it finds none
+        scans = []
+        real = metric._first_violation
+
+        def counting(*args, **kwargs):
+            scans.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(metric, "_first_violation", counting)
+        rng = np.random.default_rng(29)
+        seen = set()
+        for trial in range(400):
+            m = int(rng.integers(2, 12))
+            if trial % 4 == 0:  # within a factor 2: certified
+                a = rng.uniform(1.0, 2.0, (m, m))
+            elif trial % 4 == 1:  # early violations
+                a = rng.uniform(0.1, 3.0, (m, m))
+            elif trial % 4 == 2:  # graph and point metrics, mostly past the certificate
+                a = np.array(random_space(rng, min_n=m, max_n=m).dist)
+            else:  # an ultrametric with one entry stretched, sometimes past the slack
+                a = np.array(random_ultrametric(m, int(rng.integers(1000))).dist)
+                i, k = rng.choice(m, size=2, replace=False)
+                a[i, k] = a[k, i] = a[i, k] * rng.choice([1.0, 1.0 + 1e-13, 2.0, 2.5])
+            a = np.triu(a, 1) + np.triu(a, 1).T
+            a += np.triu(rng.uniform(-0.5, 0.5, (m, m)), 1) * REL_TOL * float(a.max())
+            tol = REL_TOL * float(np.abs(a).max())
+            np.fill_diagonal(a, rng.choice([0.0, 0.5 * tol, -0.5 * tol, -tol], size=m))
+            want = real(a, np.add, tol)
+            scans.clear()
+            if want is None:
+                validate_metric(None, a)
+            else:
+                with pytest.raises(TriangleViolation) as exc:
+                    validate_metric(None, a)
+                assert (exc.value.i, exc.value.j, exc.value.k) == want
+            seen.add((bool(scans), want is None))
+        assert seen == {(False, True), (True, True), (True, False)}
+
+    def test_ultrametric_matrices_skip_the_scan(self, monkeypatch):
+        # merge heights in [1, 2]: the largest distance is at most the sum
+        # of any two row minima, so the O(m^2) certificate decides
+        def scan(*args, **kwargs):
+            raise AssertionError("the O(m^3) scan ran")
+
+        monkeypatch.setattr(metric, "_first_violation", scan)
+        for n in (2, 3, 17, 120):
+            for seed in (0, 1):
+                X = random_ultrametric(n, seed)
+                np.testing.assert_array_equal(validate_metric(None, X.dist).dist, X.dist)
 
     def test_not_square(self):
         with pytest.raises(NotSquare):
@@ -276,6 +332,65 @@ class TestFromGraph:
             heavy = [(i, j, 1e3) for i in range(n) for j in range(i + 1, n)]
             sparse, dense = from_graph(n, ring + chords), from_graph(n, ring + chords + heavy)
             np.testing.assert_allclose(sparse.dist, dense.dist, rtol=4 * n * 2.0**-53, atol=0)
+
+    def test_first_bad_edge_is_reported(self):
+        with pytest.raises(NonpositiveWeight) as exc:
+            from_graph(3, [(0, 1, 1.0), (2, 1, -1.0), (0, 5, 1.0)])
+        assert (exc.value.i, exc.value.j) == (2, 1)
+        with pytest.raises(ValueError, match=r"out of range: \(0,5\)"):
+            from_graph(3, [(0, 1, 1.0), (0, 5, 1.0), (1, 2, math.nan)])
+
+    def test_endpoints_checked_before_the_integer_cast(self):
+        # a cast of 1e20 to a machine integer would wrap around
+        for bad in (1e20, -1e20, -1, 3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="out of range"):
+                from_graph(3, [(0, 1, 1.0), (0, bad, 1.0)])
+        # in range, endpoints truncate toward zero as int() does
+        X = from_graph(3, [(0.9, 1.5, 1.0), (-0.5, 2.99, 3.0)])
+        assert X.dist[0, 1] == 1.0 and X.dist[0, 2] == 3.0
+
+    def test_self_loops_are_skipped_whatever_their_weight(self):
+        X = from_graph(2, [(0, 0, -1.0), (1, 1, math.nan), (0, 1, 2.0)])
+        assert X.dist[0, 1] == 2.0
+
+    def test_edge_checks_match_an_edge_by_edge_reference(self):
+        def reference(n, edges):
+            w = np.full((n, n), np.inf)
+            for i, j, weight in edges:
+                i, j, weight = int(i), int(j), float(weight)
+                if not (0 <= i < n and 0 <= j < n):
+                    return ValueError(f"edge endpoint out of range: ({i},{j})")
+                if i == j:
+                    continue
+                if not math.isfinite(weight) or weight <= 0:
+                    return NonpositiveWeight(i, j)
+                w[i, j] = w[j, i] = min(w[i, j], weight)
+            return w
+
+        def outcome(n, edges):
+            try:
+                return from_graph(n, edges).dist.tobytes()
+            except (ValueError, NonpositiveWeight, DisconnectedGraph) as exc:
+                return type(exc), str(exc)
+
+        rng = np.random.default_rng(53)
+        seen = set()
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            edges = [(int(rng.integers(0, n)) if rng.random() < 0.9 else float(rng.uniform(-2, n + 2)),
+                      int(rng.integers(0, n)) if rng.random() < 0.9 else int(rng.integers(-2, n + 2)),
+                      float(rng.uniform(0.5, 2.0)) if rng.random() < 0.85
+                      else float(rng.choice([0.0, -1.0, math.inf, math.nan])))
+                     for _ in range(int(rng.integers(0, 12)))]
+            want = reference(n, edges)
+            got = outcome(n, edges)
+            if isinstance(want, Exception):
+                assert got == (type(want), str(want))
+            else:  # one edge per pair, at the lighter of its parallel weights
+                lighter = [(i, j, want[i, j]) for i, j in zip(*np.nonzero(np.triu(np.isfinite(want), 1)))]
+                assert got == outcome(n, lighter)
+            seen.add(got[0] if isinstance(got, tuple) else "ok")
+        assert seen == {ValueError, NonpositiveWeight, DisconnectedGraph, "ok"}
 
     def test_shortcut_beats_direct_edge(self):
         X = from_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])

@@ -14,6 +14,7 @@ from helpers import (
 )
 from negtype import (
     Classification,
+    EigenFailure,
     IndexOutOfRange,
     IntervalKind,
     InvalidTolerance,
@@ -307,6 +308,17 @@ class TestWitnessAtP:
         assert angular_deviation(w.xi.weights, [1, -1, 1, -1]) < 1e-6
         assert w.residual <= classify(four_cycle, 1.0).tolerance
 
+    def test_underflowed_power_matrix_is_typed(self, collinear, four_cycle):
+        # a zero D_p has residual 0 in every direction, so any unit vector
+        # would pass as a witness
+        tiny = validate_metric(None, 1e-200 * collinear.dist)
+        small = validate_metric(None, 1e-6 * four_cycle.dist)
+        for X, p in ((tiny, 2.0), (small, 60.0)):
+            with pytest.raises(EigenFailure, match="underflows to zero"):
+                witness_at_p(X, p)
+            with pytest.raises(EigenFailure, match="underflows to zero"):
+                witness_at_supremal(X, SupremalResult(SupremalStatus.FINITE, p, p, 64.0, 0))
+
     def test_not_neg_type_uses_ivt(self, collinear):
         assert witness_at_p(collinear, 3.0).method is WitnessMethod.IVT
 
@@ -439,6 +451,14 @@ class TestVerifyEquality:
         assert pair.nontrivial and not pair.holds
         rep = verify_equality(Y, 2.0, COLLINEAR_WITNESS)
         assert rep.holds and rep.nontrivial
+
+    def test_underflowed_power_matrix_is_typed(self, collinear):
+        # at unit distance 1e-200 and p = 2 every sum is 0, and 0 <= tol * 0
+        # would certify any balanced simplex, the plain pair included
+        Y = validate_metric(None, 1e-200 * collinear.dist)
+        for Q in (COLLINEAR_WITNESS, SignedSimplex(((0, 1.0),), ((1, 1.0),))):
+            with pytest.raises(EigenFailure, match="underflows to zero"):
+                verify_equality(Y, 2.0, Q)
 
     def test_trivial_pair_holds_trivially(self, collinear):
         for p in (0.5, 1.0, 2.0, 5.0):

@@ -168,6 +168,16 @@ class TestClassify:
                 with pytest.raises(EigenFailure):
                     call()
 
+    def test_underflowed_power_matrix_is_typed(self, four_cycle):
+        # (2e-6)^60 underflows to 0: the zero form would read as BOUNDARY
+        # with tolerance 0, where the unscaled 4-cycle is NOT_NEG_TYPE
+        assert classify(four_cycle, 60.0).classification is Classification.NOT_NEG_TYPE
+        Y = validate_metric(None, 1e-6 * four_cycle.dist)
+        with pytest.raises(EigenFailure, match="underflows to zero"):
+            classify(Y, 60.0)
+        with pytest.raises(EigenFailure, match="underflows to zero"):
+            hilbert_embeddable(validate_metric(None, 1e-200 * four_cycle.dist))
+
     def test_top_pair_matches_centered_reference(self, two_point):
         # the top eigenpair against scipy's full solve of the centred m x m
         # matrix, from m = 2 (one restricted dimension) up
