@@ -407,7 +407,7 @@ class TestRenderJson:
     def test_edge_values(self):
         tiny, huge = 5e-324, 1e300
         payloads = [
-            space_payload(negtype.validate_metric(
+            space_payload(validate_metric(
                 ["α", "b", "点"], [[0, tiny, huge], [tiny, 0, huge], [huge, huge, 0]])),
             {"p": 2.000000000000123, "method": "IVT",
              "xi": [-0.0, 0.0, 0.5, -0.5, 2.2250738585072014e-309, -huge],
