@@ -4,126 +4,13 @@ Decide strict/non-strict p-negative type, bracket the supremal exponent,
 and construct or verify nontrivial p-polygonal equalities.
 """
 
-from .errors import (
-    AsymmetricEntry,
-    DisconnectedGraph,
-    DuplicatePoint,
-    EigenFailure,
-    IndexOutOfRange,
-    InvalidCap,
-    InvalidNormOrder,
-    InvalidTolerance,
-    LengthMismatch,
-    NegativeExponent,
-    NegTypeError,
-    NonpositiveDistance,
-    NonpositiveWeight,
-    NonzeroDiagonal,
-    NotApplicable,
-    NotBalanced,
-    NotSquare,
-    NoWitnessFound,
-    TriangleViolation,
-    UnbalancedWeights,
-    ZeroVector,
-)
-from .metric import (
-    MetricSpace,
-    from_graph,
-    from_points,
-    is_ultrametric,
-    power_matrix,
-    random_ultrametric,
-    validate_metric,
-)
-from .polyeq import (
-    EqualityReport,
-    IntervalKind,
-    IntervalReport,
-    ReducedForm,
-    ReducedKind,
-    SignedSimplex,
-    WitnessMethod,
-    WitnessReport,
-    gap,
-    is_nondegenerate,
-    polygonal_interval,
-    reduce,
-    simplex_to_vector,
-    vector_to_simplex,
-    verify_equality,
-    witness_at_p,
-    witness_at_supremal,
-)
-from .quadform import (
-    BalancedVector,
-    Classification,
-    QuadFormReport,
-    SupremalResult,
-    SupremalStatus,
-    classify,
-    hilbert_embeddable,
-    quad_form,
-    restricted_form,
-    supremal,
-)
+from . import errors, metric, polyeq, quadform
+from .errors import *
+from .metric import *
+from .polyeq import *
+from .quadform import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymmetricEntry",
-    "BalancedVector",
-    "Classification",
-    "DisconnectedGraph",
-    "DuplicatePoint",
-    "EigenFailure",
-    "EqualityReport",
-    "IndexOutOfRange",
-    "IntervalKind",
-    "IntervalReport",
-    "InvalidCap",
-    "InvalidNormOrder",
-    "InvalidTolerance",
-    "LengthMismatch",
-    "MetricSpace",
-    "NegativeExponent",
-    "NegTypeError",
-    "NonpositiveDistance",
-    "NonpositiveWeight",
-    "NonzeroDiagonal",
-    "NotApplicable",
-    "NotBalanced",
-    "NotSquare",
-    "NoWitnessFound",
-    "QuadFormReport",
-    "ReducedForm",
-    "ReducedKind",
-    "SignedSimplex",
-    "SupremalResult",
-    "SupremalStatus",
-    "TriangleViolation",
-    "UnbalancedWeights",
-    "WitnessMethod",
-    "WitnessReport",
-    "ZeroVector",
-    "classify",
-    "from_graph",
-    "from_points",
-    "gap",
-    "hilbert_embeddable",
-    "is_nondegenerate",
-    "is_ultrametric",
-    "polygonal_interval",
-    "power_matrix",
-    "quad_form",
-    "random_ultrametric",
-    "reduce",
-    "restricted_form",
-    "simplex_to_vector",
-    "supremal",
-    "validate_metric",
-    "vector_to_simplex",
-    "verify_equality",
-    "witness_at_p",
-    "witness_at_supremal",
-]
+# each module's __all__ is the one list of its public names
+__all__ = errors.__all__ + metric.__all__ + quadform.__all__ + polyeq.__all__

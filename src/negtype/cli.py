@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -85,10 +86,7 @@ def space_payload(X: MetricSpace) -> dict:
 
 
 def parse_simplex(data: dict) -> SignedSimplex:
-    return SignedSimplex(
-        tuple((int(i), float(w)) for i, w in data["left"]),
-        tuple((int(i), float(w)) for i, w in data["right"]),
-    )
+    return SignedSimplex(data["left"], data["right"])
 
 
 def load_simplex(path: str) -> SignedSimplex:
@@ -197,7 +195,25 @@ def _float_lists(lists: list[list[float]], indent: str) -> list[str]:
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
+    if isinstance(x, list):
+        return "[" + ", ".join(map(_fmt, x)) + "]"
     return str(x)
+
+
+def _fields(payload: dict, keys: tuple[str, ...]) -> Iterator[str]:
+    """Yield a "key: value" text line per key, at the precision the JSON gives it.
+
+    A value under _EXACT_KEYS prints in full, a list entry by entry with
+    repr and a dict as its json text; every other value goes through _fmt.
+    """
+    for k in keys:
+        v = payload[k]
+        if k not in _EXACT_KEYS:
+            yield f"{k}: {_fmt(v)}"
+        elif isinstance(v, dict):
+            yield f"{k}: {json.dumps(v)}"
+        else:
+            yield f"{k}: [{', '.join(map(repr, v))}]"
 
 
 def _write(path: str | None, text: str) -> None:
@@ -209,7 +225,8 @@ def _write(path: str | None, text: str) -> None:
         print(text)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
+    """Write the payload as JSON, or the text lines, which are read only for text."""
     out = render_json(payload) if args.format == "json" else "\n".join(text_lines)
     _write(args.out, out)
 
@@ -264,13 +281,8 @@ def _cmd_check(args) -> int:
         "tolerance": rep.tolerance,
         "direction": rep.direction.weights.tolist(),
     }
-    _emit(args, payload, [
-        f"classification: {rep.classification.value}",
-        f"p: {_fmt(rep.p)}",
-        f"lambda_max: {_fmt(rep.lambda_max)}",
-        f"tolerance: {_fmt(rep.tolerance)}",
-        "direction: [" + ", ".join(_fmt(v) for v in rep.direction.weights) + "]",
-    ])
+    _emit(args, payload, _fields(
+        payload, ("classification", "p", "lambda_max", "tolerance", "direction")))
     return _CHECK_EXIT[rep.classification]
 
 
@@ -322,17 +334,8 @@ def _cmd_witness(args) -> int:
     payload = witness_payload(wit)
     payload["holds"] = check.holds
     payload["nontrivial"] = check.nontrivial
-    _emit(args, payload, [
-        f"p: {_fmt(wit.p)}",
-        f"method: {wit.method.value}",
-        f"residual: {_fmt(wit.residual)}",
-        f"lhs: {_fmt(wit.lhs)}",
-        f"rhs: {_fmt(wit.rhs)}",
-        f"holds: {check.holds}",
-        f"nontrivial: {check.nontrivial}",
-        "xi: [" + ", ".join(repr(float(v)) for v in wit.xi.weights) + "]",
-        "simplex: " + json.dumps(simplex_payload(wit.simplex)),
-    ])
+    _emit(args, payload, _fields(payload, (
+        "p", "method", "residual", "lhs", "rhs", "holds", "nontrivial", "xi", "simplex")))
     return 0
 
 
@@ -349,14 +352,7 @@ def _cmd_verify(args) -> int:
         "holds": rep.holds,
         "nontrivial": rep.nontrivial,
     }
-    _emit(args, payload, [
-        f"p: {_fmt(rep.p)}",
-        f"lhs: {_fmt(rep.lhs)}",
-        f"rhs: {_fmt(rep.rhs)}",
-        f"gap: {_fmt(rep.gap)}",
-        f"holds: {rep.holds}",
-        f"nontrivial: {rep.nontrivial}",
-    ])
+    _emit(args, payload, _fields(payload, tuple(payload)))
     if rep.holds and rep.nontrivial:
         return 0
     if rep.holds:
@@ -375,7 +371,7 @@ def _cmd_interval(args) -> int:
         "hi": iv.hi,
         "cap": iv.cap,
     }
-    _emit(args, payload, [f"interval: {iv.describe()}"])
+    _emit(args, payload, _fields(payload, ("interval",)))
     return 0
 
 
@@ -466,10 +462,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
-    except NegTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (NegTypeError, OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

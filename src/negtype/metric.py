@@ -15,8 +15,8 @@ bound shows that the scan cannot fail:
 - from_points when q = inf, or when the error floor of the computed l_q
   distances is below REL_TOL / 8 of the largest one.
 is_ultrametric returns the answer of the same scan with max(d(i,j), d(j,k))
-as the bound, but decides most spaces in O(m^2): a few passes of the scan
-reject, and a comparison with the subdominant ultrametric certifies.
+as the bound, but certifies most ultrametrics in O(m^2) by a comparison
+with the subdominant ultrametric.
 Power matrices raise every distance to a fixed exponent p >= 0 with the
 convention 0**0 = 0 on the diagonal, so the p = 0 matrix is the
 discrete-metric matrix. scipy is imported only inside from_graph and
@@ -66,10 +66,6 @@ _TINY = 2.0**-1074  # smallest positive float64
 # (2m + 1) * u * max d: 6.7e-13 * max d at m = 3000, below REL_TOL * max d.
 _GRAPH_SCAN_FREE_MAX = 3000
 
-# Passes of the ultrametric scan made before the O(m^2) certificate; on a
-# space that is not ultrametric they usually find a bad triple.
-_QUICK_PASSES = 4
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -101,18 +97,16 @@ class MetricSpace:
         return len(self.labels)
 
 
-def _first_violation(d: np.ndarray, bound, tol: float,
-                     js: range | None = None) -> tuple[int, int, int] | None:
+def _first_violation(d: np.ndarray, bound, tol: float) -> tuple[int, int, int] | None:
     """First triple with d[i, k] - bound(d[i, j], d[j, k]) > tol, or None.
 
     bound is np.add (triangle inequality) or np.maximum (ultrametric
-    inequality). Triples are scanned j-major (over js, default all j), then
-    (i, k) row-major; each pass reuses two m x m buffers and looks for the
+    inequality). Triples are scanned j-major, then (i, k) row-major; each pass reuses two m x m buffers and looks for the
     indices only once a violation is known to exist.
     """
     slack = np.empty_like(d)
     bad = np.empty(d.shape, dtype=bool)
-    for j in range(d.shape[0]) if js is None else js:
+    for j in range(d.shape[0]):
         bound(d[:, j, None], d[j], out=slack)
         np.subtract(d, slack, out=slack)
         np.greater(slack, tol, out=bad)
@@ -199,7 +193,11 @@ def _validated(labels, matrix, scan: bool) -> MetricSpace:
         if viol is not None:
             raise TriangleViolation(*viol)
 
-    canon = 0.5 * (a + a.T)
+    with np.errstate(over="ignore"):
+        canon = 0.5 * (a + a.T)
+    over = np.isinf(canon)
+    if over.any():  # halving entries this large is exact, and + commutes: still symmetric
+        canon[over] = 0.5 * a[over] + 0.5 * a.T[over]
     np.fill_diagonal(canon, 0.0)
     return MetricSpace(labels, canon)
 
@@ -221,17 +219,13 @@ def power_matrix(X: MetricSpace, p: float) -> np.ndarray:
 def is_ultrametric(X: MetricSpace) -> bool:
     """True iff every triple satisfies d(i,k) <= max(d(i,j), d(j,k)) + slack.
 
-    The answer is that of the full O(m^3) scan. Its first passes run first;
-    a space they pass is then compared with its subdominant ultrametric in
-    O(m^2), and the rest of the scan runs only when that comparison fails.
+    The answer is that of the full O(m^3) scan. The space is first compared
+    with its subdominant ultrametric in O(m^2), and the scan runs only when
+    that comparison fails.
     """
     d = X.dist
     tol = REL_TOL * float(d.max())
-    quick = range(min(len(d), _QUICK_PASSES))
-    if _first_violation(d, np.maximum, tol, quick) is not None:
-        return False
-    return (_within_subdominant(d, tol)
-            or _first_violation(d, np.maximum, tol, range(quick.stop, len(d))) is None)
+    return _within_subdominant(d, tol) or _first_violation(d, np.maximum, tol) is None
 
 
 def _within_subdominant(d: np.ndarray, tol: float) -> bool:

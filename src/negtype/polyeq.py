@@ -251,8 +251,6 @@ def vector_to_simplex(X: MetricSpace, xi) -> SignedSimplex:
     BalancedVector(w)  # raises NotBalanced
     left = tuple((int(i), float(w[i])) for i in np.flatnonzero(w > 0.0))
     right = tuple((int(i), float(-w[i])) for i in np.flatnonzero(w < 0.0))
-    if not left and not right:
-        raise ZeroVector("all components below cleanup threshold")
     return SignedSimplex(left, right)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -358,6 +359,54 @@ class TestDeterminism:
         main(["check", collinear_file, "--p", "1", "--format", "json"])
         out = capsys.readouterr().out
         assert "-0.666666666667" in out
+
+
+class TestTextReports:
+    # the collinear triple's text reports, field by field in a fixed order:
+    # report scalars at 12 digits, xi and simplex at full precision
+    @pytest.mark.parametrize("argv, code, text", [
+        (["check", "{space}", "--p", "3"], 2, """\
+classification: NOT_NEG_TYPE
+p: 3
+lambda_max: 1.33333333333
+tolerance: 8e-09
+direction: [0.408248290464, -0.816496580928, 0.408248290464]
+"""),
+        (["witness", "{space}", "--p", "3", "--format", "text"], 0, """\
+p: 3
+method: IVT
+residual: 5.14518094418e-16
+lhs: 0.571428571429
+rhs: 0.571428571429
+holds: True
+nontrivial: True
+xi: [0.11070323109680275, -0.7559289460184543, 0.6452257149216519]
+simplex: {"left": [[0, 0.11070323109680275], [2, 0.6452257149216519]], \
+"right": [[1, 0.7559289460184543]]}
+"""),
+        (["verify", "{space}", "{simplex}", "--p", "2"], 0, """\
+p: 2
+lhs: 4
+rhs: 4
+gap: 0
+holds: True
+nontrivial: True
+"""),
+        (["interval", "{space}"], 0, "interval: [2.0000, ∞)\n"),
+    ], ids=["check", "witness", "verify", "interval"])
+    def test_collinear(self, collinear_file, witness_simplex_file, capsys, argv, code, text):
+        argv = [a.format(space=collinear_file, simplex=witness_simplex_file) for a in argv]
+        assert main(argv) == code
+        assert capsys.readouterr().out == text
+
+    def test_module_entry_point_exits_with_the_class(self, collinear_file):
+        # python -m negtype.cli: run() and the __main__ guard, in a fresh interpreter
+        src = str(Path(negtype.__file__).resolve().parents[1])
+        res = subprocess.run(
+            [sys.executable, "-m", "negtype.cli", "check", collinear_file, "--p", "3"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 2, res.stderr
+        assert res.stdout.startswith("classification: NOT_NEG_TYPE\n")
 
 
 def _json_dumps_render(payload: dict) -> str:

@@ -27,7 +27,7 @@ from negtype import (
     validate_metric,
 )
 from negtype import metric
-from negtype.metric import _QUICK_PASSES, REL_TOL, _within_subdominant
+from negtype.metric import REL_TOL, _within_subdominant
 
 
 class TestValidateMetric:
@@ -40,6 +40,10 @@ class TestValidateMetric:
     def test_default_labels(self):
         X = validate_metric(None, [[0, 1], [1, 0]])
         assert X.labels == ("x1", "x2")
+
+    def test_label_count_mismatch(self):
+        with pytest.raises(ValueError, match="3 labels for 2x2 matrix"):
+            validate_metric(["a", "b", "c"], [[0, 1], [1, 0]])
 
     def test_asymmetric_entry(self):
         with pytest.raises(AsymmetricEntry) as exc:
@@ -139,6 +143,9 @@ class TestValidateMetric:
         with pytest.raises(NonzeroDiagonal) as exc:
             validate_metric(None, [[0, 1], [1, 0.5]])
         assert exc.value.i == 1
+        with pytest.raises(NonzeroDiagonal) as exc:
+            validate_metric(None, [[0, 1], [1, np.nan]])
+        assert exc.value.i == 1
 
     def test_nonpositive_distance(self):
         with pytest.raises(NonpositiveDistance):
@@ -157,6 +164,16 @@ class TestValidateMetric:
         X = validate_metric(None, [[0, d + eps], [d, 0]])
         assert X.dist[0, 1] == X.dist[1, 0]
         assert X.dist[0, 0] == 0.0
+
+    def test_distances_near_the_largest_float_do_not_overflow(self):
+        # a + a.T overflows here, which pytest's RuntimeWarning filter turns
+        # into an error; halving first keeps the value and the symmetry
+        X = validate_metric(None, [[0, 1e308], [1e308, 0]])
+        assert X.dist[0, 1] == X.dist[1, 0] == 1e308
+        a = 1.7e308
+        b = math.nextafter(a, math.inf)
+        X = validate_metric(None, [[0, a], [b, 0]])
+        assert X.dist[0, 1] == X.dist[1, 0] == 0.5 * a + 0.5 * b
 
     def test_immutable(self):
         X = validate_metric(None, [[0, 1], [1, 0]])
@@ -238,9 +255,9 @@ class TestIsUltrametric:
     def test_matches_full_scan_at_the_slack_edge(self):
         # ultrametrics with entries moved to either side of the slack, each
         # compared with the literal triple loop of the scan's own test; the
-        # corpus reaches the exits: an early pass rejects, the subdominant
-        # comparison certifies, or the rest of the scan rejects (the test
-        # below reaches the last one, where the rest of the scan accepts)
+        # corpus reaches both exits: the subdominant comparison certifies, or
+        # it fails and the scan rejects (the test below reaches the third,
+        # where it fails and the scan accepts)
         rng = np.random.default_rng(29)
         exits = set()
         for trial in range(300):
@@ -255,9 +272,9 @@ class TestIsUltrametric:
             tol = REL_TOL * float(X.dist.max())
             viol = first_triangle_violation(X.dist, tol, bound=max)
             assert is_ultrametric(X) == (viol is None)
-            exits.add(("early" if viol and viol[1] < _QUICK_PASSES else "late" if viol else "holds",
-                       _within_subdominant(X.dist, tol)))
-        assert exits >= {("early", False), ("late", False), ("holds", True)}
+            exits.add(("violates" if viol else "holds",
+                       "passes" if _within_subdominant(X.dist, tol) else "fails"))
+        assert exits >= {("violates", "fails"), ("holds", "passes")}
 
     def test_slack_spread_over_a_chain_falls_back_to_the_scan(self):
         # every triple is within the slack, but d(0,3) exceeds the tree's
@@ -392,6 +409,10 @@ class TestFromGraph:
             seen.add(got[0] if isinstance(got, tuple) else "ok")
         assert seen == {ValueError, NonpositiveWeight, DisconnectedGraph, "ok"}
 
+    def test_edges_must_be_triples(self):
+        with pytest.raises(ValueError, match="edges must be"):
+            from_graph(3, [(0, 1)])
+
     def test_shortcut_beats_direct_edge(self):
         X = from_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
         assert X.dist[0, 2] == 2.0
@@ -401,6 +422,12 @@ class TestFromPoints:
     def test_line(self):
         X = from_points([[0.0], [1.0], [2.0]], q=2)
         np.testing.assert_allclose(X.dist, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+    def test_one_dimensional_coordinates(self):
+        X = from_points([0.0, 1.0, 3.0])
+        np.testing.assert_array_equal(X.dist, [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
+        with pytest.raises(NotSquare):
+            from_points([[0.0, 0.0]])
 
     def test_unit_square_l1_matches_four_cycle(self, four_cycle):
         corners = [[0, 0], [1, 0], [1, 1], [0, 1]]
@@ -459,6 +486,8 @@ class TestFromPoints:
 class TestRandomUltrametric:
     def test_two_points(self):
         assert random_ultrametric(2, seed=0).size == 2
+        with pytest.raises(NotSquare):
+            random_ultrametric(1)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
     @pytest.mark.parametrize("seed", [0, 1, 7])

@@ -96,6 +96,14 @@ class TestSimplexToVector:
         with pytest.raises(UnbalancedWeights):
             simplex_to_vector(collinear, SignedSimplex(((0, 1.0),), ((1, 2.0),)))
 
+    def test_balanced_sides_with_an_unbalanced_net_vector(self, collinear):
+        # the sides agree within CLEANUP_REL of their mass, 1e6, but the net
+        # vector (0, 1, -1 - 1e-7) is off by far more than its largest entry allows
+        Q = SignedSimplex(((0, 1e6), (1, 1.0)), ((0, 1e6), (2, 1 + 1e-7)))
+        with pytest.raises(UnbalancedWeights) as exc:
+            simplex_to_vector(collinear, Q)
+        assert isinstance(exc.value.__context__, NotBalanced)
+
     @pytest.mark.parametrize("left, right", [
         (((0, math.nan),), ((1, 1.0),)),
         (((0, math.inf),), ((1, math.inf),)),

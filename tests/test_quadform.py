@@ -329,6 +329,13 @@ class TestSupremal:
             assert abs(sup.lo - ref.lo) <= 1e-10
             assert sup.evaluations <= probe_bound(sup)
 
+    def test_width_below_float_spacing_stops_at_adjacent_floats(self, collinear):
+        sup = supremal(collinear, width_tol=1e-300)
+        assert sup.status is SupremalStatus.FINITE
+        assert sup.hi == math.nextafter(sup.lo, math.inf)
+        assert sup.midpoint == pytest.approx(2.0, abs=1e-15)
+        assert sup.evaluations <= probe_bound(sup, width_tol=1e-300)
+
     def test_underflowed_power_matrix_is_typed(self, collinear):
         # (2e-200)^2 underflows to 0, so g = lambda_max / max D_p is undefined
         X = validate_metric(None, 1e-200 * collinear.dist)
