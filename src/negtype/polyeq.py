@@ -43,8 +43,10 @@ from .quadform import (
     QuadFormReport,
     SupremalResult,
     SupremalStatus,
+    _check_epsilon,
     _classify,
     _power,
+    _solve,
     _weights,
 )
 
@@ -305,21 +307,19 @@ def verify_equality(
     )
 
 
-def _witness(
-    X: MetricSpace, d: np.ndarray, report: QuadFormReport, lam_min: float, v_min: np.ndarray
-) -> WitnessReport:
+def _witness(X: MetricSpace, solved: tuple, report: QuadFormReport) -> WitnessReport:
     """The zero of the form in the plane of the top and bottom eigendirections.
 
-    report carries lambda_max and its eigenvector v_max; lambda_min < 0
+    solved is the _solve tuple report was classified from; lambda_min < 0
     always, since the form at e_i - e_j is -2 d(x_i, x_j)^p. The form at the
     unit zero-sum vector cos(t) v_max + sin(t) v_min is lambda_max cos^2 t +
     lambda_min sin^2 t: zero at tan^2 t = lambda_max / -lambda_min when
     lambda_max > 0 (method IVT at NOT_NEG_TYPE), and t = 0 otherwise.
     """
-    lam = report.lambda_max
+    d, lam, v_max, lam_min, v_min = solved
     ivt = report.classification is Classification.NOT_NEG_TYPE
     theta = math.atan(math.sqrt(lam / -lam_min)) if lam > 0.0 else 0.0
-    v = math.cos(theta) * report.direction.weights + math.sin(theta) * v_min
+    v = math.cos(theta) * v_max + math.sin(theta) * v_min
     xi = BalancedVector(v)
     simplex = vector_to_simplex(X, xi)
     cross, same_l, same_r = _sums(d, *_split(simplex, X.size))
@@ -346,13 +346,14 @@ def witness_at_p(
     EIGEN_DIRECTION). STRICT raises NotApplicable: no nontrivial
     p-polygonal equality exists there.
     """
-    d = _power(X, p)
-    report, lam_min, v_min = _classify(d, p, epsilon)
+    _check_epsilon(epsilon)
+    solved = _solve(X, p)
+    report = _classify(solved, p, epsilon)
     if report.classification is Classification.STRICT:
         raise NotApplicable(
             f"strict {p:g}-negative type: no nontrivial {p:g}-polygonal equality"
         )
-    return _witness(X, d, report, lam_min, v_min)
+    return _witness(X, solved, report)
 
 
 def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
@@ -376,9 +377,9 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
             f"supremal exponent exceeds cap {sup.cap:g}; no witness located"
         )
     p = sup.midpoint
-    d = _power(X, p)
-    report = _witness(X, d, *_classify(d, p, None))
-    gate = RESIDUAL_REL * float(d.max())
+    solved = _solve(X, p)
+    report = _witness(X, solved, _classify(solved, p, None))
+    gate = RESIDUAL_REL * float(solved[0].max())
     if report.residual > gate:
         raise NoWitnessFound(report.residual, gate, p)
     return report

@@ -14,16 +14,23 @@ orthonormal basis of F0, so the leading (m-1) x (m-1) block of H D_p H is
 the form in that basis. The block costs O(m^2) and an eigenvector maps back
 through one O(m) reflection. Each public call builds D_p once.
 
-Every decision -- the class at one exponent, each sign probe of supremal,
-and the two extreme eigendirections the witnesses in polyeq are built
-from -- comes from one eigensolve of that block per (space, p), in one
-helper (_top); a sign probe computes eigenvalues only.
+Every eigensolve of that block runs in one helper (_top); a sign probe of
+supremal computes eigenvalues only. The class at one exponent and the
+witnesses in polyeq read the two extreme eigenpairs of one eigh, which
+_solve remembers per space object at the exact exponent: a second decision
+at the same (space, p) -- classify, then witness_at_p -- rebuilds D_p but
+skips the solve. The memo keeps the last exponent only, O(m) floats per
+live space, weakly keyed so that it goes with the space; D_p itself is not
+kept. A space is immutable (re-enabling writes on X.dist is unsupported).
+Sign probes, quad_form, restricted_form and polyeq.verify_equality neither
+read nor write the memo.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +61,9 @@ __all__ = [
 BALANCE_REL = 1e-12
 # Classification tolerance, relative to the largest entry of D_p.
 EPSILON_REL = 1e-9
+
+# space -> (p, extreme eigenpairs of its restricted form at p), see _solve
+_EIGENPAIRS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +187,8 @@ def _top(d: np.ndarray, vector: bool = True) -> tuple:
     """Extreme eigenpairs of the restricted form, with unit zero-sum eigenvectors.
 
     The one eigensolve of the package. A sign probe (vector=False) gets
-    (lambda_max, None) from eigvalsh, about half the cost; every other
-    caller gets (lambda_max, v_max, lambda_min, v_min) from one eigh. Both
+    (lambda_max, None) from eigvalsh, about half the cost; _solve gets
+    (lambda_max, v_max, lambda_min, v_min) from one eigh. Both
     run in the LAPACK that numpy loads: scipy.linalg bundles a second
     OpenBLAS, whose idle worker threads keep spinning after each call and
     slow the caller's next numpy BLAS call several-fold on a host with as
@@ -195,6 +205,28 @@ def _top(d: np.ndarray, vector: bool = True) -> tuple:
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     return float(evals[-1]), _lift(evecs[:, -1]), float(evals[0]), _lift(evecs[:, 0])
+
+
+def _solve(X: MetricSpace, p: float) -> tuple:
+    """(D_p, lambda_max, v_max, lambda_min, v_min) for one decision at (X, p).
+
+    D_p is built on every call; the eigenpairs come from the last eigh on
+    this same space object when that was at exactly float(p), so they are
+    the very arrays a fresh solve computes. A solve that raises stores
+    nothing. Concurrent callers can only overwrite each other's entry, never
+    read one at the wrong exponent, since the entry carries its exponent.
+    """
+    d = _power(X, p)
+    key = float(p)
+    kept = _EIGENPAIRS.get(X)
+    if kept is not None and kept[0] == key:
+        pairs = kept[1]
+    else:
+        pairs = _top(d)
+        for v in pairs[1::2]:  # every later hit hands out these same arrays
+            v.setflags(write=False)
+        _EIGENPAIRS[X] = (key, pairs)
+    return (d, *pairs)
 
 
 def quad_form(X: MetricSpace, p: float, xi) -> float:
@@ -216,14 +248,18 @@ def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadForm
     which must be finite and nonnegative. A D_p whose every entry
     underflows to zero raises EigenFailure.
     """
-    return _classify(_power(X, p), p, epsilon)[0]
+    _check_epsilon(epsilon)
+    return _classify(_solve(X, p), p, epsilon)
 
 
-def _classify(d: np.ndarray, p: float, epsilon: float | None) -> tuple:
-    """classify on an already built D_p, plus (lambda_min, v_min) of the same solve."""
+def _check_epsilon(epsilon: float | None) -> None:
     if epsilon is not None and not 0.0 <= epsilon < math.inf:
         raise InvalidTolerance(f"epsilon = {epsilon}")
-    lam, direction, lam_min, v_min = _top(d)
+
+
+def _classify(solved: tuple, p: float, epsilon: float | None) -> QuadFormReport:
+    """classify on the _solve tuple of (X, p), with epsilon already checked."""
+    d, lam, direction, _, _ = solved
     if epsilon is None:
         epsilon = EPSILON_REL * float(d.max())
 
@@ -233,8 +269,7 @@ def _classify(d: np.ndarray, p: float, epsilon: float | None) -> tuple:
         cls = Classification.NOT_NEG_TYPE
     else:
         cls = Classification.BOUNDARY
-    report = QuadFormReport(float(p), lam, cls, BalancedVector(direction), float(epsilon))
-    return report, lam_min, v_min
+    return QuadFormReport(float(p), lam, cls, BalancedVector(direction), float(epsilon))
 
 
 def supremal(

@@ -1,6 +1,7 @@
 import pytest
 
-from negtype import from_graph, validate_metric
+from helpers import collinear_triple, unit_four_cycle
+from negtype import validate_metric
 
 
 @pytest.fixture(scope="session")
@@ -10,14 +11,12 @@ def two_point():
 
 @pytest.fixture(scope="session")
 def collinear():
-    """Points 0, 1, 2 on the line: supremal exponent exactly 2."""
-    return from_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    return collinear_triple()
 
 
 @pytest.fixture(scope="session")
 def four_cycle():
-    """Unit 4-cycle: supremal exponent exactly 1."""
-    return from_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
+    return unit_four_cycle()
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ import scipy.linalg
 from scipy.cluster.hierarchy import cophenet, linkage
 from scipy.spatial.distance import squareform
 
-from negtype import MetricSpace, SignedSimplex, validate_metric
+from negtype import MetricSpace, SignedSimplex, from_graph, validate_metric
 from negtype.cli import generate_space
 
 
@@ -163,6 +163,20 @@ def sampled_form_max(X: MetricSpace, p: float, trials: int, seed: int) -> float:
         v = random_balanced(X.size, rng)
         best = max(best, quad_reference(X, p, v))
     return best
+
+
+# ---------------------------------------------------------------------------
+# fixed spaces
+# ---------------------------------------------------------------------------
+
+def collinear_triple() -> MetricSpace:
+    """Points 0, 1, 2 on the line: supremal exponent exactly 2."""
+    return from_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+
+
+def unit_four_cycle() -> MetricSpace:
+    """Unit 4-cycle: supremal exponent exactly 1."""
+    return from_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     angular_deviation,
+    collinear_triple,
     gap_reference,
     random_balanced,
     random_refined_simplex,
     random_space,
+    unit_four_cycle,
 )
 from negtype import (
     Classification,
@@ -496,7 +500,12 @@ class TestVerifyEquality:
 
 
 class TestBuildOnce:
-    """Each public call builds D_p once and shares it with its helpers."""
+    """Each public call builds D_p once, and each (space, p) is solved once.
+
+    Every test builds its own spaces: the extreme eigenpairs are remembered
+    per space object, so a session fixture that an earlier test solved at
+    the same exponent would take no eigh here.
+    """
 
     @pytest.fixture()
     def builds(self, monkeypatch):
@@ -523,13 +532,14 @@ class TestBuildOnce:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         return calls
 
-    def test_witness_at_p(self, collinear, four_cycle, builds, eigensolves):
-        assert witness_at_p(collinear, 3.0).method is WitnessMethod.IVT
+    def test_witness_at_p(self, builds, eigensolves):
+        assert witness_at_p(collinear_triple(), 3.0).method is WitnessMethod.IVT
         assert len(builds) == 1 and len(eigensolves) == 1
-        assert witness_at_p(four_cycle, 1.0).method is WitnessMethod.EIGEN_DIRECTION
+        assert witness_at_p(unit_four_cycle(), 1.0).method is WitnessMethod.EIGEN_DIRECTION
         assert len(builds) == 2 and len(eigensolves) == 2
 
-    def test_witness_at_supremal(self, collinear, four_cycle, builds, eigensolves):
+    def test_witness_at_supremal(self, builds, eigensolves):
+        collinear = collinear_triple()
         sup = supremal(collinear)
         builds.clear()
         eigensolves.clear()
@@ -537,12 +547,94 @@ class TestBuildOnce:
         assert len(builds) == 1 and len(eigensolves) == 1
         low = SupremalResult(SupremalStatus.FINITE, 0.5, 0.5, 64.0, 0)
         with pytest.raises(NoWitnessFound):
-            witness_at_supremal(four_cycle, low)
+            witness_at_supremal(unit_four_cycle(), low)
         assert len(builds) == 2 and len(eigensolves) == 2
 
-    def test_verify_equality(self, collinear, builds):
-        assert verify_equality(collinear, 2.0, COLLINEAR_WITNESS).nontrivial_equality
+    def test_verify_equality(self, builds):
+        assert verify_equality(collinear_triple(), 2.0, COLLINEAR_WITNESS).nontrivial_equality
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
+    def test_invalid_tolerance_does_no_work(self, builds, eigensolves, epsilon):
+        for decide in (classify, witness_at_p):
+            with pytest.raises(InvalidTolerance):
+                decide(collinear_triple(), 3.0, epsilon)
+        assert builds == [] and eigensolves == []
+
+    def test_classify_then_witness_then_verify_solve_once(self, builds, eigensolves):
+        X = collinear_triple()
+        assert classify(X, 3.0).classification is Classification.NOT_NEG_TYPE
+        w = witness_at_p(X, 3.0)
+        assert verify_equality(X, 3.0, w.simplex).nontrivial_equality
+        assert len(builds) == 3 and len(eigensolves) == 1
+
+    def test_new_exponent_or_new_space_solves_again(self, eigensolves):
+        X = collinear_triple()
+        classify(X, 3.0)
+        classify(X, 2.5)
+        assert len(eigensolves) == 2
+        # the same matrix in another space object: the key is identity
+        classify(validate_metric(X.labels, X.dist), 2.5)
+        assert len(eigensolves) == 3
+        witness_at_p(X, 2.5)
+        assert len(eigensolves) == 3
+        # only the last exponent is kept
+        classify(X, 3.0)
+        assert len(eigensolves) == 4
+
+    @pytest.mark.parametrize("space,p", [
+        (collinear_triple, 3.0),
+        (unit_four_cycle, 1.0),
+        (lambda: generate_space("points", 30, dim=3, seed=7), 3.0),
+        (lambda: generate_space("random", 12, seed=8), 2.5),
+    ], ids=["collinear", "four_cycle", "l2_cloud", "random_graph"])
+    def test_memo_hits_are_bit_identical(self, eigensolves, space, p):
+        X = space()
+        rep, w = classify(X, p), witness_at_p(X, p)
+        again = classify(X, p)
+        assert len(eigensolves) == 1
+        fresh_rep, fresh_w = classify(space(), p), witness_at_p(space(), p)
+        assert len(eigensolves) == 3
+        for r in (rep, again):
+            assert r.lambda_max == fresh_rep.lambda_max
+            assert r.direction.weights.tobytes() == fresh_rep.direction.weights.tobytes()
+        assert w.xi.weights.tobytes() == fresh_w.xi.weights.tobytes()
+        assert w.simplex == fresh_w.simplex
+        assert (w.residual, w.lhs, w.rhs) == (fresh_w.residual, fresh_w.lhs, fresh_w.rhs)
+
+    def test_solved_space_is_not_kept_alive(self):
+        X = collinear_triple()
+        witness_at_p(X, 3.0)
+        ref = weakref.ref(X)
+        del X
+        gc.collect()
+        assert ref() is None
+
+    def test_failed_solve_is_not_remembered(self, eigensolves, monkeypatch):
+        counting = np.linalg.eigh
+
+        def fail_once(a):
+            if not eigensolves:
+                eigensolves.append(a)
+                raise np.linalg.LinAlgError("did not converge")
+            return counting(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", fail_once)
+        X = collinear_triple()
+        with pytest.raises(EigenFailure):
+            classify(X, 3.0)
+        assert classify(X, 3.0).classification is Classification.NOT_NEG_TYPE
+        assert len(eigensolves) == 2
+
+    def test_supremal_probes_skip_the_memo(self, eigensolves):
+        for X in (collinear_triple(), unit_four_cycle()):
+            before = supremal(X)
+            classify(X, 1.0)
+            classify(X, before.midpoint)
+            after = supremal(X)
+            assert (after.lo, after.hi, after.evaluations) == (
+                before.lo, before.hi, before.evaluations)
+        assert len(eigensolves) == 4
 
 
 class TestDichotomy:

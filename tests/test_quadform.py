@@ -10,6 +10,7 @@ from helpers import (
     centered_eigenpairs,
     centered_lambda_max,
     centered_spectrum,
+    collinear_triple,
     probe_bound,
     quad_reference,
     random_balanced,
@@ -146,7 +147,10 @@ class TestClassify:
     def test_zero_tolerance_is_valid(self, collinear):
         assert classify(collinear, 1.0, 0.0).classification is Classification.STRICT
 
-    def test_eigensolver_failure_is_typed(self, collinear, monkeypatch):
+    def test_eigensolver_failure_is_typed(self, monkeypatch):
+        # a fresh space: the session fixture may already be solved at p = 1
+        collinear = collinear_triple()
+
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
