@@ -6,9 +6,12 @@ metric axioms are checked scale-free. Every matrix gets the O(m^2) checks
 (finite, symmetric, zero diagonal, positive). The triangle inequality is an
 O(m^3) scan over all triples with d(i,j) + d(j,k) as the bound on d(i,k).
 It has the answer of that scan on every raw matrix, but an O(m^2)
-certificate from the row and column minima settles most metrics first. A
-constructor skips the check only inside a domain where a rounding-error
-bound shows that the scan cannot fail:
+certificate from the row and column minima settles most metrics first.
+The scan itself first decides from row minima whether any triple fails,
+in two passes per pivot over half the pairs of a symmetric matrix, and
+names the first failing triple only when one exists. A constructor skips
+the check only inside a domain where a rounding-error bound shows that
+the scan cannot fail:
 - random_ultrametric always: its block fill is an exact ultrametric, and
   fl(a + b) >= max(a, b) for positive a and b;
 - from_graph up to 3000 vertices;
@@ -16,7 +19,7 @@ bound shows that the scan cannot fail:
   distances is below REL_TOL / 8 of the largest one.
 is_ultrametric returns the answer of the same scan with max(d(i,j), d(j,k))
 as the bound, but certifies most ultrametrics in O(m^2) by a comparison
-with the subdominant ultrametric.
+with the subdominant ultrametric, and otherwise runs the decision alone.
 Power matrices raise every distance to a fixed exponent p >= 0 with the
 convention 0**0 = 0 on the diagonal, so the p = 0 matrix is the
 discrete-metric matrix. scipy is imported only inside from_graph and
@@ -97,22 +100,54 @@ class MetricSpace:
         return len(self.labels)
 
 
+def _violates(d: np.ndarray, bound, tol: float) -> bool:
+    """True iff some triple has d[i, k] - bound(d[i, j], d[j, k]) > tol.
+
+    bound is np.add (triangle inequality) or np.maximum (ultrametric
+    inequality). Rounded subtraction x -> fl(c - x) never increases as x
+    grows, so for each pivot k the largest slack of row i is
+    fl(d[i, k] - min_j bound(d[i, j], d[j, k])): one bound pass over an
+    m x m block and one row-wise minimum per pivot. When d == d.T entry for
+    entry, triple (k, j, i) has the slack of (i, j, k), since rounded + and
+    max commute, and the block shrinks to the rows i <= k. A NaN bound or
+    slack never fails the scan's test: np.fmin skips the one, and the
+    other compares False. An overflowed sum only raises the bound.
+    """
+    d = np.ascontiguousarray(d)
+    m = len(d)
+    half = np.array_equal(d, d.T)
+    block = np.empty_like(d)
+    low = np.empty(m)
+    with np.errstate(over="ignore"):
+        for k in range(m):
+            n = k + 1 if half else m
+            column = d[k] if half else np.ascontiguousarray(d[:, k])  # d[j, k] over j
+            bound(d[:n], column, out=block[:n])
+            np.fmin.reduce(block[:n], axis=1, out=low[:n])
+            if (column[:n] - low[:n] > tol).any():
+                return True
+    return False
+
+
 def _first_violation(d: np.ndarray, bound, tol: float) -> tuple[int, int, int] | None:
     """First triple with d[i, k] - bound(d[i, j], d[j, k]) > tol, or None.
 
-    bound is np.add (triangle inequality) or np.maximum (ultrametric
-    inequality). Triples are scanned j-major, then (i, k) row-major; each pass reuses two m x m buffers and looks for the
-    indices only once a violation is known to exist.
+    bound is np.add or np.maximum, as in _violates, which decides first.
+    Only when a triple fails are the triples scanned j-major, then (i, k)
+    row-major, to name the first; each pass reuses two m x m buffers.
     """
+    if not _violates(d, bound, tol):
+        return None
     slack = np.empty_like(d)
     bad = np.empty(d.shape, dtype=bool)
-    for j in range(d.shape[0]):
-        bound(d[:, j, None], d[j], out=slack)
-        np.subtract(d, slack, out=slack)
-        np.greater(slack, tol, out=bad)
-        if bad.any():
-            i, k = np.argwhere(bad)[0]
-            return int(i), j, int(k)
+    with np.errstate(over="ignore"):
+        for j in range(d.shape[0]):
+            bound(d[:, j, None], d[j], out=slack)
+            np.subtract(d, slack, out=slack)
+            np.greater(slack, tol, out=bad)
+            if bad.any():
+                i, k = np.argwhere(bad)[0]
+                return int(i), j, int(k)
     return None
 
 
@@ -174,7 +209,8 @@ def _validated(labels, matrix, scan: bool) -> MetricSpace:
 
     tol = REL_TOL * float(np.abs(a).max())
 
-    asym = np.abs(a - a.T) > tol
+    with np.errstate(over="ignore"):  # a difference that overflows to inf exceeds any tol
+        asym = np.abs(a - a.T) > tol
     if asym.any():
         i, j = map(int, np.argwhere(asym)[0])
         raise AsymmetricEntry(i, j)
@@ -220,12 +256,13 @@ def is_ultrametric(X: MetricSpace) -> bool:
     """True iff every triple satisfies d(i,k) <= max(d(i,j), d(j,k)) + slack.
 
     The answer is that of the full O(m^3) scan. The space is first compared
-    with its subdominant ultrametric in O(m^2), and the scan runs only when
-    that comparison fails.
+    with its subdominant ultrametric in O(m^2), and only when that
+    comparison fails does _violates decide, with np.maximum as the bound;
+    no triple is named.
     """
     d = X.dist
     tol = REL_TOL * float(d.max())
-    return _within_subdominant(d, tol) or _first_violation(d, np.maximum, tol) is None
+    return _within_subdominant(d, tol) or not _violates(d, np.maximum, tol)
 
 
 def _within_subdominant(d: np.ndarray, tol: float) -> bool:

@@ -10,6 +10,7 @@ from negtype import (
     DisconnectedGraph,
     DuplicatePoint,
     InvalidNormOrder,
+    MetricSpace,
     NegativeExponent,
     NonpositiveDistance,
     NonpositiveWeight,
@@ -27,7 +28,7 @@ from negtype import (
     validate_metric,
 )
 from negtype import metric
-from negtype.metric import REL_TOL, _within_subdominant
+from negtype.metric import REL_TOL, _within_subdominant, default_labels
 
 
 class TestValidateMetric:
@@ -175,11 +176,141 @@ class TestValidateMetric:
         X = validate_metric(None, [[0, a], [b, 0]])
         assert X.dist[0, 1] == X.dist[1, 0] == 0.5 * a + 0.5 * b
 
+    def test_asymmetry_that_overflows_is_typed(self):
+        # a - a.T overflows to inf, which exceeds any slack; pytest's
+        # RuntimeWarning filter would turn a warning into the error instead
+        for big in (1e308, 1.7e308):
+            with pytest.raises(AsymmetricEntry) as exc:
+                validate_metric(None, [[0, big], [-big, 0]])
+            assert (exc.value.i, exc.value.j) == (0, 1)
+
+    def test_near_max_metrics_validate_without_overflow(self):
+        # the path 5e307 * |i - k| is a metric, but d(i,j) + d(j,k) overflows
+        # for some triples; an overflowed bound is inf, which no triple exceeds
+        x = np.arange(4.0)
+        d = 5e307 * np.abs(x[:, None] - x)
+        np.testing.assert_array_equal(validate_metric(None, d).dist, d)
+        d[3, 1] = d[1, 3] = 1.6e308  # past d(1,2) + d(2,3) = 1e308
+        with np.errstate(over="ignore"):
+            want = first_triangle_violation(d, REL_TOL * float(d.max()))
+        with pytest.raises(TriangleViolation) as exc:
+            validate_metric(None, d)
+        assert (exc.value.i, exc.value.j, exc.value.k) == want == (1, 2, 3)
+
     def test_immutable(self):
         X = validate_metric(None, [[0, 1], [1, 0]])
         with pytest.raises(ValueError):
             X.dist[0, 1] = 5.0
 
+
+class TestViolationDecision:
+    """metric._violates decides, and _first_violation names, what the
+    literal triple loop finds, for the triangle and the ultrametric bound."""
+
+    @staticmethod
+    def literal(d, tol, bound):
+        with np.errstate(over="ignore"):  # an overflowed sum is inf, as in the scan
+            return first_triangle_violation(d, tol, bound=bound)
+
+    def check(self, d, tol):
+        verdicts = []
+        for bound in (np.add, np.maximum):
+            want = self.literal(d, tol, bound)
+            assert metric._violates(d, bound, tol) == (want is not None)
+            assert metric._first_violation(d, bound, tol) == want
+            verdicts.append(want)
+        return verdicts
+
+    @staticmethod
+    def path_with_raised_pair(rng, m, lower):
+        """|x_i - x_k| for distinct integers x, with d[i,k] = d[k,i] raised
+        0.9 slack above the path through the points between them, then
+        d[i,k] alone 0.5 slack more: only triples (i, j, k) fail, with i > k
+        when ``lower`` and i < k otherwise, and d is within the slack of d.T."""
+        x = rng.permutation(m).astype(float)
+        d = np.abs(x[:, None] - x)
+        tol = REL_TOL * float(d.max())
+        i, k = np.argwhere(d >= 2)[int(rng.integers(np.count_nonzero(d >= 2)))]
+        if (i > k) != lower:
+            i, k = k, i
+        d[i, k] = d[k, i] = d[i, k] + 0.9 * tol
+        d[i, k] += 0.5 * tol
+        return d, tol, (int(i), int(k))
+
+    def test_agrees_with_the_literal_loop(self):
+        # exactly symmetric metrics, some stretched; the same within tol of
+        # symmetric; diagonals of +-tol; everything scaled near the largest
+        # float; uniform matrices that fail at once
+        rng = np.random.default_rng(61)
+        seen = set()
+        for trial in range(240):
+            m = int(rng.integers(2, 10))
+            kind = trial % 3
+            if kind == 0:
+                d = np.array(random_space(rng, min_n=max(m, 3), max_n=max(m, 3)).dist)
+            elif kind == 1:
+                d = np.array(random_ultrametric(m, int(rng.integers(1000))).dist)
+            else:
+                d = rng.uniform(0.1, 3.0, (m, m))
+                d = np.triu(d, 1) + np.triu(d, 1).T
+            m = len(d)
+            i, k = rng.choice(m, size=2, replace=False)
+            d[i, k] = d[k, i] = d[i, k] * rng.choice([1.0, 1.0 + 1e-13, 1.5, 2.5])
+            if trial % 4 == 1:
+                d *= 1.5e308 / float(d.max())
+            tol = REL_TOL * float(d.max())
+            symmetric = trial % 2 == 0
+            if not symmetric:
+                d += np.triu(rng.uniform(-0.5, 0.5, (m, m)), 1) * tol
+            if trial % 5 == 2:
+                np.fill_diagonal(d, rng.choice([tol, -tol, 0.5 * tol, -0.5 * tol], size=m))
+            add, ultra = self.check(d, tol)
+            seen.add((symmetric, add is None, ultra is None))
+        assert seen >= {(s, a, u) for s in (True, False) for a, u in
+                         ((True, True), (True, False), (False, False))}
+
+    @pytest.mark.parametrize("lower", [True, False], ids=["i>k", "i<k"])
+    def test_violation_on_one_side_of_an_asymmetric_matrix(self, lower):
+        # d is within the slack of d.T, so only the full block finds these
+        rng = np.random.default_rng(67)
+        for _ in range(30):
+            d, tol, (i, k) = self.path_with_raised_pair(rng, int(rng.integers(3, 10)), lower)
+            want, _ = self.check(d, tol)
+            assert (want[0], want[2]) == (i, k)
+            with pytest.raises(TriangleViolation) as exc:
+                validate_metric(None, d)
+            assert (exc.value.i, exc.value.j, exc.value.k) == want
+
+    def test_violation_on_the_diagonal_alone(self):
+        # direct matrices: a diagonal entry above twice every other entry
+        # fails only the triples (k, j, k); one of -2 tol fails (k, k, k)
+        for m in (2, 3, 6):
+            for k in range(m):
+                d = 1.0 - np.eye(m)
+                d[k, k] = 3.0
+                add, ultra = self.check(d, REL_TOL * 3.0)
+                assert add[0] == add[2] == ultra[0] == ultra[2] == k
+                d[k, k] = -2 * REL_TOL
+                add, ultra = self.check(d, REL_TOL)
+                assert add is not None and ultra is None
+
+    def test_nan_entries_are_skipped_as_the_scan_skips_them(self):
+        # a NaN bound or slack never fails the scan's test, but the other
+        # triples in its row and pivot still do
+        rng = np.random.default_rng(71)
+        found = 0
+        for _ in range(60):
+            m = int(rng.integers(4, 10))
+            d, tol, (i, k) = self.path_with_raised_pair(rng, m, bool(rng.integers(2)))
+            for r, c in rng.choice(m, size=(int(rng.integers(1, 4)), 2)):
+                d[r, c] = np.nan
+            d[i, int(rng.integers(m))] = d[int(rng.integers(m)), k] = np.nan
+            add, ultra = self.check(d, tol)
+            found += add is not None
+            X = MetricSpace(default_labels(m), d)
+            want = self.literal(X.dist, REL_TOL * float(X.dist.max()), np.maximum) is None
+            assert is_ultrametric(X) == want
+        assert 0 < found < 60
 
 class TestPowerMatrix:
     def test_squares_collinear(self, collinear):
@@ -275,6 +406,20 @@ class TestIsUltrametric:
             exits.add(("violates" if viol else "holds",
                        "passes" if _within_subdominant(X.dist, tol) else "fails"))
         assert exits >= {("violates", "fails"), ("holds", "passes")}
+
+    def test_near_max_metrics(self):
+        # the path metric is not ultrametric; an ultrametric near the largest
+        # float, and one whose slack is spread over a chain so that it
+        # reaches the scan, are
+        x = np.arange(4.0)
+        assert not is_ultrametric(validate_metric(None, 5e307 * np.abs(x[:, None] - x)))
+        assert is_ultrametric(validate_metric(None, 8e307 * random_ultrametric(9, 3).dist))
+        tol = REL_TOL * (1 + 1.6e-12)
+        a, b = 1 + 0.8 * tol, 1 + 1.6 * tol
+        chain = 1.5e308 * np.array([[0, 1, a, b], [1, 0, 1, a], [a, 1, 0, 1], [b, a, 1, 0]])
+        X = validate_metric(None, chain)
+        assert not _within_subdominant(X.dist, REL_TOL * float(X.dist.max()))
+        assert is_ultrametric(X)
 
     def test_slack_spread_over_a_chain_falls_back_to_the_scan(self):
         # every triple is within the slack, but d(0,3) exceeds the tree's
