@@ -4,8 +4,8 @@ Subcommands: check, supremal, witness, verify, interval, gen. Exit codes
 encode the mathematical outcome (see each command); all file, parse, and
 validation failures exit 3. Report scalars print with 12 significant
 digits; values that are themselves input formats (distance matrices,
-simplices, witness vectors) serialize at full precision so emitted files
-re-parse and re-verify exactly.
+simplices, witness vectors, the exponent p) serialize at full precision so
+emitted files re-parse and re-verify exactly.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def witness_payload(w: WitnessReport) -> dict:
 
 
 # payload keys whose values are input formats: serialized exactly, never rounded
-_EXACT_KEYS = frozenset({"matrix", "simplex", "xi"})
+_EXACT_KEYS = frozenset({"matrix", "simplex", "p", "xi"})
 
 
 def _round12(obj):
@@ -203,17 +203,17 @@ def _fmt(x) -> str:
 def _fields(payload: dict, keys: tuple[str, ...]) -> Iterator[str]:
     """Yield a "key: value" text line per key, at the precision the JSON gives it.
 
-    A value under _EXACT_KEYS prints in full, a list entry by entry with
-    repr and a dict as its json text; every other value goes through _fmt.
+    A value under _EXACT_KEYS prints in full (a dict as json, the rest with
+    repr, a float with _fmt if exact); every other value goes through _fmt.
     """
     for k in keys:
         v = payload[k]
-        if k not in _EXACT_KEYS:
+        if k not in _EXACT_KEYS or (isinstance(v, float) and float(_fmt(v)) == v):
             yield f"{k}: {_fmt(v)}"
         elif isinstance(v, dict):
             yield f"{k}: {json.dumps(v)}"
         else:
-            yield f"{k}: [{', '.join(map(repr, v))}]"
+            yield f"{k}: {v!r}"
 
 
 def _write(path: str | None, text: str) -> None:

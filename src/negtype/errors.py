@@ -103,7 +103,7 @@ class LengthMismatch(NegTypeError):
 
 
 class EigenFailure(NegTypeError):
-    """The symmetric eigensolver did not converge."""
+    """The eigensolver did not converge, or an unvalidated space's form is not finite."""
 
 
 class InvalidCap(NegTypeError):

@@ -238,15 +238,16 @@ def _validated(labels, matrix, scan: bool) -> MetricSpace:
     return MetricSpace(labels, canon)
 
 
-def power_matrix(X: MetricSpace, p: float) -> np.ndarray:
-    """Read-only entrywise p-th power of the distances, diagonal exactly 0.
-
-    This is the one place D_p is built, so it is also where the exponent is
-    checked: p must be finite and nonnegative.
-    """
+def _exponent(p) -> float:
+    """p as a float; the one exponent check: p must be finite and nonnegative."""
     if not 0.0 <= p < math.inf:
         raise NegativeExponent(f"p = {p}")
-    d = X.dist ** float(p)
+    return float(p)
+
+
+def power_matrix(X: MetricSpace, p: float) -> np.ndarray:
+    """Read-only entrywise p-th power of the distances, diagonal exactly 0."""
+    d = X.dist ** _exponent(p)
     np.fill_diagonal(d, 0.0)
     d.setflags(write=False)
     return d
@@ -258,10 +259,10 @@ def is_ultrametric(X: MetricSpace) -> bool:
     The answer is that of the full O(m^3) scan. The space is first compared
     with its subdominant ultrametric in O(m^2), and only when that
     comparison fails does _violates decide, with np.maximum as the bound;
-    no triple is named.
+    no triple is named. The slack scales with the largest finite entry.
     """
     d = X.dist
-    tol = REL_TOL * float(d.max())
+    tol = REL_TOL * float(np.fmax.reduce(d, axis=None, initial=0.0, where=np.isfinite(d)))
     return _within_subdominant(d, tol) or not _violates(d, np.maximum, tol)
 
 
@@ -286,7 +287,7 @@ def _within_subdominant(d: np.ndarray, tol: float) -> bool:
     for t in range(1, m):
         k = int(best.argmin())
         row = np.maximum(u[via[k], :t], best[k])
-        if (d[k].take(order[:t]) - row).max() > tol:
+        if not (d[k].take(order[:t]) - row <= tol).all():  # a NaN fails too
             return False
         u[t, :t] = u[:t, t] = row
         order[t] = k

@@ -46,6 +46,7 @@ from .quadform import (
     _check_epsilon,
     _classify,
     _power,
+    _real,
     _solve,
     _weights,
 )
@@ -73,7 +74,7 @@ __all__ = [
 # Relative tolerance for weight balance (against the larger side total) and for
 # dropping negligible net weights (against the largest weight).
 CLEANUP_REL = 1e-12
-# Residual acceptance for supremal witnesses, relative to max matrix entry.
+# Residual acceptance for supremal witnesses, on the normalised form.
 RESIDUAL_REL = 1e-6
 # Default tolerance for verifying an equality, relative to max(|lhs|, |rhs|).
 VERIFY_REL = 1e-9
@@ -281,34 +282,33 @@ def verify_equality(
     """Check whether a signed simplex realizes a p-polygonal equality.
 
     holds compares the cross-side sum (lhs) against the same-side sums
-    (rhs) relative to max(|lhs|, |rhs|), so the test does not depend on the
-    unit of distance; nontrivial reports whether the simplex is
-    nondegenerate. The two together certify a nontrivial
-    p-polygonal equality. tol must be finite and nonnegative. A D_p whose
-    every entry underflows to zero raises EigenFailure, since every sum
-    would then be 0.
+    (rhs) relative to max(|lhs|, |rhs|), both summed on the normalised
+    power matrix, so the test does not depend on the unit of distance;
+    nontrivial reports whether the simplex is nondegenerate. The two
+    together certify a nontrivial p-polygonal equality. tol must be finite
+    and nonnegative.
     """
     if not 0.0 <= tol < math.inf:
         raise InvalidTolerance(f"tol = {tol}")
     parts = _split(Q, X.size)
     xi = _net_vector(X.size, *parts)
-    cross, same_l, same_r = _sums(_power(X, p), *parts)
+    d, scale = _power(X, p)
+    cross, same_l, same_r = _sums(d, *parts)
     rhs = same_l + same_r
     g = cross - rhs
-    scale = max(abs(cross), abs(rhs))
     return EqualityReport(
         p=float(p),
-        lhs=cross,
-        rhs=rhs,
-        gap=g,
-        holds=abs(g) <= tol * scale,
+        lhs=_real(cross, scale),
+        rhs=_real(rhs, scale),
+        gap=_real(g, scale),
+        holds=abs(g) <= tol * max(abs(cross), abs(rhs)),
         nontrivial=bool(np.any(xi.weights)),
         tolerance=float(tol),
     )
 
 
-def _witness(X: MetricSpace, solved: tuple, report: QuadFormReport) -> WitnessReport:
-    """The zero of the form in the plane of the top and bottom eigendirections.
+def _witness(X: MetricSpace, solved: tuple, report: QuadFormReport) -> tuple:
+    """(witness, residual on D~_p): the form's zero in the top-bottom eigenplane.
 
     solved is the _solve tuple report was classified from; lambda_min < 0
     always, since the form at e_i - e_j is -2 d(x_i, x_j)^p. The form at the
@@ -316,22 +316,23 @@ def _witness(X: MetricSpace, solved: tuple, report: QuadFormReport) -> WitnessRe
     lambda_min sin^2 t: zero at tan^2 t = lambda_max / -lambda_min when
     lambda_max > 0 (method IVT at NOT_NEG_TYPE), and t = 0 otherwise.
     """
-    d, lam, v_max, lam_min, v_min = solved
+    d, scale, lam, v_max, lam_min, v_min = solved
     ivt = report.classification is Classification.NOT_NEG_TYPE
     theta = math.atan(math.sqrt(lam / -lam_min)) if lam > 0.0 else 0.0
     v = math.cos(theta) * v_max + math.sin(theta) * v_min
     xi = BalancedVector(v)
     simplex = vector_to_simplex(X, xi)
     cross, same_l, same_r = _sums(d, *_split(simplex, X.size))
+    residual = abs(float(v @ d @ v))
     return WitnessReport(
         p=report.p,
         xi=xi,
         simplex=simplex,
-        residual=abs(float(v @ d @ v)),
+        residual=_real(residual, scale),
         method=WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION,
-        lhs=cross,
-        rhs=same_l + same_r,
-    )
+        lhs=_real(cross, scale),
+        rhs=_real(same_l + same_r, scale),
+    ), residual
 
 
 def witness_at_p(
@@ -353,7 +354,7 @@ def witness_at_p(
         raise NotApplicable(
             f"strict {p:g}-negative type: no nontrivial {p:g}-polygonal equality"
         )
-    return _witness(X, solved, report)
+    return _witness(X, solved, report)[0]
 
 
 def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
@@ -363,8 +364,8 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
     supremal exponent lambda_max is zero, so the witness is the top
     eigendirection (method EIGEN_DIRECTION); a bracket above the supremal
     exponent gets an exact zero of the form (method IVT). The witness is
-    accepted when its residual is at most RESIDUAL_REL of the largest entry
-    of D_p, which fails only where lambda_max is negative: a bracket below
+    accepted when its residual on the normalised form is at most
+    RESIDUAL_REL, which fails only where lambda_max is negative: a bracket below
     the supremal exponent raises NoWitnessFound. Ultrametric spaces and
     capped searches raise NotApplicable.
     """
@@ -378,10 +379,9 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
         )
     p = sup.midpoint
     solved = _solve(X, p)
-    report = _witness(X, solved, _classify(solved, p, None))
-    gate = RESIDUAL_REL * float(solved[0].max())
-    if report.residual > gate:
-        raise NoWitnessFound(report.residual, gate, p)
+    report, residual = _witness(X, solved, _classify(solved, p, None))
+    if residual > RESIDUAL_REL:
+        raise NoWitnessFound(report.residual, _real(RESIDUAL_REL, solved[1]), p)
     return report
 
 

@@ -6,21 +6,22 @@ p-negative type iff the form is nonpositive there, strictly so iff it is
 negative definite. The set of such p is a closed interval [0, w] (all of
 [0, inf) exactly for ultrametric spaces), so the largest restricted
 eigenvalue changes sign once, at the supremal p-negative type w, and a
-regula falsi on that eigenvalue (divided by max D_p) brackets w.
+regula falsi on that eigenvalue brackets w. Every decision reads
+D~_p = (d / max d)^p, largest entry 1 at any scale; reports convert (_real).
 
 The restriction uses one Householder reflection H = I - beta u u^T mapping
 the unit all-ones vector to -e_m: the first m-1 columns of H are an
-orthonormal basis of F0, so the leading (m-1) x (m-1) block of H D_p H is
+orthonormal basis of F0, so the leading (m-1) x (m-1) block of H D~_p H is
 the form in that basis. The block costs O(m^2) and an eigenvector maps back
-through one O(m) reflection. Each public call builds D_p once.
+through one O(m) reflection. Each public call builds D~_p once.
 
 Every eigensolve of that block runs in one helper (_top); a sign probe of
 supremal computes eigenvalues only. The class at one exponent and the
 witnesses in polyeq read the two extreme eigenpairs of one eigh, which
 _solve remembers per space object at the exact exponent: a second decision
-at the same (space, p) -- classify, then witness_at_p -- rebuilds D_p but
+at the same (space, p) -- classify, then witness_at_p -- rebuilds D~_p but
 skips the solve. The memo keeps the last exponent only, O(m) floats per
-live space, weakly keyed so that it goes with the space; D_p itself is not
+live space, weakly keyed so that it goes with the space; D~_p itself is not
 kept. A space is immutable (re-enabling writes on X.dist is unsupported).
 Sign probes, quad_form, restricted_form and polyeq.verify_equality neither
 read nor write the memo.
@@ -42,7 +43,7 @@ from .errors import (
     LengthMismatch,
     NotBalanced,
 )
-from .metric import MetricSpace, is_ultrametric, power_matrix
+from .metric import MetricSpace, _exponent, is_ultrametric, power_matrix
 
 __all__ = [
     "BalancedVector",
@@ -59,7 +60,7 @@ __all__ = [
 
 # Balance slack for constructing a BalancedVector, relative to max |component|.
 BALANCE_REL = 1e-12
-# Classification tolerance, relative to the largest entry of D_p.
+# Classification tolerance on the normalised form, whose largest entry is 1.
 EPSILON_REL = 1e-9
 
 # space -> (p, extreme eigenpairs of its restricted form at p), see _solve
@@ -170,17 +171,23 @@ def _lift(y: np.ndarray) -> np.ndarray:
     return x
 
 
-def _power(X: MetricSpace, p: float) -> np.ndarray:
-    """D_p for a decision; every entry underflowing to zero raises EigenFailure.
+def _power(X: MetricSpace, p: float) -> tuple[np.ndarray, float]:
+    """(D~_p, s) with D_p = s D~_p: diagonal 0, largest entry 1, no overflow.
 
-    Such a D_p is the zero matrix: its form vanishes on all of F0, and each
-    tolerance relative to max D_p is 0, so a class, a witness or an equality
-    decided from it would be an artefact of the underflow.
+    s = (max d)^p reads inf or 0, quietly, where it is not representable.
     """
-    d = power_matrix(X, p)
-    if float(d.max()) == 0.0:
-        raise EigenFailure(f"power matrix underflows to zero at p = {p:g}")
-    return d
+    p, top = _exponent(p), X.dist.max()
+    with np.errstate(all="ignore"):
+        d = X.dist / top
+        d **= p
+        scale = float(top**p)
+    np.fill_diagonal(d, 0.0)
+    return d, scale
+
+
+def _real(x: float, scale: float) -> float:
+    """A value of D~_p in the units of D_p: 0 stays 0, the rest may read inf or 0."""
+    return x * scale if x else x
 
 
 def _top(d: np.ndarray, vector: bool = True) -> tuple:
@@ -192,8 +199,8 @@ def _top(d: np.ndarray, vector: bool = True) -> tuple:
     run in the LAPACK that numpy loads: scipy.linalg bundles a second
     OpenBLAS, whose idle worker threads keep spinning after each call and
     slow the caller's next numpy BLAS call several-fold on a host with as
-    many cores as BLAS threads. A form that is not finite (an overflowed
-    D_p) and a convergence failure both raise EigenFailure.
+    many cores as BLAS threads. A form that is not finite (an unvalidated
+    space's NaN or inf) and a convergence failure both raise EigenFailure.
     """
     a = _restrict(d)
     if not np.isfinite(a).all():
@@ -208,15 +215,15 @@ def _top(d: np.ndarray, vector: bool = True) -> tuple:
 
 
 def _solve(X: MetricSpace, p: float) -> tuple:
-    """(D_p, lambda_max, v_max, lambda_min, v_min) for one decision at (X, p).
+    """(D~_p, scale, lambda_max, v_max, lambda_min, v_min) for one decision at (X, p).
 
-    D_p is built on every call; the eigenpairs come from the last eigh on
-    this same space object when that was at exactly float(p), so they are
-    the very arrays a fresh solve computes. A solve that raises stores
-    nothing. Concurrent callers can only overwrite each other's entry, never
-    read one at the wrong exponent, since the entry carries its exponent.
+    D~_p and its scale are built on every call; the eigenpairs come from the
+    last eigh on this same space object when that was at exactly float(p),
+    so they are the very arrays a fresh solve computes. A solve that raises
+    stores nothing. Concurrent callers can only overwrite each other's entry,
+    never read one at the wrong exponent, since the entry carries its exponent.
     """
-    d = _power(X, p)
+    d, scale = _power(X, p)
     key = float(p)
     kept = _EIGENPAIRS.get(X)
     if kept is not None and kept[0] == key:
@@ -226,7 +233,7 @@ def _solve(X: MetricSpace, p: float) -> tuple:
         for v in pairs[1::2]:  # every later hit hands out these same arrays
             v.setflags(write=False)
         _EIGENPAIRS[X] = (key, pairs)
-    return (d, *pairs)
+    return (d, scale, *pairs)
 
 
 def quad_form(X: MetricSpace, p: float, xi) -> float:
@@ -244,9 +251,9 @@ def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadForm
     """Three-way negative-type classification at exponent p.
 
     Computes the largest eigenvalue of the restricted form and compares it
-    against epsilon (default EPSILON_REL times the largest entry of D_p),
-    which must be finite and nonnegative. A D_p whose every entry
-    underflows to zero raises EigenFailure.
+    against epsilon, which must be finite and nonnegative. The default is
+    EPSILON_REL times the largest entry of D_p; the comparison runs on the
+    normalised form, where epsilon reads epsilon / max D_p.
     """
     _check_epsilon(epsilon)
     return _classify(_solve(X, p), p, epsilon)
@@ -259,17 +266,20 @@ def _check_epsilon(epsilon: float | None) -> None:
 
 def _classify(solved: tuple, p: float, epsilon: float | None) -> QuadFormReport:
     """classify on the _solve tuple of (X, p), with epsilon already checked."""
-    d, lam, direction, _, _ = solved
+    _, scale, lam, direction, _, _ = solved
     if epsilon is None:
-        epsilon = EPSILON_REL * float(d.max())
+        eps, epsilon = EPSILON_REL, _real(EPSILON_REL, scale)
+    else:  # x / 0 reads as inf, 0 / 0 as 0
+        eps = epsilon / scale if scale else math.inf if epsilon else 0.0
 
-    if lam < -epsilon:
+    if lam < -eps:
         cls = Classification.STRICT
-    elif lam > epsilon:
+    elif lam > eps:
         cls = Classification.NOT_NEG_TYPE
     else:
         cls = Classification.BOUNDARY
-    return QuadFormReport(float(p), lam, cls, BalancedVector(direction), float(epsilon))
+    return QuadFormReport(float(p), _real(lam, scale), cls, BalancedVector(direction),
+                          float(epsilon))
 
 
 def supremal(
@@ -277,11 +287,11 @@ def supremal(
 ) -> SupremalResult:
     """Bracket the supremal p-negative type by doubling then regula falsi.
 
-    Ultrametric spaces short-circuit to INFINITE_ULTRAMETRIC. Otherwise the
-    normalised value g(p) = lambda_max(p) / max D_p of the restricted form
-    is probed at p = 1, 2, 4, ... (the last probe clamped to cap); the form
-    at p = 0 equals -|xi|^2 on F0, so g(0) = -1 anchors the nonpositive side
-    without a probe. The exponents of p-negative type are [0, w], so g
+    Ultrametric spaces short-circuit to INFINITE_ULTRAMETRIC. Otherwise g(p),
+    lambda_max of the normalised form (of D_p divided by max D_p), is probed
+    at p = 1, 2, 4, ... (the last probe clamped to cap); the form at p = 0
+    equals -|xi|^2 on F0, so g(0) = -1 anchors the nonpositive side without
+    a probe. The exponents of p-negative type are [0, w], so g
     changes sign once. Its sign change is narrowed to width_tol by an
     Illinois regula falsi on g that keeps g(lo) <= 0 < g(hi):
     - each interpolated exponent stays width_tol/4 inside the bracket, so
@@ -306,8 +316,7 @@ def supremal(
     def value(p: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        d = _power(X, p)
-        return _top(d, vector=False)[0] / float(d.max())
+        return _top(_power(X, p)[0], vector=False)[0]
 
     lo, g_lo, hi, g_hi = 0.0, -1.0, None, None
     probe = min(1.0, cap)

@@ -134,20 +134,25 @@ class TestCheckCommand:
 
 
 class TestUnderflowedPowerMatrix:
-    # every entry of D_p underflows to zero, so a class, a witness or an
-    # equality read from it would be an artefact: exit 3
+    # every entry of D_p underflows to zero, but the decisions read the
+    # normalised power matrix: each command exits as on the unscaled space
     def test_exit_3(self, tmp_path, witness_simplex_file, capsys):
-        cycle, tiny = tmp_path / "cycle.json", tmp_path / "tiny.json"
-        cycle.write_text(json.dumps({"matrix": (1e-6 * np.array(
-            [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])).tolist()}))
-        tiny.write_text(json.dumps({"matrix": (1e-200 * np.array(
-            [[0, 1, 2], [1, 0, 1], [2, 1, 0]])).tolist()}))
-        for argv in (["check", str(cycle), "--p", "60"],
-                     ["witness", str(cycle), "--p", "60"],
-                     ["witness", str(tiny), "--p", "2"],
-                     ["verify", str(tiny), witness_simplex_file, "--p", "2"]):
-            assert main(argv) == 3
-            assert "underflows to zero" in capsys.readouterr().err
+        cycle = np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+        line = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        files = {}
+        for name, d in (("cycle", cycle), ("small", 1e-6 * cycle),
+                        ("line", line), ("tiny", 1e-200 * line)):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps({"matrix": d.tolist()}))
+        for unit, scaled, argv in (
+                ("cycle", "small", ["check", "--p", "60"]),
+                ("cycle", "small", ["witness", "--p", "60"]),
+                ("line", "tiny", ["witness", "--p", "2"]),
+                ("line", "tiny", ["verify", witness_simplex_file, "--p", "2"])):
+            want = main([argv[0], str(files[unit]), *argv[1:]])
+            assert want in (0, 2)
+            assert main([argv[0], str(files[scaled]), *argv[1:]]) == want
+        assert capsys.readouterr().err == ""
 
 
 class TestSupremalCommand:
@@ -239,6 +244,22 @@ class TestWitnessCommand:
         # would be silently ignored
         assert main(["witness", collinear_file, "--at-supremal", "--tol", tol]) == 3
         assert "--tol" in capsys.readouterr().err
+
+    def test_payload_p_is_exact(self, tmp_path, capsys):
+        # the path's bracket midpoint has more than 12 significant digits;
+        # rounded, it would send a verify of the emitted files elsewhere
+        space, simplex = str(tmp_path / "path.json"), str(tmp_path / "q.json")
+        assert main(["gen", "path", "30", "--out", space]) == 0
+        mid = supremal(load_space(space)).midpoint
+        assert float(f"{mid:.12g}") != mid
+        assert main(["witness", space, "--at-supremal"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["p"] == mid
+        Path(simplex).write_text(json.dumps(data["simplex"]), encoding="utf-8")
+        assert main(["verify", space, simplex, "--p", repr(data["p"]), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["p"] == mid
+        assert main(["witness", space, "--at-supremal", "--format", "text"]) == 0
+        assert f"p: {mid!r}\n" in capsys.readouterr().out
 
     def test_boundary_p_uses_eigendirection(self, cycle_file, capsys):
         assert main(["witness", cycle_file, "--p", "1"]) == 0

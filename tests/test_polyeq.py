@@ -321,15 +321,18 @@ class TestWitnessAtP:
         assert w.residual <= classify(four_cycle, 1.0).tolerance
 
     def test_underflowed_power_matrix_is_typed(self, collinear, four_cycle):
-        # a zero D_p has residual 0 in every direction, so any unit vector
-        # would pass as a witness
+        # D_p underflows to zero, but the witnesses are built on the
+        # normalised power matrix: those of the unscaled spaces, in the
+        # same directions, and they verify
         tiny = validate_metric(None, 1e-200 * collinear.dist)
         small = validate_metric(None, 1e-6 * four_cycle.dist)
-        for X, p in ((tiny, 2.0), (small, 60.0)):
-            with pytest.raises(EigenFailure, match="underflows to zero"):
-                witness_at_p(X, p)
-            with pytest.raises(EigenFailure, match="underflows to zero"):
-                witness_at_supremal(X, SupremalResult(SupremalStatus.FINITE, p, p, 64.0, 0))
+        for X, unit, p in ((tiny, collinear, 2.0), (small, four_cycle, 60.0)):
+            for w, ref in ((witness_at_p(X, p), witness_at_p(unit, p)),
+                           (witness_at_supremal(X, supremal(X)),
+                            witness_at_supremal(unit, supremal(unit)))):
+                assert w.method is ref.method
+                assert angular_deviation(w.xi.weights, ref.xi.weights) < 1e-6
+                assert verify_equality(X, w.p, w.simplex).nontrivial_equality
 
     def test_not_neg_type_uses_ivt(self, collinear):
         assert witness_at_p(collinear, 3.0).method is WitnessMethod.IVT
@@ -465,12 +468,15 @@ class TestVerifyEquality:
         assert rep.holds and rep.nontrivial
 
     def test_underflowed_power_matrix_is_typed(self, collinear):
-        # at unit distance 1e-200 and p = 2 every sum is 0, and 0 <= tol * 0
-        # would certify any balanced simplex, the plain pair included
+        # at unit distance 1e-200 and p = 2 every sum underflows to 0, but
+        # holds is decided on the normalised sums: the plain pair {0} | {1}
+        # still fails and the true equality still holds, as at unit scale
         Y = validate_metric(None, 1e-200 * collinear.dist)
-        for Q in (COLLINEAR_WITNESS, SignedSimplex(((0, 1.0),), ((1, 1.0),))):
-            with pytest.raises(EigenFailure, match="underflows to zero"):
-                verify_equality(Y, 2.0, Q)
+        pair = verify_equality(Y, 2.0, SignedSimplex(((0, 1.0),), ((1, 1.0),)))
+        assert pair.nontrivial and not pair.holds
+        assert pair.lhs == pair.rhs == pair.gap == 0.0
+        rep = verify_equality(Y, 2.0, COLLINEAR_WITNESS)
+        assert rep.holds and rep.nontrivial
 
     def test_trivial_pair_holds_trivially(self, collinear):
         for p in (0.5, 1.0, 2.0, 5.0):
@@ -510,14 +516,14 @@ class TestBuildOnce:
     @pytest.fixture()
     def builds(self, monkeypatch):
         calls = []
-        real = metric.power_matrix
+        real = quadform._power
 
         def counting(X, p):
             calls.append(p)
             return real(X, p)
 
         for module in (quadform, polyeq):
-            monkeypatch.setattr(module, "power_matrix", counting)
+            monkeypatch.setattr(module, "_power", counting)
         return calls
 
     @pytest.fixture()

@@ -25,17 +25,20 @@ from negtype import (
     InvalidCap,
     InvalidTolerance,
     LengthMismatch,
+    MetricSpace,
     NegativeExponent,
     NotBalanced,
     SupremalStatus,
     classify,
     from_points,
     hilbert_embeddable,
+    is_ultrametric,
     quad_form,
     random_ultrametric,
     restricted_form,
     supremal,
     validate_metric,
+    witness_at_p,
 )
 
 
@@ -162,25 +165,41 @@ class TestClassify:
             supremal(collinear)
 
     def test_non_finite_form_is_typed(self):
-        # 1e6^60 and 1e6^64 overflow to inf, and the restriction turns
-        # inf - inf into nan; such a form is rejected before the eigensolve
+        # 1e6^60 and 1e6^64 overflow, but the decisions read the normalised
+        # power matrix, so both spaces get the answers of their copies of
+        # diameter 1; a nonzero lambda_max reports as +-inf, a zero as 0
         Y = validate_metric(None, 1e6 * np.array([[0, 1, 1], [1, 0, 1.001], [1, 1.001, 0]]))
         Z = validate_metric(None, [[0, 1, 1e6], [1, 0, 1e6], [1e6, 1e6, 0]])
-        with np.errstate(all="ignore"):
-            for call in (lambda: classify(Z, 60.0), lambda: classify(Y, 64.0),
-                         lambda: supremal(Y)):
-                with pytest.raises(EigenFailure):
+        for X, p in ((Z, 60.0), (Y, 64.0)):
+            rep, unit = classify(X, p), classify(validate_metric(None, X.dist / X.dist.max()), p)
+            assert rep.classification is unit.classification
+            assert rep.lambda_max == (unit.lambda_max * math.inf if unit.lambda_max else 0.0)
+            assert rep.tolerance == math.inf
+        sup, unit = supremal(Y), supremal(validate_metric(None, Y.dist / 1e6))
+        assert (sup.status, sup.evaluations) == (unit.status, unit.evaluations)
+
+    def test_unvalidated_non_finite_space_is_typed(self):
+        # a directly built space skips validation; a NaN or inf in it makes
+        # the form non-finite, which the eigensolve helper rejects
+        nan = MetricSpace(("a", "b", "c", "d"),
+                          [[0, 1, 3, 2], [1, 0, 2, math.nan], [3, 2, 0, 1], [2, 2, 1, 0]])
+        inf = MetricSpace(("a", "b", "c"), [[0, 1, math.inf], [1, 0, 1], [math.inf, 1, 0]])
+        for X in (nan, inf):
+            assert not is_ultrametric(X)
+            for call in (lambda: classify(X, 1.0), lambda: witness_at_p(X, 1.0),
+                         lambda: supremal(X)):
+                with pytest.raises(EigenFailure, match="not finite"):
                     call()
 
     def test_underflowed_power_matrix_is_typed(self, four_cycle):
-        # (2e-6)^60 underflows to 0: the zero form would read as BOUNDARY
-        # with tolerance 0, where the unscaled 4-cycle is NOT_NEG_TYPE
+        # (2e-6)^60 and (2e-200)^2 underflow to 0; the decisions read the
+        # normalised power matrix, so the answers are the unscaled 4-cycle's
         assert classify(four_cycle, 60.0).classification is Classification.NOT_NEG_TYPE
         Y = validate_metric(None, 1e-6 * four_cycle.dist)
-        with pytest.raises(EigenFailure, match="underflows to zero"):
-            classify(Y, 60.0)
-        with pytest.raises(EigenFailure, match="underflows to zero"):
-            hilbert_embeddable(validate_metric(None, 1e-200 * four_cycle.dist))
+        rep = classify(Y, 60.0)
+        assert rep.classification is Classification.NOT_NEG_TYPE
+        assert rep.lambda_max == rep.tolerance == 0.0
+        assert not hilbert_embeddable(validate_metric(None, 1e-200 * four_cycle.dist))
 
     def test_top_pair_matches_centered_reference(self, two_point):
         # the top eigenpair against scipy's full solve of the centred m x m
@@ -341,10 +360,12 @@ class TestSupremal:
         assert sup.evaluations <= probe_bound(sup, width_tol=1e-300)
 
     def test_underflowed_power_matrix_is_typed(self, collinear):
-        # (2e-200)^2 underflows to 0, so g = lambda_max / max D_p is undefined
+        # (2e-200)^2 underflows to 0, but g is the largest eigenvalue of the
+        # normalised form: every probe sees the unscaled collinear triple's
         X = validate_metric(None, 1e-200 * collinear.dist)
-        with pytest.raises(EigenFailure, match="underflows"):
-            supremal(X)
+        sup, unit = supremal(X), supremal(collinear)
+        assert (sup.status, sup.evaluations) == (unit.status, unit.evaluations)
+        assert abs(sup.lo - unit.lo) <= 1e-10 and abs(sup.hi - unit.hi) <= 1e-10
 
     def test_finite_lower_endpoint_positive(self):
         rng = np.random.default_rng(43)
