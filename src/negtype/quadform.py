@@ -6,8 +6,9 @@ p-negative type iff the form is nonpositive there, strictly so iff it is
 negative definite. The set of such p is a closed interval [0, w] (all of
 [0, inf) exactly for ultrametric spaces), so the largest restricted
 eigenvalue changes sign once, at the supremal p-negative type w, and a
-regula falsi on that eigenvalue brackets w. Every decision reads
-D~_p = (d / max d)^p, largest entry 1 at any scale; reports convert (_real).
+regula falsi on that eigenvalue brackets w, ending early on a probe inside
+the rounding floor (FLOOR). Every decision reads D~_p = (d / max d)^p,
+largest entry 1 at any scale; reports convert (_real).
 
 The restriction uses one Householder reflection H = I - beta u u^T mapping
 the unit all-ones vector to -e_m: the first m-1 columns of H are an
@@ -62,6 +63,8 @@ __all__ = [
 BALANCE_REL = 1e-12
 # Classification tolerance on the normalised form, whose largest entry is 1.
 EPSILON_REL = 1e-9
+# Rounding floor of a sign probe, relative to the spectral norm of the form.
+FLOOR = 16 * np.finfo(float).eps
 
 # space -> (p, extreme eigenpairs of its restricted form at p), see _solve
 _EIGENPAIRS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -118,7 +121,8 @@ class QuadFormReport:
 class SupremalResult:
     """Bracketed estimate of the supremal p-negative type.
 
-    lo and hi are set only for FINITE status; EXCEEDS_CAP records that the
+    lo and hi are set only for FINITE status, where lo == hi is a probe
+    that read zero within the rounding floor; EXCEEDS_CAP records that the
     space is not ultrametric yet no sign change was found at or below cap.
     """
 
@@ -194,7 +198,9 @@ def _top(d: np.ndarray, vector: bool = True) -> tuple:
     """Extreme eigenpairs of the restricted form, with unit zero-sum eigenvectors.
 
     The one eigensolve of the package. A sign probe (vector=False) gets
-    (lambda_max, None) from eigvalsh, about half the cost; _solve gets
+    (lambda_max, None) from eigvalsh, about half the cost, with lambda_max
+    read as exactly 0.0 when it is at most FLOOR times the spectral norm
+    max(-lambda_min, lambda_max) of the form; _solve gets
     (lambda_max, v_max, lambda_min, v_min) from one eigh. Both
     run in the LAPACK that numpy loads: scipy.linalg bundles a second
     OpenBLAS, whose idle worker threads keep spinning after each call and
@@ -207,7 +213,9 @@ def _top(d: np.ndarray, vector: bool = True) -> tuple:
         raise EigenFailure("restricted form is not finite")
     try:
         if not vector:
-            return float(np.linalg.eigvalsh(a)[-1]), None
+            evals = np.linalg.eigvalsh(a)
+            lam = float(evals[-1])
+            return (0.0 if abs(lam) <= FLOOR * max(-evals[0], lam) else lam), None
         evals, evecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
@@ -300,9 +308,12 @@ def supremal(
       doubling found a bracket of width W, and a step falls back to the
       midpoint once one more step that fails to shrink the bracket would
       leave too few probes for bisection to finish.
-    A bracket is a sign change of the computed lambda_max; where that value
-    is below rounding the bracket can sit anywhere in that band. The
-    tolerance applies only to the reported bracket width.
+    A probe that reads 0.0 (within FLOOR of the form's norm, see _top) is
+    taken as the zero of g: the search ends there with lo == hi, so the
+    midpoint is that exponent. Otherwise a bracket is a sign change of the
+    computed lambda_max, which can still sit anywhere in a band where the
+    true value is near the floor. The tolerance applies only to the
+    reported bracket width.
     """
     if not 0.0 < cap < math.inf:
         raise InvalidCap(f"cap = {cap}")
@@ -322,7 +333,7 @@ def supremal(
     probe = min(1.0, cap)
     while True:
         g = value(probe)
-        if g > 0.0:
+        if g >= 0.0:
             hi, g_hi = probe, g
             break
         lo, g_lo = probe, g
@@ -332,6 +343,8 @@ def supremal(
 
     if hi is None:
         return SupremalResult(SupremalStatus.EXCEEDS_CAP, None, None, float(cap), evaluations)
+    if g_hi == 0.0:
+        return SupremalResult(SupremalStatus.FINITE, hi, hi, float(cap), evaluations)
 
     left = 2 * math.ceil(math.log2(hi - lo) - math.log2(width_tol))
     kept = 0  # which end the last probe moved: +1 hi, -1 lo
@@ -346,6 +359,9 @@ def supremal(
             break
         left -= 1
         g = value(p)
+        if g == 0.0:  # a zero of g: end on it
+            lo = hi = p
+            break
         if g > 0.0:
             hi, g_hi = p, g
             if kept > 0:  # lo kept twice: halve its weight

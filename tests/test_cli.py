@@ -246,10 +246,10 @@ class TestWitnessCommand:
         assert "--tol" in capsys.readouterr().err
 
     def test_payload_p_is_exact(self, tmp_path, capsys):
-        # the path's bracket midpoint has more than 12 significant digits;
-        # rounded, it would send a verify of the emitted files elsewhere
-        space, simplex = str(tmp_path / "path.json"), str(tmp_path / "q.json")
-        assert main(["gen", "path", "30", "--out", space]) == 0
+        # the random graph's bracket midpoint has more than 12 significant
+        # digits; rounded, it would send a verify of the emitted files elsewhere
+        space, simplex = str(tmp_path / "random.json"), str(tmp_path / "q.json")
+        assert main(["gen", "random", "12", "--seed", "8", "--out", space]) == 0
         mid = supremal(load_space(space)).midpoint
         assert float(f"{mid:.12g}") != mid
         assert main(["witness", space, "--at-supremal"]) == 0

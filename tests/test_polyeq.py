@@ -635,7 +635,7 @@ class TestBuildOnce:
     def test_supremal_probes_skip_the_memo(self, eigensolves):
         for X in (collinear_triple(), unit_four_cycle()):
             before = supremal(X)
-            classify(X, 1.0)
+            classify(X, 0.5)  # not the midpoint, which the 4-cycle probes exactly
             classify(X, before.midpoint)
             after = supremal(X)
             assert (after.lo, after.hi, after.evaluations) == (

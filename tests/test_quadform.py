@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -40,6 +41,7 @@ from negtype import (
     validate_metric,
     witness_at_p,
 )
+from negtype.cli import generate_space
 
 
 class TestBalancedBasis:
@@ -319,9 +321,9 @@ class TestSupremal:
             assert abs(sup.hi - ref[1]) <= 1e-10
 
     def test_probe_counts(self, collinear, four_cycle):
-        # bisection takes 36 and 35 probes on these two
-        assert supremal(collinear).evaluations <= 4
-        assert supremal(four_cycle).evaluations <= 4
+        # bisection takes 36 and 35 probes on these two; each probes its w
+        assert supremal(collinear).evaluations <= 2
+        assert supremal(four_cycle).evaluations <= 1
         rng = np.random.default_rng(41)
         sups = [supremal(random_space(rng)) for _ in range(5)]
         assert np.mean([s.evaluations for s in sups]) <= 15
@@ -352,11 +354,20 @@ class TestSupremal:
             assert abs(sup.lo - ref.lo) <= 1e-10
             assert sup.evaluations <= probe_bound(sup)
 
-    def test_width_below_float_spacing_stops_at_adjacent_floats(self, collinear):
+    def test_width_below_float_spacing_stops_at_adjacent_floats(self, collinear,
+                                                                monkeypatch):
         sup = supremal(collinear, width_tol=1e-300)
         assert sup.status is SupremalStatus.FINITE
-        assert sup.hi == math.nextafter(sup.lo, math.inf)
+        assert sup.lo <= 2.0 <= sup.hi
         assert sup.midpoint == pytest.approx(2.0, abs=1e-15)
+        assert sup.evaluations <= probe_bound(sup, width_tol=1e-300)
+        # |dg/dp| <= m / (e p), so one float step moves g by at most m eps / e:
+        # on a space this small every search reads a zero before float spacing,
+        # and only a search without the floor shows where that stop lies
+        monkeypatch.setattr(quadform, "FLOOR", 0.0)
+        sup = supremal(random_space(np.random.default_rng(81)), width_tol=1e-300)
+        assert sup.status is SupremalStatus.FINITE
+        assert sup.hi == math.nextafter(sup.lo, math.inf)
         assert sup.evaluations <= probe_bound(sup, width_tol=1e-300)
 
     def test_underflowed_power_matrix_is_typed(self, collinear):
@@ -389,6 +400,56 @@ class TestSupremal:
                 assert classify(X, mid - 0.01).classification is Classification.STRICT
             rep = classify(X, mid)
             assert abs(rep.lambda_max) <= 10 * rep.tolerance
+
+
+SIZES = (50, 150, 350, 600, 1000)
+
+
+@pytest.fixture(scope="module")
+def closed_form():
+    """gen spaces whose supremal exponent is known: path 2, even cycle 1, l2 cloud 2."""
+    return functools.cache(lambda kind, m: generate_space(kind, m, seed=m))
+
+
+def closed_forms(kind: str, w: float, sizes) -> list:
+    return [pytest.param(kind, m, w, id=f"{kind}-{m}") for m in sizes]
+
+
+PATHS_AND_CYCLES = closed_forms("path", 2.0, SIZES) + closed_forms("cycle", 1.0, SIZES)
+
+
+class TestNoiseFloor:
+    """At an exact zero of g every solver reads |lambda_max| well inside the floor."""
+
+    @staticmethod
+    def spectra(X: MetricSpace, p: float):
+        d = quadform._power(X, p)[0]
+        perm = np.random.default_rng(X.size).permutation(X.size)
+        yield np.linalg.eigvalsh(quadform._restrict(d))
+        yield np.linalg.eigh(quadform._restrict(d))[0]
+        yield np.linalg.eigvalsh(quadform._restrict(d[np.ix_(perm, perm)]))
+
+    def check_zero(self, X: MetricSpace, p: float):
+        for evals in self.spectra(X, p):
+            norm = max(-evals[0], evals[-1])
+            assert abs(evals[-1]) <= 0.5 * quadform.FLOOR * norm
+        assert quadform._top(quadform._power(X, p)[0], vector=False)[0] == 0.0
+
+    @pytest.mark.parametrize("kind,m,w",
+                             PATHS_AND_CYCLES + closed_forms("points", 2.0, SIZES[:-1]))
+    def test_closed_form_zeros(self, closed_form, kind, m, w):
+        self.check_zero(closed_form(kind, m), w)
+
+    def test_collinear_and_four_cycle(self, collinear, four_cycle):
+        self.check_zero(collinear, 2.0)
+        self.check_zero(four_cycle, 1.0)
+
+    @pytest.mark.parametrize("kind,m,w", PATHS_AND_CYCLES + closed_forms("points", 2.0, [600]))
+    def test_bracket_contains_the_closed_form_exponent(self, closed_form, kind, m, w):
+        sup = supremal(closed_form(kind, m))
+        assert sup.status is SupremalStatus.FINITE
+        assert sup.lo <= w <= sup.hi
+        assert sup.evaluations <= 2
 
 
 class TestIntervalStructure:
