@@ -64,16 +64,19 @@ _CHECK_EXIT = {
 # ---------------------------------------------------------------------------
 
 def parse_space(data: dict) -> MetricSpace:
-    """Build a space from one of the three accepted JSON shapes."""
+    """Build a space from exactly one of the three accepted JSON shapes."""
+    if sum(key in data for key in ("matrix", "graph", "points")) != 1:
+        raise ValueError("space JSON needs exactly one of: matrix, graph, points")
     if "matrix" in data:
         return validate_metric(data.get("labels"), data["matrix"])
     if "graph" in data:
         g = data["graph"]
-        return from_graph(int(g["n"]), g["edges"])
-    if "points" in data:
-        pts = data["points"]
-        return from_points(pts["coords"], q=float(pts.get("q", 2)))
-    raise ValueError("space JSON needs one of: matrix, graph, points")
+        n = g["n"]
+        if not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
+            raise ValueError(f"graph n must be an integer, got {n!r}")
+        return from_graph(int(n), g["edges"])
+    pts = data["points"]
+    return from_points(pts["coords"], q=float(pts.get("q", 2)))
 
 
 def load_space(path: str) -> MetricSpace:
@@ -316,11 +319,11 @@ def _cmd_supremal(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    X = load_space(args.space)
     if args.at_supremal == (args.p is not None):
         raise ValueError("witness needs exactly one of --p or --at-supremal")
     if args.at_supremal and args.tol is not None:
         raise ValueError("--tol applies only with --p; --at-supremal gates by residual")
+    X = load_space(args.space)
     try:
         if args.at_supremal:
             sup = supremal(X, cap=args.cap, width_tol=args.width_tol)
@@ -462,7 +465,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
-    except (NegTypeError, OSError, ValueError, KeyError, TypeError) as exc:
+    except (NegTypeError, OSError, ValueError, KeyError, TypeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

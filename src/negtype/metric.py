@@ -7,9 +7,9 @@ metric axioms are checked scale-free. Every matrix gets the O(m^2) checks
 O(m^3) scan over all triples with d(i,j) + d(j,k) as the bound on d(i,k).
 It has the answer of that scan on every raw matrix, but an O(m^2)
 certificate from the row and column minima settles most metrics first.
-The scan itself first decides from row minima whether any triple fails,
-in two passes per pivot over half the pairs of a symmetric matrix, and
-names the first failing triple only when one exists. A constructor skips
+The scan runs on row minima, two passes per pivot over half the pairs of
+a symmetric matrix, and stops at the first failing pivot k, naming its
+first failing row i and that row's smallest bound j. A constructor skips
 the check only inside a domain where a rounding-error bound shows that
 the scan cannot fail:
 - random_ultrametric always: its block fill is an exact ultrametric, and
@@ -19,7 +19,7 @@ the scan cannot fail:
   distances is below REL_TOL / 8 of the largest one.
 is_ultrametric returns the answer of the same scan with max(d(i,j), d(j,k))
 as the bound, but certifies most ultrametrics in O(m^2) by a comparison
-with the subdominant ultrametric, and otherwise runs the decision alone.
+with the subdominant ultrametric, and otherwise runs the scan.
 Power matrices raise every distance to a fixed exponent p >= 0 with the
 convention 0**0 = 0 on the diagonal, so the p = 0 matrix is the
 discrete-metric matrix. scipy is imported only inside from_graph and
@@ -100,8 +100,8 @@ class MetricSpace:
         return len(self.labels)
 
 
-def _violates(d: np.ndarray, bound, tol: float) -> bool:
-    """True iff some triple has d[i, k] - bound(d[i, j], d[j, k]) > tol.
+def _violation(d: np.ndarray, bound, tol: float) -> tuple[int, int, int] | None:
+    """A triple (i, j, k) with d[i, k] - bound(d[i, j], d[j, k]) > tol, or None.
 
     bound is np.add (triangle inequality) or np.maximum (ultrametric
     inequality). Rounded subtraction x -> fl(c - x) never increases as x
@@ -111,7 +111,9 @@ def _violates(d: np.ndarray, bound, tol: float) -> bool:
     entry, triple (k, j, i) has the slack of (i, j, k), since rounded + and
     max commute, and the block shrinks to the rows i <= k. A NaN bound or
     slack never fails the scan's test: np.fmin skips the one, and the
-    other compares False. An overflowed sum only raises the bound.
+    other compares False. An overflowed sum only raises the bound. The
+    triple named is the first failing row i at the first failing pivot k,
+    with j the first index of the smallest bound in that row.
     """
     d = np.ascontiguousarray(d)
     m = len(d)
@@ -124,35 +126,15 @@ def _violates(d: np.ndarray, bound, tol: float) -> bool:
             column = d[k] if half else np.ascontiguousarray(d[:, k])  # d[j, k] over j
             bound(d[:n], column, out=block[:n])
             np.fmin.reduce(block[:n], axis=1, out=low[:n])
-            if (column[:n] - low[:n] > tol).any():
-                return True
-    return False
-
-
-def _first_violation(d: np.ndarray, bound, tol: float) -> tuple[int, int, int] | None:
-    """First triple with d[i, k] - bound(d[i, j], d[j, k]) > tol, or None.
-
-    bound is np.add or np.maximum, as in _violates, which decides first.
-    Only when a triple fails are the triples scanned j-major, then (i, k)
-    row-major, to name the first; each pass reuses two m x m buffers.
-    """
-    if not _violates(d, bound, tol):
-        return None
-    slack = np.empty_like(d)
-    bad = np.empty(d.shape, dtype=bool)
-    with np.errstate(over="ignore"):
-        for j in range(d.shape[0]):
-            bound(d[:, j, None], d[j], out=slack)
-            np.subtract(d, slack, out=slack)
-            np.greater(slack, tol, out=bad)
+            bad = column[:n] - low[:n] > tol
             if bad.any():
-                i, k = np.argwhere(bad)[0]
-                return int(i), j, int(k)
+                i = int(bad.argmax())  # its row holds a bound that is not NaN
+                return i, int(np.nanargmin(block[i])), k
     return None
 
 
 def _triangle_violation(a: np.ndarray, tol: float) -> tuple[int, int, int] | None:
-    """_first_violation(a, np.add, tol), certified in O(m^2) where possible.
+    """_violation(a, np.add, tol), certified in O(m^2) where possible.
 
     Let r_i and c_k be the smallest off-diagonal entries of row i and of
     column k. For j outside {i, k}, a[i, j] >= r_i and a[j, k] >= c_k, and
@@ -160,9 +142,9 @@ def _triangle_violation(a: np.ndarray, tol: float) -> tuple[int, int, int] | Non
     fl(a[i, k] - fl(a[i, j] + a[j, k])) is at most fl(a[i, k] - fl(r_i + c_k)).
     When that is at most tol for every pair (i = k included), and the
     triples with j = i or j = k pass the scan's own test, no triple fails,
-    and the full scan runs only otherwise. The certificate holds whenever
-    the largest distance is at most the sum of the two row minima, as in
-    every random_ultrametric output.
+    and the scan runs only otherwise, naming the triple it stops at. The
+    certificate holds whenever the largest distance is at most the sum of
+    the two row minima, as in every random_ultrametric output.
     """
     off = a.copy()
     np.fill_diagonal(off, np.inf)
@@ -173,7 +155,7 @@ def _triangle_violation(a: np.ndarray, tol: float) -> tuple[int, int, int] | Non
             and (a - (diag[:, None] + a) <= tol).all()
             and (a - (a + diag) <= tol).all()):
         return None
-    return _first_violation(a, np.add, tol)
+    return _violation(a, np.add, tol)
 
 
 def validate_metric(labels, matrix) -> MetricSpace:
@@ -258,12 +240,12 @@ def is_ultrametric(X: MetricSpace) -> bool:
 
     The answer is that of the full O(m^3) scan. The space is first compared
     with its subdominant ultrametric in O(m^2), and only when that
-    comparison fails does _violates decide, with np.maximum as the bound;
-    no triple is named. The slack scales with the largest finite entry.
+    comparison fails does _violation run, with np.maximum as the bound.
+    The slack scales with the largest finite entry.
     """
     d = X.dist
     tol = REL_TOL * float(np.fmax.reduce(d, axis=None, initial=0.0, where=np.isfinite(d)))
-    return _within_subdominant(d, tol) or not _violates(d, np.maximum, tol)
+    return _within_subdominant(d, tol) or _violation(d, np.maximum, tol) is None
 
 
 def _within_subdominant(d: np.ndarray, tol: float) -> bool:
@@ -305,10 +287,12 @@ def from_graph(n: int, weighted_edges) -> MetricSpace:
     Edges are (i, j, w) triples with 0-based endpoints; parallel edges keep
     the lighter weight. Graphs with at most n^2 / 10 edges run Dijkstra from
     every vertex, denser ones Floyd-Warshall; on unit weights both give the
-    same bits. An infinite path length raises DisconnectedGraph when the
-    graph has more than one component and NonpositiveDistance when the path
-    sum overflows. The triangle scan runs only above 3000 vertices, where
-    the rounding bound of the path sums ends.
+    same bits. Fewer than n - 1 edges between distinct vertices raise
+    DisconnectedGraph before any n x n array is built. An infinite path
+    length raises DisconnectedGraph when the graph has more than one
+    component and NonpositiveDistance when the path sum overflows. The
+    triangle scan runs only above 3000 vertices, where the rounding bound
+    of the path sums ends.
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components, dijkstra, floyd_warshall
@@ -331,6 +315,8 @@ def from_graph(n: int, weighted_edges) -> MetricSpace:
         if outside[t]:
             raise ValueError(f"edge endpoint out of range: ({i},{j})")
         raise NonpositiveWeight(i, j)
+    if np.count_nonzero(~loop) < n - 1:  # no connected graph has fewer edges
+        raise DisconnectedGraph("graph is not connected")
     i, j = np.sort(ends[~loop].astype(int), axis=1).T
     w = np.full((n, n), np.inf)
     np.minimum.at(w, (i, j), weight[~loop])  # parallel edges keep the lighter
@@ -339,12 +325,13 @@ def from_graph(n: int, weighted_edges) -> MetricSpace:
 
     edges = np.nonzero(np.triu(np.isfinite(w), 1))
     if 10 * len(edges[0]) <= n * n:
-        dist = dijkstra(csr_array((w[edges], edges), shape=(n, n)), directed=False)
+        graph = csr_array((w[edges], edges), shape=(n, n))
+        dist = dijkstra(graph, directed=False)
     else:
-        dist = floyd_warshall(w, directed=False)
+        graph = w  # csgraph reads a dense 0 or inf as no edge
+        dist = floyd_warshall(graph, directed=False)
     far = np.isinf(dist)
     if far.any():
-        graph = csr_array((w[edges], edges), shape=(n, n))
         if connected_components(graph, directed=False, return_labels=False) > 1:
             raise DisconnectedGraph("graph is not connected")
         raise NonpositiveDistance(*map(int, np.argwhere(far)[0]), reason="path length overflows")

@@ -3,9 +3,10 @@
 The oracles deliberately avoid the library's code paths: eigenvalues come
 from scipy on the centered m x m matrix rather than the package's
 (m-1)-dimensional restriction, gap/form references are literal loops
-over the defining sums, the triangle reference is a literal triple loop,
-the ultrametric reference is scipy's single-linkage clustering, and the
-supremal reference is a sign-only bisection on the scipy eigenvalues.
+over the defining sums, the triangle reference is a literal triple loop
+in pivot order, the ultrametric reference is scipy's single-linkage
+clustering, and the supremal reference is a sign-only bisection on the
+scipy eigenvalues.
 """
 
 from __future__ import annotations
@@ -134,16 +135,24 @@ def probe_bound(sup, width_tol: float = 1e-10) -> int:
 
 
 def first_triangle_violation(d: np.ndarray, tol: float, bound=operator.add):
-    """First (i, j, k), j-major then i then k, with d[i,k] - bound(d[i,j], d[j,k]) > tol.
+    """First (i, j, k) with d[i,k] - bound(d[i,j], d[j,k]) > tol, in pivot order.
 
     bound is addition (the triangle inequality) or max (the ultrametric one).
+    The loop runs over k, then i (only i <= k when d equals d.T), and names
+    the first j with the smallest bound of row i that is not NaN; a row with
+    no such bound, or whose slack to it is NaN, passes.
     """
     m = len(d)
-    for j in range(m):
-        for i in range(m):
-            for k in range(m):
-                if d[i, k] - bound(d[i, j], d[j, k]) > tol:
-                    return i, j, k
+    symmetric = all(d[i, k] == d[k, i] for i in range(m) for k in range(m))
+    for k in range(m):
+        for i in range(k + 1 if symmetric else m):
+            best = None
+            for j in range(m):
+                b = bound(d[i, j], d[j, k])
+                if not math.isnan(b) and (best is None or b < best[0]):
+                    best = b, j
+            if best is not None and d[i, k] - best[0] > tol:
+                return i, best[1], k
     return None
 
 

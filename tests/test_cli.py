@@ -75,6 +75,53 @@ class TestSpaceLoading:
         with pytest.raises(ValueError):
             parse_space({"something": 1})
 
+    @pytest.mark.parametrize("data", [
+        {"matrix": [[0, 1], [1, 0]], "graph": {"n": 2, "edges": [[0, 1, 1]]}},
+        {"matrix": [[0, 1], [1, 0]], "points": {"coords": [[0], [1]]}},
+        {"graph": {"n": 2, "edges": [[0, 1, 1]]}, "points": {"coords": [[0], [1]]}},
+    ], ids=["matrix+graph", "matrix+points", "graph+points"])
+    def test_two_shapes_are_rejected(self, data, tmp_path, capsys):
+        with pytest.raises(ValueError, match="exactly one of"):
+            parse_space(data)
+        f = tmp_path / "two.json"
+        f.write_text(json.dumps(data))
+        assert main(["check", str(f), "--p", "1"]) == 3
+        assert "exactly one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [3.7, "3", float("inf"), float("nan"), None])
+    def test_graph_n_must_be_integral(self, n, tmp_path, capsys):
+        data = {"graph": {"n": n, "edges": [[0, 1, 1], [1, 2, 1]]}}
+        with pytest.raises(ValueError, match="graph n must be an integer"):
+            parse_space(data)
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(data))
+        assert main(["check", str(f), "--p", "1"]) == 3
+        assert "graph n must be an integer" in capsys.readouterr().err
+
+    def test_integral_float_n_and_truncated_endpoints_load(self):
+        X = parse_space({"graph": {"n": 3.0, "edges": [[0.9, 1.5, 1], [1, 2.99, 1]]}})
+        np.testing.assert_array_equal(X.dist, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+    def test_oversized_graph_exits_3_without_a_traceback(self, tmp_path):
+        # one edge cannot connect 10**8 vertices; no n x n array is built
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps({"graph": {"n": 10**8, "edges": [[0, 1, 1.0]]}}))
+        src = str(Path(negtype.__file__).resolve().parents[1])
+        res = subprocess.run(
+            [sys.executable, "-m", "negtype.cli", "check", str(f), "--p", "1"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 3, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "not connected" in res.stderr
+
+    def test_memory_error_exits_3(self, collinear_file, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(cli, "from_graph", exhausted)
+        assert main(["check", collinear_file, "--p", "1"]) == 3
+        assert "Unable to allocate" in capsys.readouterr().err
+
     def test_payload_round_trip(self):
         X = generate_space("random", 5, seed=9)
         Y = parse_space(space_payload(X))
@@ -244,6 +291,17 @@ class TestWitnessCommand:
         # would be silently ignored
         assert main(["witness", collinear_file, "--at-supremal", "--tol", tol]) == 3
         assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "exactly one of --p or --at-supremal"),
+        (["--p", "2", "--at-supremal"], "exactly one of --p or --at-supremal"),
+        (["--at-supremal", "--tol", "1e-9"], "--tol applies only with --p"),
+    ], ids=["neither", "both", "tol"])
+    def test_flags_are_checked_before_the_space_is_read(self, tmp_path, capsys,
+                                                        flags, message):
+        # a usage mistake costs no validation: the file is never opened
+        assert main(["witness", str(tmp_path / "missing.json"), *flags]) == 3
+        assert message in capsys.readouterr().err
 
     def test_payload_p_is_exact(self, tmp_path, capsys):
         # the random graph's bracket midpoint has more than 12 significant

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from helpers import first_triangle_violation, random_space, subdominant_ultrametric
 from negtype import (
@@ -58,7 +61,7 @@ class TestValidateMetric:
 
     def test_triangle_violation_matches_brute_force(self):
         # random symmetric matrices break the triangle inequality early;
-        # metrics with one stretched entry break it at a later j or not at all
+        # metrics with one stretched entry break it at a later pivot or not at all
         rng = np.random.default_rng(13)
         seen = set()
         for trial in range(120):
@@ -86,13 +89,13 @@ class TestValidateMetric:
         # tol and diagonals of +-tol/2 or -tol: validate_metric raises the
         # triple the plain scan finds first, or passes where it finds none
         scans = []
-        real = metric._first_violation
+        real = metric._violation
 
         def counting(*args, **kwargs):
             scans.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(metric, "_first_violation", counting)
+        monkeypatch.setattr(metric, "_violation", counting)
         rng = np.random.default_rng(29)
         seen = set()
         for trial in range(400):
@@ -128,7 +131,7 @@ class TestValidateMetric:
         def scan(*args, **kwargs):
             raise AssertionError("the O(m^3) scan ran")
 
-        monkeypatch.setattr(metric, "_first_violation", scan)
+        monkeypatch.setattr(metric, "_violation", scan)
         for n in (2, 3, 17, 120):
             for seed in (0, 1):
                 X = random_ultrametric(n, seed)
@@ -203,9 +206,32 @@ class TestValidateMetric:
             X.dist[0, 1] = 5.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 7).flatmap(lambda m: st.lists(
+    st.one_of(st.integers(1, 4).map(float), st.floats(0.1, 3.0)),
+    min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2)))
+def test_validate_metric_agrees_with_a_plain_loop(upper):
+    # symmetric positive matrices, integral entries for exact ties: the
+    # matrix passes exactly when no triple fails, and a named triple fails
+    m = next(m for m in range(3, 8) if m * (m - 1) // 2 == len(upper))
+    d = np.zeros((m, m))
+    d[np.triu_indices(m, 1)] = upper
+    d += d.T
+    tol = REL_TOL * float(d.max())
+    fails = any(d[i, k] - (d[i, j] + d[j, k]) > tol
+                for i in range(m) for j in range(m) for k in range(m))
+    if not fails:
+        np.testing.assert_array_equal(validate_metric(None, d).dist, d)
+        return
+    with pytest.raises(TriangleViolation) as exc:
+        validate_metric(None, d)
+    i, j, k = exc.value.i, exc.value.j, exc.value.k
+    assert d[i, k] - (d[i, j] + d[j, k]) > tol
+
+
 class TestViolationDecision:
-    """metric._violates decides, and _first_violation names, what the
-    literal triple loop finds, for the triangle and the ultrametric bound."""
+    """metric._violation decides and names what the literal triple loop
+    finds, for the triangle and the ultrametric bound."""
 
     @staticmethod
     def literal(d, tol, bound):
@@ -216,8 +242,12 @@ class TestViolationDecision:
         verdicts = []
         for bound in (np.add, np.maximum):
             want = self.literal(d, tol, bound)
-            assert metric._violates(d, bound, tol) == (want is not None)
-            assert metric._first_violation(d, bound, tol) == want
+            got = metric._violation(d, bound, tol)
+            assert got == want
+            if got is not None:  # it fails the scan's own test
+                i, j, k = got
+                with np.errstate(over="ignore"):
+                    assert d[i, k] - bound(d[i, j], d[j, k]) > tol
             verdicts.append(want)
         return verdicts
 
@@ -446,6 +476,27 @@ class TestFromGraph:
         with pytest.raises(DisconnectedGraph):
             from_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
 
+    def test_too_few_edges_raise_before_any_allocation(self, monkeypatch):
+        # an n x n array at n = 10**8 would need 80 PB; fewer than n - 1
+        # edges between distinct vertices cannot connect n vertices
+        with pytest.raises(DisconnectedGraph, match="not connected"):
+            from_graph(10**8, [(0, 1, 1.0)])
+        with monkeypatch.context() as patch:
+            def full(*args, **kwargs):
+                raise AssertionError("an n x n array was built")
+
+            patch.setattr(np, "full", full)
+            for n in (3, 5, 40):
+                with pytest.raises(DisconnectedGraph, match="not connected"):
+                    from_graph(n, [(i, i + 1, 1.0) for i in range(n - 2)])
+        with pytest.raises(DisconnectedGraph, match="not connected"):
+            from_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (3, 3, 1.0)])
+        # the edge checks still come first, and parallel edges still count
+        with pytest.raises(NonpositiveWeight):
+            from_graph(10**8, [(0, 1, -1.0)])
+        with pytest.raises(DisconnectedGraph, match="not connected"):
+            from_graph(4, [(0, 1, 1.0), (1, 0, 2.0), (2, 3, 1.0)])
+
     @pytest.mark.parametrize("n, edges", [
         (3, [(0, 1, 1e308), (1, 2, 1e308)]),  # Floyd-Warshall
         (12, [(i, i + 1, 1e308) for i in range(11)]),  # Dijkstra
@@ -601,10 +652,14 @@ class TestFromPoints:
     def test_large_q_rounding_keeps_the_scan(self):
         # a true l_80 cloud whose computed distances break the triangle
         # inequality beyond the slack: its underflow floor is far above
-        # REL_TOL * max d, so the scan runs and reports the triple
+        # REL_TOL * max d, so the scan runs and reports the triple the
+        # literal loop finds first on scipy's distances
+        pts = 1e-3 * np.random.default_rng(26).standard_normal((80, 3))
         with pytest.raises(TriangleViolation) as exc:
-            from_points(1e-3 * np.random.default_rng(26).standard_normal((80, 3)), q=80)
-        assert (exc.value.i, exc.value.j, exc.value.k) == (4, 52, 59)
+            from_points(pts, q=80)
+        d = cdist(pts, pts, "minkowski", p=80)
+        want = first_triangle_violation(d, REL_TOL * float(d.max()))
+        assert (exc.value.i, exc.value.j, exc.value.k) == want == (2, 59, 52)
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, np.inf])
     def test_outputs_satisfy_the_triangle_inequality(self, q):
