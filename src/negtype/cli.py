@@ -28,6 +28,7 @@ from .metric import (
     validate_metric,
 )
 from .polyeq import (
+    VERIFY_REL,
     SignedSimplex,
     WitnessReport,
     polygonal_interval,
@@ -69,6 +70,8 @@ def parse_space(data: dict) -> MetricSpace:
         raise ValueError("space JSON needs exactly one of: matrix, graph, points")
     if "matrix" in data:
         return validate_metric(data.get("labels"), data["matrix"])
+    if "labels" in data:
+        raise ValueError("labels go with matrix only, not with graph or points")
     if "graph" in data:
         g = data["graph"]
         n = g["n"]
@@ -333,10 +336,9 @@ def _cmd_witness(args) -> int:
     except NotApplicable as exc:
         print(f"no witness: {exc}", file=sys.stderr)
         return 1
-    check = verify_equality(X, wit.p, wit.simplex)
     payload = witness_payload(wit)
-    payload["holds"] = check.holds
-    payload["nontrivial"] = check.nontrivial
+    payload["holds"] = wit.equality.holds
+    payload["nontrivial"] = wit.equality.nontrivial
     _emit(args, payload, _fields(payload, (
         "p", "method", "residual", "lhs", "rhs", "holds", "nontrivial", "xi", "simplex")))
     return 0
@@ -345,8 +347,7 @@ def _cmd_witness(args) -> int:
 def _cmd_verify(args) -> int:
     X = load_space(args.space)
     Q = load_simplex(args.simplex)
-    kwargs = {} if args.tol is None else {"tol": args.tol}
-    rep = verify_equality(X, args.p, Q, **kwargs)
+    rep = verify_equality(X, args.p, Q, VERIFY_REL if args.tol is None else args.tol)
     payload = {
         "p": rep.p,
         "lhs": rep.lhs,
@@ -356,11 +357,7 @@ def _cmd_verify(args) -> int:
         "nontrivial": rep.nontrivial,
     }
     _emit(args, payload, _fields(payload, tuple(payload)))
-    if rep.holds and rep.nontrivial:
-        return 0
-    if rep.holds:
-        return 1
-    return 2
+    return 0 if rep.nontrivial_equality else 1 if rep.holds else 2
 
 
 def _cmd_interval(args) -> int:

@@ -7,9 +7,7 @@ metric axioms are checked scale-free. Every matrix gets the O(m^2) checks
 O(m^3) scan over all triples with d(i,j) + d(j,k) as the bound on d(i,k).
 It has the answer of that scan on every raw matrix, but an O(m^2)
 certificate from the row and column minima settles most metrics first.
-The scan runs on row minima, two passes per pivot over half the pairs of
-a symmetric matrix, and stops at the first failing pivot k, naming its
-first failing row i and that row's smallest bound j. A constructor skips
+The scan (_violation) stops at the first failing triple. A constructor skips
 the check only inside a domain where a rounding-error bound shows that
 the scan cannot fail:
 - random_ultrametric always: its block fill is an exact ultrametric, and
@@ -20,10 +18,11 @@ the scan cannot fail:
 is_ultrametric returns the answer of the same scan with max(d(i,j), d(j,k))
 as the bound, but certifies most ultrametrics in O(m^2) by a comparison
 with the subdominant ultrametric, and otherwise runs the scan.
-Power matrices raise every distance to a fixed exponent p >= 0 with the
-convention 0**0 = 0 on the diagonal, so the p = 0 matrix is the
-discrete-metric matrix. scipy is imported only inside from_graph and
-from_points, so loading the package does not load it.
+Power matrices raise every distance to p >= 0 with 0**0 = 0 on the
+diagonal, so the p = 0 matrix is the discrete-metric matrix. _power builds
+every one in the package as D~_p = (d / max d)^p, largest entry 1 at any
+scale, and _real converts values of D~_p to the units of D_p once. scipy
+is imported only inside from_graph and from_points.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .errors import (
 __all__ = [
     "MetricSpace",
     "validate_metric",
-    "power_matrix",
     "is_ultrametric",
     "from_graph",
     "from_points",
@@ -227,10 +225,35 @@ def _exponent(p) -> float:
     return float(p)
 
 
+def _power(X: MetricSpace, p: float) -> tuple[np.ndarray, float]:
+    """(D~_p, s) with D_p = s D~_p: diagonal 0, largest entry 1, no overflow.
+
+    s = (max d)^p reads inf or 0, quietly, where it is not representable.
+    """
+    p, top = _exponent(p), X.dist.max()
+    with np.errstate(all="ignore"):
+        d = X.dist / top
+        d **= p
+        scale = float(top**p)
+    np.fill_diagonal(d, 0.0)
+    return d, scale
+
+
+def _real(x, scale: float):
+    """A value of D~_p, or an array of them in place, in the units of D_p.
+
+    0 stays 0 and nothing reads NaN; the rest reads +-inf or 0 where the
+    product, or the scale itself, is not representable.
+    """
+    if np.ndim(x) == 0:
+        return x * scale if x else x
+    with np.errstate(over="ignore"):
+        return np.multiply(x, scale, out=x, where=x != 0.0)
+
+
 def power_matrix(X: MetricSpace, p: float) -> np.ndarray:
     """Read-only entrywise p-th power of the distances, diagonal exactly 0."""
-    d = X.dist ** _exponent(p)
-    np.fill_diagonal(d, 0.0)
+    d = _real(*_power(X, p))
     d.setflags(write=False)
     return d
 

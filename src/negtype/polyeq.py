@@ -16,7 +16,9 @@ eigensolve, span a plane of unit zero-sum vectors on which the form runs
 from lambda_max down to lambda_min < 0. Where lambda_max >= 0 the form
 vanishes at a closed-form angle in that plane; at the supremal exponent
 lambda_max is zero and the angle is zero, so the witness is the top
-eigendirection itself.
+eigendirection itself. Every D_p here is metric._power's D~_p, converted
+once: a witness and its equality check share one build, and one helper
+(_equality) checks both it and a simplex given to verify_equality.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     UnbalancedWeights,
     ZeroVector,
 )
-from .metric import MetricSpace, power_matrix
+from .metric import MetricSpace, _power, _real
 from .quadform import (
     BalancedVector,
     Classification,
@@ -45,8 +47,6 @@ from .quadform import (
     SupremalStatus,
     _check_epsilon,
     _classify,
-    _power,
-    _real,
     _solve,
     _weights,
 )
@@ -88,12 +88,9 @@ class SignedSimplex:
     right: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "left", tuple((int(i), float(w)) for i, w in self.left)
-        )
-        object.__setattr__(
-            self, "right", tuple((int(i), float(w)) for i, w in self.right)
-        )
+        for side in ("left", "right"):
+            entries = tuple((int(i), float(w)) for i, w in getattr(self, side))
+            object.__setattr__(self, side, entries)
 
 
 class ReducedKind(str, enum.Enum):
@@ -116,9 +113,9 @@ class WitnessMethod(str, enum.Enum):
 class WitnessReport:
     """A unit zero-sum vector with (near-)vanishing form, plus its simplex.
 
-    lhs and rhs are the cross-side and same-side sums of the equality the
-    simplex realizes at exponent p; |lhs - rhs| is residual/2 up to the
-    components dropped when converting the vector to a simplex.
+    equality is verify_equality of the simplex at p, summed on the D~_p the
+    witness was solved on; lhs and rhs read from it. |lhs - rhs| is residual/2
+    up to the components dropped when converting the vector to a simplex.
     """
 
     p: float
@@ -126,8 +123,10 @@ class WitnessReport:
     simplex: SignedSimplex
     residual: float
     method: WitnessMethod
-    lhs: float
-    rhs: float
+    equality: EqualityReport
+
+    lhs = property(lambda self: self.equality.lhs)
+    rhs = property(lambda self: self.equality.rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +182,9 @@ def _split(Q: SignedSimplex, m: int):
     lw = np.array([w for _, w in Q.left], dtype=float)
     ri = np.array([i for i, _ in Q.right], dtype=int)
     rw = np.array([w for _, w in Q.right], dtype=float)
+    if not (np.isfinite(lw).all() and np.isfinite(rw).all()):  # no finite totals
+        with np.errstate(invalid="ignore"):
+            raise UnbalancedWeights(float(lw.sum()), float(rw.sum()))
     return li, lw, ri, rw
 
 
@@ -197,8 +199,9 @@ def _sums(d: np.ndarray, li, lw, ri, rw):
 def gap(X: MetricSpace, p: float, Q: SignedSimplex) -> float:
     """The p-simplex gap: cross-side sum minus the two same-side sums."""
     parts = _split(Q, X.size)
-    cross, same_l, same_r = _sums(power_matrix(X, p), *parts)
-    return cross - same_l - same_r
+    d, scale = _power(X, p)
+    cross, same_l, same_r = _sums(d, *parts)
+    return _real(cross - same_l - same_r, scale)
 
 
 def _net_vector(m: int, li, lw, ri, rw) -> BalancedVector:
@@ -209,7 +212,7 @@ def _net_vector(m: int, li, lw, ri, rw) -> BalancedVector:
     components by the same rule, so every simplex it emits converts back to
     the vector it kept.
     """
-    with np.errstate(invalid="ignore"):  # inf - inf within a side is NaN, rejected below
+    with np.errstate(invalid="ignore"):  # an overflowed side total may be NaN, rejected below
         left, right = float(lw.sum()), float(rw.sum())
     mass = max(float(np.abs(lw).sum()), float(np.abs(rw).sum()))
     if not abs(left - right) <= CLEANUP_REL * mass < math.inf:
@@ -246,8 +249,6 @@ def vector_to_simplex(X: MetricSpace, xi) -> SignedSimplex:
     """
     w = _weights(xi, X.size)
     top = float(np.abs(w).max(initial=0.0))
-    if not top < math.inf:  # a NaN or infinite component has no finite sum
-        raise NotBalanced(math.nan)
     if top == 0.0:
         raise ZeroVector("all components are zero")
     w = np.where(np.abs(w) > CLEANUP_REL * top, w, 0.0)
@@ -291,20 +292,18 @@ def verify_equality(
     if not 0.0 <= tol < math.inf:
         raise InvalidTolerance(f"tol = {tol}")
     parts = _split(Q, X.size)
-    xi = _net_vector(X.size, *parts)
-    d, scale = _power(X, p)
+    return _equality(*_power(X, p), p, parts, tol)
+
+
+def _equality(d: np.ndarray, scale: float, p: float, parts: tuple, tol: float) -> EqualityReport:
+    """verify_equality on D~_p and its scale, for the _split parts of a simplex."""
+    nontrivial = bool(np.any(_net_vector(len(d), *parts).weights))
     cross, same_l, same_r = _sums(d, *parts)
     rhs = same_l + same_r
     g = cross - rhs
-    return EqualityReport(
-        p=float(p),
-        lhs=_real(cross, scale),
-        rhs=_real(rhs, scale),
-        gap=_real(g, scale),
-        holds=abs(g) <= tol * max(abs(cross), abs(rhs)),
-        nontrivial=bool(np.any(xi.weights)),
-        tolerance=float(tol),
-    )
+    return EqualityReport(p=float(p), lhs=_real(cross, scale), rhs=_real(rhs, scale),
+                          gap=_real(g, scale), holds=abs(g) <= tol * max(abs(cross), abs(rhs)),
+                          nontrivial=nontrivial, tolerance=float(tol))
 
 
 def _witness(X: MetricSpace, solved: tuple, report: QuadFormReport) -> tuple:
@@ -314,25 +313,19 @@ def _witness(X: MetricSpace, solved: tuple, report: QuadFormReport) -> tuple:
     always, since the form at e_i - e_j is -2 d(x_i, x_j)^p. The form at the
     unit zero-sum vector cos(t) v_max + sin(t) v_min is lambda_max cos^2 t +
     lambda_min sin^2 t: zero at tan^2 t = lambda_max / -lambda_min when
-    lambda_max > 0 (method IVT at NOT_NEG_TYPE), and t = 0 otherwise.
+    lambda_max > 0 (method IVT at NOT_NEG_TYPE), and t = 0 otherwise. The
+    simplex is checked as verify_equality would, on this same D~_p.
     """
     d, scale, lam, v_max, lam_min, v_min = solved
     ivt = report.classification is Classification.NOT_NEG_TYPE
+    method = WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION
     theta = math.atan(math.sqrt(lam / -lam_min)) if lam > 0.0 else 0.0
     v = math.cos(theta) * v_max + math.sin(theta) * v_min
     xi = BalancedVector(v)
     simplex = vector_to_simplex(X, xi)
-    cross, same_l, same_r = _sums(d, *_split(simplex, X.size))
     residual = abs(float(v @ d @ v))
-    return WitnessReport(
-        p=report.p,
-        xi=xi,
-        simplex=simplex,
-        residual=_real(residual, scale),
-        method=WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION,
-        lhs=_real(cross, scale),
-        rhs=_real(same_l + same_r, scale),
-    ), residual
+    check = _equality(d, scale, report.p, _split(simplex, X.size), VERIFY_REL)
+    return WitnessReport(report.p, xi, simplex, _real(residual, scale), method, check), residual
 
 
 def witness_at_p(

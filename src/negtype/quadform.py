@@ -7,8 +7,9 @@ negative definite. The set of such p is a closed interval [0, w] (all of
 [0, inf) exactly for ultrametric spaces), so the largest restricted
 eigenvalue changes sign once, at the supremal p-negative type w, and a
 regula falsi on that eigenvalue brackets w, ending early on a probe inside
-the rounding floor (FLOOR). Every decision reads D~_p = (d / max d)^p,
-largest entry 1 at any scale; reports convert (_real).
+the rounding floor (FLOOR). Every decision and value reads D~_p =
+(d / max d)^p from metric._power, largest entry 1 at any scale, and a
+value converts once to the units of D_p (metric._real).
 
 The restriction uses one Householder reflection H = I - beta u u^T mapping
 the unit all-ones vector to -e_m: the first m-1 columns of H are an
@@ -44,7 +45,7 @@ from .errors import (
     LengthMismatch,
     NotBalanced,
 )
-from .metric import MetricSpace, _exponent, is_ultrametric, power_matrix
+from .metric import MetricSpace, _power, _real, is_ultrametric
 
 __all__ = [
     "BalancedVector",
@@ -52,7 +53,6 @@ __all__ = [
     "QuadFormReport",
     "SupremalStatus",
     "SupremalResult",
-    "restricted_form",
     "quad_form",
     "classify",
     "supremal",
@@ -144,6 +144,8 @@ def _weights(xi, m: int) -> np.ndarray:
     w = w.ravel()
     if w.size != m:
         raise LengthMismatch(m, w.size)
+    if not np.isfinite(w).all():  # a NaN or infinite component has no finite sum
+        raise NotBalanced(math.nan)
     return w
 
 
@@ -173,25 +175,6 @@ def _lift(y: np.ndarray) -> np.ndarray:
     x = np.append(y, 0.0)
     x -= (beta * float(u[:-1] @ y)) * u
     return x
-
-
-def _power(X: MetricSpace, p: float) -> tuple[np.ndarray, float]:
-    """(D~_p, s) with D_p = s D~_p: diagonal 0, largest entry 1, no overflow.
-
-    s = (max d)^p reads inf or 0, quietly, where it is not representable.
-    """
-    p, top = _exponent(p), X.dist.max()
-    with np.errstate(all="ignore"):
-        d = X.dist / top
-        d **= p
-        scale = float(top**p)
-    np.fill_diagonal(d, 0.0)
-    return d, scale
-
-
-def _real(x: float, scale: float) -> float:
-    """A value of D~_p in the units of D_p: 0 stays 0, the rest may read inf or 0."""
-    return x * scale if x else x
 
 
 def _top(d: np.ndarray, vector: bool = True) -> tuple:
@@ -247,12 +230,14 @@ def _solve(X: MetricSpace, p: float) -> tuple:
 def quad_form(X: MetricSpace, p: float, xi) -> float:
     """<D_p xi, xi> = sum_{i,j} d(x_i,x_j)^p xi_i xi_j over ordered pairs."""
     w = _weights(xi, X.size)
-    return float(w @ power_matrix(X, p) @ w)
+    d, scale = _power(X, p)
+    return _real(float(w @ d @ w), scale)
 
 
 def restricted_form(X: MetricSpace, p: float) -> np.ndarray:
     """The (m-1) x (m-1) symmetric matrix of the form in an orthonormal basis of F0."""
-    return _restrict(power_matrix(X, p))
+    d, scale = _power(X, p)
+    return _real(_restrict(d), scale)
 
 
 def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadFormReport:

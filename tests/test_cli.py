@@ -88,6 +88,18 @@ class TestSpaceLoading:
         assert main(["check", str(f), "--p", "1"]) == 3
         assert "exactly one of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", [
+        {"labels": ["a", "b", "c"], "graph": {"n": 3, "edges": [[0, 1, 1], [1, 2, 1]]}},
+        {"labels": ["a"], "points": {"coords": [[0], [1], [3]]}},
+    ], ids=["graph", "points-wrong-length"])
+    def test_labels_beside_graph_or_points_are_rejected(self, data, tmp_path, capsys):
+        with pytest.raises(ValueError, match="labels go with matrix only"):
+            parse_space(data)
+        f = tmp_path / "labelled.json"
+        f.write_text(json.dumps(data))
+        assert main(["check", str(f), "--p", "1"]) == 3
+        assert "labels go with matrix only" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", [3.7, "3", float("inf"), float("nan"), None])
     def test_graph_n_must_be_integral(self, n, tmp_path, capsys):
         data = {"graph": {"n": n, "edges": [[0, 1, 1], [1, 2, 1]]}}

@@ -25,13 +25,12 @@ from negtype import (
     from_graph,
     from_points,
     is_ultrametric,
-    power_matrix,
     random_ultrametric,
     supremal,
     validate_metric,
 )
 from negtype import metric
-from negtype.metric import REL_TOL, _within_subdominant, default_labels
+from negtype.metric import REL_TOL, _within_subdominant, default_labels, power_matrix
 
 
 class TestValidateMetric:

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 
@@ -48,7 +49,7 @@ from negtype import (
     witness_at_supremal,
 )
 from negtype import metric, polyeq, quadform
-from negtype.cli import generate_space
+from negtype.cli import generate_space, main
 
 TRIVIAL_PAIR = SignedSimplex(((0, 1.0), (1, 1.0)), ((0, 1.0), (1, 1.0)))
 COLLINEAR_WITNESS = SignedSimplex(((0, 1.0), (2, 1.0)), ((1, 2.0),))
@@ -71,6 +72,15 @@ class TestGap:
     def test_index_out_of_range(self, collinear):
         with pytest.raises(IndexOutOfRange):
             gap(collinear, 1.0, SignedSimplex(((3, 1.0),), ((0, 1.0),)))
+
+    @pytest.mark.parametrize("left, right", [
+        (((0, math.nan),), ((1, 1.0),)),
+        (((0, math.inf),), ((1, math.inf),)),
+        (((0, math.inf), (2, -math.inf)), ((1, 1.0),)),
+    ], ids=["nan", "inf_both_sides", "inf_minus_inf"])
+    def test_non_finite_weight(self, collinear, left, right):
+        with pytest.raises(UnbalancedWeights):
+            gap(collinear, 2.0, SignedSimplex(left, right))
 
     def test_matches_reference_loops(self):
         rng = np.random.default_rng(71)
@@ -516,13 +526,13 @@ class TestBuildOnce:
     @pytest.fixture()
     def builds(self, monkeypatch):
         calls = []
-        real = quadform._power
+        real = metric._power
 
         def counting(X, p):
             calls.append(p)
             return real(X, p)
 
-        for module in (quadform, polyeq):
+        for module in (metric, quadform, polyeq):
             monkeypatch.setattr(module, "_power", counting)
         return calls
 
@@ -559,6 +569,19 @@ class TestBuildOnce:
     def test_verify_equality(self, builds):
         assert verify_equality(collinear_triple(), 2.0, COLLINEAR_WITNESS).nontrivial_equality
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("mode, probes, p", [
+        (["--p", "3"], [], 3.0),
+        (["--at-supremal"], [1.0, 2.0], 2.0),  # the supremal probes, ending on 2
+    ], ids=["p3", "at_supremal"])
+    def test_cli_witness_builds_once_at_the_witness_exponent(self, builds, tmp_path, capsys,
+                                                             mode, probes, p):
+        # one build of D~_p serves the witness and its holds / nontrivial check
+        f = tmp_path / "collinear.json"
+        f.write_text(json.dumps({"matrix": collinear_triple().dist.tolist()}))
+        assert main(["witness", str(f), *mode]) == 0
+        assert builds == [*probes, p]
+        assert '"holds": true' in capsys.readouterr().out
 
     @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
     def test_invalid_tolerance_does_no_work(self, builds, eigensolves, epsilon):

@@ -36,12 +36,12 @@ from negtype import (
     is_ultrametric,
     quad_form,
     random_ultrametric,
-    restricted_form,
     supremal,
     validate_metric,
     witness_at_p,
 )
 from negtype.cli import generate_space
+from negtype.quadform import restricted_form
 
 
 class TestBalancedBasis:
@@ -83,6 +83,13 @@ class TestQuadForm:
     def test_length_mismatch(self, collinear):
         with pytest.raises(LengthMismatch):
             quad_form(collinear, 1.0, [1.0, -1.0])
+
+    @pytest.mark.parametrize("v", [[math.nan, 1.0, -1.0], [math.inf, 1.0, -1.0],
+                                   [math.inf, -math.inf, 0.0]])
+    def test_non_finite_weight(self, collinear, v):
+        with pytest.raises(NotBalanced) as exc:
+            quad_form(collinear, 2.0, v)
+        assert math.isnan(exc.value.total)
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(5)

@@ -17,13 +17,18 @@ from negtype import (
     Classification,
     SupremalStatus,
     classify,
+    gap,
+    quad_form,
     supremal,
     validate_metric,
+    vector_to_simplex,
     verify_equality,
     witness_at_p,
     witness_at_supremal,
 )
 from negtype.cli import generate_space
+from negtype.metric import power_matrix
+from negtype.quadform import restricted_form
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -83,3 +88,41 @@ def test_underflow_and_overflow_cases(unit, c, p, verified):
     sup = supremal(Y)
     if sup.status is SupremalStatus.FINITE:
         assert verifies(Y, witness_at_supremal(Y, sup))
+
+
+_LOG_NORMAL = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
+
+
+def times_c_to_the_p(value: float, c: float, p: float) -> float | None:
+    """c^p * value, or None where that product is not 0 or a normal float."""
+    if value == 0.0:
+        return 0.0
+    log = p * math.log(c) + math.log(abs(value))
+    if not _LOG_NORMAL[0] < log < _LOG_NORMAL[1]:
+        return None
+    return math.copysign(math.exp(log), value)
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-6, 1e6, 1e20, 1e200])
+@pytest.mark.parametrize("p", [0.0, 1.0, 2.0, 30.0, 60.0, 64.0])
+@pytest.mark.parametrize("unit, xi", [
+    (unit_four_cycle, [1.0, -2.0, 0.5, 0.5]),
+    (collinear_triple, [1.0, -2.0, 1.0]),
+], ids=["cycle", "collinear"])
+def test_real_unit_values_scale_by_c_to_the_p(unit, xi, p, c):
+    # the public real-unit functions convert D~_p once: no NaN and no
+    # warning, c^p times the unscaled value wherever that is representable
+    X = unit()
+    Y = scaled(X, c)
+    Q = vector_to_simplex(X, xi)
+    values = {f.__name__: (f(Y, p, *args), f(X, p, *args)) for f, args in [
+        (power_matrix, ()), (restricted_form, ()), (quad_form, (xi,)), (gap, (Q,))]}
+    for name, (got, unscaled) in values.items():
+        got, unscaled = np.asarray(got).ravel().tolist(), np.asarray(unscaled).ravel().tolist()
+        assert not any(map(math.isnan, got)), name
+        for have, value in zip(got, unscaled):
+            want = times_c_to_the_p(value, c, p)
+            assert want is None or abs(have - want) <= 1e-12 * abs(want), (name, have, want)
+    f, g = values["quad_form"][0], values["gap"][0]
+    if math.isfinite(f) and math.isfinite(g):  # criterion 4, the link identity
+        assert abs(f + 2.0 * g) <= 1e-12 * abs(f)
