@@ -28,7 +28,6 @@ from .metric import (
     validate_metric,
 )
 from .polyeq import (
-    VERIFY_REL,
     SignedSimplex,
     WitnessReport,
     polygonal_interval,
@@ -347,7 +346,8 @@ def _cmd_witness(args) -> int:
 def _cmd_verify(args) -> int:
     X = load_space(args.space)
     Q = load_simplex(args.simplex)
-    rep = verify_equality(X, args.p, Q, VERIFY_REL if args.tol is None else args.tol)
+    kwargs = {} if args.tol is None else {"tol": args.tol}
+    rep = verify_equality(X, args.p, Q, **kwargs)
     payload = {
         "p": rep.p,
         "lhs": rep.lhs,
@@ -357,7 +357,11 @@ def _cmd_verify(args) -> int:
         "nontrivial": rep.nontrivial,
     }
     _emit(args, payload, _fields(payload, tuple(payload)))
-    return 0 if rep.nontrivial_equality else 1 if rep.holds else 2
+    if rep.holds and rep.nontrivial:
+        return 0
+    if rep.holds:
+        return 1
+    return 2
 
 
 def _cmd_interval(args) -> int:

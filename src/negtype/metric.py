@@ -20,9 +20,10 @@ as the bound, but certifies most ultrametrics in O(m^2) by a comparison
 with the subdominant ultrametric, and otherwise runs the scan.
 Power matrices raise every distance to p >= 0 with 0**0 = 0 on the
 diagonal, so the p = 0 matrix is the discrete-metric matrix. _power builds
-every one in the package as D~_p = (d / max d)^p, largest entry 1 at any
-scale, and _real converts values of D~_p to the units of D_p once. scipy
-is imported only inside from_graph and from_points.
+every one the package computes on as D~_p = (d / max d)^p, largest entry 1
+at any scale, over all points or a block of them, and _real converts values
+of D~_p to the units of D_p once; power_matrix alone returns D_p itself.
+scipy is imported only inside from_graph and from_points.
 """
 
 from __future__ import annotations
@@ -225,14 +226,17 @@ def _exponent(p) -> float:
     return float(p)
 
 
-def _power(X: MetricSpace, p: float) -> tuple[np.ndarray, float]:
+def _power(X: MetricSpace, p: float, idx=None) -> tuple[np.ndarray, float]:
     """(D~_p, s) with D_p = s D~_p: diagonal 0, largest entry 1, no overflow.
 
+    With idx, sorted distinct point indices, the block of D_p on those
+    points, scaled by its own largest entry; all of them take no copy.
     s = (max d)^p reads inf or 0, quietly, where it is not representable.
     """
-    p, top = _exponent(p), X.dist.max()
+    dist = X.dist if idx is None or len(idx) == X.size else X.dist[np.ix_(idx, idx)]
+    p, top = _exponent(p), dist.max(initial=0.0)
     with np.errstate(all="ignore"):
-        d = X.dist / top
+        d = dist / top
         d **= p
         scale = float(top**p)
     np.fill_diagonal(d, 0.0)
@@ -252,8 +256,14 @@ def _real(x, scale: float):
 
 
 def power_matrix(X: MetricSpace, p: float) -> np.ndarray:
-    """Read-only entrywise p-th power of the distances, diagonal exactly 0."""
-    d = _real(*_power(X, p))
+    """Read-only entrywise p-th power of the distances, diagonal exactly 0.
+
+    Each entry is d^p itself, inf where that overflows, 0 or subnormal where
+    it underflows; nothing reads NaN.
+    """
+    with np.errstate(over="ignore"):
+        d = X.dist ** _exponent(p)
+    np.fill_diagonal(d, 0.0)
     d.setflags(write=False)
     return d
 

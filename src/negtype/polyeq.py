@@ -18,7 +18,8 @@ vanishes at a closed-form angle in that plane; at the supremal exponent
 lambda_max is zero and the angle is zero, so the witness is the top
 eigendirection itself. Every D_p here is metric._power's D~_p, converted
 once: a witness and its equality check share one build, and one helper
-(_equality) checks both it and a simplex given to verify_equality.
+(_equality) checks both it and a simplex given to verify_equality, which
+like gap reads only the block of D_p on the points of the simplex.
 """
 
 from __future__ import annotations
@@ -88,9 +89,12 @@ class SignedSimplex:
     right: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        for side in ("left", "right"):
-            entries = tuple((int(i), float(w)) for i, w in getattr(self, side))
-            object.__setattr__(self, side, entries)
+        object.__setattr__(
+            self, "left", tuple((int(i), float(w)) for i, w in self.left)
+        )
+        object.__setattr__(
+            self, "right", tuple((int(i), float(w)) for i, w in self.right)
+        )
 
 
 class ReducedKind(str, enum.Enum):
@@ -196,10 +200,21 @@ def _sums(d: np.ndarray, li, lw, ri, rw):
     return cross, same_l, same_r
 
 
+def _on_points(X: MetricSpace, p: float, Q: SignedSimplex) -> tuple:
+    """(D~_p, scale, parts) on the block of D_p on the points of Q.
+
+    parts are the _split parts of Q indexed into that block. The sums of Q
+    read no other entry, so the block's own largest entry sets the scale,
+    and a Q on points far closer than the rest of the space keeps its value.
+    """
+    li, lw, ri, rw = _split(Q, X.size)
+    s, at = np.unique(np.concatenate((li, ri)), return_inverse=True)
+    return *_power(X, p, s), (at[: li.size], lw, at[li.size :], rw)
+
+
 def gap(X: MetricSpace, p: float, Q: SignedSimplex) -> float:
     """The p-simplex gap: cross-side sum minus the two same-side sums."""
-    parts = _split(Q, X.size)
-    d, scale = _power(X, p)
+    d, scale, parts = _on_points(X, p, Q)
     cross, same_l, same_r = _sums(d, *parts)
     return _real(cross - same_l - same_r, scale)
 
@@ -284,15 +299,16 @@ def verify_equality(
 
     holds compares the cross-side sum (lhs) against the same-side sums
     (rhs) relative to max(|lhs|, |rhs|), both summed on the normalised
-    power matrix, so the test does not depend on the unit of distance;
+    block of D_p on the points of Q (_on_points), so the test does not
+    depend on the unit of distance;
     nontrivial reports whether the simplex is nondegenerate. The two
     together certify a nontrivial p-polygonal equality. tol must be finite
     and nonnegative.
     """
     if not 0.0 <= tol < math.inf:
         raise InvalidTolerance(f"tol = {tol}")
-    parts = _split(Q, X.size)
-    return _equality(*_power(X, p), p, parts, tol)
+    d, scale, parts = _on_points(X, p, Q)
+    return _equality(d, scale, p, parts, tol)
 
 
 def _equality(d: np.ndarray, scale: float, p: float, parts: tuple, tol: float) -> EqualityReport:
@@ -301,9 +317,15 @@ def _equality(d: np.ndarray, scale: float, p: float, parts: tuple, tol: float) -
     cross, same_l, same_r = _sums(d, *parts)
     rhs = same_l + same_r
     g = cross - rhs
-    return EqualityReport(p=float(p), lhs=_real(cross, scale), rhs=_real(rhs, scale),
-                          gap=_real(g, scale), holds=abs(g) <= tol * max(abs(cross), abs(rhs)),
-                          nontrivial=nontrivial, tolerance=float(tol))
+    return EqualityReport(
+        p=float(p),
+        lhs=_real(cross, scale),
+        rhs=_real(rhs, scale),
+        gap=_real(g, scale),
+        holds=abs(g) <= tol * max(abs(cross), abs(rhs)),
+        nontrivial=nontrivial,
+        tolerance=float(tol),
+    )
 
 
 def _witness(X: MetricSpace, solved: tuple, report: QuadFormReport) -> tuple:
@@ -318,14 +340,19 @@ def _witness(X: MetricSpace, solved: tuple, report: QuadFormReport) -> tuple:
     """
     d, scale, lam, v_max, lam_min, v_min = solved
     ivt = report.classification is Classification.NOT_NEG_TYPE
-    method = WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION
     theta = math.atan(math.sqrt(lam / -lam_min)) if lam > 0.0 else 0.0
     v = math.cos(theta) * v_max + math.sin(theta) * v_min
     xi = BalancedVector(v)
     simplex = vector_to_simplex(X, xi)
     residual = abs(float(v @ d @ v))
-    check = _equality(d, scale, report.p, _split(simplex, X.size), VERIFY_REL)
-    return WitnessReport(report.p, xi, simplex, _real(residual, scale), method, check), residual
+    return WitnessReport(
+        p=report.p,
+        xi=xi,
+        simplex=simplex,
+        residual=_real(residual, scale),
+        method=WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION,
+        equality=_equality(d, scale, report.p, _split(simplex, X.size), VERIFY_REL),
+    ), residual
 
 
 def witness_at_p(

@@ -9,7 +9,8 @@ eigenvalue changes sign once, at the supremal p-negative type w, and a
 regula falsi on that eigenvalue brackets w, ending early on a probe inside
 the rounding floor (FLOOR). Every decision and value reads D~_p =
 (d / max d)^p from metric._power, largest entry 1 at any scale, and a
-value converts once to the units of D_p (metric._real).
+value converts once to the units of D_p (metric._real); quad_form reads
+only the block of D_p on the support of its vector.
 
 The restriction uses one Householder reflection H = I - beta u u^T mapping
 the unit all-ones vector to -e_m: the first m-1 columns of H are an
@@ -230,7 +231,9 @@ def _solve(X: MetricSpace, p: float) -> tuple:
 def quad_form(X: MetricSpace, p: float, xi) -> float:
     """<D_p xi, xi> = sum_{i,j} d(x_i,x_j)^p xi_i xi_j over ordered pairs."""
     w = _weights(xi, X.size)
-    d, scale = _power(X, p)
+    s = np.flatnonzero(w)  # the form reads only the block of D_p on the support
+    w = w[s]
+    d, scale = _power(X, p, s)
     return _real(float(w @ d @ w), scale)
 
 

@@ -528,9 +528,9 @@ class TestBuildOnce:
         calls = []
         real = metric._power
 
-        def counting(X, p):
+        def counting(X, p, *idx):
             calls.append(p)
-            return real(X, p)
+            return real(X, p, *idx)
 
         for module in (metric, quadform, polyeq):
             monkeypatch.setattr(module, "_power", counting)

@@ -8,6 +8,7 @@ RuntimeWarning escapes.
 """
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from helpers import collinear_triple, unit_four_cycle
 from negtype import (
     Classification,
+    SignedSimplex,
     SupremalStatus,
     classify,
     gap,
@@ -28,7 +30,7 @@ from negtype import (
 )
 from negtype.cli import generate_space
 from negtype.metric import power_matrix
-from negtype.quadform import restricted_form
+from negtype.quadform import _reflector, restricted_form
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -126,3 +128,28 @@ def test_real_unit_values_scale_by_c_to_the_p(unit, xi, p, c):
     f, g = values["quad_form"][0], values["gap"][0]
     if math.isfinite(f) and math.isfinite(g):  # criterion 4, the link identity
         assert abs(f + 2.0 * g) <= 1e-12 * abs(f)
+
+
+@pytest.mark.parametrize("near, far", [(1e-3, 1e3), (1.0, 1e6)], ids=["wide", "overflowing"])
+def test_wide_ratio_values_are_exact(near, far):
+    # at p = 64 the near pair's entry underflows in (d / max d)^p, and in the
+    # second space (max d)^p itself overflows; every value still reads its
+    # exact real-unit value wherever that is representable
+    p = 64.0
+    X = validate_metric(None, [[0, near, far], [near, 0, far], [far, far, 0]])
+    powers = [[Decimal(d) ** 64 for d in row] for row in X.dist.tolist()]
+    exact = np.array(powers, dtype=float)
+    entry = exact[0, 1]
+    pair = SignedSimplex(((0, 1.0),), ((1, 1.0),))
+    assert entry > 0.0
+    np.testing.assert_allclose(power_matrix(X, p), exact, rtol=1e-12, atol=0.0)
+    assert quad_form(X, p, [1.0, -1.0, 0.0]) == pytest.approx(-2.0 * entry, rel=1e-12)
+    assert gap(X, p, pair) == pytest.approx(entry, rel=1e-12)
+    rep = verify_equality(X, p, pair)
+    assert rep.lhs == pytest.approx(entry, rel=1e-12) and rep.rhs == 0.0 and not rep.holds
+    # the form in the basis of F0 that restricted_form uses, summed exactly
+    u, beta = _reflector(3)
+    basis = (np.eye(3) - beta * np.outer(u, u))[:, :-1]
+    want = [[float(sum(Decimal(basis[i, k]) * powers[i][j] * Decimal(basis[j, l])
+                       for i in range(3) for j in range(3))) for l in range(2)] for k in range(2)]
+    np.testing.assert_allclose(restricted_form(X, p), want, rtol=1e-12, atol=0.0)
