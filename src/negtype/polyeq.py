@@ -48,6 +48,7 @@ from .quadform import (
     SupremalStatus,
     _check_epsilon,
     _classify,
+    _scaled,
     _solve,
     _weights,
 )
@@ -178,7 +179,13 @@ class IntervalReport:
         return f"[{0.5 * (self.lo + self.hi):.4f}, ∞)"
 
 
-def _split(Q: SignedSimplex, m: int):
+def _split(Q: SignedSimplex, m: int) -> tuple:
+    """(li, lw, ri, rw, e): the points and weights of each side of Q.
+
+    The weights are scaled by one exact power of two 2**-e (quadform._scaled),
+    so no side total or weighted sum overflows: a value summed on them takes
+    the factor 2**e per weight back when it converts (metric._real).
+    """
     for i, _ in (*Q.left, *Q.right):
         if not 0 <= i < m:
             raise IndexOutOfRange(i, m)
@@ -187,13 +194,14 @@ def _split(Q: SignedSimplex, m: int):
     ri = np.array([i for i, _ in Q.right], dtype=int)
     rw = np.array([w for _, w in Q.right], dtype=float)
     if not (np.isfinite(lw).all() and np.isfinite(rw).all()):  # no finite totals
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             raise UnbalancedWeights(float(lw.sum()), float(rw.sum()))
-    return li, lw, ri, rw
+    w, e = _scaled(np.concatenate((lw, rw)))
+    return li, w[: li.size], ri, w[li.size :], e
 
 
-def _sums(d: np.ndarray, li, lw, ri, rw):
-    """(cross, same_left, same_right) weighted sums of the entries of D_p."""
+def _sums(d: np.ndarray, li, lw, ri, rw, e):
+    """(cross, same_left, same_right) weighted sums of the entries of D_p, times 2**-2e."""
     cross = float(lw @ d[np.ix_(li, ri)] @ rw) if li.size and ri.size else 0.0
     same_l = 0.5 * float(lw @ d[np.ix_(li, li)] @ lw) if li.size else 0.0
     same_r = 0.5 * float(rw @ d[np.ix_(ri, ri)] @ rw) if ri.size else 0.0
@@ -207,31 +215,32 @@ def _on_points(X: MetricSpace, p: float, Q: SignedSimplex) -> tuple:
     read no other entry, so the block's own largest entry sets the scale,
     and a Q on points far closer than the rest of the space keeps its value.
     """
-    li, lw, ri, rw = _split(Q, X.size)
+    li, lw, ri, rw, e = _split(Q, X.size)
     s, at = np.unique(np.concatenate((li, ri)), return_inverse=True)
-    return *_power(X, p, s), (at[: li.size], lw, at[li.size :], rw)
+    return *_power(X, p, s), (at[: li.size], lw, at[li.size :], rw, e)
 
 
 def gap(X: MetricSpace, p: float, Q: SignedSimplex) -> float:
     """The p-simplex gap: cross-side sum minus the two same-side sums."""
     d, scale, parts = _on_points(X, p, Q)
     cross, same_l, same_r = _sums(d, *parts)
-    return _real(cross - same_l - same_r, scale)
+    return _real(cross - same_l - same_r, scale, 2 * parts[-1])
 
 
-def _net_vector(m: int, li, lw, ri, rw) -> BalancedVector:
-    """Net weight per point of balanced finite sides, with cancellation noise zeroed.
+def _net_vector(m: int, li, lw, ri, rw, e) -> BalancedVector:
+    """Net weight per point of balanced sides, times 2**-e, with cancellation noise zeroed.
 
-    A net weight counts as zero when it is at most CLEANUP_REL times the
-    largest weight written on either side. vector_to_simplex drops the same
-    components by the same rule, so every simplex it emits converts back to
-    the vector it kept.
+    The sides are _split's, so balance is decided on the scaled weights,
+    where no total overflows. A net weight counts as zero when it is at most
+    CLEANUP_REL times the largest weight written on either side.
+    vector_to_simplex drops the same components by the same rule, so every
+    simplex it emits converts back to the vector it kept.
     """
-    with np.errstate(invalid="ignore"):  # an overflowed side total may be NaN, rejected below
-        left, right = float(lw.sum()), float(rw.sum())
+    left, right = float(lw.sum()), float(rw.sum())
+    totals = _real(left, 1.0, e), _real(right, 1.0, e)
     mass = max(float(np.abs(lw).sum()), float(np.abs(rw).sum()))
-    if not abs(left - right) <= CLEANUP_REL * mass < math.inf:
-        raise UnbalancedWeights(left, right)
+    if not abs(left - right) <= CLEANUP_REL * mass:
+        raise UnbalancedWeights(*totals)
     xi = np.zeros(m)
     np.add.at(xi, li, lw)
     np.subtract.at(xi, ri, rw)
@@ -240,7 +249,7 @@ def _net_vector(m: int, li, lw, ri, rw) -> BalancedVector:
     try:
         return BalancedVector(xi)
     except NotBalanced:
-        raise UnbalancedWeights(left, right) from None
+        raise UnbalancedWeights(*totals) from None
 
 
 def simplex_to_vector(X: MetricSpace, Q: SignedSimplex) -> BalancedVector:
@@ -248,9 +257,12 @@ def simplex_to_vector(X: MetricSpace, Q: SignedSimplex) -> BalancedVector:
 
     Requires balanced weight totals so the result lies in the zero-sum
     hyperplane. Net weights at most CLEANUP_REL times the largest weight are
-    zeroed, so exact cancellations survive float rounding.
+    zeroed, so exact cancellations survive float rounding. A net weight
+    beyond the largest float raises NotBalanced.
     """
-    return _net_vector(X.size, *_split(Q, X.size))
+    parts = _split(Q, X.size)
+    with np.errstate(over="ignore"):
+        return BalancedVector(np.ldexp(_net_vector(X.size, *parts).weights, parts[-1]))
 
 
 def vector_to_simplex(X: MetricSpace, xi) -> SignedSimplex:
@@ -317,11 +329,12 @@ def _equality(d: np.ndarray, scale: float, p: float, parts: tuple, tol: float) -
     cross, same_l, same_r = _sums(d, *parts)
     rhs = same_l + same_r
     g = cross - rhs
+    twos = 2 * parts[-1]
     return EqualityReport(
         p=float(p),
-        lhs=_real(cross, scale),
-        rhs=_real(rhs, scale),
-        gap=_real(g, scale),
+        lhs=_real(cross, scale, twos),
+        rhs=_real(rhs, scale, twos),
+        gap=_real(g, scale, twos),
         holds=abs(g) <= tol * max(abs(cross), abs(rhs)),
         nontrivial=nontrivial,
         tolerance=float(tol),

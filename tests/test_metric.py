@@ -114,6 +114,7 @@ class TestValidateMetric:
             tol = REL_TOL * float(np.abs(a).max())
             np.fill_diagonal(a, rng.choice([0.0, 0.5 * tol, -0.5 * tol, -tol], size=m))
             want = real(a, np.add, tol)
+            assert first_triangle_violation(a, tol) == want
             scans.clear()
             if want is None:
                 validate_metric(None, a)
@@ -123,6 +124,51 @@ class TestValidateMetric:
                 assert (exc.value.i, exc.value.j, exc.value.k) == want
             seen.add((bool(scans), want is None))
         assert seen == {(False, True), (True, True), (True, False)}
+
+    def test_pruned_scan_agrees_with_the_literal_loop(self, monkeypatch):
+        # shortest-path metrics of random complete graphs have concentrated
+        # distances, so most pivots scan only their candidate middles; one
+        # pair is sometimes stretched, entries are asymmetric and diagonals
+        # nonzero within the slack, and some copies sit where two entries
+        # sum past the largest float
+        gathered = []
+        real = metric._violation
+
+        def add(x, y, out=None):
+            gathered.append(np.ndim(y) == 2)  # the candidate block adds a column
+            return np.add(x, y, out=out)
+
+        def spying(d, bound, tol, rows=None):
+            return real(d, add if rows is not None else bound, tol, rows)
+
+        monkeypatch.setattr(metric, "_violation", spying)
+        rng = np.random.default_rng(83)
+        seen = set()
+        for trial in range(24):
+            m = int(rng.integers(20, 61))
+            edges = [(i, j, rng.uniform(0.5, 2.0)) for i in range(m) for j in range(i + 1, m)]
+            a = np.array(from_graph(m, edges).dist)
+            if trial % 4:
+                i, k = rng.choice(m, size=2, replace=False)
+                a[i, k] = a[k, i] = a[i, k] * (1.0 + 1e-13, 1.5, 3.0)[trial % 4 - 1]
+            if trial % 3 == 1:
+                slack = REL_TOL * float(a.max())
+                a += np.triu(rng.uniform(-0.5, 0.5, (m, m)), 1) * slack
+                np.fill_diagonal(a, rng.choice([0.0, 0.5 * slack, -0.5 * slack], size=m))
+            if trial % 3 == 2:
+                a *= 8e307 / a.max() * 2  # largest entry 1.6e308
+            tol = REL_TOL * float(np.abs(a).max())
+            with np.errstate(over="ignore"):  # the loop's own overflowed sums
+                want = first_triangle_violation(a, tol)
+            if want is None:
+                validate_metric(None, a)
+            else:
+                with pytest.raises(TriangleViolation) as exc:
+                    validate_metric(None, a)
+                assert (exc.value.i, exc.value.j, exc.value.k) == want
+            seen.add(want is None)
+        assert seen == {True, False}
+        assert any(gathered) and not all(gathered)
 
     def test_ultrametric_matrices_skip_the_scan(self, monkeypatch):
         # merge heights in [1, 2]: the largest distance is at most the sum
@@ -198,6 +244,15 @@ class TestValidateMetric:
         with pytest.raises(TriangleViolation) as exc:
             validate_metric(None, d)
         assert (exc.value.i, exc.value.j, exc.value.k) == want == (1, 2, 3)
+
+    def test_diagonal_slack_beside_the_largest_float(self):
+        # the diagonal is within the slack; its negative entry sends it to
+        # the test of the triples (i, i, k), where d(0,0) + d(0,1) overflows,
+        # and an overflowed sum passes
+        top = np.finfo(float).max
+        d = [[1e295, top, 1e308], [top, -0.5, 1e308], [1e308, 1e308, 0.0]]
+        np.testing.assert_array_equal(validate_metric(None, d).dist,
+                                      [[0, top, 1e308], [top, 0, 1e308], [1e308, 1e308, 0]])
 
     def test_immutable(self):
         X = validate_metric(None, [[0, 1], [1, 0]])

@@ -92,6 +92,16 @@ class TestGap:
                 gap_reference(X, p, Q), rel=1e-12, abs=1e-13
             )
 
+    def test_huge_weights_sum_without_overflow(self, collinear):
+        # the sums run on the weights scaled by an exact power of two: a gap
+        # too large for a float reads inf, and the equality's reads 0
+        assert gap(collinear, 2.0, SignedSimplex(((0, 1e200),), ((1, 2e200),))) == math.inf
+        big = SignedSimplex(((0, 1e200), (2, 1e200)), ((1, 2e200),))
+        assert gap(collinear, 2.0, big) == 0.0
+        assert gap(collinear, 1.0, big) == math.inf
+        half = SignedSimplex(((0, 1e150), (2, 1e150)), ((1, 2e150),))
+        assert gap(collinear, 1.0, half) == pytest.approx(2e300)
+
     def test_repeated_points_contribute_zero_distance(self, collinear):
         Q = SignedSimplex(((0, 1.0), (0, 2.0)), ((1, 3.0),))
         assert gap(collinear, 1.0, Q) == pytest.approx(gap_reference(collinear, 1.0, Q))
@@ -497,6 +507,20 @@ class TestVerifyEquality:
     def test_unbalanced(self, collinear):
         with pytest.raises(UnbalancedWeights):
             verify_equality(collinear, 1.0, SignedSimplex(((0, 1.0),), ((1, 2.0),)))
+
+    def test_huge_weights_balance_without_overflow(self, collinear):
+        # side totals of 2e308 do not fit, but balance is decided on the
+        # weights scaled by an exact power of two: the equality holds, and
+        # its sums read inf
+        Q = SignedSimplex(((0, 1e308), (2, 1e308)), ((1, 1e308), (1, 1e308)))
+        rep = verify_equality(collinear, 2.0, Q)
+        assert rep.holds and rep.nontrivial
+        assert rep.lhs == rep.rhs == math.inf and rep.gap == 0.0
+        with pytest.raises(UnbalancedWeights) as exc:
+            verify_equality(collinear, 2.0, SignedSimplex(Q.left, ((1, 1e308),)))
+        assert (exc.value.left_total, exc.value.right_total) == (math.inf, 1e308)
+        with pytest.raises(NotBalanced):  # its net weight -2e308 is not a float
+            simplex_to_vector(collinear, Q)
 
     def test_index_out_of_range(self, collinear):
         with pytest.raises(IndexOutOfRange):

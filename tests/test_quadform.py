@@ -51,6 +51,17 @@ class TestBalancedBasis:
         with pytest.raises(NotBalanced):
             BalancedVector([1.0, 1.0])
 
+    def test_huge_components_balance_without_overflow(self):
+        # 1e308 + 1e308 overflows; balance is decided on the components
+        # scaled by an exact power of two
+        from negtype import BalancedVector
+
+        w = [1e308, 1e308, -1e308, -1e308]
+        np.testing.assert_array_equal(BalancedVector(w).weights, w)
+        with pytest.raises(NotBalanced) as exc:
+            BalancedVector([1e308, 1e308, -1e308])
+        assert exc.value.total == 1e308
+
     @pytest.mark.parametrize("w", [[math.nan, 1.0, -1.0], [math.inf, 0.0, 0.0],
                                    [math.inf, -math.inf, 0.0]])
     def test_non_finite_component_rejected(self, w):
@@ -90,6 +101,23 @@ class TestQuadForm:
         with pytest.raises(NotBalanced) as exc:
             quad_form(collinear, 2.0, v)
         assert math.isnan(exc.value.total)
+
+    def test_huge_weights_sum_without_overflow(self, collinear):
+        # the sum runs on the weights scaled by an exact power of two, so
+        # scaling them by 2^k scales the value by 4^k while it fits, and it
+        # reads +-inf where it does not
+        assert quad_form(collinear, 1.0, [1e150, -2e150, 1e150]) == pytest.approx(-4e300)
+        assert quad_form(collinear, 1.0, [1e200, -2e200, 1e200]) == -math.inf
+        for p in (1.0, 2.0, 3.0):
+            unit = quad_form(collinear, p, [0.5, -1.0, 0.5])
+            for k in (500, 660, -600):
+                try:
+                    want = math.ldexp(unit, 2 * k)
+                except OverflowError:
+                    want = math.copysign(math.inf, unit)
+                assert quad_form(collinear, p, np.ldexp([0.5, -1.0, 0.5], k)) == want
+        # the equality's form is 0, and its rounding residue, scaled back, does not fit
+        assert quad_form(collinear, 2.0, [1e200, -2e200, 1e200]) in (0.0, -math.inf, math.inf)
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(5)
@@ -240,6 +268,30 @@ class TestClassify:
 
 
 class TestRestrictionCorrectness:
+    @staticmethod
+    def two_step(d):
+        # u z^T formed as an outer product, then symmetrised by its transpose
+        u, beta = quadform._reflector(len(d))
+        w = beta * (d @ u)
+        z = w - (0.5 * beta * float(u @ w)) * u
+        a = np.outer(u[:-1], z[:-1])
+        a += a.T
+        return d[:-1, :-1] - a
+
+    def test_one_pass_has_the_bits_of_the_two_step_reference(self, four_cycle):
+        rng = np.random.default_rng(37)
+        spaces = [four_cycle, validate_metric(None, 1e200 * four_cycle.dist),
+                  validate_metric(None, 1e-200 * four_cycle.dist)]
+        for m in (2, 3, 50, 351):
+            spaces.append(from_points(rng.standard_normal((m, 3)), q=1))
+            spaces.append(generate_space("random", m, seed=m))
+        for X in spaces:
+            for p in (0.0, 1.0, 2.5, 60.0):
+                d = quadform._power(X, p)[0]
+                a = quadform._restrict(d)
+                assert a.tobytes() == self.two_step(d).tobytes()
+                assert a.tobytes() == a.T.copy().tobytes()
+
     def test_matches_quad_form(self):
         # the restriction is an orthonormal change of basis on the zero-sum
         # hyperplane, so its spectrum is the form's spectrum there
