@@ -324,7 +324,7 @@ def _cmd_witness(args) -> int:
     if args.at_supremal == (args.p is not None):
         raise ValueError("witness needs exactly one of --p or --at-supremal")
     if args.at_supremal and args.tol is not None:
-        raise ValueError("--tol applies only with --p; --at-supremal gates by residual")
+        raise ValueError("--tol applies only with --p; --at-supremal uses the default tolerance")
     X = load_space(args.space)
     try:
         if args.at_supremal:

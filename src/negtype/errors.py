@@ -147,14 +147,13 @@ class NotApplicable(NegTypeError):
 
 
 class NoWitnessFound(NegTypeError):
-    """The witness vector failed the residual check.
+    """The witness's simplex does not verify as a nontrivial polygonal equality.
 
-    residual is the form residual of the rejected vector and gate the
-    largest residual accepted at exponent p.
+    witness is the rejected WitnessReport, with its simplex, its residual
+    and the failed check as its equality.
     """
 
-    def __init__(self, residual: float, gate: float, p: float):
-        self.residual, self.gate = residual, gate
-        super().__init__(
-            f"eigendirection residual {residual:g} exceeds {gate:g} at p = {p:g}"
-        )
+    def __init__(self, witness):
+        self.witness, eq = witness, witness.equality
+        super().__init__(f"witness at p = {witness.p:g} does not verify: "
+                         f"gap {eq.gap:g} with lhs {eq.lhs:g}, rhs {eq.rhs:g}")

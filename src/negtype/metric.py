@@ -232,7 +232,7 @@ def _validated(labels, matrix, scan: bool) -> MetricSpace:
     if (diag > tol).any():
         raise NonzeroDiagonal(int(np.argmax(diag > tol)))
 
-    nonpos = a + np.eye(m) <= 0  # the diagonal masked
+    nonpos = (a <= 0) & ~np.eye(m, dtype=bool)  # the diagonal masked
     if nonpos.any():
         i, j = map(int, np.argwhere(nonpos)[0])
         raise NonpositiveDistance(i, j)

@@ -19,7 +19,8 @@ lambda_max is zero and the angle is zero, so the witness is the top
 eigendirection itself. Every D_p here is metric._power's D~_p, converted
 once: a witness and its equality check share one build, and one helper
 (_equality) checks both it and a simplex given to verify_equality, which
-like gap reads only the block of D_p on the points of the simplex.
+like gap reads only the block of D_p on the points of the simplex. That
+check is the one gate: NoWitnessFound carries a witness that fails it.
 """
 
 from __future__ import annotations
@@ -76,8 +77,6 @@ __all__ = [
 # Relative tolerance for weight balance (against the larger side total) and for
 # dropping negligible net weights (against the largest weight).
 CLEANUP_REL = 1e-12
-# Residual acceptance for supremal witnesses, on the normalised form.
-RESIDUAL_REL = 1e-6
 # Default tolerance for verifying an equality, relative to max(|lhs|, |rhs|).
 VERIFY_REL = 1e-9
 
@@ -341,15 +340,16 @@ def _equality(d: np.ndarray, scale: float, p: float, parts: tuple, tol: float) -
     )
 
 
-def _witness(X: MetricSpace, solved: tuple, report: QuadFormReport) -> tuple:
-    """(witness, residual on D~_p): the form's zero in the top-bottom eigenplane.
+def _witness(X: MetricSpace, solved: tuple, report: QuadFormReport) -> WitnessReport:
+    """The form's zero in the top-bottom eigenplane, returned only if it verifies.
 
     solved is the _solve tuple report was classified from; lambda_min < 0
     always, since the form at e_i - e_j is -2 d(x_i, x_j)^p. The form at the
     unit zero-sum vector cos(t) v_max + sin(t) v_min is lambda_max cos^2 t +
     lambda_min sin^2 t: zero at tan^2 t = lambda_max / -lambda_min when
     lambda_max > 0 (method IVT at NOT_NEG_TYPE), and t = 0 otherwise. The
-    simplex is checked as verify_equality would, on this same D~_p.
+    simplex is checked as verify_equality would, on this same D~_p, and
+    NoWitnessFound carries it unless that is a nontrivial equality.
     """
     d, scale, lam, v_max, lam_min, v_min = solved
     ivt = report.classification is Classification.NOT_NEG_TYPE
@@ -357,15 +357,17 @@ def _witness(X: MetricSpace, solved: tuple, report: QuadFormReport) -> tuple:
     v = math.cos(theta) * v_max + math.sin(theta) * v_min
     xi = BalancedVector(v)
     simplex = vector_to_simplex(X, xi)
-    residual = abs(float(v @ d @ v))
-    return WitnessReport(
+    witness = WitnessReport(
         p=report.p,
         xi=xi,
         simplex=simplex,
-        residual=_real(residual, scale),
+        residual=_real(abs(float(v @ d @ v)), scale),
         method=WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION,
         equality=_equality(d, scale, report.p, _split(simplex, X.size), VERIFY_REL),
-    ), residual
+    )
+    if not witness.equality.nontrivial_equality:
+        raise NoWitnessFound(witness)
+    return witness
 
 
 def witness_at_p(
@@ -378,7 +380,8 @@ def witness_at_p(
     At BOUNDARY it is the top eigendirection, turned towards the bottom one
     by the angle that cancels a positive rounding-level lambda_max (method
     EIGEN_DIRECTION). STRICT raises NotApplicable: no nontrivial
-    p-polygonal equality exists there.
+    p-polygonal equality exists there. A witness that verify_equality
+    rejects raises NoWitnessFound.
     """
     _check_epsilon(epsilon)
     solved = _solve(X, p)
@@ -387,20 +390,19 @@ def witness_at_p(
         raise NotApplicable(
             f"strict {p:g}-negative type: no nontrivial {p:g}-polygonal equality"
         )
-    return _witness(X, solved, report)[0]
+    return _witness(X, solved, report)
 
 
 def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
     """Witness at the midpoint of a FINITE supremal bracket.
 
-    The construction is witness_at_p's at the default tolerance. At the
-    supremal exponent lambda_max is zero, so the witness is the top
-    eigendirection (method EIGEN_DIRECTION); a bracket above the supremal
-    exponent gets an exact zero of the form (method IVT). The witness is
-    accepted when its residual on the normalised form is at most
-    RESIDUAL_REL, which fails only where lambda_max is negative: a bracket below
-    the supremal exponent raises NoWitnessFound. Ultrametric spaces and
-    capped searches raise NotApplicable.
+    The construction and its acceptance are witness_at_p's at the default
+    tolerance. At the supremal exponent lambda_max is zero, so the witness
+    is the top eigendirection (method EIGEN_DIRECTION); a bracket above the
+    supremal exponent gets an exact zero of the form (method IVT). A witness
+    whose simplex does not verify raises NoWitnessFound, as one at a bracket
+    below the supremal exponent does. Ultrametric spaces and capped searches
+    raise NotApplicable.
     """
     if sup.status is SupremalStatus.INFINITE_ULTRAMETRIC:
         raise NotApplicable(
@@ -412,10 +414,7 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
         )
     p = sup.midpoint
     solved = _solve(X, p)
-    report, residual = _witness(X, solved, _classify(solved, p, None))
-    if residual > RESIDUAL_REL:
-        raise NoWitnessFound(report.residual, _real(RESIDUAL_REL, solved[1]), p)
-    return report
+    return _witness(X, solved, _classify(solved, p, None))
 
 
 def polygonal_interval(X: MetricSpace, sup: SupremalResult) -> IntervalReport:

@@ -19,7 +19,14 @@ import scipy.linalg
 from scipy.cluster.hierarchy import cophenet, linkage
 from scipy.spatial.distance import squareform
 
-from negtype import MetricSpace, SignedSimplex, from_graph, validate_metric
+from negtype import (
+    MetricSpace,
+    NegTypeError,
+    SignedSimplex,
+    from_graph,
+    is_ultrametric,
+    validate_metric,
+)
 from negtype.cli import generate_space
 
 
@@ -220,6 +227,23 @@ def random_space(rng: np.random.Generator, max_n: int = 8, min_n: int = 3) -> Me
         dim = int(rng.integers(2, 5))
         X = generate_space("points", n, dim=dim, seed=seed)
     return normalize_diameter(X)
+
+
+def break_ultrametricity(X: MetricSpace, rng: np.random.Generator) -> MetricSpace:
+    """Scale one distance by +-5% so the result is metric but not ultrametric."""
+    m = X.size
+    for _ in range(500):
+        i, j = sorted(map(int, rng.choice(m, size=2, replace=False)))
+        factor = 1.05 if rng.random() < 0.5 else 0.95
+        d = np.array(X.dist)
+        d[i, j] = d[j, i] = factor * d[i, j]
+        try:
+            Y = validate_metric(X.labels, d)
+        except NegTypeError:
+            continue
+        if not is_ultrametric(Y):
+            return Y
+    raise AssertionError("no single perturbation broke ultrametricity")
 
 
 def random_refined_simplex(X: MetricSpace, rng: np.random.Generator) -> SignedSimplex:

@@ -11,11 +11,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import angular_deviation, probe_bound, random_refined_simplex, random_space
+from helpers import (
+    angular_deviation,
+    break_ultrametricity,
+    probe_bound,
+    random_refined_simplex,
+    random_space,
+)
 from negtype import (
     Classification,
     IntervalKind,
-    NegTypeError,
     NotApplicable,
     SignedSimplex,
     SupremalStatus,
@@ -23,7 +28,6 @@ from negtype import (
     classify,
     from_points,
     gap,
-    is_ultrametric,
     polygonal_interval,
     quad_form,
     random_ultrametric,
@@ -159,23 +163,6 @@ def test_criterion_6_interval_structure():
             assert classify(X, sup.hi + 0.05).classification is Classification.NOT_NEG_TYPE
 
 
-def _break_ultrametricity(X, rng):
-    """Scale one distance by +-5% so the result is metric but not ultrametric."""
-    m = X.size
-    for _ in range(500):
-        i, j = sorted(map(int, rng.choice(m, size=2, replace=False)))
-        factor = 1.05 if rng.random() < 0.5 else 0.95
-        d = np.array(X.dist)
-        d[i, j] = d[j, i] = factor * d[i, j]
-        try:
-            Y = validate_metric(X.labels, d)
-        except NegTypeError:
-            continue
-        if not is_ultrametric(Y):
-            return Y
-    raise AssertionError("no single perturbation broke ultrametricity")
-
-
 def test_criterion_7_ultrametric_characterization():
     with criterion(7, "ultrametric characterization", 30.0):
         rng = np.random.default_rng(7001)
@@ -186,7 +173,7 @@ def test_criterion_7_ultrametric_characterization():
             assert sup.status is SupremalStatus.INFINITE_ULTRAMETRIC
             assert polygonal_interval(X, sup).kind is IntervalKind.EMPTY
 
-            Y = _break_ultrametricity(X, rng)
+            Y = break_ultrametricity(X, rng)
             sup_y = supremal(Y)
             assert sup_y.status is not SupremalStatus.INFINITE_ULTRAMETRIC
             if sup_y.status is SupremalStatus.FINITE:

@@ -292,6 +292,19 @@ class TestWitnessCommand:
             "no witness: supremal exponent exceeds cap 64"
         )
 
+    def test_unverified_witness_exits_3(self, tmp_path, capsys):
+        # at p = 150 the form's zero on this triangle puts about 1e-12 of its
+        # weight on point 0, below the eigenvector's accuracy, and its simplex
+        # misses the equality by a relative 1e-4: a program failure, and
+        # nothing is written
+        tri = tmp_path / "tri.json"
+        tri.write_text(json.dumps({"matrix": [[0, 1, 3], [1, 0, 2.5], [3, 2.5, 0]]}))
+        out = tmp_path / "w.json"
+        assert main(["witness", str(tri), "--p", "150", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "p = 150" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_requires_exactly_one_mode(self, collinear_file, capsys):
         assert main(["witness", collinear_file]) == 3
         assert main(["witness", collinear_file, "--p", "2", "--at-supremal"]) == 3
@@ -299,8 +312,8 @@ class TestWitnessCommand:
 
     @pytest.mark.parametrize("tol", ["nan", "1e-9"])
     def test_tol_rejected_at_supremal(self, collinear_file, capsys, tol):
-        # the supremal witness is gated by its residual; a --tol there
-        # would be silently ignored
+        # the supremal witness is classified at the default tolerance; a
+        # --tol there would be silently ignored
         assert main(["witness", collinear_file, "--at-supremal", "--tol", tol]) == 3
         assert "--tol" in capsys.readouterr().err
 

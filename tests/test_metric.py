@@ -202,6 +202,21 @@ class TestValidateMetric:
         with pytest.raises(NonpositiveDistance):
             validate_metric(None, [[0, -1], [-1, 0]])
 
+    @pytest.mark.parametrize("diag, off, error", [
+        (-2.0, 1e13, None), (-0.5, 1e13, None), (-10.0, 1e13, None),
+        (-10.5, 1e13, NonzeroDiagonal), (-2.0, 0.0, NonpositiveDistance),
+    ], ids=["minus2", "minus0.5", "minus10", "past_the_slack", "zero_off_diagonal"])
+    def test_negative_diagonal_within_the_slack(self, diag, off, error):
+        # the slack is 1e-12 * 1e13 = 10; the positivity test skips the
+        # diagonal, so any diagonal entry within the slack passes
+        d = [[diag, 1e13, 1e13], [1e13, 0, off], [1e13, off, 0]]
+        if error is None:
+            np.testing.assert_array_equal(np.diag(validate_metric(None, d).dist), 0.0)
+            return
+        with pytest.raises(error) as exc:
+            validate_metric(None, d)
+        assert exc.value.i == (0 if error is NonzeroDiagonal else 1)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(NonpositiveDistance):
             validate_metric(None, [[0, np.inf], [np.inf, 0]])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     angular_deviation,
+    break_ultrametricity,
     collinear_triple,
     gap_reference,
     random_balanced,
@@ -39,6 +40,7 @@ from negtype import (
     is_nondegenerate,
     polygonal_interval,
     quad_form,
+    random_ultrametric,
     reduce,
     simplex_to_vector,
     supremal,
@@ -371,7 +373,7 @@ class TestWitnessAtSupremal:
         X = generate_space(kind, n, q=q, seed=5)
         w = witness_at_supremal(X, supremal(X))
         assert w.method is WitnessMethod.EIGEN_DIRECTION
-        assert w.residual <= polyeq.RESIDUAL_REL * float(metric.power_matrix(X, w.p).max())
+        assert w.residual <= 1e-6 * float(metric.power_matrix(X, w.p).max())
         rep = verify_equality(X, w.p, w.simplex)
         assert rep.holds and rep.nontrivial
 
@@ -395,16 +397,15 @@ class TestWitnessAtSupremal:
             witness_at_supremal(beyond_cap, supremal(beyond_cap))
 
     def test_no_candidate_below_supremal(self, four_cycle):
-        # a bracket at 0.5, below w = 1: the space is strict there and the
-        # eigendirection misses the residual gate
+        # a bracket at 0.5, below w = 1: the space is strict there, so the
+        # eigendirection's simplex has a nonzero gap and does not verify
         sup = SupremalResult(SupremalStatus.FINITE, 0.5, 0.5, 64.0, 0)
-        with pytest.raises(NoWitnessFound, match=r"^eigendirection residual \S+ exceeds "
-                           r"\S+ at p = 0\.5$") as exc:
+        with pytest.raises(NoWitnessFound, match=r"^witness at p = 0\.5 does not verify: "
+                           r"gap \S+ with lhs \S+, rhs \S+$") as exc:
             witness_at_supremal(four_cycle, sup)
-        # the gate is RESIDUAL_REL * max D_p, with max D_p = 2^0.5 here
-        assert exc.value.gate == pytest.approx(1e-6 * math.sqrt(2.0), rel=1e-12)
-        assert exc.value.residual > exc.value.gate
-        assert f"residual {exc.value.residual:g} exceeds {exc.value.gate:g}" in str(exc.value)
+        w = exc.value.witness
+        assert w.p == 0.5 and w.equality.holds is False
+        assert f"gap {w.equality.gap:g} with lhs {w.lhs:g}, rhs {w.rhs:g}" in str(exc.value)
 
     def test_bracket_above_supremal_verifies(self, collinear, four_cycle):
         # above w the top eigenvalue is positive: the witness is the exact
@@ -464,6 +465,53 @@ class TestWitnessCorpus:
                     rep = verify_equality(X, p, w.simplex)
                     assert rep.holds and rep.nontrivial
         assert cases >= 6
+
+
+class TestWitnessContract:
+    """A witness is returned only when its own simplex verifies; otherwise
+    NoWitnessFound carries the witness that failed its check. The bounds on
+    the raises are the counts of returned witnesses that failed their check
+    before the check gated them."""
+
+    def test_fixed_exponent_sweep(self):
+        rng = np.random.default_rng(123)
+        spaces = raised = 0
+        while spaces < 150:
+            X = random_space(rng)
+            sup = supremal(X)
+            if sup.status is not SupremalStatus.FINITE:
+                continue
+            spaces += 1
+            for p in np.geomspace(1.01 * sup.hi, 64, 8).tolist():
+                try:
+                    w = witness_at_p(X, p)
+                except NoWitnessFound as exc:
+                    assert not exc.witness.equality.nontrivial_equality
+                    raised += 1
+                    continue
+                assert verify_equality(X, p, w.simplex).nontrivial_equality, (spaces, p)
+        assert raised <= 82
+
+    def test_supremal_on_perturbed_ultrametrics(self):
+        # the corpus of acceptance criterion 7
+        rng = np.random.default_rng(7001)
+        verified, raised = 0, []
+        for trial in range(50):
+            n = int(rng.integers(3, 13))
+            X = random_ultrametric(n, seed=int(rng.integers(0, 2**31)))
+            Y = break_ultrametricity(X, rng)
+            sup = supremal(Y)
+            if sup.status is not SupremalStatus.FINITE:
+                continue
+            try:
+                w = witness_at_supremal(Y, sup)
+            except NoWitnessFound as exc:
+                assert not exc.witness.equality.nontrivial_equality
+                raised.append(trial)
+                continue
+            assert verify_equality(Y, w.p, w.simplex).nontrivial_equality, trial
+            verified += 1
+        assert set(raised) <= {38} and verified + len(raised) == 50
 
 
 class TestVerifyEquality:

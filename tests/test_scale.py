@@ -16,6 +16,7 @@ import pytest
 from helpers import collinear_triple, unit_four_cycle
 from negtype import (
     Classification,
+    NoWitnessFound,
     SignedSimplex,
     SupremalStatus,
     classify,
@@ -47,6 +48,14 @@ def verifies(X, w) -> bool:
     return verify_equality(X, w.p, w.simplex).nontrivial_equality
 
 
+def witness_or_rejected(X, p: float):
+    """(witness, returned): a witness that NoWitnessFound rejected comes from the error."""
+    try:
+        return witness_at_p(X, p), True
+    except NoWitnessFound as exc:
+        return exc.witness, False
+
+
 @pytest.mark.parametrize("kind, n", [("path", 12), ("path", 60), ("cycle", 8),
                                      ("points", 9), ("random", 9)],
                          ids=["path12", "path60", "cycle8", "points9", "random9"])
@@ -73,7 +82,8 @@ def test_scaled_gen_spaces_keep_their_answers(kind, n):
     (unit_four_cycle, 1e20, 30.0, True),
     (collinear_triple, 1e-200, 2.0, True),
     # the zero of this form has a component of order 1e-16 on the far
-    # point, which the simplex drops as noise, at every scale
+    # point, which the simplex drops as noise, at every scale: the witness
+    # does not verify, so it is not returned
     (lambda: validate_metric(None, [[0, 1, 2.5], [1, 0, 3], [2.5, 3, 0]]), 1e-3, 150.0, False),
 ], ids=["cycle-1e-6-p60", "cycle-1e6-p60", "cycle-1e20-p30", "collinear-1e-200-p2",
         "triangle-1e-3-p150"])
@@ -84,9 +94,9 @@ def test_underflow_and_overflow_cases(unit, c, p, verified):
     Y = scaled(X, c)
     rep, ref = classify(Y, p), classify(X, p)
     assert rep.classification is ref.classification is not Classification.STRICT
-    w, w_ref = witness_at_p(Y, p), witness_at_p(X, p)
+    (w, returned), (w_ref, returned_ref) = witness_or_rejected(Y, p), witness_or_rejected(X, p)
     assert w.method is w_ref.method
-    assert verifies(Y, w) is verifies(X, w_ref) is verified
+    assert returned is returned_ref is verifies(Y, w) is verifies(X, w_ref) is verified
     sup = supremal(Y)
     if sup.status is SupremalStatus.FINITE:
         assert verifies(Y, witness_at_supremal(Y, sup))
