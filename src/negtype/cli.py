@@ -87,7 +87,12 @@ def load_space(path: str) -> MetricSpace:
 
 
 def space_payload(X: MetricSpace) -> dict:
-    return {"labels": list(X.labels), "matrix": X.dist.tolist()}
+    """The space as JSON data: its labels and its read-only distance array.
+
+    render_json writes the array as json writes its tolist(); json.dumps
+    itself needs default=np.ndarray.tolist. parse_space reads it back.
+    """
+    return {"labels": list(X.labels), "matrix": X.dist}
 
 
 def parse_simplex(data: dict) -> SignedSimplex:
@@ -129,72 +134,112 @@ def _round12(obj):
         return {k: (v if k in _EXACT_KEYS else _round12(v)) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _round12(obj.tolist())
     return obj
 
 
 def render_json(payload: dict) -> str:
     """The bytes of json.dumps(_round12(payload), indent=2, ensure_ascii=False).
 
-    An indent sends json to its pure-Python encoder, which formats a
-    distance matrix one entry at a time. Here lists of floats (matrix rows,
-    xi) format each distinct value once, other ints and finite floats
-    format with repr as in json, and every other value goes through
-    json.dumps.
+    An ndarray stands wherever json would take its tolist(): it is written
+    as that list, rounded too under a key outside _EXACT_KEYS. An indent
+    sends json to its pure-Python encoder, which formats a distance matrix
+    one entry at a time. Here a float64 array and a list of float lists
+    (matrix rows, xi) go to one formatter, lists of plain ints and finite
+    floats (simplex entries) take one join each, other ints and finite
+    floats format with repr as in json, and every other value goes through
+    json.dumps. The pieces are joined once, at the end.
     """
-    return _encode(_round12(payload), "")
+    out: list[str] = []
+    _encode(_round12(payload), "", out)
+    return "".join(out)
 
 
 def _floats(v) -> bool:
     return isinstance(v, list) and bool(v) and set(map(type, v)) == {float}
 
 
-def _encode(obj, indent: str) -> str:
-    """json.dumps(obj, indent=2, ensure_ascii=False), for obj nested at indent."""
+def _encode(obj, indent: str, out: list[str]) -> None:
+    """Append the text of json.dumps(obj, indent=2, ensure_ascii=False) to out, for obj at indent."""
     if type(obj) is int or (type(obj) is float and math.isfinite(obj)):
-        return repr(obj)  # json's text, without a json.dumps call per simplex entry
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return _dumps(obj)
+        out.append(repr(obj))  # json's text, without a json.dumps call per number
+        return
     inner = indent + "  "
-    if isinstance(obj, dict):
-        # json writes a key that is not a string as the string of its json text
-        items = [f"{_dumps(k if isinstance(k, str) else _dumps(k))}: {_encode(v, inner)}"
-                 for k, v in obj.items()]
+    if isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or obj.ndim not in (1, 2) or not obj.size:
+            return _encode(obj.tolist(), indent, out)
+        if obj.ndim == 1:
+            return out.append(_float_lists(obj, [obj.size], indent))
+        rows = _float_lists(obj.ravel(), np.full(len(obj), obj.shape[1]), inner)
+    elif not isinstance(obj, (dict, list, tuple)) or not obj:
+        return out.append(_dumps(obj))
     elif _floats(obj):
-        return _float_lists([obj], indent)[0]
+        return out.append(_float_lists(np.array(obj), [len(obj)], indent))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for n, (k, v) in enumerate(obj.items()):
+            # json writes a key that is not a string as the string of its json text
+            key = _dumps(k if isinstance(k, str) else _dumps(k))
+            out.append(f"{',' if n else ''}\n{inner}{key}: ")
+            _encode(v, inner, out)
+        return out.append(f"\n{indent}}}")
     elif all(map(_floats, obj)):
-        items = _float_lists(obj, inner)
-    else:
-        items = [_encode(v, inner) for v in obj]
-    brackets = "{}" if isinstance(obj, dict) else "[]"
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+        lengths = list(map(len, obj))
+        flat = np.fromiter(itertools.chain.from_iterable(obj), dtype=float, count=sum(lengths))
+        rows = _float_lists(flat, lengths, inner)
+    elif (rows := _scalar_lists(obj, inner)) is None:
+        out.append("[")
+        for n, v in enumerate(obj):
+            out.append(f"{',' if n else ''}\n{inner}")
+            _encode(v, inner, out)
+        return out.append(f"\n{indent}]")
+    out += (f"[\n{inner}", rows, f"\n{indent}]")
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
-def _float_lists(lists: list[list[float]], indent: str) -> list[str]:
-    """The json text of each nonempty float list, formatting each distinct value once.
+def _scalar_lists(lists: list | tuple, indent: str) -> str | None:
+    """The json text at indent of nonempty lists of plain ints and finite floats, as list items.
 
-    Values are told apart by their bits, since comparing values would merge
-    -0.0 with 0.0. A finite float formats as in json, with float.__repr__.
+    Each list (a simplex entry) takes one join of the repr of its values;
+    None when the lists hold anything else.
     """
-    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=float,
-                       count=sum(map(len, lists)))
+    if not all(isinstance(v, list) and v for v in lists):
+        return None
+    flat = list(itertools.chain.from_iterable(lists))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    texts = list(map(repr, flat))
+    if not {"nan", "inf", "-inf"}.isdisjoint(texts):  # json writes NaN and Infinity
+        return None
+    inner, values = indent + "  ", iter(texts)
+    items = [f",\n{inner}".join(itertools.islice(values, len(v))) for v in lists]
+    return f"[\n{inner}" + f"\n{indent}],\n{indent}[\n{inner}".join(items) + f"\n{indent}]"
+
+
+def _float_lists(flat: np.ndarray, lengths, indent: str) -> str:
+    """The json text at indent of consecutive nonempty float lists, as list items.
+
+    flat holds the float64 values of every list in order and lengths their
+    sizes; the lists are joined by a comma and a new line. Each distinct
+    value formats once: values are told apart by their bits, since
+    comparing values would merge -0.0 with 0.0, and a finite float formats
+    as in json, with float.__repr__. The text is written with one join.
+    """
     bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
     values = bits.view(float)
     texts = np.array(list(map(repr, values.tolist())), dtype=object)
     for i in np.flatnonzero(~np.isfinite(values)):
         texts[i] = _dumps(float(values[i]))
-    words = texts[inverse].tolist()
     inner = indent + "  "
-    sep = f",\n{inner}"
-    out, start = [], 0
-    for row in lists:
-        stop = start + len(row)
-        out.append(f"[\n{inner}" + sep.join(words[start:stop]) + f"\n{indent}]")
-        start = stop
-    return out
+    words = (texts + f",\n{inner}")[inverse]  # each value with the separator after it
+    ends = np.cumsum(lengths) - 1
+    words[ends] = texts[inverse[ends]] + f"\n{indent}],\n{indent}[\n{inner}"
+    words[-1] = texts[inverse[-1]]
+    return f"[\n{inner}" + "".join(words.tolist()) + f"\n{indent}]"
 
 
 def _fmt(x) -> str:

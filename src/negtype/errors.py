@@ -150,10 +150,12 @@ class NoWitnessFound(NegTypeError):
     """The witness's simplex does not verify as a nontrivial polygonal equality.
 
     witness is the rejected WitnessReport, with its simplex, its residual
-    and the failed check as its equality.
+    and the failed check as its equality. The message names the check's
+    relative gap, which reads where lhs and rhs underflow to 0.
     """
 
     def __init__(self, witness):
         self.witness, eq = witness, witness.equality
-        super().__init__(f"witness at p = {witness.p:g} does not verify: "
+        super().__init__(f"witness at p = {witness.p:g} does not verify: relative gap "
+                         f"{eq.relative_gap:g} against tol {eq.tolerance:g}; "
                          f"gap {eq.gap:g} with lhs {eq.lhs:g}, rhs {eq.rhs:g}")

@@ -468,6 +468,10 @@ def random_ultrametric(n: int, seed: int | None = None) -> MetricSpace:
     between two points is the height at which their clusters merge. Keeping
     all heights within a factor 2 of each other leaves room for small
     multiplicative perturbations without breaking the triangle inequality.
+    The rng draws the heights, then one pair of clusters per merge. A merge
+    appends cluster b to cluster a, so every cluster is a contiguous range
+    of the final merge order: each merge sets its two off-diagonal blocks
+    of that order by slices, and one permutation returns to point order.
     """
     if n < 2:
         raise NotSquare("need at least 2 points")
@@ -475,13 +479,21 @@ def random_ultrametric(n: int, seed: int | None = None) -> MetricSpace:
     heights = np.sort(rng.uniform(1.0, 2.0, size=n - 1))
     heights = heights + 1e-9 * np.arange(n - 1)  # force strict increase
 
-    dist = np.zeros((n, n))
     clusters = [[i] for i in range(n)]
-    for h in heights:
+    merges = []  # (first point of a, size of a, size of b) per merge
+    for _ in range(n - 1):
         a, b = rng.choice(len(clusters), size=2, replace=False)
         a, b = (int(a), int(b)) if a < b else (int(b), int(a))
         A, B = clusters[a], clusters[b]
-        dist[np.ix_(A, B)] = dist[np.ix_(B, A)] = h
+        merges.append((A[0], len(A), len(B)))
         A.extend(B)
         del clusters[b]
-    return _validated(None, dist, scan=False)
+    order = clusters[0]
+    at = np.empty(n, dtype=int)  # the position of each point in the merge order
+    at[order] = np.arange(n)
+    blocks = np.zeros((n, n))
+    for h, (first, la, lb) in zip(heights.tolist(), merges):
+        i = at[first]
+        j, k = i + la, i + la + lb
+        blocks[i:j, j:k] = blocks[j:k, i:j] = h
+    return _validated(None, blocks[np.ix_(at, at)], scan=False)

@@ -135,7 +135,14 @@ class WitnessReport:
 
 @dataclass(frozen=True, eq=False)
 class EqualityReport:
-    """Outcome of checking one candidate p-polygonal equality."""
+    """Outcome of checking one candidate p-polygonal equality.
+
+    relative_gap is |lhs - rhs| / max(|lhs|, |rhs|) on the normalised sums,
+    the ratio that holds bounds by tolerance (holds tests the product, not
+    the quotient). It reads 0.0 for a zero gap and inf, never NaN, for
+    NaN sums, and it stays telling where lhs and rhs underflow in the units
+    of D_p.
+    """
 
     p: float
     lhs: float
@@ -144,6 +151,7 @@ class EqualityReport:
     holds: bool
     nontrivial: bool
     tolerance: float
+    relative_gap: float
 
     @property
     def nontrivial_equality(self) -> bool:
@@ -328,15 +336,19 @@ def _equality(d: np.ndarray, scale: float, p: float, parts: tuple, tol: float) -
     cross, same_l, same_r = _sums(d, *parts)
     rhs = same_l + same_r
     g = cross - rhs
+    top = max(abs(cross), abs(rhs))
+    relative = abs(g) / top if g else 0.0
+    relative = math.inf if math.isnan(relative) else relative  # NaN distances
     twos = 2 * parts[-1]
     return EqualityReport(
         p=float(p),
         lhs=_real(cross, scale, twos),
         rhs=_real(rhs, scale, twos),
         gap=_real(g, scale, twos),
-        holds=abs(g) <= tol * max(abs(cross), abs(rhs)),
+        holds=abs(g) <= tol * top,
         nontrivial=nontrivial,
         tolerance=float(tol),
+        relative_gap=relative,
     )
 
 

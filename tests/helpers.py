@@ -6,7 +6,8 @@ from scipy on the centered m x m matrix rather than the package's
 over the defining sums, the triangle reference is a literal triple loop
 in pivot order, the ultrametric reference is scipy's single-linkage
 clustering, and the supremal reference is a sign-only bisection on the
-scipy eigenvalues.
+scipy eigenvalues. The ultrametric generator's reference is its original
+merge loop, point order throughout.
 """
 
 from __future__ import annotations
@@ -161,6 +162,29 @@ def first_triangle_violation(d: np.ndarray, tol: float, bound=operator.add):
             if best is not None and d[i, k] - best[0] > tol:
                 return i, best[1], k
     return None
+
+
+def reference_ultrametric(n: int, seed: int | None = None) -> np.ndarray:
+    """The distance matrix of random_ultrametric(n, seed), by its first merge loop.
+
+    Each merge writes its height into the two blocks of its clusters in
+    point order. Seeded corpora are drawn through the generator, so its
+    stream of rng calls and its matrices must stay the same.
+    """
+    rng = np.random.default_rng(seed)
+    heights = np.sort(rng.uniform(1.0, 2.0, size=n - 1))
+    heights = heights + 1e-9 * np.arange(n - 1)  # force strict increase
+
+    dist = np.zeros((n, n))
+    clusters = [[i] for i in range(n)]
+    for h in heights:
+        a, b = rng.choice(len(clusters), size=2, replace=False)
+        a, b = (int(a), int(b)) if a < b else (int(b), int(a))
+        A, B = clusters[a], clusters[b]
+        dist[np.ix_(A, B)] = dist[np.ix_(B, A)] = h
+        A.extend(B)
+        del clusters[b]
+    return dist
 
 
 def subdominant_ultrametric(d: np.ndarray) -> np.ndarray:

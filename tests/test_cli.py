@@ -514,8 +514,10 @@ nontrivial: True
 
 
 def _json_dumps_render(payload: dict) -> str:
-    # the rendering render_json must reproduce byte for byte
-    return json.dumps(_round12(payload), indent=2, ensure_ascii=False)
+    # the rendering render_json must reproduce byte for byte; json writes an
+    # array as its tolist(), as render_json does
+    return json.dumps(_round12(payload), indent=2, ensure_ascii=False,
+                      default=np.ndarray.tolist)
 
 
 class TestRenderJson:
@@ -525,6 +527,38 @@ class TestRenderJson:
             for seed in (0, 1):
                 payload = space_payload(generate_space(kind, n, seed=seed))
                 assert render_json(payload) == _json_dumps_render(payload)
+
+    @pytest.mark.parametrize("kind", GEN_KINDS)
+    def test_large_gen_payloads(self, kind):
+        payload = space_payload(generate_space(kind, 350, seed=5))
+        assert isinstance(payload["matrix"], np.ndarray)
+        assert render_json(payload) == _json_dumps_render(payload)
+
+    def test_float_arrays(self):
+        tiny, huge, nan, inf = 5e-324, 1e300, float("nan"), float("inf")
+        values = np.array([-0.0, 0.0, tiny, -tiny, huge, nan, inf, -inf, 1 / 3, 0.1])
+        square = np.array([values, values[::-1], 2 * values, values * 1e-12])
+        payloads = [
+            {"matrix": square, "xi": values, "direction": values},
+            {"matrix": square.T, "xi": values[::3], "rounded": square / 7},
+            {"matrix": square[:, :0], "xi": values[:0], "p": values[4:5], "empty": square[:0]},
+            {"matrix": np.arange(6.0).reshape(2, 3).astype(np.float32),
+             "xi": np.array([[[0.5, -0.0]], [[1.0, 2.0]]]), "ints": np.arange(3),
+             "flags": np.array([True, False]), "scalar": np.float64(2.0) ** 0.5 * np.ones(())},
+        ]
+        for payload in payloads:
+            assert render_json(payload) == _json_dumps_render(payload)
+        # under a rounded key an array is rounded to 12 digits, as its tolist() is
+        assert '"direction": [\n    -0.0,\n    0.0,\n    5e-324' in render_json(payloads[0])
+        assert "0.333333333333,\n" in render_json(payloads[0])
+        assert "0.3333333333333333,\n" in render_json(payloads[0])
+
+    def test_ragged_float_lists(self):
+        rows = [[0.5], [-0.0, 0.0, 1e300], [float("nan")], [0.1, 0.2, 0.30000000000000004]]
+        payloads = [{"matrix": rows, "rounded": rows},
+                    {"xi": [[2.5] * 5, [1e-310]], "nested": {"rows": rows[::-1]}}]
+        for payload in payloads:
+            assert render_json(payload) == _json_dumps_render(payload)
 
     def test_every_command_payload(self, collinear_file, cycle_file, two_point_file,
                                    witness_simplex_file, tmp_path, monkeypatch, capsys):
@@ -568,6 +602,8 @@ class TestRenderJson:
              "residual": tiny, "lhs": huge, "rhs": -0.0},
             {"mixed": [1, 2.5, True, None, "s", [], {}, [0.5, 1]], "rows": [[1.0], [], [2.0, -0.0]],
              "nan": [float("nan"), float("inf"), -float("inf")], "empty": {}},
+            {"simplex": {"left": [[0, 0.25], [7, 1], [2**70, -0.0]], "right": [[1, 1e300]]},
+             "pairs": [[1, 2.0 / 3.0], [2, float("nan")]], "flags": [[1, True]], "one": [[3]]},
         ]
         for payload in payloads:
             assert render_json(payload) == _json_dumps_render(payload)

@@ -24,6 +24,7 @@ from negtype import (
     IndexOutOfRange,
     IntervalKind,
     InvalidTolerance,
+    MetricSpace,
     NotApplicable,
     NotBalanced,
     NoWitnessFound,
@@ -401,11 +402,14 @@ class TestWitnessAtSupremal:
         # eigendirection's simplex has a nonzero gap and does not verify
         sup = SupremalResult(SupremalStatus.FINITE, 0.5, 0.5, 64.0, 0)
         with pytest.raises(NoWitnessFound, match=r"^witness at p = 0\.5 does not verify: "
+                           r"relative gap \S+ against tol 1e-09; "
                            r"gap \S+ with lhs \S+, rhs \S+$") as exc:
             witness_at_supremal(four_cycle, sup)
         w = exc.value.witness
         assert w.p == 0.5 and w.equality.holds is False
-        assert f"gap {w.equality.gap:g} with lhs {w.lhs:g}, rhs {w.rhs:g}" in str(exc.value)
+        assert w.equality.relative_gap > w.equality.tolerance
+        assert (f"relative gap {w.equality.relative_gap:g} against tol 1e-09; "
+                f"gap {w.equality.gap:g} with lhs {w.lhs:g}, rhs {w.rhs:g}") in str(exc.value)
 
     def test_bracket_above_supremal_verifies(self, collinear, four_cycle):
         # above w the top eigenvalue is positive: the witness is the exact
@@ -534,6 +538,18 @@ class TestVerifyEquality:
         assert pair.nontrivial and not pair.holds
         rep = verify_equality(Y, 2.0, COLLINEAR_WITNESS)
         assert rep.holds and rep.nontrivial
+
+    def test_relative_gap(self, collinear):
+        # |lhs - rhs| / max(|lhs|, |rhs|) on the normalised sums, at any scale
+        pair = SignedSimplex(((0, 1.0),), ((1, 1.0),))
+        for c in (1.0, 1e-200):
+            Y = validate_metric(None, c * collinear.dist)
+            assert verify_equality(Y, 2.0, COLLINEAR_WITNESS).relative_gap == 0.0
+            assert verify_equality(Y, 1.0, COLLINEAR_WITNESS).relative_gap == 0.5
+            assert verify_equality(Y, 2.0, pair).relative_gap == 1.0
+        # a directly built space with a NaN distance: NaN sums read inf, never NaN
+        nan = MetricSpace(("a", "b"), np.array([[0.0, math.nan], [math.nan, 0.0]]))
+        assert verify_equality(nan, 1.0, pair).relative_gap == math.inf
 
     def test_underflowed_power_matrix_is_typed(self, collinear):
         # at unit distance 1e-200 and p = 2 every sum underflows to 0, but

@@ -97,6 +97,15 @@ def test_underflow_and_overflow_cases(unit, c, p, verified):
     (w, returned), (w_ref, returned_ref) = witness_or_rejected(Y, p), witness_or_rejected(X, p)
     assert w.method is w_ref.method
     assert returned is returned_ref is verifies(Y, w) is verifies(X, w_ref) is verified
+    for eq in (w.equality, w_ref.equality):  # the ratio the check bounds, at both scales
+        assert eq.holds is (eq.relative_gap <= eq.tolerance)
+    if not verified:
+        # without the far point the simplex is a pair, whose gap is all of
+        # lhs: the relative gap reads 1 where lhs itself underflows to 0
+        assert w.equality.relative_gap == w_ref.equality.relative_gap == 1.0
+        for Z in (X, Y):
+            with pytest.raises(NoWitnessFound, match=r"relative gap 1 against tol 1e-09;"):
+                witness_at_p(Z, p)
     sup = supremal(Y)
     if sup.status is SupremalStatus.FINITE:
         assert verifies(Y, witness_at_supremal(Y, sup))
