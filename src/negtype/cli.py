@@ -11,9 +11,7 @@ emitted files re-parse and re-verify exactly.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import math
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -142,82 +140,34 @@ def _round12(obj):
 def render_json(payload: dict) -> str:
     """The bytes of json.dumps(_round12(payload), indent=2, ensure_ascii=False).
 
-    An ndarray stands wherever json would take its tolist(): it is written
-    as that list, rounded too under a key outside _EXACT_KEYS. An indent
-    sends json to its pure-Python encoder, which formats a distance matrix
-    one entry at a time. Here a float64 array and a list of float lists
-    (matrix rows, xi) go to one formatter, lists of plain ints and finite
-    floats (simplex entries) take one join each, other ints and finite
-    floats format with repr as in json, and every other value goes through
-    json.dumps. The pieces are joined once, at the end.
+    An ndarray stands wherever json would take its tolist(), rounded under
+    a key outside _EXACT_KEYS as that list is. json's indent encoder formats
+    one entry at a time, so a top-level nonempty 1-D or 2-D float64 array or
+    list of plain floats (matrix, xi, direction) goes to _float_lists. Any
+    other value is json's own text, indented by a replace, which is safe
+    because json escapes every new line inside a string. One join at the end.
     """
-    out: list[str] = []
-    _encode(_round12(payload), "", out)
+    out = ["{"]
+    for n, (k, v) in enumerate(_round12(payload).items()):
+        # json writes a key that is not a string as the string of its json text
+        key = _dumps(k if isinstance(k, str) else _dumps(k))
+        out.append(f"{',' if n else ''}\n  {key}: ")
+        if isinstance(v, list) and v and set(map(type, v)) == {float}:
+            v = np.array(v)
+        if not (isinstance(v, np.ndarray) and v.dtype == np.float64
+                and v.ndim in (1, 2) and v.size):
+            text = json.dumps(v, indent=2, ensure_ascii=False, default=np.ndarray.tolist)
+            out.append(text.replace("\n", "\n  "))
+        elif v.ndim == 1:
+            out.append(_float_lists(v, [v.size], "  "))
+        else:
+            out += ("[\n    ", _float_lists(v.ravel(), np.full(len(v), v.shape[1]), "    "), "\n  ]")
+    out.append("\n}" if len(out) > 1 else "}")
     return "".join(out)
-
-
-def _floats(v) -> bool:
-    return isinstance(v, list) and bool(v) and set(map(type, v)) == {float}
-
-
-def _encode(obj, indent: str, out: list[str]) -> None:
-    """Append the text of json.dumps(obj, indent=2, ensure_ascii=False) to out, for obj at indent."""
-    if type(obj) is int or (type(obj) is float and math.isfinite(obj)):
-        out.append(repr(obj))  # json's text, without a json.dumps call per number
-        return
-    inner = indent + "  "
-    if isinstance(obj, np.ndarray):
-        if obj.dtype != np.float64 or obj.ndim not in (1, 2) or not obj.size:
-            return _encode(obj.tolist(), indent, out)
-        if obj.ndim == 1:
-            return out.append(_float_lists(obj, [obj.size], indent))
-        rows = _float_lists(obj.ravel(), np.full(len(obj), obj.shape[1]), inner)
-    elif not isinstance(obj, (dict, list, tuple)) or not obj:
-        return out.append(_dumps(obj))
-    elif _floats(obj):
-        return out.append(_float_lists(np.array(obj), [len(obj)], indent))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for n, (k, v) in enumerate(obj.items()):
-            # json writes a key that is not a string as the string of its json text
-            key = _dumps(k if isinstance(k, str) else _dumps(k))
-            out.append(f"{',' if n else ''}\n{inner}{key}: ")
-            _encode(v, inner, out)
-        return out.append(f"\n{indent}}}")
-    elif all(map(_floats, obj)):
-        lengths = list(map(len, obj))
-        flat = np.fromiter(itertools.chain.from_iterable(obj), dtype=float, count=sum(lengths))
-        rows = _float_lists(flat, lengths, inner)
-    elif (rows := _scalar_lists(obj, inner)) is None:
-        out.append("[")
-        for n, v in enumerate(obj):
-            out.append(f"{',' if n else ''}\n{inner}")
-            _encode(v, inner, out)
-        return out.append(f"\n{indent}]")
-    out += (f"[\n{inner}", rows, f"\n{indent}]")
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=False)
-
-
-def _scalar_lists(lists: list | tuple, indent: str) -> str | None:
-    """The json text at indent of nonempty lists of plain ints and finite floats, as list items.
-
-    Each list (a simplex entry) takes one join of the repr of its values;
-    None when the lists hold anything else.
-    """
-    if not all(isinstance(v, list) and v for v in lists):
-        return None
-    flat = list(itertools.chain.from_iterable(lists))
-    if not set(map(type, flat)) <= {int, float}:
-        return None
-    texts = list(map(repr, flat))
-    if not {"nan", "inf", "-inf"}.isdisjoint(texts):  # json writes NaN and Infinity
-        return None
-    inner, values = indent + "  ", iter(texts)
-    items = [f",\n{inner}".join(itertools.islice(values, len(v))) for v in lists]
-    return f"[\n{inner}" + f"\n{indent}],\n{indent}[\n{inner}".join(items) + f"\n{indent}]"
 
 
 def _float_lists(flat: np.ndarray, lengths, indent: str) -> str:

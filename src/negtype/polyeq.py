@@ -90,11 +90,18 @@ class SignedSimplex:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "left", tuple((int(i), float(w)) for i, w in self.left)
+            self, "left", tuple((_index(i), float(w)) for i, w in self.left)
         )
         object.__setattr__(
-            self, "right", tuple((int(i), float(w)) for i, w in self.right)
+            self, "right", tuple((_index(i), float(w)) for i, w in self.right)
         )
+
+
+def _index(i) -> int:
+    """A point index as an int; a float must be integral (2.0 reads as 2)."""
+    if isinstance(i, (float, np.floating)) and not i.is_integer():
+        raise ValueError(f"simplex index must be an integer, got {i!r}")
+    return int(i)
 
 
 class ReducedKind(str, enum.Enum):
@@ -208,11 +215,14 @@ def _split(Q: SignedSimplex, m: int) -> tuple:
 
 
 def _sums(d: np.ndarray, li, lw, ri, rw, e):
-    """(cross, same_left, same_right) weighted sums of the entries of D_p, times 2**-2e."""
+    """(cross, same_left + same_right) weighted sums of the entries of D_p, times 2**-2e.
+
+    gap and verify_equality both read the gap as cross - rhs, so they agree bit for bit.
+    """
     cross = float(lw @ d[np.ix_(li, ri)] @ rw) if li.size and ri.size else 0.0
     same_l = 0.5 * float(lw @ d[np.ix_(li, li)] @ lw) if li.size else 0.0
     same_r = 0.5 * float(rw @ d[np.ix_(ri, ri)] @ rw) if ri.size else 0.0
-    return cross, same_l, same_r
+    return cross, same_l + same_r
 
 
 def _on_points(X: MetricSpace, p: float, Q: SignedSimplex) -> tuple:
@@ -230,8 +240,8 @@ def _on_points(X: MetricSpace, p: float, Q: SignedSimplex) -> tuple:
 def gap(X: MetricSpace, p: float, Q: SignedSimplex) -> float:
     """The p-simplex gap: cross-side sum minus the two same-side sums."""
     d, scale, parts = _on_points(X, p, Q)
-    cross, same_l, same_r = _sums(d, *parts)
-    return _real(cross - same_l - same_r, scale, 2 * parts[-1])
+    cross, rhs = _sums(d, *parts)
+    return _real(cross - rhs, scale, 2 * parts[-1])
 
 
 def _net_vector(m: int, li, lw, ri, rw, e) -> BalancedVector:
@@ -333,8 +343,7 @@ def verify_equality(
 def _equality(d: np.ndarray, scale: float, p: float, parts: tuple, tol: float) -> EqualityReport:
     """verify_equality on D~_p and its scale, for the _split parts of a simplex."""
     nontrivial = bool(np.any(_net_vector(len(d), *parts).weights))
-    cross, same_l, same_r = _sums(d, *parts)
-    rhs = same_l + same_r
+    cross, rhs = _sums(d, *parts)
     g = cross - rhs
     top = max(abs(cross), abs(rhs))
     relative = abs(g) / top if g else 0.0

@@ -383,6 +383,15 @@ class TestVerifyCommand:
         assert main(["verify", collinear_file, str(f), "--p", "2"]) == 3
         assert "weight totals differ" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("index", ["Infinity", "NaN", "0.7"])
+    def test_non_integral_index_exit_3(self, collinear_file, tmp_path, capsys, index):
+        # json.load reads Infinity, which int() would raise OverflowError on
+        f = tmp_path / "index.json"
+        f.write_text(f'{{"left": [[{index}, 1]], "right": [[1, 1]]}}')
+        assert main(["verify", collinear_file, str(f), "--p", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "simplex index must be an integer" in err and "Traceback" not in err
+
 
 class TestIntervalCommand:
     def test_two_point_empty_set(self, two_point_file, capsys):
@@ -604,6 +613,12 @@ class TestRenderJson:
              "nan": [float("nan"), float("inf"), -float("inf")], "empty": {}},
             {"simplex": {"left": [[0, 0.25], [7, 1], [2**70, -0.0]], "right": [[1, 1e300]]},
              "pairs": [[1, 2.0 / 3.0], [2, float("nan")]], "flags": [[1, True]], "one": [[3]]},
+            # escapes inside strings, where an indent by replace must not reach,
+            # and top-level keys that json turns into strings (1 and True are one key)
+            {"labels": ["a\nb", "\t", '"', "\\", "\u2028", "\x00", "\n\n"],
+             "nested": {"k\ney": ["\r\n", {"\u2028": "\x00"}]}, "line\nkey": "\n",
+             1: [0.5, 1.5], None: {"x": "\n"}, 2.5: "s", float("nan"): [], -0.0: {}},
+            {True: ["\n"], False: 0.25, "": [[0.5]]},
         ]
         for payload in payloads:
             assert render_json(payload) == _json_dumps_render(payload)

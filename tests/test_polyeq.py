@@ -109,6 +109,30 @@ class TestGap:
         Q = SignedSimplex(((0, 1.0), (0, 2.0)), ((1, 3.0),))
         assert gap(collinear, 1.0, Q) == pytest.approx(gap_reference(collinear, 1.0, Q))
 
+    def test_equals_the_equality_gap_bit_for_bit(self):
+        # gap and verify_equality(...).gap are one number for one simplex
+        rng = np.random.default_rng(2001)
+        for seed in range(300):
+            X = generate_space("points", 12, seed=seed)
+            v = rng.standard_normal(12)
+            Q = vector_to_simplex(X, v - v.mean())
+            for p in (0.5, 1.0, 2.0, 3.7):
+                assert gap(X, p, Q) == verify_equality(X, p, Q).gap, (seed, p)
+
+
+class TestSignedSimplex:
+    @pytest.mark.parametrize("index", [0.7, -0.5, math.inf, -math.inf, math.nan])
+    def test_non_integral_index(self, index):
+        with pytest.raises(ValueError, match="simplex index must be an integer"):
+            SignedSimplex(((index, 1.0),), ((1, 1.0),))
+        with pytest.raises(ValueError, match="simplex index must be an integer"):
+            SignedSimplex(((0, 1.0),), ((np.float64(index), 1.0),))
+
+    def test_integral_float_index_reads_as_int(self):
+        Q = SignedSimplex(((0.0, 1.0), (2.0, 1.0)), ((np.float64(1.0), 2.0),))
+        assert Q == COLLINEAR_WITNESS
+        assert type(Q.right[0][0]) is int
+
 
 class TestSimplexToVector:
     def test_collinear_witness(self, collinear):
