@@ -19,8 +19,13 @@ lambda_max is zero and the angle is zero, so the witness is the top
 eigendirection itself. Every D_p here is metric._power's D~_p, converted
 once: a witness and its equality check share one build, and one helper
 (_equality) checks both it and a simplex given to verify_equality, which
-like gap reads only the block of D_p on the points of the simplex. That
-check is the one gate: NoWitnessFound carries a witness that fails it.
+like gap reads only the block of D_p on the points of the simplex. A
+simplex on every point reads the D~_p that quadform._solve keeps for the
+space at exactly that exponent, and builds it only when none is kept; a
+smaller block is built with its own scale. The sums scatter each side's
+weights into one dense vector over the block and read the block once, in
+one product with both vectors. The equality check is the one gate:
+NoWitnessFound carries a witness that fails it.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .quadform import (
     SupremalStatus,
     _check_epsilon,
     _classify,
+    _kept,
     _scaled,
     _solve,
     _weights,
@@ -90,18 +96,30 @@ class SignedSimplex:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "left", tuple((_index(i), float(w)) for i, w in self.left)
+            self, "left", tuple((_index(i), _weight(w)) for i, w in self.left)
         )
         object.__setattr__(
-            self, "right", tuple((_index(i), float(w)) for i, w in self.right)
+            self, "right", tuple((_index(i), _weight(w)) for i, w in self.right)
         )
+
+
+# values that int() and float() read as numbers, but a simplex does not take
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
 
 
 def _index(i) -> int:
     """A point index as an int; a float must be integral (2.0 reads as 2)."""
-    if isinstance(i, (float, np.floating)) and not i.is_integer():
+    if isinstance(i, _NOT_NUMBERS) or (
+            isinstance(i, (float, np.floating)) and not i.is_integer()):
         raise ValueError(f"simplex index must be an integer, got {i!r}")
     return int(i)
+
+
+def _weight(w) -> float:
+    """A weight as a float; a bool or a string is not one."""
+    if isinstance(w, _NOT_NUMBERS):
+        raise ValueError(f"simplex weight must be a number, got {w!r}")
+    return float(w)
 
 
 class ReducedKind(str, enum.Enum):
@@ -217,12 +235,15 @@ def _split(Q: SignedSimplex, m: int) -> tuple:
 def _sums(d: np.ndarray, li, lw, ri, rw, e):
     """(cross, same_left + same_right) weighted sums of the entries of D_p, times 2**-2e.
 
-    gap and verify_equality both read the gap as cross - rhs, so they agree bit for bit.
+    Each side's weights go into one dense vector over the block, repeats of
+    a point added up, so the sums are products of those vectors with d,
+    which reads the whole block once. gap and verify_equality both read the
+    gap as cross - rhs, so they agree bit for bit.
     """
-    cross = float(lw @ d[np.ix_(li, ri)] @ rw) if li.size and ri.size else 0.0
-    same_l = 0.5 * float(lw @ d[np.ix_(li, li)] @ lw) if li.size else 0.0
-    same_r = 0.5 * float(rw @ d[np.ix_(ri, ri)] @ rw) if ri.size else 0.0
-    return cross, same_l + same_r
+    n = len(d)
+    a, b = np.bincount(li, lw, n), np.bincount(ri, rw, n)
+    da, db = np.stack((a, b)) @ d  # d is symmetric: rows a d and b d
+    return float(da @ b), 0.5 * (float(da @ a) + float(db @ b))
 
 
 def _on_points(X: MetricSpace, p: float, Q: SignedSimplex) -> tuple:
@@ -231,10 +252,14 @@ def _on_points(X: MetricSpace, p: float, Q: SignedSimplex) -> tuple:
     parts are the _split parts of Q indexed into that block. The sums of Q
     read no other entry, so the block's own largest entry sets the scale,
     and a Q on points far closer than the rest of the space keeps its value.
+    A Q on every point reads the D~_p kept by _solve at exactly p, if any,
+    the same bits that _power builds.
     """
     li, lw, ri, rw, e = _split(Q, X.size)
     s, at = np.unique(np.concatenate((li, ri)), return_inverse=True)
-    return *_power(X, p, s), (at[: li.size], lw, at[li.size :], rw, e)
+    solved = _kept(X, p) if s.size == X.size else None
+    d, scale = solved[:2] if solved is not None else _power(X, p, s)
+    return d, scale, (at[: li.size], lw, at[li.size :], rw, e)
 
 
 def gap(X: MetricSpace, p: float, Q: SignedSimplex) -> float:

@@ -20,18 +20,19 @@ pass over its entries: every entry of u but the last is 1/sqrt(m), so the
 update u z^T + z u^T is the outer sum t[i] + t[j] of one vector, exactly
 symmetric with no transposed pass (0.4 ms at m = 350 and 2 ms at m = 800
 on a 2-core host, against 9 and 47 ms for eigvalsh). An eigenvector maps
-back through one O(m) reflection. Each public call builds D~_p once.
+back through one O(m) reflection. Each public call builds D~_p at most once.
 
 Every eigensolve of that block runs in one helper (_top); a sign probe of
 supremal computes eigenvalues only. The class at one exponent and the
 witnesses in polyeq read the two extreme eigenpairs of one eigh, which
-_solve remembers per space object at the exact exponent: a second decision
-at the same (space, p) -- classify, then witness_at_p -- rebuilds D~_p but
-skips the solve. The memo keeps the last exponent only, O(m) floats per
-live space, weakly keyed so that it goes with the space; D~_p itself is not
-kept. A space is immutable (re-enabling writes on X.dist is unsupported).
-Sign probes, quad_form, restricted_form and polyeq.verify_equality neither
-read nor write the memo.
+_solve keeps per space object with the read-only D~_p they were solved on,
+at the exact exponent: a second decision at the same (space, p) --
+classify, then witness_at_p -- builds nothing and skips the solve, and
+polyeq.verify_equality and polyeq.gap read the kept D~_p (_kept) when their
+simplex covers every point. The memo keeps the last exponent only, O(m^2)
+floats per live space, weakly keyed so that it goes with the space. A space
+is immutable (re-enabling writes on X.dist is unsupported). Sign probes,
+quad_form and restricted_form neither read nor write the memo.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .errors import (
     LengthMismatch,
     NotBalanced,
 )
-from .metric import MetricSpace, _power, _real, is_ultrametric
+from .metric import MetricSpace, _exponent, _power, _real, is_ultrametric
 
 __all__ = [
     "BalancedVector",
@@ -71,8 +72,8 @@ EPSILON_REL = 1e-9
 # Rounding floor of a sign probe, relative to the spectral norm of the form.
 FLOOR = 16 * np.finfo(float).eps
 
-# space -> (p, extreme eigenpairs of its restricted form at p), see _solve
-_EIGENPAIRS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# space -> (p, _solve tuple of the space at p), see _solve
+_SOLVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,23 +230,28 @@ def _top(d: np.ndarray, vector: bool = True) -> tuple:
 def _solve(X: MetricSpace, p: float) -> tuple:
     """(D~_p, scale, lambda_max, v_max, lambda_min, v_min) for one decision at (X, p).
 
-    D~_p and its scale are built on every call; the eigenpairs come from the
-    last eigh on this same space object when that was at exactly float(p),
-    so they are the very arrays a fresh solve computes. A solve that raises
-    stores nothing. Concurrent callers can only overwrite each other's entry,
-    never read one at the wrong exponent, since the entry carries its exponent.
+    The tuple is kept for the last exponent of this same space object, with
+    D~_p and the eigenvectors read-only, and a call at exactly float(p) hands
+    out those very arrays, which a fresh build and solve would repeat bit
+    for bit. A build or solve that raises stores nothing. Concurrent callers
+    can only overwrite each other's entry, never read one at the wrong
+    exponent, since the entry carries its exponent.
     """
-    d, scale = _power(X, p)
-    key = float(p)
-    kept = _EIGENPAIRS.get(X)
-    if kept is not None and kept[0] == key:
-        pairs = kept[1]
-    else:
+    solved = _kept(X, p)
+    if solved is None:
+        d, scale = _power(X, p)
         pairs = _top(d)
-        for v in pairs[1::2]:  # every later hit hands out these same arrays
-            v.setflags(write=False)
-        _EIGENPAIRS[X] = (key, pairs)
-    return (d, scale, *pairs)
+        for a in (d, *pairs[1::2]):  # every later hit hands out these same arrays
+            a.setflags(write=False)
+        solved = (d, scale, *pairs)
+        _SOLVED[X] = (float(p), solved)
+    return solved
+
+
+def _kept(X: MetricSpace, p: float) -> tuple | None:
+    """The kept _solve tuple of X when it was solved at exactly float(p), else None."""
+    kept = _SOLVED.get(X)
+    return kept[1] if kept is not None and kept[0] == _exponent(p) else None
 
 
 def quad_form(X: MetricSpace, p: float, xi) -> float:

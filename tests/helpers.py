@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -70,6 +71,21 @@ def gap_reference(X: MetricSpace, p: float, Q: SignedSimplex) -> float:
         for b in range(a + 1, len(right))
     )
     return cross - same_l - same_r
+
+
+def exact_gap(X: MetricSpace, p: float, Q: SignedSimplex) -> tuple[Fraction, Fraction]:
+    """(gap, mass): the pair sums of the gap and of their absolute values,
+    exact in rationals on the floats of power_entries and the weights."""
+    d = power_entries(X, p)
+    left, right = list(Q.left), list(Q.right)
+    cross = [(w, v, d[i, j]) for i, w in left for j, v in right]
+    same = [(side[a][1], side[b][1], d[side[a][0], side[b][0]])
+            for side in (left, right)
+            for a in range(len(side)) for b in range(a + 1, len(side))]
+    terms = [(Fraction(w) * Fraction(v) * Fraction(x), sign)
+             for sign, pairs in ((1, cross), (-1, same)) for w, v, x in pairs]
+    return (sum((sign * t for t, sign in terms), Fraction(0)),
+            sum((abs(t) for t, _ in terms), Fraction(0)))
 
 
 def centered_eigenpairs(X: MetricSpace, p: float) -> tuple[np.ndarray, np.ndarray]:

@@ -392,6 +392,14 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "simplex index must be an integer" in err and "Traceback" not in err
 
+    def test_bool_or_string_entry_exit_3(self, collinear_file, tmp_path, capsys):
+        # int() and float() would read it as the simplex {1} | {2}
+        f = tmp_path / "strings.json"
+        f.write_text('{"left": [[true, "1"]], "right": [["2", 1]]}')
+        assert main(["verify", collinear_file, str(f), "--p", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "simplex index must be an integer, got True" in err and "Traceback" not in err
+
 
 class TestIntervalCommand:
     def test_two_point_empty_set(self, two_point_file, capsys):

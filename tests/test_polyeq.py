@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 import json
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from helpers import (
     angular_deviation,
     break_ultrametricity,
     collinear_triple,
+    exact_gap,
     gap_reference,
     random_balanced,
     random_refined_simplex,
@@ -54,6 +57,7 @@ from negtype import (
 from negtype import metric, polyeq, quadform
 from negtype.cli import generate_space, main
 
+EPS = np.finfo(float).eps
 TRIVIAL_PAIR = SignedSimplex(((0, 1.0), (1, 1.0)), ((0, 1.0), (1, 1.0)))
 COLLINEAR_WITNESS = SignedSimplex(((0, 1.0), (2, 1.0)), ((1, 2.0),))
 
@@ -109,6 +113,34 @@ class TestGap:
         Q = SignedSimplex(((0, 1.0), (0, 2.0)), ((1, 3.0),))
         assert gap(collinear, 1.0, Q) == pytest.approx(gap_reference(collinear, 1.0, Q))
 
+    @pytest.mark.parametrize("left, right", [
+        (((0, 1.0), (0, 2.0), (2, 3.0)), ((1, 6.0),)),
+        (((0, 1.0), (1, 2.0)), ((1, 1.5), (2, 1.5))),
+        (((0, 1.0), (2, 2.0)), ()),
+        ((), ((0, 1.0), (1, -0.5), (2, 0.25))),
+        (((0, 1e200), (2, 3e199)), ((1, 1.3e200),)),
+        (((0, 1e-200), (1, 2e-200)), ((2, 1.5e-200), (1, 1.5e-200))),
+        (((0, 1e200), (1, 3e-200)), ((2, 1e200), (0, 7e-201))),
+    ], ids=["repeat_one_side", "both_sides", "empty_right", "empty_left",
+            "near_1e200", "near_1e-200", "mixed_1e200_1e-200"])
+    def test_matches_exact_pairwise_sums(self, collinear, left, right):
+        # the exact gap over the pairs of entries, summed in rationals on
+        # the floats of D_p, against every side shape the dense-vector sums
+        # meet; a unit of distance c is checked where the reference's own
+        # entries and pair sums are normal floats
+        Q = SignedSimplex(left, right)
+        checked = 0
+        for c in (1.0, 1e-150, 1e-100, 1e100, 1e150):
+            X = validate_metric(None, c * collinear.dist)
+            for p in (1.0, 2.0, 2.7):
+                if not abs(p * math.log2(c)) < 1000:
+                    continue
+                exact, mass = exact_gap(X, p, Q)
+                if 2.0**-960 < mass < 2.0**1000:
+                    checked += 1
+                    assert abs(Fraction(gap(X, p, Q)) - exact) <= 8 * EPS * mass, (c, p)
+        assert checked >= 3
+
     def test_equals_the_equality_gap_bit_for_bit(self):
         # gap and verify_equality(...).gap are one number for one simplex
         rng = np.random.default_rng(2001)
@@ -127,6 +159,20 @@ class TestSignedSimplex:
             SignedSimplex(((index, 1.0),), ((1, 1.0),))
         with pytest.raises(ValueError, match="simplex index must be an integer"):
             SignedSimplex(((0, 1.0),), ((np.float64(index), 1.0),))
+
+    @pytest.mark.parametrize("left, right, message", [
+        (((True, 1.0),), ((1, 1.0),), "index must be an integer, got True"),
+        (((0, 1.0),), ((np.bool_(True), 1.0),), "index must be an integer"),
+        ((("1", 1.0),), ((2, 1.0),), "index must be an integer, got '1'"),
+        (((0, "1"),), ((2, 1.0),), "weight must be a number, got '1'"),
+        (((0, 1.0),), ((2, False),), "weight must be a number, got False"),
+        (((True, "1"),), (("2", 1),), "index must be an integer, got True"),
+    ], ids=["bool_index", "numpy_bool_index", "string_index", "string_weight",
+            "bool_weight", "bool_and_strings"])
+    def test_bool_or_string_entry(self, left, right, message):
+        # int() and float() would read these as numbers: {1} | {2} for the last
+        with pytest.raises(ValueError, match=f"simplex {message}"):
+            SignedSimplex(left, right)
 
     def test_integral_float_index_reads_as_int(self):
         Q = SignedSimplex(((0.0, 1.0), (2.0, 1.0)), ((np.float64(1.0), 2.0),))
@@ -628,11 +674,11 @@ class TestVerifyEquality:
 
 
 class TestBuildOnce:
-    """Each public call builds D_p once, and each (space, p) is solved once.
+    """Each public call builds D_p at most once, and each (space, p) is solved once.
 
-    Every test builds its own spaces: the extreme eigenpairs are remembered
-    per space object, so a session fixture that an earlier test solved at
-    the same exponent would take no eigh here.
+    Every test builds its own spaces: D~_p and its extreme eigenpairs are
+    remembered per space object, so a session fixture that an earlier test
+    solved at the same exponent would take no build and no eigh here.
     """
 
     @pytest.fixture()
@@ -707,7 +753,40 @@ class TestBuildOnce:
         assert classify(X, 3.0).classification is Classification.NOT_NEG_TYPE
         w = witness_at_p(X, 3.0)
         assert verify_equality(X, 3.0, w.simplex).nontrivial_equality
-        assert len(builds) == 3 and len(eigensolves) == 1
+        assert len(builds) == 1 and len(eigensolves) == 1
+
+    def test_kept_matrix_reports_equal_fresh_ones(self, builds, eigensolves):
+        # verify_equality and gap on a simplex over every point read the D~_p
+        # kept by the solve; on a fresh copy they build it, with the same bits
+        def space():
+            return validate_metric(None, generate_space("points", 30, seed=7).dist)
+
+        X, p = space(), 3.0
+        rep, w = classify(X, p), witness_at_p(X, p)
+        assert {i for i, _ in (*w.simplex.left, *w.simplex.right)} == set(range(30))
+        chk, g = verify_equality(X, p, w.simplex), gap(X, p, w.simplex)
+        assert len(builds) == 1 and len(eigensolves) == 1
+        F = space()
+        fresh_chk, fresh_g = verify_equality(F, p, w.simplex), gap(F, p, w.simplex)
+        assert len(builds) == 3 and len(eigensolves) == 1  # no memo on F yet
+        fresh_rep, fresh_w = classify(F, p), witness_at_p(F, p)
+        assert len(builds) == 4 and len(eigensolves) == 2
+
+        def fields(report):
+            return [v.weights.tobytes() if isinstance(v, quadform.BalancedVector)
+                    else fields(v) if isinstance(v, polyeq.EqualityReport) else v
+                    for v in (getattr(report, f.name) for f in dataclasses.fields(report))]
+
+        assert fields(rep) == fields(fresh_rep)
+        assert fields(w) == fields(fresh_w)
+        assert fields(chk) == fields(fresh_chk) == fields(w.equality)
+        assert g == fresh_g == chk.gap
+        # a simplex on a strict subset of the points builds its own block,
+        # scaled by its own largest entry, memo or not
+        sub = SignedSimplex(((0, 1.0), (2, 1.0)), ((1, 2.0),))
+        builds.clear()
+        assert fields(verify_equality(X, p, sub)) == fields(verify_equality(F, p, sub))
+        assert len(builds) == 2
 
     def test_new_exponent_or_new_space_solves_again(self, eigensolves):
         X = collinear_triple()
