@@ -19,13 +19,11 @@ lambda_max is zero and the angle is zero, so the witness is the top
 eigendirection itself. Every D_p here is metric._power's D~_p, converted
 once: a witness and its equality check share one build, and one helper
 (_equality) checks both it and a simplex given to verify_equality, which
-like gap reads only the block of D_p on the points of the simplex. A
-simplex on every point reads the D~_p that quadform._solve keeps for the
-space at exactly that exponent, and builds it only when none is kept; a
-smaller block is built with its own scale. The sums scatter each side's
-weights into one dense vector over the block and read the block once, in
-one product with both vectors. The equality check is the one gate:
-NoWitnessFound carries a witness that fails it.
+like gap reads only the block of D_p on the points of the simplex
+(quadform._block). A simplex is read once into one dense vector per side
+(_read); their difference, cleaned by one rule, is the net vector (_net)
+behind every conversion and every nontrivial. The equality check is the
+one gate: NoWitnessFound carries a witness that fails it.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,18 +44,20 @@ from .errors import (
     UnbalancedWeights,
     ZeroVector,
 )
-from .metric import MetricSpace, _power, _real
+from .metric import MetricSpace, _real
 from .quadform import (
+    BALANCE_REL,
     BalancedVector,
     Classification,
     QuadFormReport,
     SupremalResult,
     SupremalStatus,
+    _block,
     _check_epsilon,
     _classify,
-    _kept,
     _scaled,
     _solve,
+    _sums,
     _weights,
 )
 
@@ -80,9 +81,6 @@ __all__ = [
     "polygonal_interval",
 ]
 
-# Relative tolerance for weight balance (against the larger side total) and for
-# dropping negligible net weights (against the largest weight).
-CLEANUP_REL = 1e-12
 # Default tolerance for verifying an equality, relative to max(|lhs|, |rhs|).
 VERIFY_REL = 1e-9
 
@@ -95,12 +93,9 @@ class SignedSimplex:
     right: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "left", tuple((_index(i), _weight(w)) for i, w in self.left)
-        )
-        object.__setattr__(
-            self, "right", tuple((_index(i), _weight(w)) for i, w in self.right)
-        )
+        for side in ("left", "right"):
+            entries = tuple((_index(i), _weight(w)) for i, w in getattr(self, side))
+            object.__setattr__(self, side, entries)
 
 
 # values that int() and float() read as numbers, but a simplex does not take
@@ -211,120 +206,108 @@ class IntervalReport:
         return f"[{0.5 * (self.lo + self.hi):.4f}, ∞)"
 
 
-def _split(Q: SignedSimplex, m: int) -> tuple:
-    """(li, lw, ri, rw, e): the points and weights of each side of Q.
+class _Sides(NamedTuple):
+    """A simplex read once (_read), every weight scaled by 2**-e."""
 
-    The weights are scaled by one exact power of two 2**-e (quadform._scaled),
-    so no side total or weighted sum overflows: a value summed on them takes
-    the factor 2**e per weight back when it converts (metric._real).
+    s: np.ndarray  # the listed points, sorted
+    a: np.ndarray  # left weight per point of s, repeats added up
+    b: np.ndarray  # right weight per point of s
+    e: int
+    totals: tuple[float, float]  # the side totals, unscaled
+    balanced: bool
+    top: float  # the largest |weight| written
+
+
+def _read(Q: SignedSimplex, m: int, every: bool = False) -> _Sides:
+    """Q's points s and one dense vector per side on s (on all m points with every).
+
+    Weights carry one exact scaling 2**-e (quadform._scaled), so no sum
+    overflows. The sides balance when their totals agree within BALANCE_REL
+    of the larger side's sum of |weight|.
     """
     for i, _ in (*Q.left, *Q.right):
         if not 0 <= i < m:
             raise IndexOutOfRange(i, m)
-    li = np.array([i for i, _ in Q.left], dtype=int)
-    lw = np.array([w for _, w in Q.left], dtype=float)
-    ri = np.array([i for i, _ in Q.right], dtype=int)
-    rw = np.array([w for _, w in Q.right], dtype=float)
-    if not (np.isfinite(lw).all() and np.isfinite(rw).all()):  # no finite totals
-        with np.errstate(invalid="ignore", over="ignore"):
-            raise UnbalancedWeights(float(lw.sum()), float(rw.sum()))
-    w, e = _scaled(np.concatenate((lw, rw)))
-    return li, w[: li.size], ri, w[li.size :], e
+    k = len(Q.left)
+    idx = np.array([i for i, _ in (*Q.left, *Q.right)], dtype=int)
+    w, e = _scaled(np.array([w for _, w in (*Q.left, *Q.right)], dtype=float))
+    lw, rw = w[:k], w[k:]
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf is left unscaled
+        left, right = float(lw.sum()), float(rw.sum())
+    if not (math.isfinite(left) and math.isfinite(right)):
+        raise UnbalancedWeights(left, right)
+    s, at = (np.arange(m), idx) if every else np.unique(idx, return_inverse=True)
+    a, b = np.bincount(at[:k], lw, s.size), np.bincount(at[k:], rw, s.size)
+    mass = max(float(np.abs(lw).sum()), float(np.abs(rw).sum()))
+    totals = _real(left, 1.0, e), _real(right, 1.0, e)
+    balanced = abs(left - right) <= BALANCE_REL * mass
+    return _Sides(s, a, b, e, totals, balanced, float(np.abs(w).max(initial=0.0)))
 
 
-def _sums(d: np.ndarray, li, lw, ri, rw, e):
-    """(cross, same_left + same_right) weighted sums of the entries of D_p, times 2**-2e.
+def _clean(w: np.ndarray, top: float) -> np.ndarray:
+    """w with each component of at most BALANCE_REL * top zeroed: the one cleanup rule.
 
-    Each side's weights go into one dense vector over the block, repeats of
-    a point added up, so the sums are products of those vectors with d,
-    which reads the whole block once. gap and verify_equality both read the
-    gap as cross - rhs, so they agree bit for bit.
+    What it keeps must sum to zero (BalancedVector), or NotBalanced is raised.
     """
-    n = len(d)
-    a, b = np.bincount(li, lw, n), np.bincount(ri, rw, n)
-    da, db = np.stack((a, b)) @ d  # d is symmetric: rows a d and b d
-    return float(da @ b), 0.5 * (float(da @ a) + float(db @ b))
+    return BalancedVector(np.where(np.abs(w) > BALANCE_REL * top, w, 0.0)).weights
 
 
-def _on_points(X: MetricSpace, p: float, Q: SignedSimplex) -> tuple:
-    """(D~_p, scale, parts) on the block of D_p on the points of Q.
+def _net(sides: _Sides) -> np.ndarray:
+    """a - b, cleaned against the largest weight written: net weight per point of s.
 
-    parts are the _split parts of Q indexed into that block. The sums of Q
-    read no other entry, so the block's own largest entry sets the scale,
-    and a Q on points far closer than the rest of the space keeps its value.
-    A Q on every point reads the D~_p kept by _solve at exactly p, if any,
-    the same bits that _power builds.
+    Raises UnbalancedWeights unless the sides balance and the kept weights sum to 0.
     """
-    li, lw, ri, rw, e = _split(Q, X.size)
-    s, at = np.unique(np.concatenate((li, ri)), return_inverse=True)
-    solved = _kept(X, p) if s.size == X.size else None
-    d, scale = solved[:2] if solved is not None else _power(X, p, s)
-    return d, scale, (at[: li.size], lw, at[li.size :], rw, e)
+    if not sides.balanced:
+        raise UnbalancedWeights(*sides.totals)
+    try:
+        return _clean(sides.a - sides.b, sides.top)
+    except NotBalanced:
+        raise UnbalancedWeights(*sides.totals) from None
+
+
+def _sign_split(w: np.ndarray) -> SignedSimplex:
+    """Positive components as left weights, negated negative components as right weights."""
+    left, right = np.flatnonzero(w > 0.0), np.flatnonzero(w < 0.0)
+    return SignedSimplex(tuple(zip(left.tolist(), w[left].tolist())),
+                         tuple(zip(right.tolist(), (-w[right]).tolist())))
 
 
 def gap(X: MetricSpace, p: float, Q: SignedSimplex) -> float:
     """The p-simplex gap: cross-side sum minus the two same-side sums."""
-    d, scale, parts = _on_points(X, p, Q)
-    cross, rhs = _sums(d, *parts)
-    return _real(cross - rhs, scale, 2 * parts[-1])
-
-
-def _net_vector(m: int, li, lw, ri, rw, e) -> BalancedVector:
-    """Net weight per point of balanced sides, times 2**-e, with cancellation noise zeroed.
-
-    The sides are _split's, so balance is decided on the scaled weights,
-    where no total overflows. A net weight counts as zero when it is at most
-    CLEANUP_REL times the largest weight written on either side.
-    vector_to_simplex drops the same components by the same rule, so every
-    simplex it emits converts back to the vector it kept.
-    """
-    left, right = float(lw.sum()), float(rw.sum())
-    totals = _real(left, 1.0, e), _real(right, 1.0, e)
-    mass = max(float(np.abs(lw).sum()), float(np.abs(rw).sum()))
-    if not abs(left - right) <= CLEANUP_REL * mass:
-        raise UnbalancedWeights(*totals)
-    xi = np.zeros(m)
-    np.add.at(xi, li, lw)
-    np.subtract.at(xi, ri, rw)
-    top = max(float(np.abs(lw).max(initial=0.0)), float(np.abs(rw).max(initial=0.0)))
-    xi[np.abs(xi) <= CLEANUP_REL * top] = 0.0
-    try:
-        return BalancedVector(xi)
-    except NotBalanced:
-        raise UnbalancedWeights(*totals) from None
+    sides = _read(Q, X.size)
+    d, scale = _block(X, p, sides.s)
+    cross, same = _sums(d, sides.a, sides.b)
+    return _real(cross - same, scale, 2 * sides.e)
 
 
 def simplex_to_vector(X: MetricSpace, Q: SignedSimplex) -> BalancedVector:
     """Net weight per point: left total minus right total, 0 elsewhere.
 
     Requires balanced weight totals so the result lies in the zero-sum
-    hyperplane. Net weights at most CLEANUP_REL times the largest weight are
+    hyperplane. Net weights at most BALANCE_REL times the largest weight are
     zeroed, so exact cancellations survive float rounding. A net weight
     beyond the largest float raises NotBalanced.
     """
-    parts = _split(Q, X.size)
+    sides = _read(Q, X.size, every=True)
     with np.errstate(over="ignore"):
-        return BalancedVector(np.ldexp(_net_vector(X.size, *parts).weights, parts[-1]))
+        return BalancedVector(np.ldexp(_net(sides), sides.e))
 
 
 def vector_to_simplex(X: MetricSpace, xi) -> SignedSimplex:
     """Sign-split a nonzero zero-sum vector into a completely refined simplex.
 
     Positive components become left weights, negated negative components
-    become right weights; components at most CLEANUP_REL times the largest
-    are dropped so eigenvector noise cannot create spurious vertices. The
-    kept components must sum to zero, as simplex_to_vector requires of the
-    result, and a NaN or infinite component raises NotBalanced.
+    become right weights; components at most BALANCE_REL times the largest
+    are dropped (the cleanup rule of simplex_to_vector), so eigenvector
+    noise cannot create spurious vertices and the simplex converts back to
+    the vector kept. The kept components must sum to zero, and a NaN or
+    infinite component raises NotBalanced.
     """
     w = _weights(xi, X.size)
     top = float(np.abs(w).max(initial=0.0))
     if top == 0.0:
         raise ZeroVector("all components are zero")
-    w = np.where(np.abs(w) > CLEANUP_REL * top, w, 0.0)
-    BalancedVector(w)  # raises NotBalanced
-    left = tuple((int(i), float(w[i])) for i in np.flatnonzero(w > 0.0))
-    right = tuple((int(i), float(-w[i])) for i in np.flatnonzero(w < 0.0))
-    return SignedSimplex(left, right)
+    return _sign_split(_clean(w, top))
 
 
 def reduce(X: MetricSpace, Q: SignedSimplex) -> ReducedForm:
@@ -332,18 +315,18 @@ def reduce(X: MetricSpace, Q: SignedSimplex) -> ReducedForm:
 
     The gap of the reduction equals the gap of the original at every
     exponent, because both sides share the induced vector. A zero vector
-    means the simplex is degenerate; otherwise the sign split yields a
-    completely refined simplex.
+    means the simplex is degenerate; otherwise its sign split, with no
+    second cleanup, is a completely refined simplex.
     """
-    xi = simplex_to_vector(X, Q)
-    if not np.any(xi.weights):
+    xi = simplex_to_vector(X, Q).weights
+    if not xi.any():
         return ReducedForm(ReducedKind.DEGENERATE)
-    return ReducedForm(ReducedKind.COMPLETELY_REFINED, vector_to_simplex(X, xi))
+    return ReducedForm(ReducedKind.COMPLETELY_REFINED, _sign_split(xi))
 
 
 def is_nondegenerate(X: MetricSpace, Q: SignedSimplex) -> bool:
-    """True iff the simplex reduces to a completely refined one."""
-    return reduce(X, Q).kind is ReducedKind.COMPLETELY_REFINED
+    """True iff the net vector of Q is nonzero, the nontrivial of verify_equality."""
+    return bool(_net(_read(Q, X.size)).any())
 
 
 def verify_equality(
@@ -353,27 +336,27 @@ def verify_equality(
 
     holds compares the cross-side sum (lhs) against the same-side sums
     (rhs) relative to max(|lhs|, |rhs|), both summed on the normalised
-    block of D_p on the points of Q (_on_points), so the test does not
-    depend on the unit of distance;
-    nontrivial reports whether the simplex is nondegenerate. The two
+    block of D_p on the points of Q (quadform._block), so the test does not
+    depend on the unit of distance; nontrivial is is_nondegenerate. The two
     together certify a nontrivial p-polygonal equality. tol must be finite
     and nonnegative.
     """
     if not 0.0 <= tol < math.inf:
         raise InvalidTolerance(f"tol = {tol}")
-    d, scale, parts = _on_points(X, p, Q)
-    return _equality(d, scale, p, parts, tol)
+    sides = _read(Q, X.size)
+    d, scale = _block(X, p, sides.s)
+    return _equality(d, scale, p, sides, tol)
 
 
-def _equality(d: np.ndarray, scale: float, p: float, parts: tuple, tol: float) -> EqualityReport:
-    """verify_equality on D~_p and its scale, for the _split parts of a simplex."""
-    nontrivial = bool(np.any(_net_vector(len(d), *parts).weights))
-    cross, rhs = _sums(d, *parts)
+def _equality(d: np.ndarray, scale: float, p: float, sides: _Sides, tol: float) -> EqualityReport:
+    """verify_equality on D~_p and its scale, for a simplex read on the points of d."""
+    nontrivial = bool(_net(sides).any())
+    cross, rhs = _sums(d, sides.a, sides.b)
     g = cross - rhs
     top = max(abs(cross), abs(rhs))
     relative = abs(g) / top if g else 0.0
     relative = math.inf if math.isnan(relative) else relative  # NaN distances
-    twos = 2 * parts[-1]
+    twos = 2 * sides.e
     return EqualityReport(
         p=float(p),
         lhs=_real(cross, scale, twos),
@@ -409,7 +392,7 @@ def _witness(X: MetricSpace, solved: tuple, report: QuadFormReport) -> WitnessRe
         simplex=simplex,
         residual=_real(abs(float(v @ d @ v)), scale),
         method=WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION,
-        equality=_equality(d, scale, report.p, _split(simplex, X.size), VERIFY_REL),
+        equality=_equality(d, scale, report.p, _read(simplex, X.size, every=True), VERIFY_REL),
     )
     if not witness.equality.nontrivial_equality:
         raise NoWitnessFound(witness)

@@ -9,30 +9,27 @@ eigenvalue changes sign once, at the supremal p-negative type w, and a
 regula falsi on that eigenvalue brackets w, ending early on a probe inside
 the rounding floor (FLOOR). Every decision and value reads D~_p =
 (d / max d)^p from metric._power, largest entry 1 at any scale, and a
-value converts once to the units of D_p (metric._real); quad_form reads
-only the block of D_p on the support of its vector.
+value converts once to the units of D_p (metric._real). quad_form is -2
+gap_p of the sign split of its vector, summed as gap is (_sums, _block).
 
 The restriction uses one Householder reflection H = I - beta u u^T mapping
 the unit all-ones vector to -e_m: the first m-1 columns of H are an
 orthonormal basis of F0, so the leading (m-1) x (m-1) block of H D~_p H is
-the form in that basis. The block costs one matrix-vector product and one
-pass over its entries: every entry of u but the last is 1/sqrt(m), so the
-update u z^T + z u^T is the outer sum t[i] + t[j] of one vector, exactly
-symmetric with no transposed pass (0.4 ms at m = 350 and 2 ms at m = 800
-on a 2-core host, against 9 and 47 ms for eigvalsh). An eigenvector maps
-back through one O(m) reflection. Each public call builds D~_p at most once.
+the form in that basis, built in one matrix-vector product and one pass
+over its entries (_restrict; 0.4 ms at m = 350 and 2 ms at m = 800 on a
+2-core host, against 9 and 47 ms for eigvalsh). An eigenvector maps back
+through one O(m) reflection. Each public call builds D~_p at most once.
 
 Every eigensolve of that block runs in one helper (_top); a sign probe of
 supremal computes eigenvalues only. The class at one exponent and the
 witnesses in polyeq read the two extreme eigenpairs of one eigh, which
 _solve keeps per space object with the read-only D~_p they were solved on,
-at the exact exponent: a second decision at the same (space, p) --
-classify, then witness_at_p -- builds nothing and skips the solve, and
-polyeq.verify_equality and polyeq.gap read the kept D~_p (_kept) when their
-simplex covers every point. The memo keeps the last exponent only, O(m^2)
-floats per live space, weakly keyed so that it goes with the space. A space
-is immutable (re-enabling writes on X.dist is unsupported). Sign probes,
-quad_form and restricted_form neither read nor write the memo.
+for the last exact exponent only (O(m^2) floats per live space, weakly
+keyed): classify, then witness_at_p builds and solves once, and quad_form,
+polyeq.gap and polyeq.verify_equality read the kept D~_p (_block) when
+their vector or simplex covers every point. A space is immutable
+(re-enabling writes on X.dist is unsupported). Sign probes and
+restricted_form neither read nor write the memo.
 """
 
 from __future__ import annotations
@@ -65,7 +62,8 @@ __all__ = [
     "hilbert_embeddable",
 ]
 
-# Balance slack for constructing a BalancedVector, relative to max |component|.
+# Balance slack (relative to a vector's largest |weight| or a simplex's larger side
+# mass), and the one cleanup rule: a net weight at most this times the largest is 0.
 BALANCE_REL = 1e-12
 # Classification tolerance on the normalised form, whose largest entry is 1.
 EPSILON_REL = 1e-9
@@ -149,8 +147,7 @@ class SupremalResult:
 
 
 def _weights(xi, m: int) -> np.ndarray:
-    w = xi.weights if isinstance(xi, BalancedVector) else np.asarray(xi, dtype=float)
-    w = w.ravel()
+    w = np.asarray(xi.weights if isinstance(xi, BalancedVector) else xi, dtype=float).ravel()
     if w.size != m:
         raise LengthMismatch(m, w.size)
     if not np.isfinite(w).all():  # a NaN or infinite component has no finite sum
@@ -161,10 +158,9 @@ def _weights(xi, m: int) -> np.ndarray:
 def _scaled(w: np.ndarray) -> tuple[np.ndarray, int]:
     """(w * 2**-e, e), e the binary exponent of the largest |w|.
 
-    The largest weight then lies in [0.5, 1), so sums of weights and
-    of products of two weights with entries of D~_p cannot overflow, and
-    the scaling is exact for every weight of at least 2**-1021 times the
-    largest.
+    The largest weight then lies in [0.5, 1), so sums of weights and of
+    products of two weights with entries of D~_p cannot overflow, and the
+    scaling is exact for every weight of at least 2**-1021 times the largest.
     """
     e = math.frexp(float(np.abs(w).max(initial=0.0)))[1]  # 0 for 0, inf and NaN
     return np.ldexp(w, -e), e
@@ -254,13 +250,33 @@ def _kept(X: MetricSpace, p: float) -> tuple | None:
     return kept[1] if kept is not None and kept[0] == _exponent(p) else None
 
 
+def _block(X: MetricSpace, p: float, s: np.ndarray) -> tuple[np.ndarray, float]:
+    """(D~_p, scale) on the block of D_p on the sorted distinct points s.
+
+    The block's own largest entry sets its scale. A block of every point is
+    the D~_p kept by _solve at exactly p, if any: the bits _power builds.
+    """
+    solved = _kept(X, p) if len(s) == X.size else None
+    return solved[:2] if solved is not None else _power(X, p, s)
+
+
+def _sums(d: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """(a d b, (a d a + b d b) / 2) for dense weights a, b: one product reads d once.
+
+    gap_p is the first minus the second, and the form of a - b is 2 (second - first).
+    """
+    da, db = np.stack((a, b)) @ d  # d is symmetric: rows a d and b d
+    return float(da @ b), 0.5 * (float(da @ a) + float(db @ b))
+
+
 def quad_form(X: MetricSpace, p: float, xi) -> float:
     """<D_p xi, xi> = sum_{i,j} d(x_i,x_j)^p xi_i xi_j over ordered pairs."""
     w = _weights(xi, X.size)
-    s = np.flatnonzero(w)  # the form reads only the block of D_p on the support
+    s = np.flatnonzero(w)
     w, e = _scaled(w[s])
-    d, scale = _power(X, p, s)
-    return _real(float(w @ d @ w), scale, 2 * e)
+    d, scale = _block(X, p, s)
+    cross, same = _sums(d, np.maximum(w, 0.0), np.maximum(-w, 0.0))
+    return _real(2.0 * (same - cross), scale, 2 * e)
 
 
 def restricted_form(X: MetricSpace, p: float) -> np.ndarray:

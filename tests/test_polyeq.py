@@ -344,6 +344,63 @@ class TestIsNondegenerate:
         Q = SignedSimplex(((0, 0.0),), ((1, 0.0),))
         assert not is_nondegenerate(collinear, Q)
 
+    def test_small_net_weights_beside_a_large_net_weight(self, four_cycle):
+        # 2.5e-12 is above the cleanup threshold of the largest weight written
+        # (1.5 + 2.5e-12), though below that of the largest net weight (3 + 5e-12):
+        # every conversion keeps it, so the reduction is balanced and refined
+        Q = SignedSimplex(((0, 1.0), (0, 1.0), (0, 1.0), (1, 2.5e-12), (2, 2.5e-12)),
+                          ((3, 1.5 + 2.5e-12), (3, 1.5 + 2.5e-12)))
+        assert verify_equality(four_cycle, 1.0, Q).nontrivial
+        assert is_nondegenerate(four_cycle, Q)
+        got = reduce(four_cycle, Q)
+        assert got.kind is ReducedKind.COMPLETELY_REFINED
+        assert got.simplex == SignedSimplex(((0, 3.0), (1, 2.5e-12), (2, 2.5e-12)),
+                                            ((3, 3 + 5e-12),))
+
+    def test_is_the_nontrivial_of_verify_equality(self):
+        # messy simplices: repeated points, points on both sides, negative
+        # weights, and net weights on either side of the cleanup threshold of
+        # the largest net weight; where verify_equality raises,
+        # is_nondegenerate does too
+        rng = np.random.default_rng(2207)
+        outcomes = {True: 0, False: 0, "raised": 0}
+        for _ in range(400):
+            X = random_space(rng, max_n=6)
+            m = X.size
+            xi = rng.uniform(0.5, 2.0, m) * rng.choice([-1.0, 1.0], m)
+            small = rng.random(m) < 0.4
+            small[-1] = False
+            xi[small] = 0.0
+            xi[-1] -= xi.sum()
+            xi[small] = rng.uniform(0.3, 1.5, small.sum()) * 1e-12 * np.abs(xi).max()
+            xi[-1] -= xi.sum()
+            if rng.random() < 0.15:
+                xi[:] = 0.0
+            left, right = [], []
+            for i, x in enumerate(xi.tolist()):
+                parts = int(rng.integers(1, 4))
+                for _ in range(parts):
+                    if rng.random() < 0.3:  # a negative weight on the other side
+                        (right if x > 0 else left).append((i, -x / parts))
+                    else:
+                        (left if x > 0 else right).append((i, abs(x) / parts))
+                if rng.random() < 0.3:  # the point on both sides, cancelling
+                    c = float(rng.uniform(0.1, 3.0))
+                    left += [(i, 0.1 * c), (i, 0.2 * c)]
+                    right.append((i, 0.3 * c))
+            Q = SignedSimplex(tuple(left), tuple(right))
+            p = float(rng.choice([0.5, 1.0, 2.5]))
+            try:
+                nontrivial = verify_equality(X, p, Q).nontrivial
+            except UnbalancedWeights:
+                outcomes["raised"] += 1
+                with pytest.raises(UnbalancedWeights):
+                    is_nondegenerate(X, Q)
+                continue
+            assert is_nondegenerate(X, Q) is nontrivial, Q
+            outcomes[nontrivial] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+
 
 class TestLinkIdentity:
     def test_refined_simplices(self):
@@ -355,7 +412,7 @@ class TestLinkIdentity:
             p = rng.uniform(0, 8)
             g = gap(X, p, Q)
             f = quad_form(X, p, simplex_to_vector(X, Q))
-            assert f == pytest.approx(-2 * g, rel=1e-10, abs=1e-10)
+            assert f == -2 * g
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -690,7 +747,7 @@ class TestBuildOnce:
             calls.append(p)
             return real(X, p, *idx)
 
-        for module in (metric, quadform, polyeq):
+        for module in (metric, quadform):
             monkeypatch.setattr(module, "_power", counting)
         return calls
 
@@ -723,6 +780,19 @@ class TestBuildOnce:
         with pytest.raises(NoWitnessFound):
             witness_at_supremal(unit_four_cycle(), low)
         assert len(builds) == 2 and len(eigensolves) == 2
+
+    def test_quad_form_reads_the_kept_matrix(self, builds):
+        # after a decision at (X, p), a vector on every point builds nothing
+        # and reads the same bits a fresh build gives; a vector on a strict
+        # subset of the points builds its own block
+        X, fresh = collinear_triple(), collinear_triple()
+        classify(X, 3.0)
+        builds.clear()
+        assert quad_form(X, 3.0, [1.0, -2.0, 1.0]) == 8.0
+        assert quad_form(X, 3.0, [0.3, -0.7, 0.4]) == quad_form(fresh, 3.0, [0.3, -0.7, 0.4])
+        assert builds == [3.0]  # the fresh space's call only
+        assert quad_form(X, 3.0, [1.0, -1.0, 0.0]) == -2.0
+        assert builds == [3.0, 3.0]
 
     def test_verify_equality(self, builds):
         assert verify_equality(collinear_triple(), 2.0, COLLINEAR_WITNESS).nontrivial_equality
