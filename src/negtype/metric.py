@@ -194,7 +194,8 @@ def validate_metric(labels, matrix) -> MetricSpace:
 
     The returned matrix is symmetrized and its diagonal zeroed exactly;
     the checks themselves allow slack REL_TOL * max distance. ``labels``
-    may be None, in which case "x1".."xm" are used.
+    may be None, in which case "x1".."xm" are used; a str, bytes or dict
+    is not a sequence of labels and raises ValueError.
     """
     return _validated(labels, matrix, scan=True)
 
@@ -209,6 +210,8 @@ def _validated(labels, matrix, scan: bool) -> MetricSpace:
         raise NotSquare("need at least 2 points")
     if labels is None:
         labels = default_labels(m)
+    if isinstance(labels, (str, bytes, dict)):
+        raise ValueError(f"labels must be a list, got a {type(labels).__name__}")
     labels = tuple(str(x) for x in labels)
     if len(labels) != m:
         raise ValueError(f"{len(labels)} labels for {m}x{m} matrix")

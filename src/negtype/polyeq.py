@@ -17,10 +17,11 @@ from lambda_max down to lambda_min < 0. Where lambda_max >= 0 the form
 vanishes at a closed-form angle in that plane; at the supremal exponent
 lambda_max is zero and the angle is zero, so the witness is the top
 eigendirection itself. Every D_p here is metric._power's D~_p, converted
-once: a witness and its equality check share one build, and one helper
-(_equality) checks both it and a simplex given to verify_equality, which
-like gap reads only the block of D_p on the points of the simplex
-(quadform._block). A simplex is read once into one dense vector per side
+once. Every simplex, a witness's own included, is checked by
+verify_equality, which like gap reads only the block of D_p on the points
+of the simplex (quadform._block): the D~_p kept by the solve when the
+simplex uses every point, so a witness and its check share one build. A
+simplex is read once into one dense vector per side on its own points
 (_read); their difference, cleaned by one rule, is the net vector (_net)
 behind every conversion and every nontrivial. The equality check is the
 one gate: NoWitnessFound carries a witness that fails it.
@@ -53,12 +54,11 @@ from .quadform import (
     SupremalResult,
     SupremalStatus,
     _block,
-    _check_epsilon,
-    _classify,
     _scaled,
     _solve,
     _sums,
     _weights,
+    classify,
 )
 
 __all__ = [
@@ -137,9 +137,9 @@ class WitnessMethod(str, enum.Enum):
 class WitnessReport:
     """A unit zero-sum vector with (near-)vanishing form, plus its simplex.
 
-    equality is verify_equality of the simplex at p, summed on the D~_p the
-    witness was solved on; lhs and rhs read from it. |lhs - rhs| is residual/2
-    up to the components dropped when converting the vector to a simplex.
+    equality is verify_equality of the simplex at p, field for field; lhs and
+    rhs read from it. |lhs - rhs| is residual/2 up to the components dropped
+    when converting the vector to a simplex.
     """
 
     p: float
@@ -218,8 +218,8 @@ class _Sides(NamedTuple):
     top: float  # the largest |weight| written
 
 
-def _read(Q: SignedSimplex, m: int, every: bool = False) -> _Sides:
-    """Q's points s and one dense vector per side on s (on all m points with every).
+def _read(Q: SignedSimplex, m: int) -> _Sides:
+    """Q's sorted distinct points s and one dense vector per side on s.
 
     Weights carry one exact scaling 2**-e (quadform._scaled), so no sum
     overflows. The sides balance when their totals agree within BALANCE_REL
@@ -236,7 +236,7 @@ def _read(Q: SignedSimplex, m: int, every: bool = False) -> _Sides:
         left, right = float(lw.sum()), float(rw.sum())
     if not (math.isfinite(left) and math.isfinite(right)):
         raise UnbalancedWeights(left, right)
-    s, at = (np.arange(m), idx) if every else np.unique(idx, return_inverse=True)
+    s, at = np.unique(idx, return_inverse=True)
     a, b = np.bincount(at[:k], lw, s.size), np.bincount(at[k:], rw, s.size)
     mass = max(float(np.abs(lw).sum()), float(np.abs(rw).sum()))
     totals = _real(left, 1.0, e), _real(right, 1.0, e)
@@ -288,9 +288,11 @@ def simplex_to_vector(X: MetricSpace, Q: SignedSimplex) -> BalancedVector:
     zeroed, so exact cancellations survive float rounding. A net weight
     beyond the largest float raises NotBalanced.
     """
-    sides = _read(Q, X.size, every=True)
+    sides = _read(Q, X.size)
+    net = np.zeros(X.size)
+    net[sides.s] = _net(sides)
     with np.errstate(over="ignore"):
-        return BalancedVector(np.ldexp(_net(sides), sides.e))
+        return BalancedVector(np.ldexp(net, sides.e))
 
 
 def vector_to_simplex(X: MetricSpace, xi) -> SignedSimplex:
@@ -345,11 +347,6 @@ def verify_equality(
         raise InvalidTolerance(f"tol = {tol}")
     sides = _read(Q, X.size)
     d, scale = _block(X, p, sides.s)
-    return _equality(d, scale, p, sides, tol)
-
-
-def _equality(d: np.ndarray, scale: float, p: float, sides: _Sides, tol: float) -> EqualityReport:
-    """verify_equality on D~_p and its scale, for a simplex read on the points of d."""
     nontrivial = bool(_net(sides).any())
     cross, rhs = _sums(d, sides.a, sides.b)
     g = cross - rhs
@@ -369,18 +366,19 @@ def _equality(d: np.ndarray, scale: float, p: float, sides: _Sides, tol: float) 
     )
 
 
-def _witness(X: MetricSpace, solved: tuple, report: QuadFormReport) -> WitnessReport:
+def _witness(X: MetricSpace, report: QuadFormReport) -> WitnessReport:
     """The form's zero in the top-bottom eigenplane, returned only if it verifies.
 
-    solved is the _solve tuple report was classified from; lambda_min < 0
-    always, since the form at e_i - e_j is -2 d(x_i, x_j)^p. The form at the
-    unit zero-sum vector cos(t) v_max + sin(t) v_min is lambda_max cos^2 t +
-    lambda_min sin^2 t: zero at tan^2 t = lambda_max / -lambda_min when
-    lambda_max > 0 (method IVT at NOT_NEG_TYPE), and t = 0 otherwise. The
-    simplex is checked as verify_equality would, on this same D~_p, and
-    NoWitnessFound carries it unless that is a nontrivial equality.
+    It reads the eigenpairs report was classified from (_solve at report.p,
+    a memo hit); lambda_min < 0 always, since the form at e_i - e_j is
+    -2 d(x_i, x_j)^p. The form at the unit zero-sum vector
+    cos(t) v_max + sin(t) v_min is lambda_max cos^2 t + lambda_min sin^2 t:
+    zero at tan^2 t = lambda_max / -lambda_min when lambda_max > 0 (method
+    IVT at NOT_NEG_TYPE), and t = 0 otherwise. The simplex is checked by
+    verify_equality, and NoWitnessFound carries it unless that is a
+    nontrivial equality.
     """
-    d, scale, lam, v_max, lam_min, v_min = solved
+    d, scale, lam, v_max, lam_min, v_min = _solve(X, report.p)
     ivt = report.classification is Classification.NOT_NEG_TYPE
     theta = math.atan(math.sqrt(lam / -lam_min)) if lam > 0.0 else 0.0
     v = math.cos(theta) * v_max + math.sin(theta) * v_min
@@ -392,7 +390,7 @@ def _witness(X: MetricSpace, solved: tuple, report: QuadFormReport) -> WitnessRe
         simplex=simplex,
         residual=_real(abs(float(v @ d @ v)), scale),
         method=WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION,
-        equality=_equality(d, scale, report.p, _read(simplex, X.size, every=True), VERIFY_REL),
+        equality=verify_equality(X, report.p, simplex),
     )
     if not witness.equality.nontrivial_equality:
         raise NoWitnessFound(witness)
@@ -412,14 +410,12 @@ def witness_at_p(
     p-polygonal equality exists there. A witness that verify_equality
     rejects raises NoWitnessFound.
     """
-    _check_epsilon(epsilon)
-    solved = _solve(X, p)
-    report = _classify(solved, p, epsilon)
+    report = classify(X, p, epsilon)
     if report.classification is Classification.STRICT:
         raise NotApplicable(
             f"strict {p:g}-negative type: no nontrivial {p:g}-polygonal equality"
         )
-    return _witness(X, solved, report)
+    return _witness(X, report)
 
 
 def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
@@ -441,9 +437,7 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
         raise NotApplicable(
             f"supremal exponent exceeds cap {sup.cap:g}; no witness located"
         )
-    p = sup.midpoint
-    solved = _solve(X, p)
-    return _witness(X, solved, _classify(solved, p, None))
+    return _witness(X, classify(X, sup.midpoint))
 
 
 def polygonal_interval(X: MetricSpace, sup: SupremalResult) -> IntervalReport:

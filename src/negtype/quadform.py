@@ -18,7 +18,8 @@ orthonormal basis of F0, so the leading (m-1) x (m-1) block of H D~_p H is
 the form in that basis, built in one matrix-vector product and one pass
 over its entries (_restrict; 0.4 ms at m = 350 and 2 ms at m = 800 on a
 2-core host, against 9 and 47 ms for eigvalsh). An eigenvector maps back
-through one O(m) reflection. Each public call builds D~_p at most once.
+through one O(m) reflection. Each public call builds D~_p at most once
+(a witness checks a simplex that leaves out a point on its own block).
 
 Every eigensolve of that block runs in one helper (_top); a sign probe of
 supremal computes eigenvalues only. The class at one exponent and the
@@ -293,18 +294,9 @@ def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadForm
     EPSILON_REL times the largest entry of D_p; the comparison runs on the
     normalised form, where epsilon reads epsilon / max D_p.
     """
-    _check_epsilon(epsilon)
-    return _classify(_solve(X, p), p, epsilon)
-
-
-def _check_epsilon(epsilon: float | None) -> None:
     if epsilon is not None and not 0.0 <= epsilon < math.inf:
         raise InvalidTolerance(f"epsilon = {epsilon}")
-
-
-def _classify(solved: tuple, p: float, epsilon: float | None) -> QuadFormReport:
-    """classify on the _solve tuple of (X, p), with epsilon already checked."""
-    _, scale, lam, direction, _, _ = solved
+    _, scale, lam, direction, _, _ = _solve(X, p)
     if epsilon is None:
         eps, epsilon = EPSILON_REL, _real(EPSILON_REL, scale)
     else:  # x / 0 reads as inf, 0 / 0 as 0

@@ -100,6 +100,17 @@ class TestSpaceLoading:
         assert main(["check", str(f), "--p", "1"]) == 3
         assert "labels go with matrix only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", ["abc", {"a": 0, "b": 1, "c": 2}], ids=["str", "object"])
+    def test_labels_that_are_not_a_list_are_rejected(self, labels, tmp_path, capsys):
+        data = {"labels": labels, "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+        with pytest.raises(ValueError, match="labels must be a list"):
+            parse_space(data)
+        f = tmp_path / "labelled.json"
+        f.write_text(json.dumps(data))
+        assert main(["check", str(f), "--p", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "labels must be a list" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("n", [3.7, "3", float("inf"), float("nan"), None])
     def test_graph_n_must_be_integral(self, n, tmp_path, capsys):
         data = {"graph": {"n": n, "edges": [[0, 1, 1], [1, 2, 1]]}}

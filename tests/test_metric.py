@@ -53,6 +53,13 @@ class TestValidateMetric:
         with pytest.raises(ValueError, match="3 labels for 2x2 matrix"):
             validate_metric(["a", "b", "c"], [[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize("labels", ["ab", b"ab", {"a": 0, "b": 1}],
+                             ids=["str", "bytes", "dict"])
+    def test_labels_that_are_not_a_list(self, labels):
+        # each would otherwise iterate into one label per character or key
+        with pytest.raises(ValueError, match="labels must be a list"):
+            validate_metric(labels, [[0, 1], [1, 0]])
+
     def test_asymmetric_entry(self):
         with pytest.raises(AsymmetricEntry) as exc:
             validate_metric(None, [[0, 1], [2, 0]])

@@ -62,6 +62,12 @@ TRIVIAL_PAIR = SignedSimplex(((0, 1.0), (1, 1.0)), ((0, 1.0), (1, 1.0)))
 COLLINEAR_WITNESS = SignedSimplex(((0, 1.0), (2, 1.0)), ((1, 2.0),))
 
 
+def lopsided_triangle() -> MetricSpace:
+    """A triangle whose witness at p = 40 is rejected, with simplex {1} | {0}."""
+    a, b, c = 0.6645658617228711, 1.9120533633066823, 1.9999999999999998
+    return validate_metric(None, [[0, a, b], [a, 0, c], [b, c, 0]])
+
+
 class TestGap:
     def test_two_point_single_cross_term(self, two_point):
         Q = SignedSimplex(((0, 1.0),), ((1, 1.0),))
@@ -194,7 +200,7 @@ class TestSimplexToVector:
             simplex_to_vector(collinear, SignedSimplex(((0, 1.0),), ((1, 2.0),)))
 
     def test_balanced_sides_with_an_unbalanced_net_vector(self, collinear):
-        # the sides agree within CLEANUP_REL of their mass, 1e6, but the net
+        # the sides agree within BALANCE_REL of their mass, 1e6, but the net
         # vector (0, 1, -1 - 1e-7) is off by far more than its largest entry allows
         Q = SignedSimplex(((0, 1e6), (1, 1.0)), ((0, 1e6), (2, 1 + 1e-7)))
         with pytest.raises(UnbalancedWeights) as exc:
@@ -644,6 +650,35 @@ class TestWitnessContract:
             verified += 1
         assert set(raised) <= {38} and verified + len(raised) == 50
 
+    def test_rejected_witness_on_two_points_reports_verify_equality(self):
+        # the simplex leaves out point 2, so its check reads the 2-point block
+        X = lopsided_triangle()
+        with pytest.raises(NoWitnessFound) as exc:
+            witness_at_p(X, 40.0)
+        w = exc.value.witness
+        assert sorted(i for i, _ in (*w.simplex.left, *w.simplex.right)) == [0, 1]
+        assert not w.equality.holds and w.equality.nontrivial
+        assert (dataclasses.astuple(w.equality)
+                == dataclasses.astuple(verify_equality(X, 40.0, w.simplex)))
+
+    def test_every_witness_reports_verify_equality(self):
+        rng = np.random.default_rng(7001)
+        returned = rejected = 0
+        for _ in range(300):
+            X = random_space(rng)
+            for p in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
+                try:
+                    w = witness_at_p(X, p)
+                    returned += 1
+                except NotApplicable:
+                    continue
+                except NoWitnessFound as exc:
+                    w = exc.witness
+                    rejected += 1
+                assert (dataclasses.astuple(w.equality)
+                        == dataclasses.astuple(verify_equality(X, p, w.simplex))), p
+        assert returned > 1000 and rejected > 0
+
 
 class TestVerifyEquality:
     def test_collinear_p2_holds(self, collinear):
@@ -731,7 +766,8 @@ class TestVerifyEquality:
 
 
 class TestBuildOnce:
-    """Each public call builds D_p at most once, and each (space, p) is solved once.
+    """Each public call builds D_p at most once, and each (space, p) is solved once;
+    a simplex check on fewer than every point builds that block of D_p besides.
 
     Every test builds its own spaces: D~_p and its extreme eigenpairs are
     remembered per space object, so a session fixture that an earlier test
@@ -780,6 +816,12 @@ class TestBuildOnce:
         with pytest.raises(NoWitnessFound):
             witness_at_supremal(unit_four_cycle(), low)
         assert len(builds) == 2 and len(eigensolves) == 2
+
+    def test_rejected_witness_on_two_points_builds_its_block(self, builds, eigensolves):
+        # the solve builds D~_p, and the check of {1} | {0} its own 2-point block
+        with pytest.raises(NoWitnessFound):
+            witness_at_p(lopsided_triangle(), 40.0)
+        assert builds == [40.0, 40.0] and len(eigensolves) == 1
 
     def test_quad_form_reads_the_kept_matrix(self, builds):
         # after a decision at (X, p), a vector on every point builds nothing
