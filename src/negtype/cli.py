@@ -70,13 +70,9 @@ def parse_space(data: dict) -> MetricSpace:
     if "labels" in data:
         raise ValueError("labels go with matrix only, not with graph or points")
     if "graph" in data:
-        g = data["graph"]
-        n = g["n"]
-        if not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
-            raise ValueError(f"graph n must be an integer, got {n!r}")
-        return from_graph(int(n), g["edges"])
+        return from_graph(data["graph"]["n"], data["graph"]["edges"])
     pts = data["points"]
-    return from_points(pts["coords"], q=float(pts.get("q", 2)))
+    return from_points(pts["coords"], q=pts.get("q", 2))
 
 
 def load_space(path: str) -> MetricSpace:
@@ -110,6 +106,7 @@ def simplex_payload(Q: SignedSimplex) -> dict:
 
 
 def witness_payload(w: WitnessReport) -> dict:
+    """The witness as JSON data; holds and nontrivial are those of w.equality."""
     return {
         "p": w.p,
         "method": w.method.value,
@@ -118,6 +115,8 @@ def witness_payload(w: WitnessReport) -> dict:
         "residual": w.residual,
         "lhs": w.lhs,
         "rhs": w.rhs,
+        "holds": w.equality.holds,
+        "nontrivial": w.equality.nontrivial,
     }
 
 
@@ -242,29 +241,29 @@ def generate_space(
     q: float = 2.0,
     seed: int | None = None,
 ) -> MetricSpace:
-    """Deterministic test-space generator behind `negtype gen`."""
-    if kind == "cycle":
-        return from_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
-    if kind == "path":
-        return from_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
-    if kind == "complete":
-        return from_graph(
-            n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)]
-        )
+    """Deterministic test-space generator behind `negtype gen`.
+
+    A graph kind gives from_graph one (k, 3) edge array, complete and random in np.triu_indices
+    order; random's one draw of k weights equals k single draws of PCG64.
+    """
     if kind == "points":
         rng = np.random.default_rng(seed)
         return from_points(rng.standard_normal((n, dim)), q=q)
     if kind == "ultrametric":
         return random_ultrametric(n, seed)
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        edges = [
-            (i, j, float(rng.uniform(0.5, 2.0)))
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        return from_graph(n, edges)
-    raise ValueError(f"unknown kind {kind!r}; choose from {', '.join(GEN_KINDS)}")
+    if kind == "cycle":
+        i = np.arange(n)
+        j = (i + 1) % n
+    elif kind == "path":
+        i = np.arange(n - 1)
+        j = i + 1
+    elif kind in ("complete", "random"):
+        i, j = np.triu_indices(n, 1)
+    else:
+        raise ValueError(f"unknown kind {kind!r}; choose from {', '.join(GEN_KINDS)}")
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 2.0, len(i)) if kind == "random" else np.ones(len(i))
+    return from_graph(n, np.column_stack((i, j, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +285,6 @@ def _cmd_check(args) -> int:
     return _CHECK_EXIT[rep.classification]
 
 
-def _supremal_payload(sup) -> dict:
-    return {
-        "status": sup.status.value,
-        "lo": sup.lo,
-        "hi": sup.hi,
-        "midpoint": sup.midpoint,
-        "cap": sup.cap,
-        "evaluations": sup.evaluations,
-    }
-
-
 def _cmd_supremal(args) -> int:
     X = load_space(args.space)
     sup = supremal(X, cap=args.cap, width_tol=args.width_tol)
@@ -311,7 +299,9 @@ def _cmd_supremal(args) -> int:
     else:
         lines.append(f"no sign change at or below cap {_fmt(sup.cap)}")
     lines.append(f"evaluations: {sup.evaluations}")
-    _emit(args, _supremal_payload(sup), lines)
+    payload = {"status": sup.status.value, "lo": sup.lo, "hi": sup.hi,
+               "midpoint": sup.midpoint, "cap": sup.cap, "evaluations": sup.evaluations}
+    _emit(args, payload, lines)
     return 0
 
 
@@ -331,8 +321,6 @@ def _cmd_witness(args) -> int:
         print(f"no witness: {exc}", file=sys.stderr)
         return 1
     payload = witness_payload(wit)
-    payload["holds"] = wit.equality.holds
-    payload["nontrivial"] = wit.equality.nontrivial
     _emit(args, payload, _fields(payload, (
         "p", "method", "residual", "lhs", "rhs", "holds", "nontrivial", "xi", "simplex")))
     return 0

@@ -73,6 +73,18 @@ _TINY = 2.0**-1074  # smallest positive float64
 _GRAPH_SCAN_FREE_MAX = 3000
 
 
+# values that int() and float() read as numbers, but a simplex or q does not take
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
+def _integer(x, what: str) -> int:
+    """x as an int: an int, a numpy integer or an integral float (2.0 reads as 2)."""
+    if (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            or isinstance(x, (float, np.floating)) and x.is_integer()):
+        return int(x)
+    raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -362,10 +374,11 @@ def _within_subdominant(d: np.ndarray, tol: float) -> bool:
 def from_graph(n: int, weighted_edges) -> MetricSpace:
     """Shortest-path metric of a connected, positively weighted graph.
 
-    Edges are (i, j, w) triples with 0-based endpoints; parallel edges keep
-    the lighter weight. Graphs with at most n^2 / 10 edges run Dijkstra from
-    every vertex, denser ones Floyd-Warshall; on unit weights both give the
-    same bits. Fewer than n - 1 edges between distinct vertices raise
+    n is an integer, and an integral float reads as one. Edges are (i, j, w)
+    triples with 0-based endpoints; parallel edges keep the lighter weight.
+    Graphs with at most n^2 / 10 edges run Dijkstra from every vertex,
+    denser ones Floyd-Warshall; on unit weights both give the same bits.
+    Fewer than n - 1 edges between distinct vertices raise
     DisconnectedGraph before any n x n array is built. An infinite path
     length raises DisconnectedGraph when the graph has more than one
     component and NonpositiveDistance when the path sum overflows. The
@@ -375,6 +388,7 @@ def from_graph(n: int, weighted_edges) -> MetricSpace:
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components, dijkstra, floyd_warshall
 
+    n = _integer(n, "graph n")
     if n < 2:
         raise NotSquare("need at least 2 vertices")
     e = np.asarray(weighted_edges, dtype=float)
@@ -419,8 +433,9 @@ def from_graph(n: int, weighted_edges) -> MetricSpace:
 def from_points(coords, q: float = 2.0) -> MetricSpace:
     """Pairwise l_q distances of distinct points (q >= 1, or inf).
 
-    Two equal coordinate rows raise DuplicatePoint. Distinct points whose
-    computed distance underflows to 0 or overflows raise NonpositiveDistance.
+    A bool or a string q raises InvalidNormOrder. Two equal coordinate rows
+    raise DuplicatePoint. Distinct points whose computed distance underflows
+    to 0 or overflows raise NonpositiveDistance.
     """
     from scipy.spatial.distance import cdist
 
@@ -429,6 +444,8 @@ def from_points(coords, q: float = 2.0) -> MetricSpace:
         pts = pts[:, None]
     if pts.shape[0] < 2:
         raise NotSquare("need at least 2 points")
+    if isinstance(q, _NOT_NUMBERS):
+        raise InvalidNormOrder(f"q = {q!r}")
     q = float(q)
     if math.isnan(q) or q < 1:
         raise InvalidNormOrder(f"q = {q}")

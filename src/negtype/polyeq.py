@@ -45,7 +45,7 @@ from .errors import (
     UnbalancedWeights,
     ZeroVector,
 )
-from .metric import MetricSpace, _real
+from .metric import _NOT_NUMBERS, MetricSpace, _integer, _real
 from .quadform import (
     BALANCE_REL,
     BalancedVector,
@@ -94,20 +94,9 @@ class SignedSimplex:
 
     def __post_init__(self):
         for side in ("left", "right"):
-            entries = tuple((_index(i), _weight(w)) for i, w in getattr(self, side))
+            entries = tuple((_integer(i, "simplex index"), _weight(w))
+                            for i, w in getattr(self, side))
             object.__setattr__(self, side, entries)
-
-
-# values that int() and float() read as numbers, but a simplex does not take
-_NOT_NUMBERS = (bool, np.bool_, str, bytes)
-
-
-def _index(i) -> int:
-    """A point index as an int; a float must be integral (2.0 reads as 2)."""
-    if isinstance(i, _NOT_NUMBERS) or (
-            isinstance(i, (float, np.floating)) and not i.is_integer()):
-        raise ValueError(f"simplex index must be an integer, got {i!r}")
-    return int(i)
 
 
 def _weight(w) -> float:

@@ -7,7 +7,8 @@ over the defining sums, the triangle reference is a literal triple loop
 in pivot order, the ultrametric reference is scipy's single-linkage
 clustering, and the supremal reference is a sign-only bisection on the
 scipy eigenvalues. The ultrametric generator's reference is its original
-merge loop, point order throughout.
+merge loop, point order throughout; the graph generators' reference is
+their original per-edge loops, one rng call per random weight.
 """
 
 from __future__ import annotations
@@ -201,6 +202,23 @@ def reference_ultrametric(n: int, seed: int | None = None) -> np.ndarray:
         A.extend(B)
         del clusters[b]
     return dist
+
+
+def reference_graph(kind: str, n: int, seed: int | None = None) -> MetricSpace:
+    """generate_space(kind, n, seed=seed) for a graph kind, by its first loops.
+
+    One (i, j, w) tuple per edge in loop order, and for random one scalar
+    rng.uniform(0.5, 2.0) draw per edge; from_graph reads the list.
+    """
+    if kind == "cycle":
+        return from_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+    if kind == "path":
+        return from_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if kind == "complete":
+        return from_graph(n, [(i, j, 1.0) for i, j in pairs])
+    rng = np.random.default_rng(seed)
+    return from_graph(n, [(i, j, float(rng.uniform(0.5, 2.0))) for i, j in pairs])
 
 
 def subdominant_ultrametric(d: np.ndarray) -> np.ndarray:

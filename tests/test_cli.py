@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 import negtype
-from negtype import is_ultrametric, supremal, validate_metric, verify_equality
+from helpers import reference_graph
+from negtype import (
+    NotSquare,
+    is_ultrametric,
+    supremal,
+    validate_metric,
+    verify_equality,
+    witness_at_p,
+    witness_at_supremal,
+)
 from negtype import cli
 from negtype.cli import (
     GEN_KINDS,
@@ -21,6 +30,7 @@ from negtype.cli import (
     render_json,
     simplex_payload,
     space_payload,
+    witness_payload,
 )
 
 
@@ -111,7 +121,7 @@ class TestSpaceLoading:
         err = capsys.readouterr().err
         assert "labels must be a list" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("n", [3.7, "3", float("inf"), float("nan"), None])
+    @pytest.mark.parametrize("n", [3.7, "3", float("inf"), float("nan"), None, True])
     def test_graph_n_must_be_integral(self, n, tmp_path, capsys):
         data = {"graph": {"n": n, "edges": [[0, 1, 1], [1, 2, 1]]}}
         with pytest.raises(ValueError, match="graph n must be an integer"):
@@ -120,6 +130,15 @@ class TestSpaceLoading:
         f.write_text(json.dumps(data))
         assert main(["check", str(f), "--p", "1"]) == 3
         assert "graph n must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q", [True, "2"], ids=["bool", "str"])
+    def test_points_q_must_be_a_number(self, q, tmp_path, capsys):
+        # true was read as q = 1 (the l1 metric) and "2" as q = 2
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({"points": {"q": q, "coords": [[0], [1]]}}))
+        assert main(["check", str(f), "--p", "1"]) == 3
+        err = capsys.readouterr().err
+        assert f"q = {q!r}" in err and "Traceback" not in err
 
     def test_integral_float_n_and_truncated_endpoints_load(self):
         X = parse_space({"graph": {"n": 3.0, "edges": [[0.9, 1.5, 1], [1, 2.99, 1]]}})
@@ -279,6 +298,18 @@ class TestWitnessCommand:
         X = load_space(collinear_file)
         rep = verify_equality(X, data["p"], Q)
         assert rep.holds and rep.nontrivial
+
+    @pytest.mark.parametrize("mode", [["--p", "3"], ["--at-supremal"]], ids=["p", "at_supremal"])
+    def test_file_is_the_witness_payload(self, mode, tmp_path):
+        space, out = str(tmp_path / "pts.json"), tmp_path / "w.json"
+        assert main(["gen", "points", "30", "--seed", "1", "--out", space]) == 0
+        assert main(["witness", space, *mode, "--format", "json", "--out", str(out)]) == 0
+        X = load_space(space)
+        w = witness_at_p(X, 3.0) if mode[0] == "--p" else witness_at_supremal(X, supremal(X))
+        payload = witness_payload(w)
+        assert payload["holds"] is w.equality.holds
+        assert payload["nontrivial"] is w.equality.nontrivial
+        assert out.read_text(encoding="utf-8") == render_json(payload) + "\n"
 
     def test_strict_exits_1(self, collinear_file, capsys):
         assert main(["witness", collinear_file, "--p", "1"]) == 1
@@ -471,6 +502,20 @@ class TestGenCommand:
         assert main(["gen", "cycle", "1"]) == 3
         assert main(["gen", "nonsense", "4"]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 5, 33, 120, 351])
+    @pytest.mark.parametrize("kind", ["cycle", "path", "complete", "random"])
+    def test_graph_kinds_equal_the_per_edge_loops(self, kind, n, seed):
+        # one edge array and one weight draw give the bits of the loops, and
+        # below 2 vertices the same error
+        def outcome(build):
+            try:
+                return build(kind, n, seed=seed).dist.tobytes()
+            except NotSquare as exc:
+                return f"NotSquare: {exc}"
+
+        assert outcome(generate_space) == outcome(reference_graph)
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -591,6 +592,20 @@ class TestFromGraph:
         with pytest.raises(NonpositiveWeight):
             from_graph(2, [(0, 1, 0.0)])
 
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, True, np.bool_(True), "3", None],
+                             ids=["fraction", "nan", "inf", "bool", "numpy_bool", "str", "none"])
+    def test_n_must_be_an_integer(self, n):
+        # 2.5 raised DisconnectedGraph and True NotSquare
+        with pytest.raises(ValueError, match=re.escape(f"graph n must be an integer, got {n!r}")):
+            from_graph(n, [(0, 1, 1.0)])
+
+    @pytest.mark.parametrize("n", [3.0, np.float64(3.0), np.int64(3)],
+                             ids=["float", "numpy_float", "numpy_int"])
+    def test_integral_n_reads_as_int(self, n):
+        # 3.0 died in np.full with a TypeError
+        path = [(0, 1, 1.0), (1, 2, 1.0)]
+        assert from_graph(n, path).dist.tobytes() == from_graph(3, path).dist.tobytes()
+
     def test_parallel_edges_keep_lighter(self):
         X = from_graph(2, [(0, 1, 3.0), (1, 0, 1.0)])
         assert X.dist[0, 1] == 1.0
@@ -759,6 +774,13 @@ class TestFromPoints:
     def test_invalid_norm_order(self):
         with pytest.raises(InvalidNormOrder):
             from_points([[0], [1]], q=0.5)
+
+    @pytest.mark.parametrize("q", [True, False, np.bool_(True), "2", b"2"],
+                             ids=["true", "false", "numpy_bool", "str", "bytes"])
+    def test_norm_order_that_is_not_a_number(self, q):
+        # float() reads True as the l1 metric and "2" as the l2 one
+        with pytest.raises(InvalidNormOrder, match=re.escape(f"q = {q!r}")):
+            from_points([[0], [1]], q=q)
 
     def test_chebyshev(self):
         X = from_points([[0, 0], [3, 1]], q=np.inf)

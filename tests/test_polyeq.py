@@ -173,10 +173,14 @@ class TestSignedSimplex:
         (((0, "1"),), ((2, 1.0),), "weight must be a number, got '1'"),
         (((0, 1.0),), ((2, False),), "weight must be a number, got False"),
         (((True, "1"),), (("2", 1),), "index must be an integer, got True"),
+        (((None, 1.0),), ((1, 1.0),), "index must be an integer, got None"),
+        ((([0], 1.0),), ((1, 1.0),), r"index must be an integer, got \[0\]"),
+        (((Fraction(1), 1.0),), ((0, 1.0),), "index must be an integer, got Fraction"),
     ], ids=["bool_index", "numpy_bool_index", "string_index", "string_weight",
-            "bool_weight", "bool_and_strings"])
+            "bool_weight", "bool_and_strings", "none_index", "list_index", "fraction_index"])
     def test_bool_or_string_entry(self, left, right, message):
-        # int() and float() would read these as numbers: {1} | {2} for the last
+        # int() and float() would read most of these as numbers ({1} | {2} for
+        # bool_and_strings, point 1 for the Fraction); None and a list raised TypeError
         with pytest.raises(ValueError, match=f"simplex {message}"):
             SignedSimplex(left, right)
 
