@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .errors import NegTypeError, NotApplicable
+from .errors import NegTypeError, NotApplicable, NotSquare
 from .metric import (
     MetricSpace,
     from_graph,
@@ -247,6 +247,8 @@ def generate_space(
     order; random's one draw of k weights equals k single draws of PCG64.
     """
     if kind == "points":
+        if n < 2:  # before the draw, which a negative n would break
+            raise NotSquare("need at least 2 points")
         rng = np.random.default_rng(seed)
         return from_points(rng.standard_normal((n, dim)), q=q)
     if kind == "ultrametric":

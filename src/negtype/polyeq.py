@@ -22,9 +22,12 @@ verify_equality, which like gap reads only the block of D_p on the points
 of the simplex (quadform._block): the D~_p kept by the solve when the
 simplex uses every point, so a witness and its check share one build. A
 simplex is read once into one dense vector per side on its own points
-(_read); their difference, cleaned by one rule, is the net vector (_net)
-behind every conversion and every nontrivial. The equality check is the
-one gate: NoWitnessFound carries a witness that fails it.
+(_read). Their difference is the net vector (_net) behind every conversion
+and every check: a net weight within the rounding of the weights written
+at its point is 0, the rest is kept if BalancedVector accepts it, and a
+sum it refuses is rounding only within the largest such rounding. The
+equality check, the one gate (NoWitnessFound carries a witness that fails
+it), sums the sign split of the net vector: holds and nontrivial share a scale.
 """
 
 from __future__ import annotations
@@ -203,16 +206,15 @@ class _Sides(NamedTuple):
     b: np.ndarray  # right weight per point of s
     e: int
     totals: tuple[float, float]  # the side totals, unscaled
-    balanced: bool
-    top: float  # the largest |weight| written
+    slack: np.ndarray  # per point of s, the rounding its written weights can make
 
 
 def _read(Q: SignedSimplex, m: int) -> _Sides:
     """Q's sorted distinct points s and one dense vector per side on s.
 
     Weights carry one exact scaling 2**-e (quadform._scaled), so no sum
-    overflows. The sides balance when their totals agree within BALANCE_REL
-    of the larger side's sum of |weight|.
+    overflows. A point's slack, 4 u n |w| for n entries written there whose
+    |weight|s sum to |w| (u = eps / 2), bounds the rounding of its net weight.
     """
     for i, _ in (*Q.left, *Q.right):
         if not 0 <= i < m:
@@ -227,30 +229,28 @@ def _read(Q: SignedSimplex, m: int) -> _Sides:
         raise UnbalancedWeights(left, right)
     s, at = np.unique(idx, return_inverse=True)
     a, b = np.bincount(at[:k], lw, s.size), np.bincount(at[k:], rw, s.size)
-    mass = max(float(np.abs(lw).sum()), float(np.abs(rw).sum()))
-    totals = _real(left, 1.0, e), _real(right, 1.0, e)
-    balanced = abs(left - right) <= BALANCE_REL * mass
-    return _Sides(s, a, b, e, totals, balanced, float(np.abs(w).max(initial=0.0)))
-
-
-def _clean(w: np.ndarray, top: float) -> np.ndarray:
-    """w with each component of at most BALANCE_REL * top zeroed: the one cleanup rule.
-
-    What it keeps must sum to zero (BalancedVector), or NotBalanced is raised.
-    """
-    return BalancedVector(np.where(np.abs(w) > BALANCE_REL * top, w, 0.0)).weights
+    n, mass = np.bincount(at, minlength=s.size), np.bincount(at, np.abs(w), s.size)
+    slack = 2 * np.finfo(float).eps * n * mass
+    return _Sides(s, a, b, e, (_real(left, 1.0, e), _real(right, 1.0, e)), slack)
 
 
 def _net(sides: _Sides) -> np.ndarray:
-    """a - b, cleaned against the largest weight written: net weight per point of s.
+    """a - b judged against the rounding of the weights written: net weight per point of s.
 
-    Raises UnbalancedWeights unless the sides balance and the kept weights sum to 0.
+    A net weight within its point's slack is 0. The rest is kept as it is if
+    BalancedVector accepts it (a sum within BALANCE_REL of its largest entry);
+    else its exact sum r is rounding only within the largest slack, and comes
+    off that point, so no kept weight changes sign. A larger r raises UnbalancedWeights.
     """
-    if not sides.balanced:
-        raise UnbalancedWeights(*sides.totals)
+    net = sides.a - sides.b
+    net[np.abs(net) <= sides.slack] = 0.0
     try:
-        return _clean(sides.a - sides.b, sides.top)
+        return BalancedVector(net).weights
     except NotBalanced:
+        r, k = math.fsum(net), int(np.argmax(sides.slack))
+        if abs(r) <= sides.slack[k]:
+            net[k] -= r
+            return BalancedVector(net).weights
         raise UnbalancedWeights(*sides.totals) from None
 
 
@@ -272,10 +272,9 @@ def gap(X: MetricSpace, p: float, Q: SignedSimplex) -> float:
 def simplex_to_vector(X: MetricSpace, Q: SignedSimplex) -> BalancedVector:
     """Net weight per point: left total minus right total, 0 elsewhere.
 
-    Requires balanced weight totals so the result lies in the zero-sum
-    hyperplane. Net weights at most BALANCE_REL times the largest weight are
-    zeroed, so exact cancellations survive float rounding. A net weight
-    beyond the largest float raises NotBalanced.
+    The weights must balance as _net judges them, so the result lies in the
+    zero-sum hyperplane and exact cancellations survive float rounding. A
+    net weight beyond the largest float raises NotBalanced.
     """
     sides = _read(Q, X.size)
     net = np.zeros(X.size)
@@ -289,16 +288,16 @@ def vector_to_simplex(X: MetricSpace, xi) -> SignedSimplex:
 
     Positive components become left weights, negated negative components
     become right weights; components at most BALANCE_REL times the largest
-    are dropped (the cleanup rule of simplex_to_vector), so eigenvector
-    noise cannot create spurious vertices and the simplex converts back to
-    the vector kept. The kept components must sum to zero, and a NaN or
-    infinite component raises NotBalanced.
+    are dropped, because eigenvector noise scales with the vector's norm, so
+    it cannot create spurious vertices. The kept components must sum to
+    zero, and the simplex converts back to them; a NaN or infinite
+    component raises NotBalanced.
     """
     w = _weights(xi, X.size)
     top = float(np.abs(w).max(initial=0.0))
     if top == 0.0:
         raise ZeroVector("all components are zero")
-    return _sign_split(_clean(w, top))
+    return _sign_split(BalancedVector(np.where(np.abs(w) > BALANCE_REL * top, w, 0.0)).weights)
 
 
 def reduce(X: MetricSpace, Q: SignedSimplex) -> ReducedForm:
@@ -306,8 +305,8 @@ def reduce(X: MetricSpace, Q: SignedSimplex) -> ReducedForm:
 
     The gap of the reduction equals the gap of the original at every
     exponent, because both sides share the induced vector. A zero vector
-    means the simplex is degenerate; otherwise its sign split, with no
-    second cleanup, is a completely refined simplex.
+    means the simplex is degenerate; otherwise its sign split is a
+    completely refined simplex, which reduces to itself.
     """
     xi = simplex_to_vector(X, Q).weights
     if not xi.any():
@@ -326,18 +325,19 @@ def verify_equality(
     """Check whether a signed simplex realizes a p-polygonal equality.
 
     holds compares the cross-side sum (lhs) against the same-side sums
-    (rhs) relative to max(|lhs|, |rhs|), both summed on the normalised
-    block of D_p on the points of Q (quadform._block), so the test does not
-    depend on the unit of distance; nontrivial is is_nondegenerate. The two
-    together certify a nontrivial p-polygonal equality. tol must be finite
-    and nonnegative.
+    (rhs) relative to max(|lhs|, |rhs|), both summed for the sign split of
+    the net vector (the simplex reduce returns) on the normalised block of
+    D_p on the points of Q (quadform._block), so the test neither depends on
+    the unit of distance nor counts weights that cancel; nontrivial is
+    is_nondegenerate. The two together certify a nontrivial p-polygonal
+    equality. tol must be finite and nonnegative.
     """
     if not 0.0 <= tol < math.inf:
         raise InvalidTolerance(f"tol = {tol}")
     sides = _read(Q, X.size)
     d, scale = _block(X, p, sides.s)
-    nontrivial = bool(_net(sides).any())
-    cross, rhs = _sums(d, sides.a, sides.b)
+    net = _net(sides)
+    cross, rhs = _sums(d, np.maximum(net, 0.0), np.maximum(-net, 0.0))
     g = cross - rhs
     top = max(abs(cross), abs(rhs))
     relative = abs(g) / top if g else 0.0
@@ -349,7 +349,7 @@ def verify_equality(
         rhs=_real(rhs, scale, twos),
         gap=_real(g, scale, twos),
         holds=abs(g) <= tol * top,
-        nontrivial=nontrivial,
+        nontrivial=bool(net.any()),
         tolerance=float(tol),
         relative_gap=relative,
     )

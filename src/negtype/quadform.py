@@ -63,8 +63,7 @@ __all__ = [
     "hilbert_embeddable",
 ]
 
-# Balance slack (relative to a vector's largest |weight| or a simplex's larger side
-# mass), and the one cleanup rule: a net weight at most this times the largest is 0.
+# Balance slack, relative to a vector's largest |weight|.
 BALANCE_REL = 1e-12
 # Classification tolerance on the normalised form, whose largest entry is 1.
 EPSILON_REL = 1e-9

@@ -503,6 +503,11 @@ class TestGenCommand:
         assert main(["gen", "nonsense", "4"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("n", ["-1", "0", "1"])
+    def test_points_below_two_exit_3(self, n, capsys):
+        assert main(["gen", "points", n]) == 3
+        assert "need at least 2 points" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 5, 33, 120, 351])
     @pytest.mark.parametrize("kind", ["cycle", "path", "complete", "random"])

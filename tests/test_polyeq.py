@@ -55,11 +55,13 @@ from negtype import (
     witness_at_supremal,
 )
 from negtype import metric, polyeq, quadform
-from negtype.cli import generate_space, main
+from negtype.cli import generate_space, main, render_json, simplex_payload, space_payload
 
 EPS = np.finfo(float).eps
 TRIVIAL_PAIR = SignedSimplex(((0, 1.0), (1, 1.0)), ((0, 1.0), (1, 1.0)))
 COLLINEAR_WITNESS = SignedSimplex(((0, 1.0), (2, 1.0)), ((1, 2.0),))
+# a simplex entry drawn as (point, log10 |weight|, negative)
+ENTRY = st.tuples(st.integers(0, 5), st.floats(-14, 0), st.booleans())
 
 
 def lopsided_triangle() -> MetricSpace:
@@ -204,8 +206,8 @@ class TestSimplexToVector:
             simplex_to_vector(collinear, SignedSimplex(((0, 1.0),), ((1, 2.0),)))
 
     def test_balanced_sides_with_an_unbalanced_net_vector(self, collinear):
-        # the sides agree within BALANCE_REL of their mass, 1e6, but the net
-        # vector (0, 1, -1 - 1e-7) is off by far more than its largest entry allows
+        # the net vector (0, 1, -1 - 1e-7) is off by 1e-7, far beyond the
+        # rounding the weights written can make (about 2e-9)
         Q = SignedSimplex(((0, 1e6), (1, 1.0)), ((0, 1e6), (2, 1 + 1e-7)))
         with pytest.raises(UnbalancedWeights) as exc:
             simplex_to_vector(collinear, Q)
@@ -230,6 +232,20 @@ class TestSimplexToVector:
         Q = SignedSimplex(((0, 0.1), (0, 0.2)), ((0, 0.3),))
         xi = simplex_to_vector(collinear, Q)
         assert (xi.weights == 0.0).all()
+
+    def test_net_vector_that_balanced_vector_accepts_is_kept(self, collinear):
+        # the residue 5e-13 is far beyond the rounding of the weights written
+        # (about 9e-16) but within BALANCE_REL of the largest net weight
+        Q = SignedSimplex(((0, 1.0),), ((1, 1 - 5e-13),))
+        np.testing.assert_array_equal(simplex_to_vector(collinear, Q).weights,
+                                      [1.0, -(1 - 5e-13), 0.0])
+
+    def test_cancellation_noise_beside_a_net_weight_is_cleaned(self, collinear):
+        # the 5.6e-17 left at point 0 is within the rounding of 0.1 + 0.2 - 0.3,
+        # though the net vector would sum to 0 with it
+        Q = SignedSimplex(((0, 0.1), (0, 0.2), (1, 1.0)), ((0, 0.3), (2, 1.0)))
+        np.testing.assert_array_equal(simplex_to_vector(collinear, Q).weights,
+                                      [0.0, 1.0, -1.0])
 
 
 class TestVectorToSimplex:
@@ -341,6 +357,73 @@ class TestReduce:
             idx = [i for i, _ in (*got.simplex.left, *got.simplex.right)]
             assert len(idx) == len(set(idx))
             assert all(w > 0 for _, w in (*got.simplex.left, *got.simplex.right))
+
+    def test_four_cycle_reduction_is_a_fixed_point(self, four_cycle):
+        # the 2.5e-12 weights lie far above the rounding of what is written
+        # at their points, so reading the reduction again keeps them
+        Q = SignedSimplex(((0, 1.0), (0, 1.0), (0, 1.0), (1, 2.5e-12), (2, 2.5e-12)),
+                          ((3, 1.5 + 2.5e-12), (3, 1.5 + 2.5e-12)))
+        once = reduce(four_cycle, Q)
+        assert reduce(four_cycle, once.simplex) == once
+        assert is_nondegenerate(four_cycle, once.simplex)
+        assert verify_equality(four_cycle, 1.0, once.simplex).nontrivial
+
+    def test_rounding_residue_on_the_path(self, collinear, tmp_path, capsys):
+        # the net vector (1e-9 + 8.3e-17, -1e-9, 0) is off by the rounding of
+        # the weight 1 written at point 0, far above 1e-12 of its largest entry;
+        # the residue comes off point 0, and verify reads without error that
+        # the reduction, a plain pair, is no equality (exit 2)
+        Q = SignedSimplex(((0, 1.0),), ((0, 1 - 1e-9), (1, 1e-9)))
+        got = reduce(collinear, Q)
+        assert got.simplex == SignedSimplex(((0, 1e-9),), ((1, 1e-9),))
+        space, simplex = tmp_path / "path.json", tmp_path / "q.json"
+        space.write_text(render_json(space_payload(collinear)))
+        simplex.write_text(json.dumps(simplex_payload(Q)))
+        assert main(["verify", str(space), str(simplex), "--p", "1"]) == 2
+        out = capsys.readouterr().out
+        assert "holds: False" in out and "nontrivial: True" in out
+
+    def test_residue_comes_off_the_point_that_rounds_most(self, collinear):
+        # the exact net vector (0, 1e-11, 1e-11) is off by 2e-11, below the
+        # rounding of the 1e6 weights at point 0: the residue goes there, and
+        # points 1 and 2 keep the side they were written on
+        Q = SignedSimplex(((0, 1e6), (1, 1e-11), (2, 1e-11)), ((0, 1e6),))
+        once = reduce(collinear, Q)
+        assert once.simplex == SignedSimplex(((1, 1e-11), (2, 1e-11)), ((0, 2e-11),))
+        assert reduce(collinear, once.simplex) == once
+        for p in (1.0, 2.0):
+            assert not verify_equality(collinear, p, Q).nontrivial_equality
+
+    def test_tiny_weight_beside_unit_weights_is_kept(self, collinear):
+        # 1 + 1e-37 rounds to 1, so the net 1e-37 at point 2 is no rounding
+        # of what was written there
+        Q = SignedSimplex(((0, 1.0), (2, 1e-37)), ((1, 1 + 1e-37),))
+        np.testing.assert_array_equal(simplex_to_vector(collinear, Q).weights,
+                                      [1.0, -1.0, 1e-37])
+        assert reduce(collinear, Q).simplex == SignedSimplex(((0, 1.0), (2, 1e-37)),
+                                                             ((1, 1.0),))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(3, 6),
+        seed=st.integers(0, 3),
+        left=st.lists(ENTRY, min_size=1, max_size=6),
+        right=st.lists(ENTRY, max_size=5),
+        last=st.integers(0, 5),
+    )
+    def test_reduce_is_a_fixed_point(self, m, seed, left, right, last):
+        # repeated points, points on both sides, negative weights from 1e-14
+        # to 1; a last right entry balances the sides to rounding
+        X = generate_space("points", m, seed=seed)
+
+        def side(entries):
+            return [(i % m, (-1.0 if neg else 1.0) * 10.0 ** e) for i, e, neg in entries]
+
+        lw, rw = side(left), side(right)
+        rw.append((last % m, math.fsum(w for _, w in lw) - math.fsum(w for _, w in rw)))
+        once = reduce(X, SignedSimplex(tuple(lw), tuple(rw)))
+        if once.simplex is not None:
+            assert reduce(X, once.simplex) == once
 
 
 class TestIsNondegenerate:
@@ -727,6 +810,14 @@ class TestVerifyEquality:
         assert pair.lhs == pair.rhs == pair.gap == 0.0
         rep = verify_equality(Y, 2.0, COLLINEAR_WITNESS)
         assert rep.holds and rep.nontrivial
+
+    def test_cancelling_weights_do_not_hide_a_gap(self, collinear):
+        # the unit weights at point 0 cancel; the net vector (0, 1e-13, -1e-13)
+        # is the pair {1} | {2}, whose gap is all of its sums
+        Q = SignedSimplex(((0, 1.0), (1, 1e-13)), ((0, 1.0), (2, 1e-13)))
+        for p in (1.0, 2.0):
+            rep = verify_equality(collinear, p, Q)
+            assert rep.nontrivial and not rep.holds and rep.relative_gap == 1.0
 
     def test_trivial_pair_holds_trivially(self, collinear):
         for p in (0.5, 1.0, 2.0, 5.0):
