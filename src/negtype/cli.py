@@ -247,8 +247,10 @@ def generate_space(
     order; random's one draw of k weights equals k single draws of PCG64.
     """
     if kind == "points":
-        if n < 2:  # before the draw, which a negative n would break
+        if n < 2:  # before the draw, which a negative n or dim would break
             raise NotSquare("need at least 2 points")
+        if dim < 1:  # no coordinate would make every pair of points coincide
+            raise ValueError(f"need at least 1 dimension, got dim = {dim}")
         rng = np.random.default_rng(seed)
         return from_points(rng.standard_normal((n, dim)), q=q)
     if kind == "ultrametric":

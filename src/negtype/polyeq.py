@@ -21,13 +21,15 @@ once. Every simplex, a witness's own included, is checked by
 verify_equality, which like gap reads only the block of D_p on the points
 of the simplex (quadform._block): the D~_p kept by the solve when the
 simplex uses every point, so a witness and its check share one build. A
-simplex is read once into one dense vector per side on its own points
-(_read). Their difference is the net vector (_net) behind every conversion
-and every check: a net weight within the rounding of the weights written
-at its point is 0, the rest is kept if BalancedVector accepts it, and a
-sum it refuses is rounding only within the largest such rounding. The
-equality check, the one gate (NoWitnessFound carries a witness that fails
-it), sums the sign split of the net vector: holds and nontrivial share a scale.
+simplex is read once into its net vector on its own points (_read), left
+minus right weight per point, with a net weight within the rounding of the
+weights written at its point read as 0. gap sums the sign split of that
+vector (quadform._sums), which gives the gap of any two sides with that
+difference, balanced or not. Every conversion and every check reads it
+balanced (_net): kept if BalancedVector accepts it, and a sum it refuses is
+rounding only within the largest such rounding. The equality check, the one
+gate (NoWitnessFound carries a witness that fails it), sums the sign split
+of the balanced vector as gap does: holds and nontrivial share a scale.
 """
 
 from __future__ import annotations
@@ -202,19 +204,19 @@ class _Sides(NamedTuple):
     """A simplex read once (_read), every weight scaled by 2**-e."""
 
     s: np.ndarray  # the listed points, sorted
-    a: np.ndarray  # left weight per point of s, repeats added up
-    b: np.ndarray  # right weight per point of s
+    net: np.ndarray  # left minus right weight per point of s, 0 within its slack
     e: int
     totals: tuple[float, float]  # the side totals, unscaled
     slack: np.ndarray  # per point of s, the rounding its written weights can make
 
 
 def _read(Q: SignedSimplex, m: int) -> _Sides:
-    """Q's sorted distinct points s and one dense vector per side on s.
+    """Q's sorted distinct points s and its net vector on s.
 
     Weights carry one exact scaling 2**-e (quadform._scaled), so no sum
     overflows. A point's slack, 4 u n |w| for n entries written there whose
-    |weight|s sum to |w| (u = eps / 2), bounds the rounding of its net weight.
+    |weight|s sum to |w| (u = eps / 2), bounds the rounding of its net weight:
+    a net weight within it is 0.
     """
     for i, _ in (*Q.left, *Q.right):
         if not 0 <= i < m:
@@ -231,22 +233,23 @@ def _read(Q: SignedSimplex, m: int) -> _Sides:
     a, b = np.bincount(at[:k], lw, s.size), np.bincount(at[k:], rw, s.size)
     n, mass = np.bincount(at, minlength=s.size), np.bincount(at, np.abs(w), s.size)
     slack = 2 * np.finfo(float).eps * n * mass
-    return _Sides(s, a, b, e, (_real(left, 1.0, e), _real(right, 1.0, e)), slack)
+    net = a - b
+    net[np.abs(net) <= slack] = 0.0
+    return _Sides(s, net, e, (_real(left, 1.0, e), _real(right, 1.0, e)), slack)
 
 
 def _net(sides: _Sides) -> np.ndarray:
-    """a - b judged against the rounding of the weights written: net weight per point of s.
+    """The net vector of sides, balanced as the rounding of the weights written allows.
 
-    A net weight within its point's slack is 0. The rest is kept as it is if
-    BalancedVector accepts it (a sum within BALANCE_REL of its largest entry);
-    else its exact sum r is rounding only within the largest slack, and comes
-    off that point, so no kept weight changes sign. A larger r raises UnbalancedWeights.
+    It is kept as it is if BalancedVector accepts it (a sum within BALANCE_REL
+    of its largest entry); else its exact sum r is rounding only within the
+    largest slack, and comes off that point, so no kept weight changes sign.
+    A larger r raises UnbalancedWeights.
     """
-    net = sides.a - sides.b
-    net[np.abs(net) <= sides.slack] = 0.0
     try:
-        return BalancedVector(net).weights
+        return BalancedVector(sides.net).weights
     except NotBalanced:
+        net = sides.net.copy()
         r, k = math.fsum(net), int(np.argmax(sides.slack))
         if abs(r) <= sides.slack[k]:
             net[k] -= r
@@ -262,10 +265,14 @@ def _sign_split(w: np.ndarray) -> SignedSimplex:
 
 
 def gap(X: MetricSpace, p: float, Q: SignedSimplex) -> float:
-    """The p-simplex gap: cross-side sum minus the two same-side sums."""
+    """The p-simplex gap: cross-side sum minus the two same-side sums.
+
+    It is -1/2 <D_p xi, xi> for the net vector xi of Q, balanced or not, so
+    it is summed for the sign split of that vector, as verify_equality sums it.
+    """
     sides = _read(Q, X.size)
     d, scale = _block(X, p, sides.s)
-    cross, same = _sums(d, sides.a, sides.b)
+    cross, same = _sums(d, sides.net)
     return _real(cross - same, scale, 2 * sides.e)
 
 
@@ -337,7 +344,7 @@ def verify_equality(
     sides = _read(Q, X.size)
     d, scale = _block(X, p, sides.s)
     net = _net(sides)
-    cross, rhs = _sums(d, np.maximum(net, 0.0), np.maximum(-net, 0.0))
+    cross, rhs = _sums(d, net)
     g = cross - rhs
     top = max(abs(cross), abs(rhs))
     relative = abs(g) / top if g else 0.0

@@ -9,8 +9,9 @@ eigenvalue changes sign once, at the supremal p-negative type w, and a
 regula falsi on that eigenvalue brackets w, ending early on a probe inside
 the rounding floor (FLOOR). Every decision and value reads D~_p =
 (d / max d)^p from metric._power, largest entry 1 at any scale, and a
-value converts once to the units of D_p (metric._real). quad_form is -2
-gap_p of the sign split of its vector, summed as gap is (_sums, _block).
+value converts once to the units of D_p (metric._real). quad_form, polyeq.gap
+and polyeq.verify_equality sum one signed vector on the block of D_p on its
+points (_sums, _block): quad_form is -2 gap_p of the sign split of its vector.
 
 The restriction uses one Householder reflection H = I - beta u u^T mapping
 the unit all-ones vector to -e_m: the first m-1 columns of H are an
@@ -260,11 +261,13 @@ def _block(X: MetricSpace, p: float, s: np.ndarray) -> tuple[np.ndarray, float]:
     return solved[:2] if solved is not None else _power(X, p, s)
 
 
-def _sums(d: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """(a d b, (a d a + b d b) / 2) for dense weights a, b: one product reads d once.
+def _sums(d: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """(a d b, (a d a + b d b) / 2) for the sign split w = a - b: one product reads d once.
 
-    gap_p is the first minus the second, and the form of a - b is 2 (second - first).
+    gap_p of the split is the first minus the second, and the form of w is
+    2 (second - first).
     """
+    a, b = np.maximum(w, 0.0), np.maximum(-w, 0.0)
     da, db = np.stack((a, b)) @ d  # d is symmetric: rows a d and b d
     return float(da @ b), 0.5 * (float(da @ a) + float(db @ b))
 
@@ -275,7 +278,7 @@ def quad_form(X: MetricSpace, p: float, xi) -> float:
     s = np.flatnonzero(w)
     w, e = _scaled(w[s])
     d, scale = _block(X, p, s)
-    cross, same = _sums(d, np.maximum(w, 0.0), np.maximum(-w, 0.0))
+    cross, same = _sums(d, w)
     return _real(2.0 * (same - cross), scale, 2 * e)
 
 

@@ -229,18 +229,34 @@ class TestUnderflowedPowerMatrix:
         cycle = np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
         line = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         files = {}
-        for name, d in (("cycle", cycle), ("small", 1e-6 * cycle),
-                        ("line", line), ("tiny", 1e-200 * line)):
+        for name, d in (("cycle", cycle), ("small", 1e-6 * cycle), ("large", 1e6 * cycle),
+                        ("huge", 1e20 * cycle), ("line", line), ("tiny", 1e-200 * line)):
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(json.dumps({"matrix": d.tolist()}))
         for unit, scaled, argv in (
                 ("cycle", "small", ["check", "--p", "60"]),
+                ("cycle", "large", ["check", "--p", "60"]),
+                ("cycle", "huge", ["check", "--p", "60"]),
                 ("cycle", "small", ["witness", "--p", "60"]),
                 ("line", "tiny", ["witness", "--p", "2"]),
+                ("line", "tiny", ["witness", "--at-supremal"]),
                 ("line", "tiny", ["verify", witness_simplex_file, "--p", "2"])):
             want = main([argv[0], str(files[unit]), *argv[1:]])
             assert want in (0, 2)
+            assert want == (2 if argv[0] == "check" else 0)
             assert main([argv[0], str(files[scaled]), *argv[1:]]) == want
+        # the scaled cycles' brackets hold w = 1, and the tiny line's supremal
+        # witness is a nontrivial equality
+        out = tmp_path / "out.json"
+        for scaled in ("small", "large", "huge"):
+            assert main(["interval", str(files[scaled]), "--format", "json",
+                         "--out", str(out)]) == 0
+            i = json.loads(out.read_text(encoding="utf-8"))
+            assert i["lo"] - 1e-10 <= 1 <= i["hi"] + 1e-10, (scaled, i)
+        assert main(["witness", str(files["tiny"]), "--at-supremal", "--format", "json",
+                     "--out", str(out)]) == 0
+        w = json.loads(out.read_text(encoding="utf-8"))
+        assert w["holds"] and w["nontrivial"], w
         assert capsys.readouterr().err == ""
 
 
@@ -302,14 +318,16 @@ class TestWitnessCommand:
     @pytest.mark.parametrize("mode", [["--p", "3"], ["--at-supremal"]], ids=["p", "at_supremal"])
     def test_file_is_the_witness_payload(self, mode, tmp_path):
         space, out = str(tmp_path / "pts.json"), tmp_path / "w.json"
-        assert main(["gen", "points", "30", "--seed", "1", "--out", space]) == 0
-        assert main(["witness", space, *mode, "--format", "json", "--out", str(out)]) == 0
-        X = load_space(space)
-        w = witness_at_p(X, 3.0) if mode[0] == "--p" else witness_at_supremal(X, supremal(X))
-        payload = witness_payload(w)
-        assert payload["holds"] is w.equality.holds
-        assert payload["nontrivial"] is w.equality.nontrivial
-        assert out.read_text(encoding="utf-8") == render_json(payload) + "\n"
+        for n in ("30", "350"):
+            assert main(["gen", "points", n, "--seed", "1", "--out", space]) == 0
+            assert main(["witness", space, *mode, "--format", "json", "--out", str(out)]) == 0
+            X = load_space(space)
+            w = witness_at_p(X, 3.0) if mode[0] == "--p" else witness_at_supremal(X, supremal(X))
+            payload = witness_payload(w)
+            assert payload["holds"] is w.equality.holds
+            assert payload["nontrivial"] is w.equality.nontrivial
+            text = out.read_text(encoding="utf-8")
+            assert text == render_json(payload) + "\n" == _json_dumps_render(payload) + "\n"
 
     def test_strict_exits_1(self, collinear_file, capsys):
         assert main(["witness", collinear_file, "--p", "1"]) == 1
@@ -503,14 +521,23 @@ class TestGenCommand:
         assert main(["gen", "nonsense", "4"]) == 3
         capsys.readouterr()
 
-    @pytest.mark.parametrize("n", ["-1", "0", "1"])
-    def test_points_below_two_exit_3(self, n, capsys):
-        assert main(["gen", "points", n]) == 3
-        assert "need at least 2 points" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, message", [
+        *(pytest.param(["points", n], "need at least 2 points", id=n) for n in ("-1", "0", "1")),
+        pytest.param(["cycle", "1"], "need at least 2 vertices", id="cycle-1"),
+        pytest.param(["path", "0"], "need at least 2 vertices", id="path-0"),
+        *(pytest.param(["points", "5", "--dim", d], f"need at least 1 dimension, got dim = {d}",
+                       id=f"dim={d}") for d in ("-1", "0")),
+    ])
+    def test_points_below_two_exit_3(self, argv, message, capsys):
+        assert main(["gen", *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 5, 33, 120, 351])
-    @pytest.mark.parametrize("kind", ["cycle", "path", "complete", "random"])
+    @pytest.mark.parametrize("kind, n, seed", [
+        *((kind, n, seed) for kind in ("cycle", "path", "complete", "random")
+          for n in (-1, 0, 1, 2, 3, 5, 33, 120, 351) for seed in (0, 1)),
+        ("random", 400, 2), ("complete", 300, None),
+    ], ids=str)
     def test_graph_kinds_equal_the_per_edge_loops(self, kind, n, seed):
         # one edge array and one weight draw give the bits of the loops, and
         # below 2 vertices the same error
@@ -598,6 +625,15 @@ def _json_dumps_render(payload: dict) -> str:
                       default=np.ndarray.tolist)
 
 
+def _first_difference(got: str, want: str):
+    """None for equal texts, else where they part: pytest's own diff of two
+    texts of megabytes runs for minutes."""
+    if got == want:
+        return None
+    i = len(os.path.commonprefix([got, want]))
+    return i, got[max(i - 60, 0):i + 60], want[max(i - 60, 0):i + 60]
+
+
 class TestRenderJson:
     @pytest.mark.parametrize("kind", GEN_KINDS)
     def test_gen_payloads(self, kind):
@@ -606,11 +642,23 @@ class TestRenderJson:
                 payload = space_payload(generate_space(kind, n, seed=seed))
                 assert render_json(payload) == _json_dumps_render(payload)
 
-    @pytest.mark.parametrize("kind", GEN_KINDS)
-    def test_large_gen_payloads(self, kind):
-        payload = space_payload(generate_space(kind, 350, seed=5))
+    @pytest.mark.parametrize("kind, n, seed", [
+        *(pytest.param(kind, 350, 5, id=kind) for kind in GEN_KINDS),
+        ("ultrametric", 1000, 5), ("random", 400, 2), ("complete", 300, None),
+    ], ids=str)
+    def test_large_gen_payloads(self, kind, n, seed, tmp_path, capsys):
+        payload = space_payload(generate_space(kind, n, seed=seed))
         assert isinstance(payload["matrix"], np.ndarray)
-        assert render_json(payload) == _json_dumps_render(payload)
+        want = _json_dumps_render(payload)
+        assert _first_difference(render_json(payload), want) is None
+        # the file gen writes is json's own bytes, and an ultrametric one reads EMPTY
+        f = tmp_path / "space.json"
+        seeded = ["--seed", str(seed)] if seed is not None else []
+        assert main(["gen", kind, str(n), *seeded, "--out", str(f)]) == 0
+        assert _first_difference(f.read_text(encoding="utf-8"), want + "\n") is None
+        if kind == "ultrametric":
+            assert main(["interval", str(f), "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["kind"] == "EMPTY"
 
     def test_float_arrays(self):
         tiny, huge, nan, inf = 5e-324, 1e300, float("nan"), float("inf")
@@ -702,23 +750,40 @@ class TestRoundTrip:
         ["points", "--q", "1"], ["points", "--q", "inf"], ["points", "--dim", "1"],
     ], ids="-".join)
     def test_gen_check_witness_verify(self, gen, tmp_path, capsys):
-        space, wit, simplex = (str(tmp_path / f) for f in ("s.json", "w.json", "q.json"))
+        space = str(tmp_path / "s.json")
         codes = []
         for n in (2, 9, 40):
             for seed in ("0", "1"):
                 assert main(["gen", gen[0], str(n), *gen[1:], "--seed", seed, "--out", space]) == 0
                 assert main(["check", space, "--p", "1"]) in (0, 1, 2)
-                codes.append(main(["witness", space, "--at-supremal", "--out", wit]))
-                if codes[-1] != 0:
-                    continue
-                # the supremal witness re-verifies from the files alone
-                data = json.loads(Path(wit).read_text(encoding="utf-8"))
-                Path(simplex).write_text(json.dumps(data["simplex"]), encoding="utf-8")
-                assert main(["verify", space, simplex, "--p", repr(data["p"])]) == 0
+                codes.append(self.witness_reverifies(space, ["--at-supremal"], tmp_path))
         assert set(codes) <= {0, 1}
         if gen[0] in ("cycle", "path", "points", "random"):
             assert 0 in codes
         capsys.readouterr()
+
+    def test_large_and_scaled_witnesses_reverify(self, tmp_path):
+        points, cycle = str(tmp_path / "points.json"), tmp_path / "cycle.json"
+        assert main(["gen", "points", "200", "--seed", "1", "--out", points]) == 0
+        unit = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+        cycle.write_text(json.dumps({"matrix": [[1e6 * x for x in row] for row in unit]}))
+        assert self.witness_reverifies(points, ["--p", "3"], tmp_path) == 0
+        assert self.witness_reverifies(str(cycle), ["--at-supremal"], tmp_path) == 0
+
+    @staticmethod
+    def witness_reverifies(space: str, mode: list, tmp_path) -> int:
+        """The witness exit code; a witness written re-verifies from the files alone."""
+        wit, simplex, check = (tmp_path / f for f in ("w.json", "q.json", "v.json"))
+        code = main(["witness", space, *mode, "--format", "json", "--out", str(wit)])
+        if code == 0:
+            w = json.loads(wit.read_text(encoding="utf-8"))
+            simplex.write_text(json.dumps(w["simplex"]), encoding="utf-8")
+            assert main(["verify", space, str(simplex), "--p", repr(w["p"]),
+                         "--format", "json", "--out", str(check)]) == 0
+            v = json.loads(check.read_text(encoding="utf-8"))
+            fields = ("lhs", "rhs", "holds", "nontrivial")
+            assert [v[f] for f in fields] == [w[f] for f in fields], (w, v)
+        return code
 
 
 # run in a fresh interpreter; prints the scipy modules loaded at the end

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -36,6 +37,7 @@ from negtype import (
     validate_metric,
 )
 from negtype import metric
+from negtype.cli import main
 from negtype.metric import REL_TOL, _within_subdominant, default_labels, power_matrix
 
 
@@ -182,6 +184,48 @@ class TestValidateMetric:
             seen.add(want is None)
         assert seen == {True, False}
         assert any(gathered) and not all(gathered)
+
+    def test_stretched_random_graph_names_the_first_failing_triple(self, tmp_path, capsys):
+        # gen random 500 --seed 1 has a supremal witness that is a nontrivial
+        # equality; with d[170][341] stretched to 3 max d, check exits 3 naming
+        # the first failing triple of the full scan: pivot k, then row i <= k
+        # (the matrix is symmetric), j the first index of the smallest bound,
+        # found here one pivot at a time in numpy
+        space, wit = tmp_path / "r.json", tmp_path / "w.json"
+        assert main(["gen", "random", "500", "--seed", "1", "--out", str(space)]) == 0
+        assert main(["witness", str(space), "--at-supremal", "--format", "json",
+                     "--out", str(wit)]) == 0
+        w = json.loads(wit.read_text(encoding="utf-8"))
+        assert w["holds"] and w["nontrivial"], w
+        data = json.loads(space.read_text(encoding="utf-8"))
+        rows = data["matrix"]
+        rows[170][341] = rows[341][170] = 3 * max(map(max, rows))
+        space.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["check", str(space), "--p", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        named = re.search(r"dist\[(\d+)\]\[(\d+)\] > dist\[\1\]\[(\d+)\]", err)
+        i, k, j = map(int, named.groups())
+        d = np.array(rows)
+        assert d[i, k] > d[i, j] + d[j, k], (i, j, k)
+        assert (d == d.T).all()
+        tol = REL_TOL * d.max()
+        for pivot in range(len(d)):
+            bounds = d[: pivot + 1] + d[pivot]  # d[ii, jj] + d[jj, pivot]
+            bad = np.flatnonzero(d[: pivot + 1, pivot] - bounds.min(axis=1) > tol)
+            if bad.size:
+                break
+        assert (int(bad[0]), int(bounds[bad[0]].argmin()), pivot) == (i, j, k)
+
+    def test_concentrated_metric_at_1000_points(self, tmp_path):
+        # gen random 1000 --seed 3 read back as a matrix: the pruned scan
+        # validates it, and check reports its class
+        space, out = tmp_path / "r.json", tmp_path / "c.json"
+        assert main(["gen", "random", "1000", "--seed", "3", "--out", str(space)]) == 0
+        code = main(["check", str(space), "--p", "1", "--format", "json", "--out", str(out)])
+        assert code in (0, 1, 2)
+        classes = ("STRICT", "BOUNDARY", "NOT_NEG_TYPE")
+        assert json.loads(out.read_text(encoding="utf-8"))["classification"] == classes[code]
 
     def test_ultrametric_matrices_skip_the_scan(self, monkeypatch):
         # merge heights in [1, 2]: the largest distance is at most the sum

@@ -55,7 +55,15 @@ from negtype import (
     witness_at_supremal,
 )
 from negtype import metric, polyeq, quadform
-from negtype.cli import generate_space, main, render_json, simplex_payload, space_payload
+from negtype.cli import (
+    generate_space,
+    load_space,
+    main,
+    parse_simplex,
+    render_json,
+    simplex_payload,
+    space_payload,
+)
 
 EPS = np.finfo(float).eps
 TRIVIAL_PAIR = SignedSimplex(((0, 1.0), (1, 1.0)), ((0, 1.0), (1, 1.0)))
@@ -150,14 +158,25 @@ class TestGap:
         assert checked >= 3
 
     def test_equals_the_equality_gap_bit_for_bit(self):
-        # gap and verify_equality(...).gap are one number for one simplex
+        # gap and verify_equality(...).gap are one number for one simplex,
+        # also with a weight that cancels at a point on both sides
         rng = np.random.default_rng(2001)
         for seed in range(300):
             X = generate_space("points", 12, seed=seed)
             v = rng.standard_normal(12)
             Q = vector_to_simplex(X, v - v.mean())
+            both = (int(rng.integers(12)), float(rng.uniform(0.1, 3.0)))
+            P = SignedSimplex((*Q.left, both), (*Q.right, both))
             for p in (0.5, 1.0, 2.0, 3.7):
                 assert gap(X, p, Q) == verify_equality(X, p, Q).gap, (seed, p)
+                assert gap(X, p, P) == verify_equality(X, p, P).gap, (seed, p)
+
+    def test_cancelling_weights_leave_the_gap_of_the_net_vector(self, collinear):
+        # the unit weights at point 0 cancel: the gap is that of the net vector
+        # (0, 1e-13, -1e-13), exactly 1e-26 at p = 1, and no rounding of the
+        # sums of the unit weights
+        Q = SignedSimplex(((0, 1.0), (1, 1e-13)), ((0, 1.0), (2, 1e-13)))
+        assert gap(collinear, 1.0, Q) == 1e-26 == verify_equality(collinear, 1.0, Q).gap
 
 
 class TestSignedSimplex:
@@ -438,9 +457,10 @@ class TestIsNondegenerate:
         assert not is_nondegenerate(collinear, Q)
 
     def test_small_net_weights_beside_a_large_net_weight(self, four_cycle):
-        # 2.5e-12 is above the cleanup threshold of the largest weight written
-        # (1.5 + 2.5e-12), though below that of the largest net weight (3 + 5e-12):
-        # every conversion keeps it, so the reduction is balanced and refined
+        # each net weight is judged against the rounding of the weights written
+        # at its own point: 2.5e-12 at points 1 and 2 lies far above theirs,
+        # though below 1e-12 of the largest net weight (3 + 5e-12), so every
+        # conversion keeps it, and the reduction is balanced and refined
         Q = SignedSimplex(((0, 1.0), (0, 1.0), (0, 1.0), (1, 2.5e-12), (2, 2.5e-12)),
                           ((3, 1.5 + 2.5e-12), (3, 1.5 + 2.5e-12)))
         assert verify_equality(four_cycle, 1.0, Q).nontrivial
@@ -451,9 +471,10 @@ class TestIsNondegenerate:
                                             ((3, 3 + 5e-12),))
 
     def test_is_the_nontrivial_of_verify_equality(self):
-        # messy simplices: repeated points, points on both sides, negative
-        # weights, and net weights on either side of the cleanup threshold of
-        # the largest net weight; where verify_equality raises,
+        # messy simplices: repeated points, negative weights, net weights near
+        # 1e-12 of the largest one, far above the rounding of the weights
+        # written at their points, and points on both sides whose cancelling
+        # weights net out within that rounding; where verify_equality raises,
         # is_nondegenerate does too
         rng = np.random.default_rng(2207)
         outcomes = {True: 0, False: 0, "raised": 0}
@@ -522,6 +543,21 @@ class TestLinkIdentity:
         Q = SignedSimplex(left, right)
         f = quad_form(collinear, p, simplex_to_vector(collinear, Q))
         assert f == pytest.approx(-2 * gap(collinear, p, Q), rel=1e-9, abs=1e-9)
+
+    def test_witness_file_at_200_points(self, tmp_path):
+        # the witness of gen points 200 --seed 1 at p = 3, read back from its
+        # file: a nondegenerate simplex that reduce leaves as it is, whose
+        # form is exactly -2 gap at every exponent
+        space, out = tmp_path / "points.json", tmp_path / "w.json"
+        assert main(["gen", "points", "200", "--seed", "1", "--out", str(space)]) == 0
+        assert main(["witness", str(space), "--p", "3", "--format", "json",
+                     "--out", str(out)]) == 0
+        X = load_space(str(space))
+        Q = parse_simplex(json.loads(out.read_text(encoding="utf-8"))["simplex"])
+        assert is_nondegenerate(X, Q) is verify_equality(X, 3.0, Q).nontrivial is True
+        assert reduce(X, Q).simplex == Q
+        for p in (1.0, 2.0, 3.0):
+            assert quad_form(X, p, simplex_to_vector(X, Q)) == -2 * gap(X, p, Q), p
 
 
 class TestWitnessIvt:
@@ -737,7 +773,7 @@ class TestWitnessContract:
             verified += 1
         assert set(raised) <= {38} and verified + len(raised) == 50
 
-    def test_rejected_witness_on_two_points_reports_verify_equality(self):
+    def test_rejected_witness_on_two_points_reports_verify_equality(self, tmp_path, capsys):
         # the simplex leaves out point 2, so its check reads the 2-point block
         X = lopsided_triangle()
         with pytest.raises(NoWitnessFound) as exc:
@@ -747,6 +783,14 @@ class TestWitnessContract:
         assert not w.equality.holds and w.equality.nontrivial
         assert (dataclasses.astuple(w.equality)
                 == dataclasses.astuple(verify_equality(X, 40.0, w.simplex)))
+        # the CLI exits 3 on it and writes nothing
+        space, out = tmp_path / "lopsided.json", tmp_path / "w.json"
+        space.write_text(json.dumps({"matrix": X.dist.tolist()}))
+        assert main(["witness", str(space), "--p", "40", "--format", "json",
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists()
 
     def test_every_witness_reports_verify_equality(self):
         rng = np.random.default_rng(7001)
@@ -811,13 +855,18 @@ class TestVerifyEquality:
         rep = verify_equality(Y, 2.0, COLLINEAR_WITNESS)
         assert rep.holds and rep.nontrivial
 
-    def test_cancelling_weights_do_not_hide_a_gap(self, collinear):
+    def test_cancelling_weights_do_not_hide_a_gap(self, collinear, tmp_path, capsys):
         # the unit weights at point 0 cancel; the net vector (0, 1e-13, -1e-13)
-        # is the pair {1} | {2}, whose gap is all of its sums
+        # is the pair {1} | {2}, whose gap is all of its sums, and verify exits 2
         Q = SignedSimplex(((0, 1.0), (1, 1e-13)), ((0, 1.0), (2, 1e-13)))
+        space, simplex = tmp_path / "path.json", tmp_path / "q.json"
+        space.write_text(render_json(space_payload(collinear)))
+        simplex.write_text(json.dumps(simplex_payload(Q)))
         for p in (1.0, 2.0):
             rep = verify_equality(collinear, p, Q)
             assert rep.nontrivial and not rep.holds and rep.relative_gap == 1.0
+            assert main(["verify", str(space), str(simplex), "--p", repr(p)]) == 2
+        capsys.readouterr()
 
     def test_trivial_pair_holds_trivially(self, collinear):
         for p in (0.5, 1.0, 2.0, 5.0):
@@ -965,35 +1014,39 @@ class TestBuildOnce:
     def test_kept_matrix_reports_equal_fresh_ones(self, builds, eigensolves):
         # verify_equality and gap on a simplex over every point read the D~_p
         # kept by the solve; on a fresh copy they build it, with the same bits
-        def space():
-            return validate_metric(None, generate_space("points", 30, seed=7).dist)
-
-        X, p = space(), 3.0
-        rep, w = classify(X, p), witness_at_p(X, p)
-        assert {i for i, _ in (*w.simplex.left, *w.simplex.right)} == set(range(30))
-        chk, g = verify_equality(X, p, w.simplex), gap(X, p, w.simplex)
-        assert len(builds) == 1 and len(eigensolves) == 1
-        F = space()
-        fresh_chk, fresh_g = verify_equality(F, p, w.simplex), gap(F, p, w.simplex)
-        assert len(builds) == 3 and len(eigensolves) == 1  # no memo on F yet
-        fresh_rep, fresh_w = classify(F, p), witness_at_p(F, p)
-        assert len(builds) == 4 and len(eigensolves) == 2
-
         def fields(report):
             return [v.weights.tobytes() if isinstance(v, quadform.BalancedVector)
                     else fields(v) if isinstance(v, polyeq.EqualityReport) else v
                     for v in (getattr(report, f.name) for f in dataclasses.fields(report))]
 
-        assert fields(rep) == fields(fresh_rep)
-        assert fields(w) == fields(fresh_w)
-        assert fields(chk) == fields(fresh_chk) == fields(w.equality)
-        assert g == fresh_g == chk.gap
-        # a simplex on a strict subset of the points builds its own block,
-        # scaled by its own largest entry, memo or not
-        sub = SignedSimplex(((0, 1.0), (2, 1.0)), ((1, 2.0),))
-        builds.clear()
-        assert fields(verify_equality(X, p, sub)) == fields(verify_equality(F, p, sub))
-        assert len(builds) == 2
+        for m, seed, p in ((30, 7, 3.0), (800, 1, 2.2)):
+            def space():
+                return validate_metric(None, generate_space("points", m, seed=seed).dist)
+
+            builds.clear()
+            eigensolves.clear()
+            X = space()
+            rep, w = classify(X, p), witness_at_p(X, p)
+            assert {i for i, _ in (*w.simplex.left, *w.simplex.right)} == set(range(m))
+            chk, g = verify_equality(X, p, w.simplex), gap(X, p, w.simplex)
+            assert chk.nontrivial_equality, m
+            assert len(builds) == 1 and len(eigensolves) == 1
+            F = space()
+            fresh_chk, fresh_g = verify_equality(F, p, w.simplex), gap(F, p, w.simplex)
+            assert len(builds) == 3 and len(eigensolves) == 1  # no memo on F yet
+            fresh_rep, fresh_w = classify(F, p), witness_at_p(F, p)
+            assert len(builds) == 4 and len(eigensolves) == 2
+
+            assert fields(rep) == fields(fresh_rep)
+            assert fields(w) == fields(fresh_w)
+            assert fields(chk) == fields(fresh_chk) == fields(w.equality)
+            assert g == fresh_g == chk.gap
+            # a simplex on a strict subset of the points builds its own block,
+            # scaled by its own largest entry, memo or not
+            sub = SignedSimplex(((0, 1.0), (2, 1.0)), ((1, 2.0),))
+            builds.clear()
+            assert fields(verify_equality(X, p, sub)) == fields(verify_equality(F, p, sub))
+            assert len(builds) == 2
 
     def test_new_exponent_or_new_space_solves_again(self, eigensolves):
         X = collinear_triple()
