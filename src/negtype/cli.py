@@ -6,6 +6,13 @@ validation failures exit 3. Report scalars print with 12 significant
 digits; values that are themselves input formats (distance matrices,
 simplices, witness vectors, the exponent p) serialize at full precision so
 emitted files re-parse and re-verify exactly.
+
+Every subcommand takes one path through main: its flag checks run before
+any file is opened, then main reads the space (gen generates it), runs the
+command, which returns its payload, its text lines and its exit code, and
+writes the answer once. A flag left out parses to None and is not passed
+on, so the defaults of --cap and --width-tol are those of supremal, and
+those of --dim and --q those of generate_space.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -224,12 +231,6 @@ def _write(path: str | None, text: str) -> None:
         print(text)
 
 
-def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
-    """Write the payload as JSON, or the text lines, which are read only for text."""
-    out = render_json(payload) if args.format == "json" else "\n".join(text_lines)
-    _write(args.out, out)
-
-
 # ---------------------------------------------------------------------------
 # space generation
 # ---------------------------------------------------------------------------
@@ -271,11 +272,19 @@ def generate_space(
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each maps (space, args) to (payload, text lines, exit code)
 # ---------------------------------------------------------------------------
 
-def _cmd_check(args) -> int:
-    X = load_space(args.space)
+def _given(args, *names: str) -> dict:
+    """The named flags that were given, as keyword arguments for the library."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
+def _supremal_of(X: MetricSpace, args):
+    return supremal(X, **_given(args, "cap", "width_tol"))
+
+
+def _check(X: MetricSpace, args):
     rep = classify(X, args.p, args.tol)
     payload = {
         "p": rep.p,
@@ -284,14 +293,12 @@ def _cmd_check(args) -> int:
         "tolerance": rep.tolerance,
         "direction": rep.direction.weights.tolist(),
     }
-    _emit(args, payload, _fields(
-        payload, ("classification", "p", "lambda_max", "tolerance", "direction")))
-    return _CHECK_EXIT[rep.classification]
+    lines = _fields(payload, ("classification", "p", "lambda_max", "tolerance", "direction"))
+    return payload, lines, _CHECK_EXIT[rep.classification]
 
 
-def _cmd_supremal(args) -> int:
-    X = load_space(args.space)
-    sup = supremal(X, cap=args.cap, width_tol=args.width_tol)
+def _supremal(X: MetricSpace, args):
+    sup = _supremal_of(X, args)
     lines = [f"status: {sup.status.value}"]
     if sup.status is SupremalStatus.FINITE:
         lines += [
@@ -305,56 +312,28 @@ def _cmd_supremal(args) -> int:
     lines.append(f"evaluations: {sup.evaluations}")
     payload = {"status": sup.status.value, "lo": sup.lo, "hi": sup.hi,
                "midpoint": sup.midpoint, "cap": sup.cap, "evaluations": sup.evaluations}
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_witness(args) -> int:
-    if args.at_supremal == (args.p is not None):
-        raise ValueError("witness needs exactly one of --p or --at-supremal")
-    if args.at_supremal and args.tol is not None:
-        raise ValueError("--tol applies only with --p; --at-supremal uses the default tolerance")
-    X = load_space(args.space)
-    try:
-        if args.at_supremal:
-            sup = supremal(X, cap=args.cap, width_tol=args.width_tol)
-            wit = witness_at_supremal(X, sup)
-        else:
-            wit = witness_at_p(X, args.p, args.tol)
-    except NotApplicable as exc:
-        print(f"no witness: {exc}", file=sys.stderr)
-        return 1
+def _witness(X: MetricSpace, args):
+    if args.at_supremal:
+        wit = witness_at_supremal(X, _supremal_of(X, args))
+    else:
+        wit = witness_at_p(X, args.p, args.tol)
     payload = witness_payload(wit)
-    _emit(args, payload, _fields(payload, (
-        "p", "method", "residual", "lhs", "rhs", "holds", "nontrivial", "xi", "simplex")))
-    return 0
+    return payload, _fields(payload, (
+        "p", "method", "residual", "lhs", "rhs", "holds", "nontrivial", "xi", "simplex")), 0
 
 
-def _cmd_verify(args) -> int:
-    X = load_space(args.space)
-    Q = load_simplex(args.simplex)
-    kwargs = {} if args.tol is None else {"tol": args.tol}
-    rep = verify_equality(X, args.p, Q, **kwargs)
-    payload = {
-        "p": rep.p,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "gap": rep.gap,
-        "holds": rep.holds,
-        "nontrivial": rep.nontrivial,
-    }
-    _emit(args, payload, _fields(payload, tuple(payload)))
-    if rep.holds and rep.nontrivial:
-        return 0
-    if rep.holds:
-        return 1
-    return 2
+def _verify(X: MetricSpace, args):
+    rep = verify_equality(X, args.p, load_simplex(args.simplex), **_given(args, "tol"))
+    payload = {k: getattr(rep, k) for k in ("p", "lhs", "rhs", "gap", "holds", "nontrivial")}
+    code = 0 if rep.holds and rep.nontrivial else 1 if rep.holds else 2
+    return payload, _fields(payload, tuple(payload)), code
 
 
-def _cmd_interval(args) -> int:
-    X = load_space(args.space)
-    sup = supremal(X, cap=args.cap, width_tol=args.width_tol)
-    iv = polygonal_interval(X, sup)
+def _interval(X: MetricSpace, args):
+    iv = polygonal_interval(X, _supremal_of(X, args))
     payload = {
         "interval": iv.describe(),
         "kind": iv.kind.value,
@@ -362,14 +341,11 @@ def _cmd_interval(args) -> int:
         "hi": iv.hi,
         "cap": iv.cap,
     }
-    _emit(args, payload, _fields(payload, ("interval",)))
-    return 0
+    return payload, _fields(payload, ("interval",)), 0
 
 
-def _cmd_gen(args) -> int:
-    X = generate_space(args.kind, args.n, dim=args.dim, q=args.q, seed=args.seed)
-    _write(args.out, render_json(space_payload(X)))
-    return 0
+def _gen(X: MetricSpace, args):
+    return space_payload(X), (), 0
 
 
 # ---------------------------------------------------------------------------
@@ -387,69 +363,81 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _add_common(sub, *, space=True, supremal_opts=False, fmt_default="text"):
-    if space:
-        sub.add_argument("space", help="metric-space JSON file")
-    if supremal_opts:
-        sub.add_argument("--cap", type=float, default=64.0)
-        sub.add_argument("--width-tol", type=float, default=1e-10, dest="width_tol")
-    sub.add_argument("--format", choices=("json", "text"), default=fmt_default)
-    sub.add_argument("--out", default=None, help="write output to this path")
+# every argument of every subcommand, declared once
+_FLAGS = {
+    "space": {"help": "metric-space JSON file"},
+    "simplex": {"help": "simplex JSON file"},
+    "kind": {"choices": GEN_KINDS},
+    "n": {"type": int},
+    "--p": {"type": float},
+    "--at-supremal": {"action": "store_true"},
+    "--tol": {"type": float},
+    "--cap": {"type": float},
+    "--width-tol": {"type": float},
+    "--dim": {"type": int},
+    "--q": {"type": float},
+    "--seed": {"type": int},
+    "--format": {"choices": ("json", "text"), "default": "text"},
+    "--out": {"help": "write output to this path"},
+}
+
+# name: (command, help, its arguments in order; "!" marks a required option)
+_COMMANDS = {
+    "check": (_check, "classify p-negative type at a fixed exponent",
+              "--p! --tol space --format --out"),
+    "supremal": (_supremal, "bracket the supremal p-negative type",
+                 "space --cap --width-tol --format --out"),
+    "witness": (_witness, "construct a nontrivial polygonal-equality witness",
+                "--p --at-supremal --tol space --cap --width-tol --format --out"),
+    "verify": (_verify, "verify a polygonal equality from a simplex file",
+               "space simplex --p! --tol --format --out"),
+    "interval": (_interval, "report the polygonal-equality exponent set",
+                 "space --cap --width-tol --format --out"),
+    "gen": (_gen, "generate a metric-space JSON file", "kind n --dim --q --seed --out"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="negtype", description=__doc__)
     cmds = parser.add_subparsers(dest="command", required=True)
-
-    p = cmds.add_parser("check", help="classify p-negative type at a fixed exponent")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--tol", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = cmds.add_parser("supremal", help="bracket the supremal p-negative type")
-    _add_common(p, supremal_opts=True)
-    p.set_defaults(func=_cmd_supremal)
-
-    p = cmds.add_parser("witness",
-                        help="construct a nontrivial polygonal-equality witness")
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--at-supremal", action="store_true", dest="at_supremal")
-    p.add_argument("--tol", type=float, default=None)
-    _add_common(p, supremal_opts=True, fmt_default="json")
-    p.set_defaults(func=_cmd_witness)
-
-    p = cmds.add_parser("verify",
-                        help="verify a polygonal equality from a simplex file")
-    p.add_argument("space", help="metric-space JSON file")
-    p.add_argument("simplex", help="simplex JSON file")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--tol", type=float, default=None)
-    _add_common(p, space=False)
-    p.set_defaults(func=_cmd_verify)
-
-    p = cmds.add_parser("interval",
-                        help="report the polygonal-equality exponent set")
-    _add_common(p, supremal_opts=True)
-    p.set_defaults(func=_cmd_interval)
-
-    p = cmds.add_parser("gen", help="generate a metric-space JSON file")
-    p.add_argument("kind", choices=GEN_KINDS)
-    p.add_argument("n", type=int)
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="write output to this path")
-    p.set_defaults(func=_cmd_gen)
-
+    for name, (func, text, flags) in _COMMANDS.items():
+        sub = cmds.add_parser(name, help=text)
+        for flag in flags.split():
+            key = flag.rstrip("!")
+            sub.add_argument(key, **_FLAGS[key], **({"required": True} if flag != key else {}))
+        sub.set_defaults(func=func)
+        if name in ("witness", "gen"):  # witness writes JSON unless told; gen writes only JSON
+            sub.set_defaults(format="json")
     return parser
 
 
+def _check_flags(args) -> None:
+    """Reject a flag combination the command cannot honour, before any file is read."""
+    if args.command == "witness":
+        if args.at_supremal == (args.p is not None):
+            raise ValueError("witness needs exactly one of --p or --at-supremal")
+        if args.at_supremal and args.tol is not None:
+            raise ValueError("--tol applies only with --p; --at-supremal uses the default tolerance")
+        if not args.at_supremal and _given(args, "cap", "width_tol"):
+            raise ValueError("--cap and --width-tol apply only with --at-supremal")
+    if args.command == "gen" and args.kind != "points" and _given(args, "dim", "q"):
+        raise ValueError(f"--dim and --q apply only to gen points, not to gen {args.kind}")
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        _check_flags(args)
+        if args.command == "gen":
+            X = generate_space(args.kind, args.n, seed=args.seed, **_given(args, "dim", "q"))
+        else:
+            X = load_space(args.space)
+        payload, lines, code = args.func(X, args)
+        _write(args.out, render_json(payload) if args.format == "json" else "\n".join(lines))
+        return code
+    except NotApplicable as exc:
+        print(f"no witness: {exc}", file=sys.stderr)
+        return 1
     except _CliError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -381,7 +382,9 @@ class TestWitnessCommand:
         ([], "exactly one of --p or --at-supremal"),
         (["--p", "2", "--at-supremal"], "exactly one of --p or --at-supremal"),
         (["--at-supremal", "--tol", "1e-9"], "--tol applies only with --p"),
-    ], ids=["neither", "both", "tol"])
+        (["--p", "3", "--cap", "0.5"], "--cap and --width-tol apply only with --at-supremal"),
+        (["--p", "3", "--width-tol", "-1"], "--cap and --width-tol apply only with --at-supremal"),
+    ], ids=["neither", "both", "tol", "cap", "width_tol"])
     def test_flags_are_checked_before_the_space_is_read(self, tmp_path, capsys,
                                                         flags, message):
         # a usage mistake costs no validation: the file is never opened
@@ -527,6 +530,14 @@ class TestGenCommand:
         pytest.param(["path", "0"], "need at least 2 vertices", id="path-0"),
         *(pytest.param(["points", "5", "--dim", d], f"need at least 1 dimension, got dim = {d}",
                        id=f"dim={d}") for d in ("-1", "0")),
+        # a flag only points reads is refused on any other kind, before the
+        # space is built: cycle 1 would otherwise fail on its size
+        *(pytest.param(argv, "--dim and --q apply only to gen points", id=i) for i, argv in {
+            "cycle-dim-q": ["cycle", "4", "--dim", "-1", "--q", "0.5"],
+            "cycle-1-dim": ["cycle", "1", "--dim", "3"],
+            "ultrametric-q": ["ultrametric", "4", "--q", "2"],
+            "random-dim": ["random", "5", "--seed", "1", "--dim", "3"],
+        }.items()),
     ])
     def test_points_below_two_exit_3(self, argv, message, capsys):
         assert main(["gen", *argv]) == 3
@@ -558,11 +569,36 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_exit_code_independent_of_format(self, collinear_file, capsys):
-        a = main(["check", collinear_file, "--p", "3", "--format", "text"])
-        b = main(["check", collinear_file, "--p", "3", "--format", "json"])
-        assert a == b == 2
-        capsys.readouterr()
+    def test_exit_code_independent_of_format(self, collinear_file, cycle_file,
+                                             witness_simplex_file, tmp_path, capsys):
+        # every subcommand keeps its exit code in both formats, and --out
+        # writes exactly the bytes that the same run prints without it
+        out = tmp_path / "out"
+        runs = [(["gen", "random", "5", "--seed", "1"], 0)] + [
+            ([*argv, "--format", fmt], code) for fmt in ("text", "json") for argv, code in [
+                (["check", collinear_file, "--p", "3"], 2),
+                (["check", cycle_file, "--p", "1"], 1),
+                (["check", collinear_file, "--p", "1"], 0),
+                (["supremal", collinear_file], 0),
+                (["supremal", collinear_file, "--cap", "1.5"], 0),
+                (["witness", collinear_file, "--p", "3"], 0),
+                (["witness", collinear_file, "--p", "1"], 1),
+                (["witness", collinear_file, "--at-supremal"], 0),
+                (["verify", collinear_file, witness_simplex_file, "--p", "2"], 0),
+                (["verify", collinear_file, witness_simplex_file, "--p", "3"], 2),
+                (["interval", collinear_file], 0),
+                (["interval", cycle_file], 0),
+            ]]
+        for argv, code in runs:
+            assert main(argv) == code
+            printed = capsys.readouterr().out
+            assert main([*argv, "--out", str(out)]) == code
+            assert capsys.readouterr().out == ""
+            if printed:
+                assert out.read_bytes() == printed.encode("utf-8")
+                out.unlink()
+            else:  # no witness: nothing printed and nothing written
+                assert not out.exists()
 
     def test_twelve_significant_digits(self, collinear_file, capsys):
         main(["check", collinear_file, "--p", "1", "--format", "json"])
@@ -616,6 +652,38 @@ nontrivial: True
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
         assert res.returncode == 2, res.stderr
         assert res.stdout.startswith("classification: NOT_NEG_TYPE\n")
+
+
+class TestFlagSets:
+    # each subcommand's options, from its --help, and what a run that gives
+    # none of them parses: an option left out is None, so the library holds
+    # its default; --format is text but for witness, and gen writes only JSON
+    @pytest.mark.parametrize("argv, options, parsed", [
+        (["check", "s.json", "--p", "1"], "--p --tol --format --out",
+         {"space": "s.json", "p": 1.0, "tol": None, "format": "text", "out": None}),
+        (["supremal", "s.json"], "--cap --width-tol --format --out",
+         {"space": "s.json", "cap": None, "width_tol": None, "format": "text", "out": None}),
+        (["interval", "s.json"], "--cap --width-tol --format --out",
+         {"space": "s.json", "cap": None, "width_tol": None, "format": "text", "out": None}),
+        (["witness", "s.json"], "--p --at-supremal --tol --cap --width-tol --format --out",
+         {"space": "s.json", "p": None, "at_supremal": False, "tol": None, "cap": None,
+          "width_tol": None, "format": "json", "out": None}),
+        (["verify", "s.json", "q.json", "--p", "1"], "--p --tol --format --out",
+         {"space": "s.json", "simplex": "q.json", "p": 1.0, "tol": None, "format": "text",
+          "out": None}),
+        (["gen", "cycle", "4"], "--dim --q --seed --out",
+         {"kind": "cycle", "n": 4, "dim": None, "q": None, "seed": None, "format": "json",
+          "out": None}),
+    ], ids=["check", "supremal", "interval", "witness", "verify", "gen"])
+    def test_flag_set(self, argv, options, parsed, capsys):
+        args = vars(cli._build_parser().parse_args(argv))
+        del args["func"]
+        assert args.pop("command") == argv[0] and args == parsed
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert set(re.findall(r"--[\w-]+", usage)) == set(options.split())
 
 
 def _json_dumps_render(payload: dict) -> str:
