@@ -35,7 +35,8 @@ print(f"\nsupremal exponent bracket: [{sup.lo:.12f}, {sup.hi:.12f}]"
       f" (midpoint {sup.midpoint:.10f}, {sup.evaluations} eigenvalue evaluations)")
 
 # At the supremal exponent the largest eigenvalue of the restricted form is
-# zero, so its eigendirection is a zero-sum vector with vanishing form: a witness.
+# zero, so its eigendirection is a zero-sum vector with vanishing form: a
+# witness, which one linear solve of the form finds without an eigensolve.
 w = witness_at_supremal(X, sup)
 print(f"\nwitness at the supremal exponent ({w.method.value}):")
 print(f"  xi       = {np.round(w.xi.weights, 6)}")

@@ -1,4 +1,6 @@
-"""Command-line surface and JSON serialization.
+"""Classify p-negative type, bracket the supremal exponent, and certify polygonal equalities.
+
+The command-line surface and its JSON serialization.
 
 Subcommands: check, supremal, witness, verify, interval, gen. Exit codes
 encode the mathematical outcome (see each command); all file, parse, and
@@ -12,12 +14,14 @@ any file is opened, then main reads the space (gen generates it), runs the
 command, which returns its payload, its text lines and its exit code, and
 writes the answer once. A flag left out parses to None and is not passed
 on, so the defaults of --cap and --width-tol are those of supremal, and
-those of --dim and --q those of generate_space.
+those of --dim and --q those of generate_space; their --help reads them
+from those signatures.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from collections.abc import Iterator
@@ -363,6 +367,11 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _default(text: str, func, name: str) -> str:
+    """Help text showing the default of the parameter name of func, where it lives."""
+    return f"{text} (default: {inspect.signature(func).parameters[name].default:g})"
+
+
 # every argument of every subcommand, declared once
 _FLAGS = {
     "space": {"help": "metric-space JSON file"},
@@ -372,10 +381,11 @@ _FLAGS = {
     "--p": {"type": float},
     "--at-supremal": {"action": "store_true"},
     "--tol": {"type": float},
-    "--cap": {"type": float},
-    "--width-tol": {"type": float},
-    "--dim": {"type": int},
-    "--q": {"type": float},
+    "--cap": {"type": float, "help": _default("largest exponent searched", supremal, "cap")},
+    "--width-tol": {"type": float,
+                    "help": _default("bracket width to stop at", supremal, "width_tol")},
+    "--dim": {"type": int, "help": _default("coordinates per point", generate_space, "dim")},
+    "--q": {"type": float, "help": _default("l_q norm of the points", generate_space, "q")},
     "--seed": {"type": int},
     "--format": {"choices": ("json", "text"), "default": "text"},
     "--out": {"help": "write output to this path"},
@@ -398,7 +408,7 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="negtype", description=__doc__)
+    parser = _Parser(prog="negtype", description=__doc__.splitlines()[0])
     cmds = parser.add_subparsers(dest="command", required=True)
     for name, (func, text, flags) in _COMMANDS.items():
         sub = cmds.add_parser(name, help=text)

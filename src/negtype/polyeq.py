@@ -10,17 +10,20 @@ quadratic form through the induced zero-sum vector xi:
     <D_p xi, xi> = -2 * gap_p(Q)
 
 so a nonzero xi with vanishing form is the same thing as a nontrivial
-p-polygonal equality. One witness construction serves every exponent: the
-top and bottom eigendirections of the restricted form, from its one
-eigensolve, span a plane of unit zero-sum vectors on which the form runs
-from lambda_max down to lambda_min < 0. Where lambda_max >= 0 the form
-vanishes at a closed-form angle in that plane; at the supremal exponent
-lambda_max is zero and the angle is zero, so the witness is the top
-eigendirection itself. Every D_p here is metric._power's D~_p, converted
-once. Every simplex, a witness's own included, is checked by
-verify_equality, which like gap reads only the block of D_p on the points
-of the simplex (quadform._block): the D~_p kept by the solve when the
-simplex uses every point, so a witness and its check share one build. A
+p-polygonal equality. At a fixed exponent the top and bottom
+eigendirections of the restricted form, from its one eigensolve, span a
+plane of unit zero-sum vectors on which the form runs from lambda_max down
+to lambda_min < 0; where lambda_max >= 0 the form vanishes at a
+closed-form angle in that plane. At a supremal bracket lambda_max is zero
+to the bracket width, so the witness is the form's near-null direction:
+one linear solve finds it (quadform._near_null), and a positive form on it
+turns to an exact zero against e_i - e_j of a farthest pair; only a
+witness that fails its check there takes the eigensolve. Every D_p here
+is metric._power's D~_p, converted once. Every simplex, a witness's own
+included, is checked by verify_equality, which like gap reads only the
+block of D_p on the points of the simplex (quadform._block): the D~_p the
+witness was built on when the simplex uses every point, so a witness and
+its check share one build. A
 simplex is read once into its net vector on its own points (_read), left
 minus right weight per point, with a net weight within the rounding of the
 weights written at its point read as 0. gap sums the sign split of that
@@ -53,12 +56,14 @@ from .errors import (
 from .metric import _NOT_NUMBERS, MetricSpace, _integer, _real
 from .quadform import (
     BALANCE_REL,
+    EPSILON_REL,
     BalancedVector,
     Classification,
     QuadFormReport,
     SupremalResult,
     SupremalStatus,
     _block,
+    _near_null,
     _scaled,
     _solve,
     _sums,
@@ -341,8 +346,16 @@ def verify_equality(
     """
     if not 0.0 <= tol < math.inf:
         raise InvalidTolerance(f"tol = {tol}")
+    return _verify(X, p, Q, tol)
+
+
+def _verify(
+    X: MetricSpace, p: float, Q: SignedSimplex, tol: float = VERIFY_REL,
+    built: tuple | None = None,
+) -> EqualityReport:
+    """verify_equality, reading built = (D~_p, scale) when Q covers every point."""
     sides = _read(Q, X.size)
-    d, scale = _block(X, p, sides.s)
+    d, scale = _block(X, p, sides.s, built)
     net = _net(sides)
     cross, rhs = _sums(d, net)
     g = cross - rhs
@@ -362,6 +375,22 @@ def verify_equality(
     )
 
 
+def _report(X: MetricSpace, p: float, v: np.ndarray, built: tuple,
+            method: WitnessMethod) -> WitnessReport:
+    """The witness of the unit zero-sum vector v at p, checked on built = (D~_p, scale)."""
+    d, scale = built
+    xi = BalancedVector(v)
+    simplex = vector_to_simplex(X, xi)
+    return WitnessReport(
+        p=p,
+        xi=xi,
+        simplex=simplex,
+        residual=_real(abs(float(v @ d @ v)), scale),
+        method=method,
+        equality=_verify(X, p, simplex, built=built),
+    )
+
+
 def _witness(X: MetricSpace, report: QuadFormReport) -> WitnessReport:
     """The form's zero in the top-bottom eigenplane, returned only if it verifies.
 
@@ -378,19 +407,42 @@ def _witness(X: MetricSpace, report: QuadFormReport) -> WitnessReport:
     ivt = report.classification is Classification.NOT_NEG_TYPE
     theta = math.atan(math.sqrt(lam / -lam_min)) if lam > 0.0 else 0.0
     v = math.cos(theta) * v_max + math.sin(theta) * v_min
-    xi = BalancedVector(v)
-    simplex = vector_to_simplex(X, xi)
-    witness = WitnessReport(
-        p=report.p,
-        xi=xi,
-        simplex=simplex,
-        residual=_real(abs(float(v @ d @ v)), scale),
-        method=WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION,
-        equality=verify_equality(X, report.p, simplex),
-    )
+    witness = _report(X, report.p, v, (d, scale),
+                      WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION)
     if not witness.equality.nontrivial_equality:
         raise NoWitnessFound(witness)
     return witness
+
+
+def _null_witness(X: MetricSpace, p: float, built: tuple,
+                  v: np.ndarray | None) -> WitnessReport | None:
+    """The witness from quadform._near_null's v on built = (D~_p, scale), if it verifies.
+
+    Where the form f of v is positive, v turns to the exact zero of the form
+    in its plane with u = (e_i - e_j) / sqrt(2) for a farthest pair i, j,
+    where the form is -D~(i, j) = -1: the root t of f + 2 b t - t^2 = 0
+    nearest 0, b the bilinear form of v and u, needs no solve. The method
+    is classify's: IVT only where f exceeds EPSILON_REL. None where v is
+    None or its simplex is not a nontrivial equality on D~_p.
+    """
+    if v is None:
+        return None
+    d = built[0]
+    dv = d @ v
+    f = float(v @ dv)
+    if f > 0.0:
+        i, j = divmod(int(np.argmax(d)), d.shape[0])
+        b = (float(dv[i]) - float(dv[j])) / math.sqrt(2.0)
+        t = -f / (b + math.copysign(math.sqrt(b * b + f * float(d[i, j])), b))
+        v[i] += t / math.sqrt(2.0)  # v + t u
+        v[j] -= t / math.sqrt(2.0)
+        v /= np.linalg.norm(v)
+    method = WitnessMethod.IVT if f > EPSILON_REL else WitnessMethod.EIGEN_DIRECTION
+    try:
+        witness = _report(X, p, v, built, method)
+    except NotBalanced:
+        return None
+    return witness if witness.equality.nontrivial_equality else None
 
 
 def witness_at_p(
@@ -417,13 +469,15 @@ def witness_at_p(
 def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
     """Witness at the midpoint of a FINITE supremal bracket.
 
-    The construction and its acceptance are witness_at_p's at the default
-    tolerance. At the supremal exponent lambda_max is zero, so the witness
-    is the top eigendirection (method EIGEN_DIRECTION); a bracket above the
-    supremal exponent gets an exact zero of the form (method IVT). A witness
-    whose simplex does not verify raises NoWitnessFound, as one at a bracket
-    below the supremal exponent does. Ultrametric spaces and capped searches
-    raise NotApplicable.
+    At the supremal exponent lambda_max is zero, so the witness is the
+    form's near-null direction, from one solve of the restricted form and
+    no eigensolve (_null_witness; method EIGEN_DIRECTION); a bracket above
+    the supremal exponent gets an exact zero of the form (method IVT). Where
+    that witness does not verify, or the solve fails, the witness is
+    witness_at_p's at the default tolerance, on the D~_p built here: where
+    the eigenvalue nearest 0 is not the top one, and at a bracket below the
+    supremal exponent, whose NoWitnessFound it raises. Ultrametric spaces
+    and capped searches raise NotApplicable.
     """
     if sup.status is SupremalStatus.INFINITE_ULTRAMETRIC:
         raise NotApplicable(
@@ -433,7 +487,13 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
         raise NotApplicable(
             f"supremal exponent exceeds cap {sup.cap:g}; no witness located"
         )
-    return _witness(X, classify(X, sup.midpoint))
+    p = sup.midpoint
+    d, scale, v = _near_null(X, p)
+    witness = _null_witness(X, p, (d, scale), v)
+    if witness is None:
+        _solve(X, p, (d, scale))  # the eigen witness, on the D~_p built here
+        witness = _witness(X, classify(X, p))
+    return witness
 
 
 def polygonal_interval(X: MetricSpace, sup: SupremalResult) -> IntervalReport:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -684,6 +685,29 @@ class TestFlagSets:
         assert exc.value.code == 0
         usage = capsys.readouterr().out.split("\n\n")[0]
         assert set(re.findall(r"--[\w-]+", usage)) == set(options.split())
+
+    def test_description_is_the_first_docstring_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert cli.__doc__.splitlines()[0] in text
+        assert "serializ" not in text and "main" not in text
+
+    @pytest.mark.parametrize("command, flag, func, name", [
+        ("supremal", "--cap", supremal, "cap"),
+        ("interval", "--width-tol", supremal, "width_tol"),
+        ("witness", "--cap", supremal, "cap"),
+        ("gen", "--dim", generate_space, "dim"),
+        ("gen", "--q", generate_space, "q"),
+    ])
+    def test_help_shows_the_library_default(self, command, flag, func, name, capsys):
+        # the default in the help is the one in the library's signature
+        default = inspect.signature(func).parameters[name].default
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert re.search(rf"{flag} \S+ [^-]*\(default: {default:g}\)", help_text), help_text
 
 
 def _json_dumps_render(payload: dict) -> str:

@@ -72,6 +72,20 @@ COLLINEAR_WITNESS = SignedSimplex(((0, 1.0), (2, 1.0)), ((1, 2.0),))
 ENTRY = st.tuples(st.integers(0, 5), st.floats(-14, 0), st.booleans())
 
 
+@pytest.fixture()
+def eigensolves(monkeypatch):
+    """The matrices np.linalg.eigh is called on, in order."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 def lopsided_triangle() -> MetricSpace:
     """A triangle whose witness at p = 40 is rejected, with simplex {1} | {0}."""
     a, b, c = 0.6645658617228711, 1.9120533633066823, 1.9999999999999998
@@ -667,12 +681,13 @@ class TestWitnessAtSupremal:
         assert (f"relative gap {w.equality.relative_gap:g} against tol 1e-09; "
                 f"gap {w.equality.gap:g} with lhs {w.lhs:g}, rhs {w.rhs:g}") in str(exc.value)
 
-    def test_bracket_above_supremal_verifies(self, collinear, four_cycle):
-        # above w the top eigenvalue is positive: the witness is the exact
-        # zero of the form between the top and bottom eigendirections
-        for X in (collinear, four_cycle):
+    def test_bracket_above_supremal_verifies(self, eigensolves):
+        # above w the top eigenvalue is positive: the near-null vector of the
+        # one solve turns to the exact zero of the form, with no eigensolve
+        for X in (collinear_triple(), unit_four_cycle()):
             p = supremal(X).hi + 1e-3
             w = witness_at_supremal(X, SupremalResult(SupremalStatus.FINITE, p, p, 64.0, 0))
+            assert eigensolves == []
             assert w.p == p and w.method is WitnessMethod.IVT
             assert w.residual <= 1e-12 * float(metric.power_matrix(X, p).max())
             rep = verify_equality(X, p, w.simplex)
@@ -725,6 +740,83 @@ class TestWitnessCorpus:
                     rep = verify_equality(X, p, w.simplex)
                     assert rep.holds and rep.nontrivial
         assert cases >= 6
+
+
+class TestSupremalWitnessFromOneSolve:
+    """witness_at_supremal takes the near-null vector of one solve of the form,
+    and the eigen witness (_witness at the midpoint) only where that one does
+    not verify: the eigenvalue nearest 0 need not be the top one, and the
+    solve may fail."""
+
+    @staticmethod
+    def eigen_witness(X, sup):
+        """The eigen witness at the midpoint, or None where it does not verify."""
+        try:
+            return polyeq._witness(X, classify(X, sup.midpoint))
+        except NoWitnessFound:
+            return None
+
+    def test_verifies_wherever_the_eigen_witness_does(self, eigensolves):
+        rng = np.random.default_rng(97)
+        random_spaces = [random_space(rng) for _ in range(400)]
+        rng = np.random.default_rng(7001)  # the corpus of acceptance criterion 7
+        perturbed = []
+        for _ in range(50):
+            n = int(rng.integers(3, 13))
+            perturbed.append(break_ultrametricity(
+                random_ultrametric(n, seed=int(rng.integers(0, 2**31))), rng))
+        gen = [generate_space(kind, m, q=q, seed=seed)
+               for kind, q in (("path", 2.0), ("cycle", 2.0), ("points", 2.0),
+                               ("points", 1.0), ("random", 2.0))
+               for m in (4, 12, 60, 200) for seed in range(2)]
+        for name, spaces in (("random", random_spaces), ("perturbed", perturbed), ("gen", gen)):
+            finite = raised = 0
+            for trial, X in enumerate(spaces):
+                sup = supremal(X)
+                if sup.status is not SupremalStatus.FINITE:
+                    continue
+                finite += 1
+                eigensolves.clear()
+                try:
+                    w = witness_at_supremal(X, sup)
+                except NoWitnessFound as exc:
+                    assert not exc.witness.equality.nontrivial_equality
+                    assert self.eigen_witness(X, sup) is None, (name, trial)
+                    assert name == "perturbed" and trial == 38
+                    raised += 1
+                    continue
+                assert w.p == sup.midpoint
+                assert verify_equality(X, w.p, w.simplex).nontrivial_equality, (name, trial)
+                if name == "gen":
+                    assert eigensolves == [], trial
+            assert finite > 0.9 * len(spaces) and raised <= (name == "perturbed")
+
+    @pytest.mark.parametrize("solve", ["raises", "nan"])
+    @pytest.mark.parametrize("space", [
+        collinear_triple,
+        unit_four_cycle,
+        lambda: generate_space("random", 12, seed=8),
+        lambda: generate_space("points", 40, q=1.0, seed=3),
+    ], ids=["collinear", "four_cycle", "random_graph", "l1_cloud"])
+    def test_failed_solve_gives_the_eigen_witness(self, monkeypatch, solve, space):
+        sup = supremal(space())
+        expected = self.eigen_witness(space(), sup)
+
+        def failing(a, b):
+            if solve == "raises":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full_like(b, np.nan)
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        w = witness_at_supremal(space(), sup)
+        for f in dataclasses.fields(w):
+            got, want = getattr(w, f.name), getattr(expected, f.name)
+            if f.name == "xi":
+                assert got.weights.tobytes() == want.weights.tobytes()
+            elif f.name == "equality":
+                assert dataclasses.astuple(got) == dataclasses.astuple(want)
+            else:
+                assert got == want, f.name
 
 
 class TestWitnessContract:
@@ -932,15 +1024,15 @@ class TestBuildOnce:
         return calls
 
     @pytest.fixture()
-    def eigensolves(self, monkeypatch):
+    def solves(self, monkeypatch):
         calls = []
-        real = np.linalg.eigh
+        real = np.linalg.solve
 
-        def counting(a):
+        def counting(a, b):
             calls.append(a)
-            return real(a)
+            return real(a, b)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(np.linalg, "solve", counting)
         return calls
 
     def test_witness_at_p(self, builds, eigensolves):
@@ -949,17 +1041,19 @@ class TestBuildOnce:
         assert witness_at_p(unit_four_cycle(), 1.0).method is WitnessMethod.EIGEN_DIRECTION
         assert len(builds) == 2 and len(eigensolves) == 2
 
-    def test_witness_at_supremal(self, builds, eigensolves):
+    def test_witness_at_supremal(self, builds, eigensolves, solves):
+        # the witness from one solve; the fallback solves the D~_p built for it
         collinear = collinear_triple()
         sup = supremal(collinear)
         builds.clear()
         eigensolves.clear()
         witness_at_supremal(collinear, sup)
-        assert len(builds) == 1 and len(eigensolves) == 1
+        assert len(builds) == 1 and len(eigensolves) == 0 and len(solves) == 1
         low = SupremalResult(SupremalStatus.FINITE, 0.5, 0.5, 64.0, 0)
+        builds.clear()
         with pytest.raises(NoWitnessFound):
             witness_at_supremal(unit_four_cycle(), low)
-        assert len(builds) == 2 and len(eigensolves) == 2
+        assert len(builds) == 1 and len(eigensolves) == 1 and len(solves) == 2
 
     def test_rejected_witness_on_two_points_builds_its_block(self, builds, eigensolves):
         # the solve builds D~_p, and the check of {1} | {0} its own 2-point block
