@@ -12,7 +12,10 @@ emitted files re-parse and re-verify exactly.
 Every subcommand takes one path through main: its flag checks run before
 any file is opened, then main reads the space (gen generates it), runs the
 command, which returns its payload, its text lines and its exit code, and
-writes the answer once. A flag left out parses to None and is not passed
+writes the answer once. load_space decodes a file that repeats its long
+numbers, as an ultrametric's matrix does, with one float() per distinct
+number (see _repeats); the input alone picks the decode, and both give
+the same bits. A flag left out parses to None and is not passed
 on, so the defaults of --cap and --width-tol are those of supremal, and
 those of --dim and --q those of generate_space; their --help reads them
 from those signatures.
@@ -21,8 +24,10 @@ from those signatures.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
+import re
 import sys
 from collections.abc import Iterator
 
@@ -31,6 +36,7 @@ import numpy as np
 from .errors import NegTypeError, NotApplicable, NotSquare
 from .metric import (
     MetricSpace,
+    _integer,
     from_graph,
     from_points,
     random_ultrametric,
@@ -87,8 +93,37 @@ def parse_space(data: dict) -> MetricSpace:
 
 
 def load_space(path: str) -> MetricSpace:
+    """parse_space of the JSON data in the file at path."""
+    return parse_space(_read_json(path))
+
+
+# json's float() takes about twice as long on a number of 16 or more
+# significant digits (as repr writes most doubles) as on a shorter one, so
+# a memo of float() pays only where such numbers repeat; elsewhere its
+# lookups make the decode 1.3 to 1.7 times slower
+_LONG_NUMBER = re.compile(r"[1-9](?:\.?\d){15,}")
+_WINDOW = 2048  # characters read from the middle of the text
+_WINDOW_MIN = 32  # long numbers the window must hold
+
+
+def _repeats(text: str) -> bool:
+    """True if the middle window of text holds at least _WINDOW_MIN long
+    numbers, at most half of them distinct: a distance matrix that repeats
+    its values, such as an ultrametric."""
+    mid = len(text) // 2
+    runs = _LONG_NUMBER.findall(text, max(0, mid - _WINDOW // 2), mid + _WINDOW // 2)
+    return len(runs) >= _WINDOW_MIN and 2 * len(set(runs)) <= len(runs)
+
+
+def _read_json(path: str):
+    """The JSON data of a file, with each distinct float token parsed once
+    where _repeats says the text repeats its numbers. Both decodes call
+    float on the same token string, so the values are the same bits."""
     with open(path, encoding="utf-8") as fh:
-        return parse_space(json.load(fh))
+        text = fh.read()
+    if _repeats(text):
+        return json.loads(text, parse_float=functools.lru_cache(maxsize=None)(float))
+    return json.loads(text)
 
 
 def space_payload(X: MetricSpace) -> dict:
@@ -105,8 +140,7 @@ def parse_simplex(data: dict) -> SignedSimplex:
 
 
 def load_simplex(path: str) -> SignedSimplex:
-    with open(path, encoding="utf-8") as fh:
-        return parse_simplex(json.load(fh))
+    return parse_simplex(_read_json(path))
 
 
 def simplex_payload(Q: SignedSimplex) -> dict:
@@ -250,7 +284,9 @@ def generate_space(
 
     A graph kind gives from_graph one (k, 3) edge array, complete and random in np.triu_indices
     order; random's one draw of k weights equals k single draws of PCG64.
+    n is read by the integer rule of from_graph: 9.0 reads as 9.
     """
+    n = _integer(n, "n")
     if kind == "points":
         if n < 2:  # before the draw, which a negative n or dim would break
             raise NotSquare("need at least 2 points")

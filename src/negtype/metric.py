@@ -85,6 +85,17 @@ def _integer(x, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
+def _floats(x, what: str) -> np.ndarray:
+    """x as a float array; a string entry, which numpy would read as a number,
+    raises ValueError naming what. numpy writes every entry of a list that
+    mixes strings and numbers as a string, so the dtype tells."""
+    a = np.asarray(x)
+    if a.dtype.kind in "US" or a.dtype.kind == "O" and any(
+            isinstance(v, (str, bytes)) for v in a.flat):
+        raise ValueError(f"{what} entries must be numbers, not strings")
+    return a.astype(float, copy=False)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -214,7 +225,7 @@ def validate_metric(labels, matrix) -> MetricSpace:
 
 def _validated(labels, matrix, scan: bool) -> MetricSpace:
     """validate_metric, with the triangle scan only when ``scan`` is set."""
-    a = np.asarray(matrix, dtype=float)
+    a = _floats(matrix, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSquare(f"matrix has shape {a.shape}")
     m = a.shape[0]
@@ -391,7 +402,7 @@ def from_graph(n: int, weighted_edges) -> MetricSpace:
     n = _integer(n, "graph n")
     if n < 2:
         raise NotSquare("need at least 2 vertices")
-    e = np.asarray(weighted_edges, dtype=float)
+    e = _floats(weighted_edges, "edges")
     if e.size == 0:
         e = e.reshape(0, 3)
     if e.ndim != 2 or e.shape[1] != 3:
@@ -439,7 +450,7 @@ def from_points(coords, q: float = 2.0) -> MetricSpace:
     """
     from scipy.spatial.distance import cdist
 
-    pts = np.asarray(coords, dtype=float)
+    pts = _floats(coords, "coords")
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.shape[0] < 2:
@@ -493,6 +504,7 @@ def random_ultrametric(n: int, seed: int | None = None) -> MetricSpace:
     of the final merge order: each merge sets its two off-diagonal blocks
     of that order by slices, and one permutation returns to point order.
     """
+    n = _integer(n, "n")
     if n < 2:
         raise NotSquare("need at least 2 points")
     rng = np.random.default_rng(seed)

@@ -6,13 +6,16 @@ from scipy on the centered m x m matrix rather than the package's
 over the defining sums, the triangle reference is a literal triple loop
 in pivot order, the ultrametric reference is scipy's single-linkage
 clustering, and the supremal reference is a sign-only bisection on the
-scipy eigenvalues. The ultrametric generator's reference is its original
-merge loop, point order throughout; the graph generators' reference is
-their original per-edge loops, one rng call per random weight.
+scipy eigenvalues, and the class at an integer exponent of an integer
+space is the inertia of its form, by elimination in Fractions. The
+ultrametric generator's reference is its original merge loop, point
+order throughout; the graph generators' reference is their original
+per-edge loops, one rng call per random weight.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -87,6 +90,35 @@ def exact_gap(X: MetricSpace, p: float, Q: SignedSimplex) -> tuple[Fraction, Fra
              for sign, pairs in ((1, cross), (-1, same)) for w, v, x in pairs]
     return (sum((sign * t for t, sign in terms), Fraction(0)),
             sum((abs(t) for t, _ in terms), Fraction(0)))
+
+
+def exact_class(dist, p: int) -> str:
+    """The class at integer p of an integer distance matrix, exact in Fractions.
+
+    In the basis e_i - e_m of the zero-sum hyperplane the form has the
+    matrix G_ij = d_ij^p - d_im^p - d_jm^p (i, j < m), and by Sylvester's
+    law of inertia its class is that of G: STRICT when G is negative
+    definite, BOUNDARY when negative semidefinite and singular,
+    NOT_NEG_TYPE otherwise. Symmetric elimination keeps the inertia: a
+    positive pivot, or a zero pivot with a nonzero entry beside it (a 2 x 2
+    minor of determinant -b^2 < 0), shows a positive eigenvalue.
+    """
+    d = [[int(x) ** p for x in row] for row in np.asarray(dist).tolist()]
+    m = len(d) - 1
+    g = [[Fraction(d[i][j] - d[i][m] - d[j][m]) for j in range(m)] for i in range(m)]
+    singular = False
+    for k in range(m):
+        pivot = g[k][k]
+        if pivot > 0 or pivot == 0 and any(g[k][k + 1:]):
+            return "NOT_NEG_TYPE"
+        if pivot == 0:
+            singular = True
+            continue
+        for i in range(k + 1, m):
+            f = g[i][k] / pivot
+            for j in range(k + 1, m):
+                g[i][j] -= f * g[k][j]
+    return "BOUNDARY" if singular else "STRICT"
 
 
 def centered_eigenpairs(X: MetricSpace, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -219,6 +251,22 @@ def reference_graph(kind: str, n: int, seed: int | None = None) -> MetricSpace:
         return from_graph(n, [(i, j, 1.0) for i, j in pairs])
     rng = np.random.default_rng(seed)
     return from_graph(n, [(i, j, float(rng.uniform(0.5, 2.0))) for i, j in pairs])
+
+
+def small_graph_metrics(n: int, weights) -> np.ndarray:
+    """The distinct shortest-path matrices of every connected graph on n
+    labelled vertices whose edges take weights from weights, as one array.
+
+    Each vertex pair is absent or an edge of each weight; Floyd-Warshall
+    runs on all of these graphs at once.
+    """
+    i, j = np.triu_indices(n, 1)
+    d = np.full(((len(weights) + 1) ** len(i), n, n), np.inf)
+    d[:, i, j] = d[:, j, i] = list(itertools.product((np.inf, *weights), repeat=len(i)))
+    d[:, range(n), range(n)] = 0.0
+    for k in range(n):
+        np.minimum(d, d[:, :, k, None] + d[:, None, k, :], out=d)
+    return np.unique(d[np.isfinite(d).all(axis=(1, 2))], axis=0)
 
 
 def subdominant_ultrametric(d: np.ndarray) -> np.ndarray:

@@ -12,8 +12,13 @@ import pytest
 import negtype
 from helpers import reference_graph
 from negtype import (
+    MetricSpace,
+    NegTypeError,
     NotSquare,
+    from_graph,
+    from_points,
     is_ultrametric,
+    random_ultrametric,
     supremal,
     validate_metric,
     verify_equality,
@@ -142,6 +147,20 @@ class TestSpaceLoading:
         err = capsys.readouterr().err
         assert f"q = {q!r}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("data, field", [
+        ({"matrix": [[0, "1"], ["1", 0]]}, "matrix"),
+        ({"graph": {"n": 2, "edges": [[0, 1, "2.5"]]}}, "edges"),
+        ({"points": {"coords": [["0", "0"], ["3", "4"]]}}, "coords"),
+    ], ids=["matrix", "edges", "coords"])
+    def test_string_entries_are_rejected(self, data, field, tmp_path, capsys):
+        # numpy's float conversion read each of these as numbers
+        with pytest.raises(ValueError, match=f"{field} entries must be numbers"):
+            parse_space(data)
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(data))
+        assert main(["check", str(f), "--p", "1"]) == 3
+        assert f"error: {field} entries must be numbers" in capsys.readouterr().err
+
     def test_integral_float_n_and_truncated_endpoints_load(self):
         X = parse_space({"graph": {"n": 3.0, "edges": [[0.9, 1.5, 1], [1, 2.99, 1]]}})
         np.testing.assert_array_equal(X.dist, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
@@ -171,6 +190,157 @@ class TestSpaceLoading:
         Y = parse_space(space_payload(X))
         np.testing.assert_array_equal(X.dist, Y.dist)
         assert X.labels == Y.labels
+
+
+def _json_load_space(path) -> MetricSpace:
+    """load_space as it read every file before the memo: json's own floats."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_space(json.load(fh))
+
+
+def _outcome(load, path):
+    """The labels and distance bits a loader gives, or the error it raises."""
+    try:
+        X = load(path)
+    except (NegTypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return X.labels, X.dist.tobytes()
+
+
+def _crafted(infinity: bool = False) -> str:
+    """A 64-point ultrametric written with the edge cases of json's numbers.
+
+    d(i, j) is the height of the highest bit of i ^ j: 5e-324, 1e-5, 1.0
+    or 1.00 (by the parity of i + j), 1.2345678901234567, 1E5 and the
+    largest float; the diagonal is -0.0. The block of the largest float
+    fills the middle of the text, so it decodes with the memo. With
+    infinity, entry (1, 0) reads Infinity.
+    """
+    heights = ("5e-324", "1e-5", ("1.0", "1.00"), "1.2345678901234567", "1E5",
+               "1.7976931348623157e308")
+    rows = []
+    for i in range(64):
+        row = ["-0.0"] * 64
+        for j in range(64):
+            if i != j:
+                h = heights[(i ^ j).bit_length() - 1]
+                row[j] = h[(i + j) % 2] if isinstance(h, tuple) else h
+        rows.append("[" + ", ".join(row) + "]")
+    if infinity:
+        rows[1] = "[Infinity" + rows[1][len("[5e-324"):]
+    return '{"matrix": [' + ",\n".join(rows) + "]}\n"
+
+
+def _bipartite(m: int) -> MetricSpace:
+    """K_{m/2,m/2} scaled by 1.2345678901234567: two long distances, not ultrametric."""
+    half = m // 2
+    X = from_graph(m, [(i, half + j, 1.0) for i in range(half) for j in range(half)])
+    return validate_metric(None, 1.2345678901234567 * X.dist)
+
+
+@pytest.fixture()
+def decodes(monkeypatch):
+    """The parse_float given to each json.loads call; None is json's own float."""
+    seen = []
+    loads = json.loads
+
+    def spy(text, **kwargs):
+        seen.append(kwargs.get("parse_float"))
+        return loads(text, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    return seen
+
+
+class TestRepeatedNumbers:
+    """load_space parses each distinct float token once when the text repeats them."""
+
+    @pytest.mark.parametrize("m", [150, 350])
+    @pytest.mark.parametrize("kind", GEN_KINDS)
+    def test_gen_files_give_the_bits_of_json_load(self, kind, m, tmp_path):
+        f = tmp_path / "space.json"
+        assert main(["gen", kind, str(m), "--seed", "5", "--out", str(f)]) == 0
+        assert _outcome(load_space, f) == _outcome(_json_load_space, f)
+
+    @pytest.mark.parametrize("m", [150, 350])
+    def test_compact_files_give_the_bits_of_json_load(self, m, tmp_path):
+        # the files of the certify benchmark: json.dumps of a random graph's
+        # distances, of point clouds, and of unit path and cycle edges
+        rng = np.random.default_rng(m)
+        datas = [
+            {"matrix": generate_space("random", m, seed=m).dist.tolist()},
+            *({"points": {"q": q, "coords": rng.standard_normal((m, 3)).tolist()}}
+              for q in (1.0, 2.0)),
+            {"graph": {"n": m, "edges": [[i, i + 1, 1.0] for i in range(m - 1)]}},
+            {"graph": {"n": m, "edges": [[i, (i + 1) % m, 1.0] for i in range(m)]}},
+        ]
+        for data in datas:
+            f = tmp_path / "space.json"
+            f.write_text(json.dumps(data), encoding="utf-8")
+            assert _outcome(load_space, f) == _outcome(_json_load_space, f)
+
+    @pytest.mark.parametrize("infinity", [False, True], ids=["finite", "infinity"])
+    def test_edge_tokens(self, infinity, tmp_path, decodes):
+        f = tmp_path / "crafted.json"
+        f.write_text(_crafted(infinity), encoding="utf-8")
+        got = _outcome(load_space, f)
+        assert decodes[-1] not in (None, float)  # the memo
+        assert got == _outcome(_json_load_space, f)
+        if infinity:
+            assert got == "NonpositiveDistance: dist[1][0] is not finite"
+        else:
+            assert got[1][:8] == np.float64(0.0).tobytes()  # -0.0 on the diagonal is zeroed
+        # the decoded data itself: json.dumps writes each float by repr,
+        # which tells apart every double and -0.0 from 0.0
+        with open(f, encoding="utf-8") as fh:
+            assert json.dumps(cli._read_json(f)) == json.dumps(json.load(fh))
+
+    @pytest.mark.parametrize("build, memo", [
+        (lambda: space_payload(random_ultrametric(350, seed=5)), True),
+        (lambda: space_payload(_bipartite(150)), True),
+        (lambda: space_payload(generate_space("random", 350, seed=5)), False),
+        # repeated, but shorter than 16 digits: float() is faster than a lookup
+        (lambda: space_payload(generate_space("complete", 350)), False),
+        (lambda: {"matrix": generate_space("random", 350, seed=6).dist.tolist()}, False),
+        # a window of fewer than 32 long numbers
+        (lambda: space_payload(random_ultrametric(5, seed=5)), False),
+    ], ids=["ultrametric-350", "bipartite-150", "random-350", "complete-350",
+            "compact-distinct-350", "ultrametric-5"])
+    def test_path_choice(self, build, memo, tmp_path, decodes):
+        payload = build()
+        f = tmp_path / "space.json"
+        compact = isinstance(payload["matrix"], list)
+        f.write_text(json.dumps(payload) if compact else render_json(payload), encoding="utf-8")
+        load_space(str(f))
+        assert len(decodes) == 1
+        assert (decodes[0] is not None) == memo
+
+    @pytest.mark.parametrize("text", [
+        lambda: render_json(space_payload(random_ultrametric(150, seed=5))),
+        lambda: render_json(space_payload(random_ultrametric(350, seed=5))),
+        lambda: render_json(space_payload(_bipartite(150))),
+        _crafted,
+        lambda: _crafted(infinity=True),
+    ], ids=["ultrametric-150", "ultrametric-350", "bipartite-150", "crafted", "infinity"])
+    def test_cli_output_of_the_default_decode(self, text, tmp_path, monkeypatch, capsys):
+        # on files that take the memo, every command writes the bytes and
+        # exits with the code of json's own decode
+        f = tmp_path / "space.json"
+        f.write_text(text(), encoding="utf-8")
+        assert cli._repeats(f.read_text(encoding="utf-8"))
+
+        def runs():
+            out = []
+            for command, *flags in (["interval"], ["supremal"], ["check", "--p", "1"],
+                                    ["witness", "--at-supremal"],
+                                    ["interval", "--format", "json"]):
+                code = main([command, str(f), *flags])
+                out.append((command, code, *capsys.readouterr()))
+            return out
+
+        memo = runs()
+        monkeypatch.setattr(cli, "_repeats", lambda text: False)
+        assert runs() == memo
 
 
 class TestCheckCommand:
@@ -544,6 +714,23 @@ class TestGenCommand:
         assert main(["gen", *argv]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("kind", GEN_KINDS)
+    def test_n_is_read_by_the_integer_rule(self, kind):
+        # an integral n of any number type draws what the int draws; 4.0
+        # and "4" raised numpy's or <'s TypeError on points and ultrametric
+        want = generate_space(kind, 9, seed=4).dist.tobytes()
+        for n in (9.0, np.float64(9.0), np.int64(9)):
+            assert generate_space(kind, n, seed=4).dist.tobytes() == want
+        for n in (True, "4", 4.5):
+            with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+                generate_space(kind, n, seed=4)
+
+    def test_points_are_one_draw_of_standard_normals(self):
+        for n, dim, q, seed in ((9, 3, 2.0, 4), (40, 2, 1.0, 0), (350, 3, 2.0, 5)):
+            coords = np.random.default_rng(seed).standard_normal((n, dim))
+            want = from_points(coords, q=q).dist.tobytes()
+            assert generate_space("points", n, dim=dim, q=q, seed=seed).dist.tobytes() == want
 
     @pytest.mark.parametrize("kind, n, seed", [
         *((kind, n, seed) for kind in ("cycle", "path", "complete", "random")

@@ -831,11 +831,54 @@ class TestFromPoints:
         assert X.dist[0, 1] == 3.0
 
 
+class TestStringEntries:
+    """numpy's float conversion reads "1" as 1.0; a space takes numbers only."""
+
+    @pytest.mark.parametrize("build, field, entries", [
+        (lambda x: validate_metric(None, x), "matrix", [
+            [[0, "1"], ["1", 0]], [["0", "1"], ["1", "0"]], [[0, b"1"], [b"1", 0]],
+            [[0, "1"], [None, 0]]]),
+        (lambda x: from_graph(2, x), "edges", [
+            [[0, 1, "2.5"]], [[0, 1, 1.0], ["0", 1, 1.0]], [[0, 1, "2.5"], [0, 1, None]]]),
+        (lambda x: from_points(x), "coords", [
+            [["0", "0"], ["3", "4"]], [[0, 0], [3, "4"]], ["0", "1"], [[0, None], [1, "4"]]]),
+    ], ids=["matrix", "edges", "coords"])
+    def test_rejected_with_the_field_named(self, build, field, entries):
+        # a mix of strings and numbers is all strings to numpy, and a mix
+        # with None an object array
+        for x in entries:
+            with pytest.raises(ValueError, match=f"^{field} entries must be numbers"):
+                build(x)
+
+    def test_numbers_give_the_bits_they_gave(self):
+        # ints, floats and numpy arrays convert as np.asarray(x, dtype=float) did
+        d = [[0, 1, 2.5], [1, 0, 1.5], [2.5, 1.5, 0]]
+        for x in (d, np.array(d), np.array(d, dtype=np.float32), [[0, 1], [1, 0]]):
+            want = np.asarray(x, dtype=float)
+            np.testing.assert_array_equal(validate_metric(None, x).dist, want)
+        path = [[0, 1, 1], [1, 2, 2.5]]
+        assert from_graph(3, path).dist.tobytes() == from_graph(3, np.array(path, float)).dist.tobytes()
+        assert from_points([[0, 0], [3, 4]]).dist[0, 1] == 5.0
+
+
 class TestRandomUltrametric:
     def test_two_points(self):
         assert random_ultrametric(2, seed=0).size == 2
         with pytest.raises(NotSquare):
             random_ultrametric(1)
+
+    @pytest.mark.parametrize("n", [True, "4", 4.5, None, math.nan],
+                             ids=["bool", "str", "fraction", "none", "nan"])
+    def test_n_must_be_an_integer(self, n):
+        # 4.5 and "4" raised TypeError from numpy or from <
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+            random_ultrametric(n, seed=3)
+
+    @pytest.mark.parametrize("n", [4.0, np.float64(9.0), np.int64(9)],
+                             ids=["float", "numpy_float", "numpy_int"])
+    def test_integral_n_reads_as_int(self, n):
+        # the same rng draws, so the same bits
+        assert random_ultrametric(n, 3).dist.tobytes() == random_ultrametric(int(n), 3).dist.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
     @pytest.mark.parametrize("seed", [0, 1, 7])

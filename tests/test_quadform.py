@@ -1,5 +1,6 @@
 import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from helpers import (
     centered_lambda_max,
     centered_spectrum,
     collinear_triple,
+    exact_class,
     probe_bound,
     quad_reference,
     random_balanced,
     random_space,
     reference_supremal,
     sampled_form_max,
+    small_graph_metrics,
 )
 from negtype import quadform
 from negtype import (
@@ -266,6 +269,41 @@ class TestClassify:
             # the p = 0 form is minus the squared norm on the hyperplane
             assert rep.lambda_max == pytest.approx(-1.0, rel=1e-12)
             assert rep.classification is Classification.STRICT
+
+
+class TestExactClass:
+    """classify against the inertia of the form, exact in rationals."""
+
+    @pytest.mark.parametrize("dist, classes", [
+        ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], ("STRICT", "BOUNDARY", "NOT_NEG_TYPE")),
+        ([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]],
+         ("BOUNDARY", "NOT_NEG_TYPE", "NOT_NEG_TYPE")),
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], ("STRICT",) * 3),
+    ], ids=["collinear", "four-cycle", "equilateral"])
+    def test_oracle_on_known_spaces(self, dist, classes):
+        # w = 2 for the collinear triple, 1 for the unit 4-cycle, and an
+        # ultrametric is strict at every exponent
+        assert tuple(exact_class(dist, p) for p in (1, 2, 3)) == classes
+
+    def test_every_small_integer_graph(self):
+        # every connected graph on at most 5 labelled vertices with unit
+        # edges, and on at most 4 with edge weights 1 to 3 (which holds the
+        # unit ones), at p = 1, 2 and 3: the BOUNDARY class is decided by a
+        # tolerance, and the oracle uses none
+        spaces = [*small_graph_metrics(5, (1,)),
+                  *(d for n in (2, 3, 4) for d in small_graph_metrics(n, (1, 2, 3)))]
+        assert len(spaces) == 2589
+        seen = Counter()
+        for d in spaces:
+            X = validate_metric(None, d)
+            for p in (1, 2, 3):
+                want = exact_class(d, p)
+                seen[want] += 1
+                assert classify(X, p).classification.value == want, (d.tolist(), p)
+                if want != "STRICT":
+                    eq = witness_at_p(X, p).equality
+                    assert eq.holds and eq.nontrivial, (d.tolist(), p)
+        assert seen == {"STRICT": 2651, "BOUNDARY": 573, "NOT_NEG_TYPE": 4543}
 
 
 class TestRestrictionCorrectness:
