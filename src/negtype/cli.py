@@ -284,12 +284,13 @@ def generate_space(
 
     A graph kind gives from_graph one (k, 3) edge array, complete and random in np.triu_indices
     order; random's one draw of k weights equals k single draws of PCG64.
-    n is read by the integer rule of from_graph: 9.0 reads as 9.
+    n, and dim of points, are read by the integer rule of from_graph: 9.0 reads as 9.
     """
     n = _integer(n, "n")
     if kind == "points":
         if n < 2:  # before the draw, which a negative n or dim would break
             raise NotSquare("need at least 2 points")
+        dim = _integer(dim, "dim")
         if dim < 1:  # no coordinate would make every pair of points coincide
             raise ValueError(f"need at least 1 dimension, got dim = {dim}")
         rng = np.random.default_rng(seed)

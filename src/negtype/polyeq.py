@@ -18,13 +18,13 @@ closed-form angle in that plane. At a supremal bracket lambda_max is zero
 to the bracket width, so the witness is the form's near-null direction:
 one linear solve finds it (quadform._near_null), and a positive form on it
 turns to an exact zero against e_i - e_j of a farthest pair; only a
-witness that fails its check there takes the eigensolve. Every D_p here
-is metric._power's D~_p, converted once. Every simplex, a witness's own
-included, is checked by verify_equality, which like gap reads only the
-block of D_p on the points of the simplex (quadform._block): the D~_p the
-witness was built on when the simplex uses every point, so a witness and
-its check share one build. A
-simplex is read once into its net vector on its own points (_read), left
+witness that fails its check there takes the eigensolve. Both read the
+space's one form at p (quadform._Form), whose D~_p is metric._power's,
+converted once. Every simplex, a witness's own included, is checked by
+verify_equality, which like gap reads only the block of D_p on the points
+of the simplex (quadform._block): the form itself when the simplex uses
+every point, so a witness and its check share one build. A simplex is
+read once into its net vector on its own points (_read), left
 minus right weight per point, with a net weight within the rounding of the
 weights written at its point read as 0. gap sums the sign split of that
 vector (quadform._sums), which gives the gap of any two sides with that
@@ -63,9 +63,10 @@ from .quadform import (
     SupremalResult,
     SupremalStatus,
     _block,
+    _form,
+    _Form,
     _near_null,
     _scaled,
-    _solve,
     _sums,
     _weights,
     classify,
@@ -346,16 +347,8 @@ def verify_equality(
     """
     if not 0.0 <= tol < math.inf:
         raise InvalidTolerance(f"tol = {tol}")
-    return _verify(X, p, Q, tol)
-
-
-def _verify(
-    X: MetricSpace, p: float, Q: SignedSimplex, tol: float = VERIFY_REL,
-    built: tuple | None = None,
-) -> EqualityReport:
-    """verify_equality, reading built = (D~_p, scale) when Q covers every point."""
     sides = _read(Q, X.size)
-    d, scale = _block(X, p, sides.s, built)
+    d, scale = _block(X, p, sides.s)
     net = _net(sides)
     cross, rhs = _sums(d, net)
     g = cross - rhs
@@ -375,27 +368,25 @@ def _verify(
     )
 
 
-def _report(X: MetricSpace, p: float, v: np.ndarray, built: tuple,
-            method: WitnessMethod) -> WitnessReport:
-    """The witness of the unit zero-sum vector v at p, checked on built = (D~_p, scale)."""
-    d, scale = built
+def _report(X: MetricSpace, form: _Form, v: np.ndarray, method: WitnessMethod) -> WitnessReport:
+    """The witness of the unit zero-sum vector v on the form of X at form.p."""
     xi = BalancedVector(v)
     simplex = vector_to_simplex(X, xi)
     return WitnessReport(
-        p=p,
+        p=form.p,
         xi=xi,
         simplex=simplex,
-        residual=_real(abs(float(v @ d @ v)), scale),
+        residual=_real(abs(float(v @ form.d @ v)), form.scale),
         method=method,
-        equality=_verify(X, p, simplex, built=built),
+        equality=verify_equality(X, form.p, simplex),
     )
 
 
-def _witness(X: MetricSpace, report: QuadFormReport) -> WitnessReport:
+def _witness(X: MetricSpace, form: _Form, report: QuadFormReport) -> WitnessReport:
     """The form's zero in the top-bottom eigenplane, returned only if it verifies.
 
-    It reads the eigenpairs report was classified from (_solve at report.p,
-    a memo hit); lambda_min < 0 always, since the form at e_i - e_j is
+    It reads the eigenpairs report was classified from (form.eigen);
+    lambda_min < 0 always, since the form at e_i - e_j is
     -2 d(x_i, x_j)^p. The form at the unit zero-sum vector
     cos(t) v_max + sin(t) v_min is lambda_max cos^2 t + lambda_min sin^2 t:
     zero at tan^2 t = lambda_max / -lambda_min when lambda_max > 0 (method
@@ -403,31 +394,30 @@ def _witness(X: MetricSpace, report: QuadFormReport) -> WitnessReport:
     verify_equality, and NoWitnessFound carries it unless that is a
     nontrivial equality.
     """
-    d, scale, lam, v_max, lam_min, v_min = _solve(X, report.p)
+    lam, v_max, lam_min, v_min = form.eigen
     ivt = report.classification is Classification.NOT_NEG_TYPE
     theta = math.atan(math.sqrt(lam / -lam_min)) if lam > 0.0 else 0.0
     v = math.cos(theta) * v_max + math.sin(theta) * v_min
-    witness = _report(X, report.p, v, (d, scale),
-                      WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION)
+    witness = _report(X, form, v, WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION)
     if not witness.equality.nontrivial_equality:
         raise NoWitnessFound(witness)
     return witness
 
 
-def _null_witness(X: MetricSpace, p: float, built: tuple,
-                  v: np.ndarray | None) -> WitnessReport | None:
-    """The witness from quadform._near_null's v on built = (D~_p, scale), if it verifies.
+def _null_witness(X: MetricSpace, form: _Form) -> WitnessReport | None:
+    """The witness from quadform._near_null's vector v on the form, if it verifies.
 
     Where the form f of v is positive, v turns to the exact zero of the form
     in its plane with u = (e_i - e_j) / sqrt(2) for a farthest pair i, j,
     where the form is -D~(i, j) = -1: the root t of f + 2 b t - t^2 = 0
     nearest 0, b the bilinear form of v and u, needs no solve. The method
-    is classify's: IVT only where f exceeds EPSILON_REL. None where v is
-    None or its simplex is not a nontrivial equality on D~_p.
+    is classify's: IVT only where f exceeds EPSILON_REL. None where the
+    solve finds no v or its simplex is not a nontrivial equality.
     """
+    d = form.d
+    v = _near_null(d)
     if v is None:
         return None
-    d = built[0]
     dv = d @ v
     f = float(v @ dv)
     if f > 0.0:
@@ -439,7 +429,7 @@ def _null_witness(X: MetricSpace, p: float, built: tuple,
         v /= np.linalg.norm(v)
     method = WitnessMethod.IVT if f > EPSILON_REL else WitnessMethod.EIGEN_DIRECTION
     try:
-        witness = _report(X, p, v, built, method)
+        witness = _report(X, form, v, method)
     except NotBalanced:
         return None
     return witness if witness.equality.nontrivial_equality else None
@@ -463,7 +453,7 @@ def witness_at_p(
         raise NotApplicable(
             f"strict {p:g}-negative type: no nontrivial {p:g}-polygonal equality"
         )
-    return _witness(X, report)
+    return _witness(X, _form(X, p), report)
 
 
 def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
@@ -474,10 +464,12 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
     no eigensolve (_null_witness; method EIGEN_DIRECTION); a bracket above
     the supremal exponent gets an exact zero of the form (method IVT). Where
     that witness does not verify, or the solve fails, the witness is
-    witness_at_p's at the default tolerance, on the D~_p built here: where
-    the eigenvalue nearest 0 is not the top one, and at a bracket below the
-    supremal exponent, whose NoWitnessFound it raises. Ultrametric spaces
-    and capped searches raise NotApplicable.
+    witness_at_p's at the default tolerance, from the eigenpairs of the same
+    form: where the eigenvalue nearest 0 is not the top one, and at a
+    bracket below the supremal exponent, whose NoWitnessFound it raises.
+    The form is the space's kept one (quadform._form), so a later check or
+    classify at the witness's p builds nothing. Ultrametric spaces and
+    capped searches raise NotApplicable.
     """
     if sup.status is SupremalStatus.INFINITE_ULTRAMETRIC:
         raise NotApplicable(
@@ -487,13 +479,8 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
         raise NotApplicable(
             f"supremal exponent exceeds cap {sup.cap:g}; no witness located"
         )
-    p = sup.midpoint
-    d, scale, v = _near_null(X, p)
-    witness = _null_witness(X, p, (d, scale), v)
-    if witness is None:
-        _solve(X, p, (d, scale))  # the eigen witness, on the D~_p built here
-        witness = _witness(X, classify(X, p))
-    return witness
+    form = _form(X, sup.midpoint)
+    return _null_witness(X, form) or _witness(X, form, classify(X, form.p))
 
 
 def polygonal_interval(X: MetricSpace, sup: SupremalResult) -> IntervalReport:

@@ -23,23 +23,25 @@ through one O(m) reflection. Each public call builds D~_p at most once
 (a witness checks a simplex that leaves out a point on its own block).
 
 Every eigensolve of that block runs in one helper (_top); a sign probe of
-supremal computes eigenvalues only. The class at one exponent and the
-witnesses in polyeq read the two extreme eigenpairs of one eigh, which
-_solve keeps per space object with the read-only D~_p they were solved on,
-for the last exact exponent only (O(m^2) floats per live space, weakly
-keyed): classify, then witness_at_p builds and solves once, and quad_form,
-polyeq.gap and polyeq.verify_equality read the kept D~_p (_block) when
-their vector or simplex covers every point. The supremal witness first
-tries one linear solve instead (_near_null; 2.5 ms at m = 350 against
-15 ms for eigh on a 2-core host), on a D~_p built outside the memo, and
-hands that D~_p to _solve only when it falls back to the eigen witness.
-A space is immutable (re-enabling writes on X.dist is unsupported). Sign
-probes and restricted_form neither read nor write the memo.
+supremal computes eigenvalues only. A space's D~_p at one exponent is one
+_Form: the read-only D~_p, its scale and, solved on first read, the two
+extreme eigenpairs of one eigh that the class and the witnesses at a fixed
+exponent read. _form keeps the last one per space object (O(m^2) floats
+per live space, weakly keyed), so every call at (X, p) on every point
+builds D~_p once: classify, witness_at_p and witness_at_supremal, and
+quad_form, polyeq.gap and polyeq.verify_equality when their vector or
+simplex covers every point (_block). The supremal witness first tries one
+linear solve on that D~_p (_near_null; 2.5 ms at m = 350 against 15 ms
+for eigh on a 2-core host), and solves the form only when it falls back
+to the eigen witness. A space is immutable (re-enabling writes on X.dist
+is unsupported). Sign probes and restricted_form neither read nor write
+the kept form.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -74,8 +76,8 @@ EPSILON_REL = 1e-9
 # Rounding floor of a sign probe, relative to the spectral norm of the form.
 FLOOR = 16 * np.finfo(float).eps
 
-# space -> (p, _solve tuple of the space at p), see _solve
-_SOLVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# space -> its last _Form, see _form
+_FORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +207,7 @@ def _top(d: np.ndarray, vector: bool = True) -> tuple:
     The one eigensolve of the package. A sign probe (vector=False) gets
     (lambda_max, None) from eigvalsh, about half the cost, with lambda_max
     read as exactly 0.0 when it is at most FLOOR times the spectral norm
-    max(-lambda_min, lambda_max) of the form; _solve gets
+    max(-lambda_min, lambda_max) of the form; _Form.eigen gets
     (lambda_max, v_max, lambda_min, v_min) from one eigh. Both
     run in the LAPACK that numpy loads: scipy.linalg bundles a second
     OpenBLAS, whose idle worker threads keep spinning after each call and
@@ -227,77 +229,84 @@ def _top(d: np.ndarray, vector: bool = True) -> tuple:
     return float(evals[-1]), _lift(evecs[:, -1]), float(evals[0]), _lift(evecs[:, 0])
 
 
-def _solve(X: MetricSpace, p: float, built: tuple | None = None) -> tuple:
-    """(D~_p, scale, lambda_max, v_max, lambda_min, v_min) for one decision at (X, p).
+@dataclass(frozen=True, eq=False)
+class _Form:
+    """D~_p of one space at exponent p, read-only, with D_p = scale D~_p."""
 
-    The tuple is kept for the last exponent of this same space object, with
-    D~_p and the eigenvectors read-only, and a call at exactly float(p) hands
-    out those very arrays, which a fresh build and solve would repeat bit
-    for bit. built, the (D~_p, scale) a caller already built at p, spares
-    the build. A build or solve that raises stores nothing. Concurrent
-    callers can only overwrite each other's entry, never read one at the
-    wrong exponent, since the entry carries its exponent.
+    p: float
+    d: np.ndarray
+    scale: float
+
+    @functools.cached_property
+    def eigen(self) -> tuple:
+        """(lambda_max, v_max, lambda_min, v_min) of _top, solved on first read only.
+
+        The eigenvectors are read-only; a solve that raises keeps nothing.
+        """
+        pairs = _top(self.d)
+        for v in pairs[1::2]:  # every later read hands out these same arrays
+            v.setflags(write=False)
+        return pairs
+
+
+def _form(X: MetricSpace, p: float) -> _Form:
+    """The form of X at p: the one kept for X if it is at exactly float(p), else a new one.
+
+    A new form replaces the kept one, so only the last exponent is kept, and
+    a later call at that exponent hands out the very arrays a fresh build
+    and solve would repeat bit for bit. Concurrent callers can only replace
+    each other's form, never read one at the wrong exponent, since the form
+    carries its exponent.
     """
-    solved = _kept(X, p)
-    if solved is None:
-        d, scale = built or _power(X, p)
-        pairs = _top(d)
-        for a in (d, *pairs[1::2]):  # every later hit hands out these same arrays
-            a.setflags(write=False)
-        solved = (d, scale, *pairs)
-        _SOLVED[X] = (float(p), solved)
-    return solved
+    p = _exponent(p)
+    form = _FORMS.get(X)
+    if form is None or form.p != p:
+        d, scale = _power(X, p)
+        d.setflags(write=False)
+        form = _FORMS[X] = _Form(p, d, scale)
+    return form
 
 
-def _near_null(X: MetricSpace, p: float) -> tuple:
-    """(D~_p, scale, v): v a unit zero-sum vector that the form at p nearly annuls, or None.
+def _near_null(d: np.ndarray) -> np.ndarray | None:
+    """A unit zero-sum vector that the form of D~_p nearly annuls, or None.
 
     One step of inverse iteration (Ipsen, SIAM Review 39, 1997): one LU
     solve of the restricted form, shifted down by FLOOR times its largest
     |entry| so that an exactly singular form still factors, from a
-    fixed-seed Gaussian start, so v is reproducible and no symmetry of the
-    space leaves the start orthogonal to the null direction. v leans on the
-    eigenvectors whose eigenvalues lie nearest the shift: at a supremal
-    bracket, where lambda_max is zero to the bracket width, the top one,
-    unless another eigenvalue lies nearer 0. v is None where the form or
-    the solution is not finite, or the solve fails. D~_p is built outside
-    the _solve memo.
+    fixed-seed Gaussian start, so the vector is reproducible and no symmetry
+    of the space leaves the start orthogonal to the null direction. It
+    leans on the eigenvectors whose eigenvalues lie nearest the shift: at a
+    supremal bracket, where lambda_max is zero to the bracket width, the
+    top one, unless another eigenvalue lies nearer 0. None where the form
+    or the solution is not finite, or the solve fails.
     """
-    d, scale = _power(X, p)
     a = _restrict(d)
     if not np.isfinite(a).all():
-        return d, scale, None
+        return None
     a[np.diag_indices_from(a)] -= FLOOR * float(np.abs(a).max(initial=0.0))
     start = np.random.default_rng(0).standard_normal(a.shape[0])
     try:
         with np.errstate(all="ignore"):
             y = np.linalg.solve(a, start)
     except np.linalg.LinAlgError:
-        return d, scale, None
+        return None
     top = float(np.abs(y).max(initial=0.0))
     if not 0.0 < top < math.inf:  # a NaN fails both
-        return d, scale, None
+        return None
     y /= top  # no overflow in the norm
-    return d, scale, _lift(y / np.linalg.norm(y))
+    return _lift(y / np.linalg.norm(y))
 
 
-def _kept(X: MetricSpace, p: float) -> tuple | None:
-    """The kept _solve tuple of X when it was solved at exactly float(p), else None."""
-    kept = _SOLVED.get(X)
-    return kept[1] if kept is not None and kept[0] == _exponent(p) else None
-
-
-def _block(
-    X: MetricSpace, p: float, s: np.ndarray, built: tuple | None = None
-) -> tuple[np.ndarray, float]:
+def _block(X: MetricSpace, p: float, s: np.ndarray) -> tuple[np.ndarray, float]:
     """(D~_p, scale) on the block of D_p on the sorted distinct points s.
 
     The block's own largest entry sets its scale. A block of every point is
-    built, the (D~_p, scale) a caller built at p, if given, else the D~_p
-    kept by _solve at exactly p, if any: the bits _power builds.
+    the space's form at p (_form), kept or built.
     """
-    whole = (built or _kept(X, p)) if len(s) == X.size else None
-    return whole[:2] if whole is not None else _power(X, p, s)
+    if len(s) == X.size:
+        form = _form(X, p)
+        return form.d, form.scale
+    return _power(X, p, s)
 
 
 def _sums(d: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -337,7 +346,9 @@ def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadForm
     """
     if epsilon is not None and not 0.0 <= epsilon < math.inf:
         raise InvalidTolerance(f"epsilon = {epsilon}")
-    _, scale, lam, direction, _, _ = _solve(X, p)
+    form = _form(X, p)
+    lam, direction, _, _ = form.eigen
+    scale = form.scale
     if epsilon is None:
         eps, epsilon = EPSILON_REL, _real(EPSILON_REL, scale)
     else:  # x / 0 reads as inf, 0 / 0 as 0

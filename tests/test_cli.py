@@ -725,6 +725,13 @@ class TestGenCommand:
         for n in (True, "4", 4.5):
             with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
                 generate_space(kind, n, seed=4)
+        if kind == "points":  # dim by the same rule; 3.0 and "3" raised TypeError
+            for dim in (3.0, np.int64(3)):
+                assert generate_space(kind, 9, dim=dim, seed=4).dist.tobytes() == want
+            for dim in (True, "3", 2.5):
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"dim must be an integer, got {dim!r}")):
+                    generate_space(kind, 9, dim=dim, seed=4)
 
     def test_points_are_one_draw_of_standard_normals(self):
         for n, dim, q, seed in ((9, 3, 2.0, 4), (40, 2, 1.0, 0), (350, 3, 2.0, 5)):

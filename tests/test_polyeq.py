@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import json
 import math
+import sys
+import threading
 import weakref
 from fractions import Fraction
 
@@ -752,7 +754,8 @@ class TestSupremalWitnessFromOneSolve:
     def eigen_witness(X, sup):
         """The eigen witness at the midpoint, or None where it does not verify."""
         try:
-            return polyeq._witness(X, classify(X, sup.midpoint))
+            p = sup.midpoint
+            return polyeq._witness(X, quadform._form(X, p), classify(X, p))
         except NoWitnessFound:
             return None
 
@@ -1078,6 +1081,33 @@ class TestBuildOnce:
         assert verify_equality(collinear_triple(), 2.0, COLLINEAR_WITNESS).nontrivial_equality
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("fallback", [False, True], ids=["one_solve", "fallback"])
+    @pytest.mark.parametrize("space", [collinear_triple, unit_four_cycle,
+                                       lambda: generate_space("points", 40, seed=3)],
+                             ids=["collinear", "four_cycle", "l2_cloud"])
+    def test_supremal_witness_form_serves_later_calls(self, builds, eigensolves, monkeypatch,
+                                                      space, fallback):
+        # a check or a class at the witness's p reads the form the witness
+        # was built on: no build, and no eigensolve where the witness took
+        # the eigen fallback; the one-solve witness computes no eigenpairs,
+        # so the class solves the form once
+        X = space()
+        sup = supremal(X)
+        if fallback:
+            def singular(a, b):
+                raise np.linalg.LinAlgError("singular matrix")
+
+            monkeypatch.setattr(np.linalg, "solve", singular)
+        eigensolves.clear()
+        w = witness_at_supremal(X, sup)
+        assert len(eigensolves) == fallback
+        builds.clear()
+        eigensolves.clear()
+        assert verify_equality(X, w.p, w.simplex).nontrivial_equality
+        assert builds == []
+        classify(X, w.p)
+        assert builds == [] and len(eigensolves) == (not fallback)
+
     @pytest.mark.parametrize("mode, probes, p", [
         (["--p", "3"], [], 3.0),
         (["--at-supremal"], [1.0, 2.0], 2.0),  # the supremal probes, ending on 2
@@ -1107,7 +1137,8 @@ class TestBuildOnce:
 
     def test_kept_matrix_reports_equal_fresh_ones(self, builds, eigensolves):
         # verify_equality and gap on a simplex over every point read the D~_p
-        # kept by the solve; on a fresh copy they build it, with the same bits
+        # kept by the solve; on a fresh copy the first of them builds and
+        # keeps it, with the same bits, and every later call reads it
         def fields(report):
             return [v.weights.tobytes() if isinstance(v, quadform.BalancedVector)
                     else fields(v) if isinstance(v, polyeq.EqualityReport) else v
@@ -1127,9 +1158,9 @@ class TestBuildOnce:
             assert len(builds) == 1 and len(eigensolves) == 1
             F = space()
             fresh_chk, fresh_g = verify_equality(F, p, w.simplex), gap(F, p, w.simplex)
-            assert len(builds) == 3 and len(eigensolves) == 1  # no memo on F yet
+            assert len(builds) == 2 and len(eigensolves) == 1  # F's form, not yet solved
             fresh_rep, fresh_w = classify(F, p), witness_at_p(F, p)
-            assert len(builds) == 4 and len(eigensolves) == 2
+            assert len(builds) == 2 and len(eigensolves) == 2
 
             assert fields(rep) == fields(fresh_rep)
             assert fields(w) == fields(fresh_w)
@@ -1199,6 +1230,44 @@ class TestBuildOnce:
             classify(X, 3.0)
         assert classify(X, 3.0).classification is Classification.NOT_NEG_TYPE
         assert len(eigensolves) == 2
+
+    def test_concurrent_callers_read_their_own_exponent(self):
+        # threads at two exponents replace each other's form in the one slot
+        # of a shared space; none may read the other's: every answer has the
+        # bits of a fresh space's
+        def space():
+            return generate_space("random", 12, seed=8)
+
+        xi = np.random.default_rng(5).standard_normal(12)
+        xi -= xi.mean()
+        Q = vector_to_simplex(space(), xi)
+
+        def answers(X, p):
+            return classify(X, p).lambda_max, quad_form(X, p, xi), verify_equality(X, p, Q).gap
+
+        want = {p: answers(space(), p) for p in (2.5, 3.5)}
+        X, errors = space(), []
+
+        def work(p):
+            try:
+                for _ in range(200):
+                    if answers(X, p) != want[p]:
+                        errors.append(p)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(p,)) for p in (2.5, 3.5) * 8]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
     def test_supremal_probes_skip_the_memo(self, eigensolves):
         for X in (collinear_triple(), unit_four_cycle()):
