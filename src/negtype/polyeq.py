@@ -10,21 +10,22 @@ quadratic form through the induced zero-sum vector xi:
     <D_p xi, xi> = -2 * gap_p(Q)
 
 so a nonzero xi with vanishing form is the same thing as a nontrivial
-p-polygonal equality. At a fixed exponent the top and bottom
-eigendirections of the restricted form, from its one eigensolve, span a
-plane of unit zero-sum vectors on which the form runs from lambda_max down
-to lambda_min < 0; where lambda_max >= 0 the form vanishes at a
-closed-form angle in that plane. At a supremal bracket lambda_max is zero
-to the bracket width, so the witness is the form's near-null direction:
-one linear solve finds it (quadform._near_null), and a positive form on it
-turns to an exact zero against e_i - e_j of a farthest pair; only a
-witness that fails its check there takes the eigensolve. Both read the
-space's one form at p (quadform._Form), whose D~_p is metric._power's,
-converted once. Every simplex, a witness's own included, is checked by
-verify_equality, which like gap reads only the block of D_p on the points
-of the simplex (quadform._block): the form itself when the simplex uses
-every point, so a witness and its check share one build. A simplex is
-read once into its net vector on its own points (_read), left
+p-polygonal equality. At a fixed exponent the witness starts from the top
+eigenvector of the restricted form, from eigvalsh and one shifted solve
+(quadform._top): where the form on it is positive, it turns to an exact
+zero of the form against e_i - e_j of a farthest pair, where the form is
+negative, in closed form (_null_witness). At a supremal bracket
+lambda_max is zero to the bracket width, so the witness is the form's
+near-null direction: one linear solve finds it (quadform._near_null), and
+it turns the same way. eigh runs only behind a failed check: a witness
+that fails its check falls back to the zero of the form in the plane of
+the top and bottom eigendirections of one eigh (_witness). All of them
+read the space's one form at p (quadform._Form), whose D~_p is
+metric._power's, converted once. Every simplex, a witness's own included,
+is checked by verify_equality, which like gap reads only the block of D_p
+on the points of the simplex (quadform._block): the form itself when the
+simplex uses every point, so a witness and its check share one build. A
+simplex is read once into its net vector on its own points (_read), left
 minus right weight per point, with a net weight within the rounding of the
 weights written at its point read as 0. gap sums the sign split of that
 vector (quadform._sums), which gives the gap of any two sides with that
@@ -385,8 +386,8 @@ def _report(X: MetricSpace, form: _Form, v: np.ndarray, method: WitnessMethod) -
 def _witness(X: MetricSpace, form: _Form, report: QuadFormReport) -> WitnessReport:
     """The form's zero in the top-bottom eigenplane, returned only if it verifies.
 
-    It reads the eigenpairs report was classified from (form.eigen);
-    lambda_min < 0 always, since the form at e_i - e_j is
+    The fallback of _fixed_witness: it reads the eigenpairs of one eigh
+    (form.eigen); lambda_min < 0 always, since the form at e_i - e_j is
     -2 d(x_i, x_j)^p. The form at the unit zero-sum vector
     cos(t) v_max + sin(t) v_min is lambda_max cos^2 t + lambda_min sin^2 t:
     zero at tan^2 t = lambda_max / -lambda_min when lambda_max > 0 (method
@@ -404,30 +405,33 @@ def _witness(X: MetricSpace, form: _Form, report: QuadFormReport) -> WitnessRepo
     return witness
 
 
-def _null_witness(X: MetricSpace, form: _Form) -> WitnessReport | None:
-    """The witness from quadform._near_null's vector v on the form, if it verifies.
+def _null_witness(X: MetricSpace, form: _Form, v: np.ndarray | None,
+                  method: WitnessMethod | None = None) -> WitnessReport | None:
+    """The witness from the unit zero-sum vector v on the form, if it verifies.
 
     Where the form f of v is positive, v turns to the exact zero of the form
     in its plane with u = (e_i - e_j) / sqrt(2) for a farthest pair i, j,
     where the form is -D~(i, j) = -1: the root t of f + 2 b t - t^2 = 0
-    nearest 0, b the bilinear form of v and u, needs no solve. The method
-    is classify's: IVT only where f exceeds EPSILON_REL. None where the
-    solve finds no v or its simplex is not a nontrivial equality.
+    nearest 0, b the bilinear form of v and u, needs no solve. method
+    defaults to classify's rule read on f: IVT only where f exceeds
+    EPSILON_REL. None where the solve found no v, or the simplex is not a
+    nontrivial equality.
     """
-    d = form.d
-    v = _near_null(d)
     if v is None:
         return None
+    d = form.d
     dv = d @ v
     f = float(v @ dv)
     if f > 0.0:
         i, j = divmod(int(np.argmax(d)), d.shape[0])
         b = (float(dv[i]) - float(dv[j])) / math.sqrt(2.0)
         t = -f / (b + math.copysign(math.sqrt(b * b + f * float(d[i, j])), b))
+        v = v.copy()
         v[i] += t / math.sqrt(2.0)  # v + t u
         v[j] -= t / math.sqrt(2.0)
         v /= np.linalg.norm(v)
-    method = WitnessMethod.IVT if f > EPSILON_REL else WitnessMethod.EIGEN_DIRECTION
+    if method is None:
+        method = WitnessMethod.IVT if f > EPSILON_REL else WitnessMethod.EIGEN_DIRECTION
     try:
         witness = _report(X, form, v, method)
     except NotBalanced:
@@ -435,25 +439,40 @@ def _null_witness(X: MetricSpace, form: _Form) -> WitnessReport | None:
     return witness if witness.equality.nontrivial_equality else None
 
 
+def _fixed_witness(X: MetricSpace, form: _Form, report: QuadFormReport) -> WitnessReport:
+    """The witness on the form that report was classified from, or NoWitnessFound.
+
+    The top eigenvector of classify (form.top) turned to the form's exact
+    zero (_null_witness), with classify's method: IVT exactly at
+    NOT_NEG_TYPE. Only where that solve failed or its simplex does not
+    verify does the eigen-plane witness (_witness) take one eigh.
+    """
+    method = (WitnessMethod.IVT if report.classification is Classification.NOT_NEG_TYPE
+              else WitnessMethod.EIGEN_DIRECTION)
+    return _null_witness(X, form, form.top[1], method) or _witness(X, form, report)
+
+
 def witness_at_p(
     X: MetricSpace, p: float, epsilon: float | None = None
 ) -> WitnessReport:
     """Witness at a fixed exponent, when one exists.
 
-    The witness is the zero of the form between the top and bottom
-    eigendirections of the restricted form (method IVT at NOT_NEG_TYPE).
-    At BOUNDARY it is the top eigendirection, turned towards the bottom one
-    by the angle that cancels a positive rounding-level lambda_max (method
-    EIGEN_DIRECTION). STRICT raises NotApplicable: no nontrivial
-    p-polygonal equality exists there. A witness that verify_equality
-    rejects raises NoWitnessFound.
+    classify's top eigenvector, from eigvalsh and one shifted solve, turned
+    to the exact zero of the form against e_i - e_j of a farthest pair
+    (method IVT at NOT_NEG_TYPE). At BOUNDARY the form on it is within the
+    tolerance of 0, and it turns only where that form is positive (method
+    EIGEN_DIRECTION). Only a witness that verify_equality rejects, or a
+    failed solve, falls back to the zero of the form between the top and
+    bottom eigendirections of one eigh. STRICT raises NotApplicable: no
+    nontrivial p-polygonal equality exists there. A fallback witness that
+    verify_equality rejects raises NoWitnessFound.
     """
     report = classify(X, p, epsilon)
     if report.classification is Classification.STRICT:
         raise NotApplicable(
             f"strict {p:g}-negative type: no nontrivial {p:g}-polygonal equality"
         )
-    return _witness(X, _form(X, p), report)
+    return _fixed_witness(X, _form(X, p), report)
 
 
 def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
@@ -461,15 +480,17 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
 
     At the supremal exponent lambda_max is zero, so the witness is the
     form's near-null direction, from one solve of the restricted form and
-    no eigensolve (_null_witness; method EIGEN_DIRECTION); a bracket above
-    the supremal exponent gets an exact zero of the form (method IVT). Where
-    that witness does not verify, or the solve fails, the witness is
-    witness_at_p's at the default tolerance, from the eigenpairs of the same
-    form: where the eigenvalue nearest 0 is not the top one, and at a
-    bracket below the supremal exponent, whose NoWitnessFound it raises.
-    The form is the space's kept one (quadform._form), so a later check or
-    classify at the witness's p builds nothing. Ultrametric spaces and
-    capped searches raise NotApplicable.
+    no eigenvalue (quadform._near_null, then _null_witness; method
+    EIGEN_DIRECTION); a bracket above the supremal exponent gets an exact
+    zero of the form (method IVT). Where that witness does not verify, or
+    the solve fails, the witness is witness_at_p's at the default tolerance
+    on the same form (_fixed_witness: eigvalsh and one solve, then eigh
+    only behind a second failed check): where the eigenvalue nearest 0 is
+    not the top one, and at a bracket below the supremal exponent, whose
+    NoWitnessFound it raises. The form is the space's kept one
+    (quadform._form), so a later check or classify at the witness's p
+    builds nothing. Ultrametric spaces and capped searches raise
+    NotApplicable.
     """
     if sup.status is SupremalStatus.INFINITE_ULTRAMETRIC:
         raise NotApplicable(
@@ -480,7 +501,8 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
             f"supremal exponent exceeds cap {sup.cap:g}; no witness located"
         )
     form = _form(X, sup.midpoint)
-    return _null_witness(X, form) or _witness(X, form, classify(X, form.p))
+    return (_null_witness(X, form, _near_null(form.d))
+            or _fixed_witness(X, form, classify(X, form.p)))
 
 
 def polygonal_interval(X: MetricSpace, sup: SupremalResult) -> IntervalReport:

@@ -22,20 +22,24 @@ over its entries (_restrict; 0.4 ms at m = 350 and 2 ms at m = 800 on a
 through one O(m) reflection. Each public call builds D~_p at most once
 (a witness checks a simplex that leaves out a point on its own block).
 
-Every eigensolve of that block runs in one helper (_top); a sign probe of
-supremal computes eigenvalues only. A space's D~_p at one exponent is one
-_Form: the read-only D~_p, its scale and, solved on first read, the two
-extreme eigenpairs of one eigh that the class and the witnesses at a fixed
-exponent read. _form keeps the last one per space object (O(m^2) floats
-per live space, weakly keyed), so every call at (X, p) on every point
-builds D~_p once: classify, witness_at_p and witness_at_supremal, and
-quad_form, polyeq.gap and polyeq.verify_equality when their vector or
-simplex covers every point (_block). The supremal witness first tries one
-linear solve on that D~_p (_near_null; 2.5 ms at m = 350 against 15 ms
-for eigh on a 2-core host), and solves the form only when it falls back
-to the eigen witness. A space is immutable (re-enabling writes on X.dist
-is unsupported). Sign probes and restricted_form neither read nor write
-the kept form.
+A decision at a fixed exponent takes one eigvalsh of that block and one
+shifted linear solve for its top eigenvector (_top); a sign probe of
+supremal takes the eigvalsh alone. eigh runs only behind a failed check:
+where that solve fails, or the witness turned from its vector does not
+verify. A space's D~_p at one exponent is one _Form: the read-only D~_p,
+its scale and, each solved on first read, the top eigenpair (top) that
+the class and the witness at a fixed exponent read, and the two extreme
+eigenpairs of one eigh (eigen) that only the fallback reads. _form keeps
+the last one per space object (O(m^2) floats per live space, weakly
+keyed), so every call at (X, p) on every point builds D~_p once:
+classify, witness_at_p and witness_at_supremal, and quad_form, polyeq.gap
+and polyeq.verify_equality when their vector or simplex covers every point
+(_block). The supremal witness first tries one linear solve on that D~_p
+(_near_null; 2.5 ms at m = 350 against 15 ms for eigh on a 2-core host),
+and classifies the form only when it falls back to the fixed-exponent
+witness. A space is immutable (re-enabling writes on X.dist is
+unsupported). Sign probes and restricted_form neither read nor write the
+kept form.
 """
 
 from __future__ import annotations
@@ -201,49 +205,80 @@ def _lift(y: np.ndarray) -> np.ndarray:
     return x
 
 
-def _top(d: np.ndarray, vector: bool = True) -> tuple:
-    """Extreme eigenpairs of the restricted form, with unit zero-sum eigenvectors.
+def _solved(d: np.ndarray, solver):
+    """The restricted form of D~_p and solver's result on it, in one EigenFailure guard.
 
-    The one eigensolve of the package. A sign probe (vector=False) gets
-    (lambda_max, None) from eigvalsh, about half the cost, with lambda_max
-    read as exactly 0.0 when it is at most FLOOR times the spectral norm
-    max(-lambda_min, lambda_max) of the form; _Form.eigen gets
-    (lambda_max, v_max, lambda_min, v_min) from one eigh. Both
-    run in the LAPACK that numpy loads: scipy.linalg bundles a second
-    OpenBLAS, whose idle worker threads keep spinning after each call and
-    slow the caller's next numpy BLAS call several-fold on a host with as
-    many cores as BLAS threads. A form that is not finite (an unvalidated
-    space's NaN or inf) and a convergence failure both raise EigenFailure.
+    A form that is not finite (an unvalidated space's NaN or inf) and a
+    LinAlgError of the solver (no convergence) both raise EigenFailure.
+    Every eigensolver runs in the LAPACK that numpy loads: scipy.linalg
+    bundles a second OpenBLAS, whose idle worker threads keep spinning after
+    each call and slow the caller's next numpy BLAS call several-fold on a
+    host with as many cores as BLAS threads.
     """
     a = _restrict(d)
     if not np.isfinite(a).all():
         raise EigenFailure("restricted form is not finite")
     try:
-        if not vector:
-            evals = np.linalg.eigvalsh(a)
-            lam = float(evals[-1])
-            return (0.0 if abs(lam) <= FLOOR * max(-evals[0], lam) else lam), None
-        evals, evecs = np.linalg.eigh(a)
+        return a, solver(a)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    return float(evals[-1]), _lift(evecs[:, -1]), float(evals[0]), _lift(evecs[:, 0])
+
+
+def _top(d: np.ndarray, vector: bool = True) -> tuple:
+    """(lambda_max, v) of the restricted form: eigvalsh, then one shifted solve for v.
+
+    The spectrum comes from eigvalsh alone, about half the cost of eigh. A
+    sign probe (vector=False) gets v = None and lambda_max read as exactly
+    0.0 when it is at most FLOOR times the spectral norm
+    max(-lambda_min, |lambda_max|) of the form. Otherwise lambda_max is the
+    eigvalsh value, and v is the top eigenvector from one step of inverse
+    iteration (_inverse_step) at the shift lambda_max + FLOOR times that
+    norm: every eigenvector but the top one is damped by FLOOR times the
+    norm over its distance below lambda_max, so v is the top one unless
+    another eigenvalue lies within a few FLOOR of it, where v is a unit
+    vector of that cluster. v is None where the solve fails; only then do
+    the class and the witness need eigh (_Form.eigen).
+    """
+    a, evals = _solved(d, np.linalg.eigvalsh)
+    lam = float(evals[-1])
+    norm = max(-float(evals[0]), abs(lam))
+    if not vector:
+        return (0.0 if abs(lam) <= FLOOR * norm else lam), None
+    return lam, _inverse_step(a, lam + FLOOR * norm)
 
 
 @dataclass(frozen=True, eq=False)
 class _Form:
-    """D~_p of one space at exponent p, read-only, with D_p = scale D~_p."""
+    """D~_p of one space at exponent p, read-only, with D_p = scale D~_p.
+
+    Its top eigenpair (top) and its extreme eigenpairs (eigen) are solved on
+    first read only. A decision at p and its witness read top, from
+    eigvalsh and one solve; eigen, one eigh, is read only behind a failed
+    check: where the solve for the top vector fails, or its witness does
+    not verify.
+    """
 
     p: float
     d: np.ndarray
     scale: float
 
     @functools.cached_property
-    def eigen(self) -> tuple:
-        """(lambda_max, v_max, lambda_min, v_min) of _top, solved on first read only.
+    def top(self) -> tuple:
+        """(lambda_max, v) of _top, v read-only or None; a solve that raises keeps nothing."""
+        lam, v = _top(self.d)
+        if v is not None:  # every later read hands out this same array
+            v.setflags(write=False)
+        return lam, v
 
-        The eigenvectors are read-only; a solve that raises keeps nothing.
+    @functools.cached_property
+    def eigen(self) -> tuple:
+        """(lambda_max, v_max, lambda_min, v_min) of one eigh, solved on first read only.
+
+        The eigenvectors are unit, zero-sum and read-only; a solve that
+        raises keeps nothing.
         """
-        pairs = _top(self.d)
+        _, (evals, evecs) = _solved(self.d, np.linalg.eigh)
+        pairs = float(evals[-1]), _lift(evecs[:, -1]), float(evals[0]), _lift(evecs[:, 0])
         for v in pairs[1::2]:  # every later read hands out these same arrays
             v.setflags(write=False)
         return pairs
@@ -267,23 +302,17 @@ def _form(X: MetricSpace, p: float) -> _Form:
     return form
 
 
-def _near_null(d: np.ndarray) -> np.ndarray | None:
-    """A unit zero-sum vector that the form of D~_p nearly annuls, or None.
+def _inverse_step(a: np.ndarray, shift: float) -> np.ndarray | None:
+    """One step of inverse iteration on the restricted form a, overwritten, at shift.
 
-    One step of inverse iteration (Ipsen, SIAM Review 39, 1997): one LU
-    solve of the restricted form, shifted down by FLOOR times its largest
-    |entry| so that an exactly singular form still factors, from a
+    One LU solve of a - shift I (Ipsen, SIAM Review 39, 1997) from a
     fixed-seed Gaussian start, so the vector is reproducible and no symmetry
-    of the space leaves the start orthogonal to the null direction. It
-    leans on the eigenvectors whose eigenvalues lie nearest the shift: at a
-    supremal bracket, where lambda_max is zero to the bracket width, the
-    top one, unless another eigenvalue lies nearer 0. None where the form
-    or the solution is not finite, or the solve fails.
+    of the space leaves the start orthogonal to the eigenvector sought,
+    lifted to a unit zero-sum vector in R^m. It leans on the eigenvectors
+    whose eigenvalues lie nearest the shift. None where the solution is not
+    finite or the solve fails.
     """
-    a = _restrict(d)
-    if not np.isfinite(a).all():
-        return None
-    a[np.diag_indices_from(a)] -= FLOOR * float(np.abs(a).max(initial=0.0))
+    a[np.diag_indices_from(a)] -= shift
     start = np.random.default_rng(0).standard_normal(a.shape[0])
     try:
         with np.errstate(all="ignore"):
@@ -295,6 +324,22 @@ def _near_null(d: np.ndarray) -> np.ndarray | None:
         return None
     y /= top  # no overflow in the norm
     return _lift(y / np.linalg.norm(y))
+
+
+def _near_null(d: np.ndarray) -> np.ndarray | None:
+    """A unit zero-sum vector that the form of D~_p nearly annuls, or None.
+
+    _inverse_step at a shift of FLOOR times the largest |entry| of the
+    restricted form, so that an exactly singular form still factors: at a
+    supremal bracket, where lambda_max is zero to the bracket width, it
+    leans on the top eigenvector, unless another eigenvalue lies nearer 0.
+    It needs no eigenvalue. None where the form is not finite, or the step
+    finds no vector.
+    """
+    a = _restrict(d)
+    if not np.isfinite(a).all():
+        return None
+    return _inverse_step(a, FLOOR * float(np.abs(a).max(initial=0.0)))
 
 
 def _block(X: MetricSpace, p: float, s: np.ndarray) -> tuple[np.ndarray, float]:
@@ -339,15 +384,19 @@ def restricted_form(X: MetricSpace, p: float) -> np.ndarray:
 def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadFormReport:
     """Three-way negative-type classification at exponent p.
 
-    Computes the largest eigenvalue of the restricted form and compares it
-    against epsilon, which must be finite and nonnegative. The default is
-    EPSILON_REL times the largest entry of D_p; the comparison runs on the
-    normalised form, where epsilon reads epsilon / max D_p.
+    Computes the largest eigenvalue of the restricted form (eigvalsh) and
+    compares it against epsilon, which must be finite and nonnegative. The
+    default is EPSILON_REL times the largest entry of D_p; the comparison
+    runs on the normalised form, where epsilon reads epsilon / max D_p. The
+    direction is the top eigenvector from one shifted solve (_top), and
+    from one eigh only where that solve fails.
     """
     if epsilon is not None and not 0.0 <= epsilon < math.inf:
         raise InvalidTolerance(f"epsilon = {epsilon}")
     form = _form(X, p)
-    lam, direction, _, _ = form.eigen
+    lam, direction = form.top
+    if direction is None:
+        direction = form.eigen[1]
     scale = form.scale
     if epsilon is None:
         eps, epsilon = EPSILON_REL, _real(EPSILON_REL, scale)

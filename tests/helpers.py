@@ -305,6 +305,20 @@ def unit_four_cycle() -> MetricSpace:
 # random generators
 # ---------------------------------------------------------------------------
 
+# the gen kinds of the fixed-exponent corpus, as (kind, q), with their test ids
+GEN_KINDS = [("points", 2.0), ("points", 1.0), ("random", 2.0), ("path", 2.0), ("cycle", 2.0)]
+GEN_IDS = ["l2_cloud", "l1_cloud", "random_graph", "path", "cycle"]
+
+
+def fixed_exponent_corpus(kind: str, q: float):
+    """(X, p): gen spaces of one kind at m = 4 to 120, two seeds, at p = 0.5 to 8."""
+    for m in (4, 9, 40, 120):
+        for seed in range(2):
+            X = generate_space(kind, m, q=q, seed=seed)
+            for p in (0.5, 1.0, 2.0, 3.0, 8.0):
+                yield X, p
+
+
 def random_balanced(m: int, rng: np.random.Generator) -> np.ndarray:
     """Random unit vector in the zero-sum hyperplane."""
     while True:

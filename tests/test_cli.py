@@ -810,19 +810,19 @@ classification: NOT_NEG_TYPE
 p: 3
 lambda_max: 1.33333333333
 tolerance: 8e-09
-direction: [0.408248290464, -0.816496580928, 0.408248290464]
+direction: [-0.408248290464, 0.816496580928, -0.408248290464]
 """),
         (["witness", "{space}", "--p", "3", "--format", "text"], 0, """\
 p: 3
 method: IVT
-residual: 5.14518094418e-16
+residual: 1.22789045257e-16
 lhs: 0.571428571429
 rhs: 0.571428571429
 holds: True
 nontrivial: True
-xi: [0.11070323109680275, -0.7559289460184543, 0.6452257149216519]
-simplex: {"left": [[0, 0.11070323109680275], [2, 0.6452257149216519]], \
-"right": [[1, 0.7559289460184543]]}
+xi: [-0.6452257149216517, 0.7559289460184544, -0.11070323109680284]
+simplex: {"left": [[1, 0.7559289460184544]], \
+"right": [[0, 0.6452257149216517], [2, 0.11070323109680284]]}
 """),
         (["verify", "{space}", "{simplex}", "--p", "2"], 0, """\
 p: 2

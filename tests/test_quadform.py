@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    GEN_IDS,
+    GEN_KINDS,
     angular_deviation,
     centered_eigenpairs,
     centered_lambda_max,
     centered_spectrum,
     collinear_triple,
     exact_class,
+    fixed_exponent_corpus,
     probe_bound,
     quad_reference,
     random_balanced,
@@ -256,6 +259,30 @@ class TestClassify:
                 assert rep.lambda_max == pytest.approx(evals[-1], rel=1e-10, abs=1e-12 * scale)
                 if X.size == 2 or evals[-1] - evals[-2] > 1e-6 * scale:
                     assert angular_deviation(rep.direction.weights, evecs[:, -1]) < 1e-6
+
+    @pytest.mark.parametrize("kind, q", GEN_KINDS, ids=GEN_IDS)
+    def test_direction_is_the_top_eigenvector(self, kind, q):
+        # the direction of eigvalsh and one shifted solve is a unit zero-sum
+        # vector whose Rayleigh quotient on the restricted form A is
+        # lambda_max within C m eps |A|, C = 4 (the largest seen is 0.375):
+        # the top eigenvector, or a unit vector of a cluster at the top
+        eps, c = np.finfo(float).eps, 4.0
+        for X, p in fixed_exponent_corpus(kind, q):
+            m = X.size
+            rep = classify(X, p)
+            form = quadform._form(X, p)
+            lam, v = form.top
+            assert rep.lambda_max == quadform._real(lam, form.scale)
+            np.testing.assert_array_equal(rep.direction.weights, v)
+            assert abs(np.linalg.norm(v) - 1.0) <= 4 * eps
+            assert abs(v.sum()) <= m * eps
+            a = quadform._restrict(form.d)
+            evals = np.linalg.eigvalsh(a)
+            assert lam == evals[-1]
+            u, beta = quadform._reflector(m)
+            y = (v - beta * float(u @ v) * u)[:-1]  # v in the basis of F0
+            norm = max(-evals[0], abs(evals[-1]))
+            assert abs(float(y @ a @ y) - lam) <= c * m * eps * norm, (m, p)
 
     def test_tolerance_scales_with_power_matrix(self, collinear):
         # default tolerance is EPSILON_REL times max D_p = 2^p
