@@ -3,7 +3,9 @@
 A space is a list of point labels plus a dense, validated distance matrix.
 Validation tolerances are relative to the largest distance so that the
 metric axioms are checked scale-free. Every matrix gets the O(m^2) checks
-(finite, symmetric, zero diagonal, positive). The triangle inequality is an
+(finite, symmetric, zero diagonal, positive); one equal to its transpose
+entry for entry skips the asymmetry pass and the symmetrizing sum, which
+would return it bit for bit. The triangle inequality is an
 O(m^3) scan over all triples with d(i,j) + d(j,k) as the bound on d(i,k).
 It has the answer of that scan on every raw matrix, but an O(m^2)
 certificate from the row and column minima settles most metrics first.
@@ -14,8 +16,9 @@ break a pair given the row minima: a small share on concentrated metrics
 clouds) keep most middles and the full block. A constructor skips
 the check only inside a domain where a rounding-error bound shows that
 the scan cannot fail:
-- random_ultrametric always: its block fill is an exact ultrametric, and
-  fl(a + b) >= max(a, b) for positive a and b;
+- random_ultrametric builds its space with no check at all: its block fill
+  is symmetric, 0 on the diagonal, at least 1 off it and an exact
+  ultrametric, and fl(a + b) >= max(a, b) for positive a and b;
 - from_graph up to 3000 vertices;
 - from_points when q = inf, or when the error floor of the computed l_q
   distances is below REL_TOL / 8 of the largest one.
@@ -182,7 +185,8 @@ def _violation(d: np.ndarray, bound, tol: float, rows=None) -> tuple[int, int, i
     return None
 
 
-def _triangle_violation(a: np.ndarray, tol: float) -> tuple[int, int, int] | None:
+def _triangle_violation(a: np.ndarray, tol: float,
+                        symmetric: bool) -> tuple[int, int, int] | None:
     """_violation(a, np.add, tol), certified in O(m^2) where possible.
 
     Let r_i and c_k be the smallest off-diagonal entries of row i and of
@@ -195,7 +199,8 @@ def _triangle_violation(a: np.ndarray, tol: float) -> tuple[int, int, int] | Non
     triples with j in {i, k} pass, it is given the row minima r_i and
     scans only the candidate middles. The certificate holds whenever the
     largest distance is at most the sum of the two row minima, as in every
-    random_ultrametric output.
+    random_ultrametric output. When a is symmetric, its column minima are
+    its row minima.
     """
     off = a.copy()
     np.fill_diagonal(off, np.inf)
@@ -206,9 +211,11 @@ def _triangle_violation(a: np.ndarray, tol: float) -> tuple[int, int, int] | Non
         # {i, k} fails, and only a negative one needs their O(m^2) test
         ends = (diag >= 0).all() or ((a - (diag[:, None] + a) <= tol).all()
                                      and (a - (a + diag) <= tol).all())
-        bound = rows[:, None] + off.min(axis=0)
-    if ends and (a - bound <= tol).all():
-        return None
+        bound = rows[:, None] + (rows if symmetric else off.min(axis=0))
+        # a negative diagonal entry less a bound near the largest float
+        # overflows to -inf, which passes as its exact difference does
+        if ends and (a - bound <= tol).all():
+            return None
     return _violation(a, np.add, tol, rows if ends else None)
 
 
@@ -216,9 +223,11 @@ def validate_metric(labels, matrix) -> MetricSpace:
     """Check the metric axioms and return a canonicalized space.
 
     The returned matrix is symmetrized and its diagonal zeroed exactly;
-    the checks themselves allow slack REL_TOL * max distance. ``labels``
-    may be None, in which case "x1".."xm" are used; a str, bytes or dict
-    is not a sequence of labels and raises ValueError.
+    the checks themselves allow slack REL_TOL * max distance. A matrix
+    equal to its transpose is read once for symmetry: it is returned as it
+    is, with its diagonal zeroed, and the caller's array is never written.
+    ``labels`` may be None, in which case "x1".."xm" are used; a str, bytes
+    or dict is not a sequence of labels and raises ValueError.
     """
     return _validated(labels, matrix, scan=True)
 
@@ -248,11 +257,13 @@ def _validated(labels, matrix, scan: bool) -> MetricSpace:
 
     tol = REL_TOL * float(np.abs(a).max())
 
-    with np.errstate(over="ignore"):  # a difference that overflows to inf exceeds any tol
-        asym = np.abs(a - a.T) > tol
-    if asym.any():
-        i, j = map(int, np.argwhere(asym)[0])
-        raise AsymmetricEntry(i, j)
+    symmetric = np.array_equal(a, a.T)  # then no entry is asymmetric, and canon is a
+    if not symmetric:
+        with np.errstate(over="ignore"):  # a difference that overflows to inf exceeds any tol
+            asym = np.abs(a - a.T) > tol
+        if asym.any():
+            i, j = map(int, np.argwhere(asym)[0])
+            raise AsymmetricEntry(i, j)
 
     diag = np.abs(np.diag(a))
     if (diag > tol).any():
@@ -264,15 +275,18 @@ def _validated(labels, matrix, scan: bool) -> MetricSpace:
         raise NonpositiveDistance(i, j)
 
     if scan:
-        viol = _triangle_violation(a, tol)
+        viol = _triangle_violation(a, tol, symmetric)
         if viol is not None:
             raise TriangleViolation(*viol)
 
-    with np.errstate(over="ignore"):
-        canon = 0.5 * (a + a.T)
-    over = np.isinf(canon)
-    if over.any():  # halving entries this large is exact, and + commutes: still symmetric
-        canon[over] = 0.5 * a[over] + 0.5 * a.T[over]
+    if symmetric:  # 0.5 * (x + x) is x bit for bit, as is the overflow branch below
+        canon = a.copy()
+    else:
+        with np.errstate(over="ignore"):
+            canon = 0.5 * (a + a.T)
+        over = np.isinf(canon)
+        if over.any():  # halving entries this large is exact, and + commutes: still symmetric
+            canon[over] = 0.5 * a[over] + 0.5 * a.T[over]
     np.fill_diagonal(canon, 0.0)
     return MetricSpace(labels, canon)
 
@@ -503,6 +517,13 @@ def random_ultrametric(n: int, seed: int | None = None) -> MetricSpace:
     appends cluster b to cluster a, so every cluster is a contiguous range
     of the final merge order: each merge sets its two off-diagonal blocks
     of that order by slices, and one permutation returns to point order.
+
+    The space is built without validate_metric, whose checks the fill
+    meets by construction: both blocks of a merge get the same height, so
+    the matrix is symmetric; the diagonal is never written, so it is 0;
+    each pair of points lies in exactly one merge block, so every other
+    entry is a finite height of at least 1; and the heights of an ultrametric
+    tree satisfy every triangle. Validating would return the same bits.
     """
     n = _integer(n, "n")
     if n < 2:
@@ -528,4 +549,4 @@ def random_ultrametric(n: int, seed: int | None = None) -> MetricSpace:
         i = at[first]
         j, k = i + la, i + la + lb
         blocks[i:j, j:k] = blocks[j:k, i:j] = h
-    return _validated(None, blocks[np.ix_(at, at)], scan=False)
+    return MetricSpace(default_labels(n), blocks[np.ix_(at, at)])

@@ -10,7 +10,11 @@ scipy eigenvalues, and the class at an integer exponent of an integer
 space is the inertia of its form, by elimination in Fractions. The
 ultrametric generator's reference is its original merge loop, point
 order throughout; the graph generators' reference is their original
-per-edge loops, one rng call per random weight.
+per-edge loops, one rng call per random weight. The validation reference
+is validate_metric as it read before an exactly symmetric matrix skipped
+its asymmetry pass: it reads the triangle inequality through the library's
+own certificate and scan, whose agreement with the literal loop is tested
+on its own.
 """
 
 from __future__ import annotations
@@ -26,13 +30,19 @@ from scipy.cluster.hierarchy import cophenet, linkage
 from scipy.spatial.distance import squareform
 
 from negtype import (
+    AsymmetricEntry,
     MetricSpace,
     NegTypeError,
+    NonpositiveDistance,
+    NonzeroDiagonal,
+    NotSquare,
     SignedSimplex,
+    TriangleViolation,
     from_graph,
     is_ultrametric,
     validate_metric,
 )
+from negtype import metric
 from negtype.cli import generate_space
 
 
@@ -211,6 +221,61 @@ def first_triangle_violation(d: np.ndarray, tol: float, bound=operator.add):
             if best is not None and d[i, k] - best[0] > tol:
                 return i, best[1], k
     return None
+
+
+def reference_validate_metric(labels, matrix) -> MetricSpace:
+    """validate_metric with every check on the whole matrix, in turn.
+
+    Asymmetry |a - a.T| > tol first, then the diagonal, positivity and the
+    triangle inequality (by the column minima of the certificate, then the
+    scan), and the canonical matrix 0.5 (a + a.T), halved before the sum
+    where the sum overflows, with its diagonal zeroed.
+    """
+    a = metric._floats(matrix, "matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NotSquare(f"matrix has shape {a.shape}")
+    m = a.shape[0]
+    if m < 2:
+        raise NotSquare("need at least 2 points")
+    if labels is None:
+        labels = metric.default_labels(m)
+    if isinstance(labels, (str, bytes, dict)):
+        raise ValueError(f"labels must be a list, got a {type(labels).__name__}")
+    labels = tuple(str(x) for x in labels)
+    if len(labels) != m:
+        raise ValueError(f"{len(labels)} labels for {m}x{m} matrix")
+
+    finite = np.isfinite(a)
+    if not finite.all():
+        i, j = map(int, np.argwhere(~finite)[0])
+        if i == j:
+            raise NonzeroDiagonal(i)
+        raise NonpositiveDistance(i, j, reason="is not finite")
+
+    tol = metric.REL_TOL * float(np.abs(a).max())
+    with np.errstate(over="ignore"):
+        asym = np.abs(a - a.T) > tol
+    if asym.any():
+        i, j = map(int, np.argwhere(asym)[0])
+        raise AsymmetricEntry(i, j)
+    diag = np.abs(np.diag(a))
+    if (diag > tol).any():
+        raise NonzeroDiagonal(int(np.argmax(diag > tol)))
+    nonpos = (a <= 0) & ~np.eye(m, dtype=bool)
+    if nonpos.any():
+        i, j = map(int, np.argwhere(nonpos)[0])
+        raise NonpositiveDistance(i, j)
+    viol = metric._triangle_violation(a, tol, symmetric=False)
+    if viol is not None:
+        raise TriangleViolation(*viol)
+
+    with np.errstate(over="ignore"):
+        canon = 0.5 * (a + a.T)
+    over = np.isinf(canon)
+    if over.any():
+        canon[over] = 0.5 * a[over] + 0.5 * a.T[over]
+    np.fill_diagonal(canon, 0.0)
+    return MetricSpace(labels, canon)
 
 
 def reference_ultrametric(n: int, seed: int | None = None) -> np.ndarray:

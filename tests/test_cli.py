@@ -279,6 +279,23 @@ class TestRepeatedNumbers:
             f.write_text(json.dumps(data), encoding="utf-8")
             assert _outcome(load_space, f) == _outcome(_json_load_space, f)
 
+    def test_one_float_call_per_distinct_token(self, tmp_path, monkeypatch):
+        f = tmp_path / "space.json"
+        assert main(["gen", "ultrametric", "350", "--seed", "5", "--out", str(f)]) == 0
+        tokens = []  # every float token of the text, as json hands it over
+        json.loads(f.read_text(encoding="utf-8"), parse_float=tokens.append)
+        parsed = []
+
+        def counted(token):
+            parsed.append(token)
+            return float(token)
+
+        monkeypatch.setattr(cli, "float", counted, raising=False)  # the memo's float
+        X = load_space(str(f))
+        assert sorted(parsed) == sorted(set(tokens))
+        assert len(tokens) > 100 * len(parsed)  # 350 * 350 tokens, 349 heights and 0.0
+        assert X.dist.tobytes() == random_ultrametric(350, seed=5).dist.tobytes()
+
     @pytest.mark.parametrize("infinity", [False, True], ids=["finite", "infinity"])
     def test_edge_tokens(self, infinity, tmp_path, decodes):
         f = tmp_path / "crafted.json"
@@ -341,6 +358,47 @@ class TestRepeatedNumbers:
         memo = runs()
         monkeypatch.setattr(cli, "_repeats", lambda text: False)
         assert runs() == memo
+
+
+class TestFileShapes:
+    """One space given as a graph, as points and as its matrix gets the same
+    class and exit code from check, and the same kind from interval."""
+
+    @staticmethod
+    def answers(data, tmp_path, capsys):
+        f = tmp_path / "space.json"
+        f.write_text(json.dumps(data), encoding="utf-8")
+        out = []
+        for p in ("0.5", "1", "2", "3"):
+            code = main(["check", str(f), "--p", p, "--format", "json"])
+            out.append((code, json.loads(capsys.readouterr().out)["classification"]))
+        assert main(["interval", str(f), "--format", "json"]) == 0
+        return out, json.loads(capsys.readouterr().out)["kind"]
+
+    def test_same_answers(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        groups = [  # the spaces of a group are equal entry for entry
+            [{"graph": {"n": 6, "edges": [[i, i + 1, 1.0] for i in range(5)]}},
+             {"points": {"coords": [[float(i)] for i in range(6)]}}],
+            [{"graph": {"n": 4, "edges": [[i, (i + 1) % 4, 1.0] for i in range(4)]}},
+             {"points": {"coords": [[0, 0], [1, 0], [1, 1], [0, 1]], "q": 1}}],
+            *([{"graph": {"n": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]}}]
+              for n in (6, 7)),
+            [{"graph": {"n": 5, "edges": [[i, j, 1.0] for i in range(5) for j in range(i)]}}],
+            [{"graph": {"n": 8, "edges": [[i, j, float(rng.uniform(0.5, 2.0))]
+                                          for i in range(8) for j in range(i + 1, 8)]}}],
+            *([{"points": {"coords": rng.standard_normal((9, 3)).tolist(), "q": q}}]
+              for q in (1, 2, float("inf"))),
+        ]
+        seen = set()
+        for group in groups:
+            group.append({"matrix": parse_space(group[0]).dist.tolist()})
+            want = self.answers(group[0], tmp_path, capsys)
+            for data in group[1:]:
+                assert self.answers(data, tmp_path, capsys) == want, data
+            seen.update(want[0])
+            seen.add(want[1])
+        assert seen >= {(0, "STRICT"), (1, "BOUNDARY"), (2, "NOT_NEG_TYPE"), "EMPTY", "RAY"}
 
 
 class TestCheckCommand:
@@ -1027,6 +1085,47 @@ class TestRenderJson:
             assert render_json(payload) == _json_dumps_render(payload)
         # -0.0 and 0.0 are equal values with different bits
         assert '"xi": [\n    -0.0,\n    0.0,' in render_json(payloads[1])
+
+    def test_simplex_pairs(self, monkeypatch):
+        # a simplex is written pair by pair, its weights from the texts of
+        # xi where they match one, negated or not; any other dict goes to json
+        nan, inf = float("nan"), float("inf")
+        spaces = [generate_space("points", 350, seed=1), generate_space("random", 40, seed=2),
+                  generate_space("cycle", 6), generate_space("path", 9)]
+        payloads = [witness_payload(witness_at_supremal(X, supremal(X))) for X in spaces]
+        payloads += [witness_payload(witness_at_p(X, 3.0)) for X in spaces[:2]]
+        payloads += [
+            {"xi": [0.5, -0.25, -0.25],
+             "simplex": {"left": [[0, 0.5]], "right": [[1, 0.25], [2, 0.25]]}},
+            {"xi": [0.5, -0.5], "simplex": {"left": [], "right": [[1, 0.5]]}},
+            {"xi": [0.5, -0.5], "simplex": {"left": [[0, 0.5]], "right": []}},
+            {"xi": [0.5, -0.5], "simplex": {"left": [], "right": []}},
+            {"xi": [inf, -inf, nan, 0.0, -0.0, 1e-310, -2.5, 0.1],
+             "simplex": {"left": [[0, inf], [1, -inf], [2, nan], [3, -0.0], [4, 0.0],
+                                  [5, -1e-310], [6, 2.5]],
+                         "right": [[7, -2.5], [8, 0.30000000000000004], [2**70, -inf]]}},
+            {"simplex": {"left": [[0, 0.1], [1, -0.0], [2, nan]], "right": [[3, -inf]]},
+             "xi": [0.1, -0.1], "after": {"left": [[0, 0.1], [1, -0.1]]}},
+            # not pairs of an int and a float: json's own text
+            {"xi": [0.5, -0.5], "simplex": {"left": [[True, 0.5]], "right": [[1, 0.5]]}},
+            {"xi": [0.5, -0.5], "simplex": {"left": [[0, 1]], "right": [[1, 0.5]]}},
+            {"xi": [0.5, -0.5], "simplex": {"left": [[0, 0.5, 1]], "right": []}},
+            {"xi": [0.5, -0.5], "simplex": {"left": [(0, 0.5)], "right": [[1, np.float64(0.5)]]}},
+            {"xi": [0.5, -0.5], "simplex": {"left": [[0]], "right": [[0.5, 1]]}},
+            {"xi": [0.5, -0.5], "simplex": {1: [[0, 0.5]], "right": [[1, 0.5]]}},
+            {"xi": [0.5, -0.5], "simplex": {"left": ([0, 0.5],), "right": []}},
+            {"xi": [0.5, -0.5], "simplex": {}, "other": {"left": 0.5}, "list": [[0, 0.5]]},
+        ]
+        for payload in payloads:
+            assert _first_difference(render_json(payload), _json_dumps_render(payload)) is None
+        # a witness's simplex weights are its xi components: each distinct
+        # component formats once, and no weight formats again
+        formatted = []
+        monkeypatch.setattr(cli, "repr", lambda w: formatted.append(w) or repr(w), raising=False)
+        for payload in payloads[:6]:
+            formatted.clear()
+            render_json(payload)
+            assert len(formatted) == len(np.unique(np.array(payload["xi"]).view(np.int64)))
 
 
 class TestRoundTrip:

@@ -12,6 +12,7 @@ from helpers import (
     first_triangle_violation,
     random_space,
     reference_ultrametric,
+    reference_validate_metric,
     subdominant_ultrametric,
 )
 from negtype import (
@@ -21,6 +22,7 @@ from negtype import (
     DuplicatePoint,
     InvalidNormOrder,
     MetricSpace,
+    NegTypeError,
     NegativeExponent,
     NonpositiveDistance,
     NonpositiveWeight,
@@ -326,6 +328,13 @@ class TestValidateMetric:
         np.testing.assert_array_equal(validate_metric(None, d).dist,
                                       [[0, top, 1e308], [top, 0, 1e308], [1e308, 1e308, 0]])
 
+    def test_negative_diagonal_beside_half_the_largest_float(self):
+        # the certificate's d(0,0) - (r_0 + c_0) overflows to -inf, which
+        # passes, with no numpy warning
+        d = [[-4.494232837155789e295, 8.988465674311579e307], [8.988465674311579e307, 0.0]]
+        np.testing.assert_array_equal(validate_metric(None, d).dist,
+                                      [[0.0, 8.988465674311579e307], [8.988465674311579e307, 0.0]])
+
     def test_immutable(self):
         X = validate_metric(None, [[0, 1], [1, 0]])
         with pytest.raises(ValueError):
@@ -353,6 +362,61 @@ def test_validate_metric_agrees_with_a_plain_loop(upper):
         validate_metric(None, d)
     i, j, k = exc.value.i, exc.value.j, exc.value.k
     assert d[i, k] - (d[i, j] + d[j, k]) > tol
+
+
+def _validation(validate, labels, a):
+    """The bits of the space validate builds from a, or its error."""
+    try:
+        X = validate(labels, a)
+    except (NegTypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return X.labels, X.dist.tobytes()
+
+
+@st.composite
+def _raw_matrices(draw):
+    """Square matrices at the edges of validation: exactly symmetric,
+    asymmetric within and past the slack, +-0.0 off the diagonal, entries
+    near the largest float, a small diagonal and stretched triangles."""
+    m = draw(st.integers(2, 6))
+    top = draw(st.sampled_from([1.0, 3e-300, 1e300, np.finfo(float).max]))
+    low = draw(st.sampled_from([0.1, 0.5]))  # 0.5: every triangle holds
+    upper = draw(st.lists(st.floats(low, 1.0), min_size=m * (m - 1) // 2,
+                          max_size=m * (m - 1) // 2))
+    a = np.zeros((m, m))
+    a[np.triu_indices(m, 1)] = np.array(upper) * top
+    a += a.T
+    tol = REL_TOL * float(a.max())
+    pair = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda t: t[0] != t[1])
+    with np.errstate(over="ignore"):
+        if draw(st.booleans()):  # stretch one distance past a triangle, or to inf
+            (i, k), f = draw(pair), draw(st.sampled_from([1.0 + 1e-13, 1.5, 2.5]))
+            a[i, k] = a[k, i] = a[i, k] * f
+        for _ in range(draw(st.integers(0, 2))):  # one side moved within or past the slack
+            (i, j), f = draw(pair), draw(st.sampled_from([-0.999, -0.5, 0.25, 1.5, -4.0, 1e6]))
+            a[i, j] += f * tol
+        if draw(st.booleans()):  # a diagonal entry within or past the slack
+            i, f = draw(st.integers(0, m - 1)), draw(st.sampled_from([0.5, -0.5, -1.0, 2.0]))
+            a[i, i] = f * tol
+        if draw(st.booleans()):  # a signed zero off the diagonal, on one side or both
+            (i, j), z = draw(pair), draw(st.sampled_from([0.0, -0.0]))
+            a[i, j] = z
+            if draw(st.booleans()):
+                a[j, i] = -z
+    return a
+
+
+@settings(max_examples=400, deadline=None)
+@given(_raw_matrices(), st.booleans())
+def test_validate_metric_agrees_with_the_checks_in_turn(a, labelled):
+    # an exactly symmetric matrix skips the asymmetry pass and the
+    # symmetrizing sum: the same bits or the same error as every check on
+    # the whole matrix, and the caller's array is never written
+    labels = [f"p{i}" for i in range(len(a))] if labelled else None
+    before = a.tobytes()
+    got = _validation(validate_metric, labels, a)
+    assert a.tobytes() == before
+    assert got == _validation(reference_validate_metric, labels, a)
 
 
 class TestViolationDecision:
@@ -895,6 +959,27 @@ class TestRandomUltrametric:
         a = random_ultrametric(9, seed=1)
         b = random_ultrametric(9, seed=2)
         assert not np.array_equal(a.dist, b.dist)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 40, 150, 350])
+    def test_built_with_the_bits_validation_gives(self, n, monkeypatch):
+        # the fill meets every axiom, so the generator skips validation;
+        # validating its matrix returns it unchanged
+        calls = []
+        real = metric._validated
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(metric, "_validated", spy)
+        spaces = [random_ultrametric(n, seed) for seed in (0, 1, 5, 77)]
+        assert calls == []
+        monkeypatch.undo()
+        for U in spaces:
+            for V in (validate_metric(None, U.dist), reference_validate_metric(None, U.dist)):
+                assert U.labels == V.labels == default_labels(n)
+                assert U.dist.tobytes() == V.dist.tobytes()
+            assert is_ultrametric(U)
 
     @pytest.mark.parametrize("n", [2, 3, 9, 40, 350])
     def test_bits_of_the_reference_loop(self, n):
