@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import re
 import sys
 from collections.abc import Iterator
@@ -202,31 +201,25 @@ def render_json(payload: dict) -> str:
     An ndarray stands wherever json would take its tolist(), rounded under
     a key outside _EXACT_KEYS as that list is. json's indent encoder formats
     one entry at a time, so a top-level nonempty 1-D or 2-D float64 array or
-    list of plain floats (matrix, xi, direction) goes to _float_lists, and a
-    dict of lists of [int, float] pairs (simplex) to _pair_lists, which
-    reuses the texts of the 1-D lists before it. Any other value is json's
-    own text, indented by a replace, which is safe because json escapes
-    every new line inside a string. One join at the end.
+    list of plain floats (matrix, xi, direction) goes to _float_lists. Any
+    other value is json's own text, indented by a replace, which is safe
+    because json escapes every new line inside a string. One join at the end.
     """
     out = ["{"]
-    known = {}  # float -> its text, for the nonzero values of the 1-D lists written
     for n, (k, v) in enumerate(_round12(payload).items()):
         # json writes a key that is not a string as the string of its json text
         key = _dumps(k if isinstance(k, str) else _dumps(k))
         out.append(f"{',' if n else ''}\n  {key}: ")
         if isinstance(v, list) and v and set(map(type, v)) == {float}:
             v = np.array(v)
-        if isinstance(v, np.ndarray) and v.dtype == np.float64 and v.ndim in (1, 2) and v.size:
-            if v.ndim == 1:
-                out.append(_float_lists(v, [v.size], "  ", known))
-            else:
-                out += ("[\n    ", _float_lists(v.ravel(), np.full(len(v), v.shape[1]), "    "),
-                        "\n  ]")
-        elif (text := _pair_lists(v, known)) is not None:
-            out.append(text)
-        else:
+        if not (isinstance(v, np.ndarray) and v.dtype == np.float64
+                and v.ndim in (1, 2) and v.size):
             text = json.dumps(v, indent=2, ensure_ascii=False, default=np.ndarray.tolist)
             out.append(text.replace("\n", "\n  "))
+        elif v.ndim == 1:
+            out.append(_float_lists(v, [v.size], "  "))
+        else:
+            out += ("[\n    ", _float_lists(v.ravel(), np.full(len(v), v.shape[1]), "    "), "\n  ]")
     out.append("\n}" if len(out) > 1 else "}")
     return "".join(out)
 
@@ -235,7 +228,7 @@ def _dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
-def _float_lists(flat: np.ndarray, lengths, indent: str, known: dict | None = None) -> str:
+def _float_lists(flat: np.ndarray, lengths, indent: str) -> str:
     """The json text at indent of consecutive nonempty float lists, as list items.
 
     flat holds the float64 values of every list in order and lengths their
@@ -243,61 +236,18 @@ def _float_lists(flat: np.ndarray, lengths, indent: str, known: dict | None = No
     value formats once: values are told apart by their bits, since
     comparing values would merge -0.0 with 0.0, and a finite float formats
     as in json, with float.__repr__. The text is written with one join.
-    known, when given, gains the text of every nonzero value.
     """
     bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
     values = bits.view(float)
     texts = np.array(list(map(repr, values.tolist())), dtype=object)
     for i in np.flatnonzero(~np.isfinite(values)):
         texts[i] = _dumps(float(values[i]))
-    if known is not None:
-        known.update(zip(values.tolist(), texts.tolist()))
-        known.pop(0.0, None)  # 0.0 and -0.0 are one key, with two texts
     inner = indent + "  "
     words = (texts + f",\n{inner}")[inverse]  # each value with the separator after it
     ends = np.cumsum(lengths) - 1
     words[ends] = texts[inverse[ends]] + f"\n{indent}],\n{indent}[\n{inner}"
     words[-1] = texts[inverse[-1]]
     return f"[\n{inner}" + "".join(words.tolist()) + f"\n{indent}]"
-
-
-def _pair_lists(v, known: dict) -> str | None:
-    """The json text at indent "  " of a nonempty dict with string keys whose
-    values are lists of [int, float] pairs, as a simplex payload is; None
-    for any other value.
-
-    A weight takes the text known holds for it, or that of its negation
-    with the sign turned (the weights of a witness's simplex are its xi
-    components, negated on the right side); any other weight formats once,
-    as json formats it. Each pair is then one f-string.
-    """
-    if not (isinstance(v, dict) and v and set(map(type, v)) == {str}
-            and set(map(type, v.values())) == {list}):
-        return None
-    sides = []
-    for key, side in v.items():
-        if not side:
-            sides.append(f"{_dumps(key)}: []")
-            continue
-        if set(map(type, side)) != {list} or set(map(len, side)) != {2}:
-            return None
-        index, weight = zip(*side)
-        if set(map(type, index)) != {int} or set(map(type, weight)) != {float}:
-            return None
-        pairs = ",\n      ".join(f"[\n        {i},\n        {_weight_text(w, known)}\n      ]"
-                                  for i, w in zip(index, weight))
-        sides.append(f"{_dumps(key)}: [\n      {pairs}\n    ]")
-    return "{\n    " + ",\n    ".join(sides) + "\n  }"
-
-
-def _weight_text(w: float, known: dict) -> str:
-    text = known.get(w)
-    if text is not None:
-        return text
-    text = known.get(-w)
-    if text is not None:
-        return text[1:] if text[0] == "-" else "-" + text
-    return repr(w) if math.isfinite(w) else _dumps(w)
 
 
 def _fmt(x) -> str:

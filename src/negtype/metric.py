@@ -185,8 +185,7 @@ def _violation(d: np.ndarray, bound, tol: float, rows=None) -> tuple[int, int, i
     return None
 
 
-def _triangle_violation(a: np.ndarray, tol: float,
-                        symmetric: bool) -> tuple[int, int, int] | None:
+def _triangle_violation(a: np.ndarray, tol: float) -> tuple[int, int, int] | None:
     """_violation(a, np.add, tol), certified in O(m^2) where possible.
 
     Let r_i and c_k be the smallest off-diagonal entries of row i and of
@@ -199,8 +198,7 @@ def _triangle_violation(a: np.ndarray, tol: float,
     triples with j in {i, k} pass, it is given the row minima r_i and
     scans only the candidate middles. The certificate holds whenever the
     largest distance is at most the sum of the two row minima, as in every
-    random_ultrametric output. When a is symmetric, its column minima are
-    its row minima.
+    random_ultrametric output.
     """
     off = a.copy()
     np.fill_diagonal(off, np.inf)
@@ -211,7 +209,7 @@ def _triangle_violation(a: np.ndarray, tol: float,
         # {i, k} fails, and only a negative one needs their O(m^2) test
         ends = (diag >= 0).all() or ((a - (diag[:, None] + a) <= tol).all()
                                      and (a - (a + diag) <= tol).all())
-        bound = rows[:, None] + (rows if symmetric else off.min(axis=0))
+        bound = rows[:, None] + off.min(axis=0)
         # a negative diagonal entry less a bound near the largest float
         # overflows to -inf, which passes as its exact difference does
         if ends and (a - bound <= tol).all():
@@ -275,7 +273,7 @@ def _validated(labels, matrix, scan: bool) -> MetricSpace:
         raise NonpositiveDistance(i, j)
 
     if scan:
-        viol = _triangle_violation(a, tol, symmetric)
+        viol = _triangle_violation(a, tol)
         if viol is not None:
             raise TriangleViolation(*viol)
 

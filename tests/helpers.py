@@ -265,7 +265,7 @@ def reference_validate_metric(labels, matrix) -> MetricSpace:
     if nonpos.any():
         i, j = map(int, np.argwhere(nonpos)[0])
         raise NonpositiveDistance(i, j)
-    viol = metric._triangle_violation(a, tol, symmetric=False)
+    viol = metric._triangle_violation(a, tol)
     if viol is not None:
         raise TriangleViolation(*viol)
 

@@ -1063,6 +1063,7 @@ class TestRenderJson:
 
     def test_edge_values(self):
         tiny, huge = 5e-324, 1e300
+        nan, inf = float("nan"), float("inf")
         payloads = [
             space_payload(validate_metric(
                 ["α", "b", "点"], [[0, tiny, huge], [tiny, 0, huge], [huge, huge, 0]])),
@@ -1080,21 +1081,8 @@ class TestRenderJson:
              "nested": {"k\ney": ["\r\n", {"\u2028": "\x00"}]}, "line\nkey": "\n",
              1: [0.5, 1.5], None: {"x": "\n"}, 2.5: "s", float("nan"): [], -0.0: {}},
             {True: ["\n"], False: 0.25, "": [[0.5]]},
-        ]
-        for payload in payloads:
-            assert render_json(payload) == _json_dumps_render(payload)
-        # -0.0 and 0.0 are equal values with different bits
-        assert '"xi": [\n    -0.0,\n    0.0,' in render_json(payloads[1])
-
-    def test_simplex_pairs(self, monkeypatch):
-        # a simplex is written pair by pair, its weights from the texts of
-        # xi where they match one, negated or not; any other dict goes to json
-        nan, inf = float("nan"), float("inf")
-        spaces = [generate_space("points", 350, seed=1), generate_space("random", 40, seed=2),
-                  generate_space("cycle", 6), generate_space("path", 9)]
-        payloads = [witness_payload(witness_at_supremal(X, supremal(X))) for X in spaces]
-        payloads += [witness_payload(witness_at_p(X, 3.0)) for X in spaces[:2]]
-        payloads += [
+            # simplex payloads: empty sides, non-finite, signed-zero and
+            # subnormal weights, an index past 2**64, a simplex before its xi
             {"xi": [0.5, -0.25, -0.25],
              "simplex": {"left": [[0, 0.5]], "right": [[1, 0.25], [2, 0.25]]}},
             {"xi": [0.5, -0.5], "simplex": {"left": [], "right": [[1, 0.5]]}},
@@ -1106,7 +1094,7 @@ class TestRenderJson:
                          "right": [[7, -2.5], [8, 0.30000000000000004], [2**70, -inf]]}},
             {"simplex": {"left": [[0, 0.1], [1, -0.0], [2, nan]], "right": [[3, -inf]]},
              "xi": [0.1, -0.1], "after": {"left": [[0, 0.1], [1, -0.1]]}},
-            # not pairs of an int and a float: json's own text
+            # simplex-like values that are not pairs of an int and a float
             {"xi": [0.5, -0.5], "simplex": {"left": [[True, 0.5]], "right": [[1, 0.5]]}},
             {"xi": [0.5, -0.5], "simplex": {"left": [[0, 1]], "right": [[1, 0.5]]}},
             {"xi": [0.5, -0.5], "simplex": {"left": [[0, 0.5, 1]], "right": []}},
@@ -1117,15 +1105,9 @@ class TestRenderJson:
             {"xi": [0.5, -0.5], "simplex": {}, "other": {"left": 0.5}, "list": [[0, 0.5]]},
         ]
         for payload in payloads:
-            assert _first_difference(render_json(payload), _json_dumps_render(payload)) is None
-        # a witness's simplex weights are its xi components: each distinct
-        # component formats once, and no weight formats again
-        formatted = []
-        monkeypatch.setattr(cli, "repr", lambda w: formatted.append(w) or repr(w), raising=False)
-        for payload in payloads[:6]:
-            formatted.clear()
-            render_json(payload)
-            assert len(formatted) == len(np.unique(np.array(payload["xi"]).view(np.int64)))
+            assert render_json(payload) == _json_dumps_render(payload)
+        # -0.0 and 0.0 are equal values with different bits
+        assert '"xi": [\n    -0.0,\n    0.0,' in render_json(payloads[1])
 
 
 class TestRoundTrip:
