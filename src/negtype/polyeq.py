@@ -11,15 +11,17 @@ quadratic form through the induced zero-sum vector xi:
 
 so a nonzero xi with vanishing form is the same thing as a nontrivial
 p-polygonal equality. At a fixed exponent the witness starts from the top
-eigenvector of the restricted form, from eigvalsh and one shifted solve
-(quadform._top): where the form on it is positive, it turns to an exact
-zero of the form against e_i - e_j of a farthest pair, where the form is
-negative, in closed form (_null_witness). At a supremal bracket
-lambda_max is zero to the bracket width, so the witness is the form's
-near-null direction: one linear solve finds it (quadform._near_null), and
-it turns the same way. eigh runs only behind a failed check: a witness
-that fails its check falls back to the zero of the form in the plane of
-the top and bottom eigendirections of one eigh (_witness). All of them
+eigenvector of the restricted form, from one shifted solve on the block
+that classify's eigvalsh ran on (quadform._Form.top); a STRICT class has
+no witness and takes the eigvalsh alone. Where the form on that vector is
+positive, it turns to an exact zero of the form against e_i - e_j of a
+farthest pair, where the form is negative, in closed form
+(_null_witness). At a supremal bracket lambda_max is zero to the bracket
+width, so the witness is the form's near-null direction: one linear
+solve finds it (quadform._near_null), and it turns the same way. eigh
+runs only behind a failed check: a witness that fails its check falls
+back to the zero of the form in the plane of the top and bottom
+eigendirections of one eigh (_witness). All of them
 read the space's one form at p (quadform._Form), whose D~_p is
 metric._power's, converted once. Every simplex, a witness's own included,
 is checked by verify_equality, which like gap reads only the block of D_p
@@ -442,10 +444,12 @@ def _null_witness(X: MetricSpace, form: _Form, v: np.ndarray | None,
 def _fixed_witness(X: MetricSpace, form: _Form, report: QuadFormReport) -> WitnessReport:
     """The witness on the form that report was classified from, or NoWitnessFound.
 
-    The top eigenvector of classify (form.top) turned to the form's exact
-    zero (_null_witness), with classify's method: IVT exactly at
-    NOT_NEG_TYPE. Only where that solve failed or its simplex does not
-    verify does the eigen-plane witness (_witness) take one eigh.
+    The form's top eigenvector (form.top: one solve on the block of
+    classify's eigvalsh, the very vector a report's direction reads)
+    turned to the form's exact zero (_null_witness), with classify's
+    method: IVT exactly at NOT_NEG_TYPE. Only where that solve failed or
+    its simplex does not verify does the eigen-plane witness (_witness)
+    take one eigh.
     """
     method = (WitnessMethod.IVT if report.classification is Classification.NOT_NEG_TYPE
               else WitnessMethod.EIGEN_DIRECTION)
@@ -457,15 +461,17 @@ def witness_at_p(
 ) -> WitnessReport:
     """Witness at a fixed exponent, when one exists.
 
-    classify's top eigenvector, from eigvalsh and one shifted solve, turned
-    to the exact zero of the form against e_i - e_j of a farthest pair
-    (method IVT at NOT_NEG_TYPE). At BOUNDARY the form on it is within the
-    tolerance of 0, and it turns only where that form is positive (method
-    EIGEN_DIRECTION). Only a witness that verify_equality rejects, or a
-    failed solve, falls back to the zero of the form between the top and
-    bottom eigendirections of one eigh. STRICT raises NotApplicable: no
-    nontrivial p-polygonal equality exists there. A fallback witness that
-    verify_equality rejects raises NoWitnessFound.
+    classify's class, from one eigvalsh, and its top eigenvector, from one
+    shifted solve on the same block, turned to the exact zero of the form
+    against e_i - e_j of a farthest pair (method IVT at NOT_NEG_TYPE). At
+    BOUNDARY the form on it is within the tolerance of 0, and it turns
+    only where that form is positive (method EIGEN_DIRECTION). Only a
+    witness that verify_equality rejects, or a failed solve, falls back to
+    the zero of the form between the top and bottom eigendirections of one
+    eigh. STRICT raises NotApplicable after the eigvalsh alone: no
+    nontrivial p-polygonal equality exists there, so the direction is
+    never solved. A fallback witness that verify_equality rejects raises
+    NoWitnessFound.
     """
     report = classify(X, p, epsilon)
     if report.classification is Classification.STRICT:

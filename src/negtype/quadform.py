@@ -22,24 +22,28 @@ over its entries (_restrict; 0.4 ms at m = 350 and 2 ms at m = 800 on a
 through one O(m) reflection. Each public call builds D~_p at most once
 (a witness checks a simplex that leaves out a point on its own block).
 
-A decision at a fixed exponent takes one eigvalsh of that block and one
-shifted linear solve for its top eigenvector (_top); a sign probe of
-supremal takes the eigvalsh alone. eigh runs only behind a failed check:
+A decision at a fixed exponent takes one eigvalsh of that block, as does
+a sign probe of supremal (_spectrum). The top eigenvector comes from one
+shifted linear solve on the same block, run only when something reads it:
+a witness, or the report's direction. So a STRICT decision, which has no
+witness, costs the eigvalsh alone. eigh runs only behind a failed check:
 where that solve fails, or the witness turned from its vector does not
 verify. A space's D~_p at one exponent is one _Form: the read-only D~_p,
-its scale and, each solved on first read, the top eigenpair (top) that
-the class and the witness at a fixed exponent read, and the two extreme
-eigenpairs of one eigh (eigen) that only the fallback reads. _form keeps
-the last one per space object (O(m^2) floats per live space, weakly
-keyed), so every call at (X, p) on every point builds D~_p once:
-classify, witness_at_p and witness_at_supremal, and quad_form, polyeq.gap
-and polyeq.verify_equality when their vector or simplex covers every point
-(_block). The supremal witness first tries one linear solve on that D~_p
-(_near_null; 2.5 ms at m = 350 against 15 ms for eigh on a 2-core host),
-and classifies the form only when it falls back to the fixed-exponent
-witness. A space is immutable (re-enabling writes on X.dist is
-unsupported). Sign probes and restricted_form neither read nor write the
-kept form.
+its scale and, each solved on first read, its top eigenvalue and shift
+(spectrum), the top eigenpair (top) that the witness at a fixed exponent
+and the report's direction read, and the two extreme eigenpairs of one
+eigh (eigen) that only the fallback reads. The block that spectrum's
+eigvalsh ran on is held until top's solve overwrites it; classify drops
+it at STRICT. _form keeps the last form per space object (O(m^2) floats
+per live space, weakly keyed), so every call at (X, p) on every point
+builds D~_p once: classify, witness_at_p and witness_at_supremal, and
+quad_form, polyeq.gap and polyeq.verify_equality when their vector or
+simplex covers every point (_block). The supremal witness first tries one
+linear solve on that D~_p (_near_null; 2.5 ms at m = 350 against 15 ms
+for eigh on a 2-core host), and classifies the form only when it falls
+back to the fixed-exponent witness. A space is immutable (re-enabling
+writes on X.dist is unsupported). Sign probes and restricted_form neither
+read nor write the kept form.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import enum
 import functools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -125,13 +129,30 @@ class QuadFormReport:
     STRICT means strict p-negative type (lambda_max < -eps), BOUNDARY means
     p-negative type but not strict (|lambda_max| <= eps), NOT_NEG_TYPE means
     the form takes positive values on F0 (lambda_max > eps).
+
+    The report keeps its space, not the form. direction, the top
+    eigenvector, is solved on first read from the space's form at p (top,
+    or eigen where that solve fails): the very array a witness at p turns,
+    so (space, p) takes one solve whoever reads first. A read after the
+    space's kept form has moved to another exponent builds D~_p and solves
+    again, with the same bits; an eigh that fails raises EigenFailure at
+    that read. direction is not a dataclass field.
     """
 
     p: float
     lambda_max: float
     classification: Classification
-    direction: BalancedVector
     tolerance: float
+    space: InitVar[MetricSpace]
+
+    def __post_init__(self, space: MetricSpace):
+        object.__setattr__(self, "_space", space)
+
+    @functools.cached_property
+    def direction(self) -> BalancedVector:
+        form = _form(self._space, self.p)
+        v = form.top[1]
+        return BalancedVector(form.eigen[1] if v is None else v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,38 +245,31 @@ def _solved(d: np.ndarray, solver):
         raise EigenFailure(str(exc)) from exc
 
 
-def _top(d: np.ndarray, vector: bool = True) -> tuple:
-    """(lambda_max, v) of the restricted form: eigvalsh, then one shifted solve for v.
+def _spectrum(d: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(a, lambda_max, floor): the restricted form a of D~_p and its top eigenvalue.
 
-    The spectrum comes from eigvalsh alone, about half the cost of eigh. A
-    sign probe (vector=False) gets v = None and lambda_max read as exactly
-    0.0 when it is at most FLOOR times the spectral norm
-    max(-lambda_min, |lambda_max|) of the form. Otherwise lambda_max is the
-    eigvalsh value, and v is the top eigenvector from one step of inverse
-    iteration (_inverse_step) at the shift lambda_max + FLOOR times that
-    norm: every eigenvector but the top one is damped by FLOOR times the
-    norm over its distance below lambda_max, so v is the top one unless
-    another eigenvalue lies within a few FLOOR of it, where v is a unit
-    vector of that cluster. v is None where the solve fails; only then do
-    the class and the witness need eigh (_Form.eigen).
+    The spectrum comes from eigvalsh alone, about half the cost of eigh; a
+    is the block it ran on, unchanged. The floor is FLOOR times the
+    spectral norm max(-lambda_min, |lambda_max|) of the form: a sign probe
+    reads lambda_max within it as exactly 0.0, and the top eigenvector is
+    solved at lambda_max plus it (_Form.top).
     """
     a, evals = _solved(d, np.linalg.eigvalsh)
     lam = float(evals[-1])
-    norm = max(-float(evals[0]), abs(lam))
-    if not vector:
-        return (0.0 if abs(lam) <= FLOOR * norm else lam), None
-    return lam, _inverse_step(a, lam + FLOOR * norm)
+    return a, lam, FLOOR * max(-float(evals[0]), abs(lam))
 
 
 @dataclass(frozen=True, eq=False)
 class _Form:
     """D~_p of one space at exponent p, read-only, with D_p = scale D~_p.
 
-    Its top eigenpair (top) and its extreme eigenpairs (eigen) are solved on
-    first read only. A decision at p and its witness read top, from
-    eigvalsh and one solve; eigen, one eigh, is read only behind a failed
-    check: where the solve for the top vector fails, or its witness does
-    not verify.
+    Its top eigenvalue (spectrum), its top eigenpair (top) and its extreme
+    eigenpairs (eigen) are solved on first read only. A decision at p reads
+    spectrum, one eigvalsh; a witness at p and a report's direction read
+    top, one solve on the block that eigvalsh ran on, which the form holds
+    until then (classify drops it at STRICT, where nothing need read top).
+    eigen, one eigh, is read only behind a failed check: where the solve
+    for the top vector fails, or its witness does not verify.
     """
 
     p: float
@@ -263,9 +277,33 @@ class _Form:
     scale: float
 
     @functools.cached_property
+    def spectrum(self) -> tuple[float, float]:
+        """(lambda_max, lambda_max + floor) of _spectrum; its block is held for top."""
+        a, lam, floor = _spectrum(self.d)
+        self.__dict__["block"] = a
+        return lam, lam + floor
+
+    def release(self) -> np.ndarray | None:
+        """Take the block that spectrum holds off the form, or None where none is held."""
+        return self.__dict__.pop("block", None)  # one atomic pop: no two solves share a block
+
+    @functools.cached_property
     def top(self) -> tuple:
-        """(lambda_max, v) of _top, v read-only or None; a solve that raises keeps nothing."""
-        lam, v = _top(self.d)
+        """(lambda_max, v), v the top eigenvector, read-only, or None where the solve fails.
+
+        v comes from one step of inverse iteration (_inverse_step) at the
+        shift of spectrum: every eigenvector but the top one is damped by
+        the floor over its distance below lambda_max, so v is the top one
+        unless another eigenvalue lies within a few floors of it, where v
+        is a unit vector of that cluster. The solve overwrites the held
+        block, or, where classify released it, the block formed again with
+        the same bits. An eigvalsh that raises keeps nothing.
+        """
+        lam, shift = self.spectrum
+        a = self.release()
+        if a is None:
+            a = _restrict(self.d)
+        v = _inverse_step(a, shift)
         if v is not None:  # every later read hands out this same array
             v.setflags(write=False)
         return lam, v
@@ -384,19 +422,18 @@ def restricted_form(X: MetricSpace, p: float) -> np.ndarray:
 def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadFormReport:
     """Three-way negative-type classification at exponent p.
 
-    Computes the largest eigenvalue of the restricted form (eigvalsh) and
-    compares it against epsilon, which must be finite and nonnegative. The
-    default is EPSILON_REL times the largest entry of D_p; the comparison
-    runs on the normalised form, where epsilon reads epsilon / max D_p. The
-    direction is the top eigenvector from one shifted solve (_top), and
-    from one eigh only where that solve fails.
+    Computes the largest eigenvalue of the restricted form (eigvalsh, see
+    _Form.spectrum) and compares it against epsilon, which must be finite
+    and nonnegative. The default is EPSILON_REL times the largest entry of
+    D_p; the comparison runs on the normalised form, where epsilon reads
+    epsilon / max D_p. The report's direction is solved only when it is
+    read (QuadFormReport.direction); at STRICT the form drops the block it
+    holds for that solve.
     """
     if epsilon is not None and not 0.0 <= epsilon < math.inf:
         raise InvalidTolerance(f"epsilon = {epsilon}")
     form = _form(X, p)
-    lam, direction = form.top
-    if direction is None:
-        direction = form.eigen[1]
+    lam, _ = form.spectrum
     scale = form.scale
     if epsilon is None:
         eps, epsilon = EPSILON_REL, _real(EPSILON_REL, scale)
@@ -405,12 +442,12 @@ def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadForm
 
     if lam < -eps:
         cls = Classification.STRICT
+        form.release()
     elif lam > eps:
         cls = Classification.NOT_NEG_TYPE
     else:
         cls = Classification.BOUNDARY
-    return QuadFormReport(float(p), _real(lam, scale), cls, BalancedVector(direction),
-                          float(epsilon))
+    return QuadFormReport(float(p), _real(lam, scale), cls, float(epsilon), X)
 
 
 def supremal(
@@ -431,7 +468,7 @@ def supremal(
       doubling found a bracket of width W, and a step falls back to the
       midpoint once one more step that fails to shrink the bracket would
       leave too few probes for bisection to finish.
-    A probe that reads 0.0 (within FLOOR of the form's norm, see _top) is
+    A probe that reads 0.0 (within FLOOR of the form's norm, see _spectrum) is
     taken as the zero of g: the search ends there with lo == hi, so the
     midpoint is that exponent. Otherwise a bracket is a sign change of the
     computed lambda_max, which can still sit anywhere in a band where the
@@ -450,7 +487,8 @@ def supremal(
     def value(p: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return _top(_power(X, p)[0], vector=False)[0]
+        _, lam, floor = _spectrum(_power(X, p)[0])
+        return 0.0 if abs(lam) <= floor else lam
 
     lo, g_lo, hi, g_hi = 0.0, -1.0, None, None
     probe = min(1.0, cap)

@@ -7,7 +7,8 @@ over the defining sums, the triangle reference is a literal triple loop
 in pivot order, the ultrametric reference is scipy's single-linkage
 clustering, and the supremal reference is a sign-only bisection on the
 scipy eigenvalues, and the class at an integer exponent of an integer
-space is the inertia of its form, by elimination in Fractions. The
+space is the inertia of its form, by elimination in Fractions, as is a
+basis of the form's kernel. The
 ultrametric generator's reference is its original merge loop, point
 order throughout; the graph generators' reference is their original
 per-edge loops, one rng call per random weight. The validation reference
@@ -102,20 +103,27 @@ def exact_gap(X: MetricSpace, p: float, Q: SignedSimplex) -> tuple[Fraction, Fra
             sum((abs(t) for t, _ in terms), Fraction(0)))
 
 
+def _exact_gram(dist, p: int) -> list[list[Fraction]]:
+    """G_ij = d_ij^p - d_im^p - d_jm^p (i, j < m): the form in the basis
+    e_i - e_m of the zero-sum hyperplane, exact in Fractions."""
+    d = [[int(x) ** p for x in row] for row in np.asarray(dist).tolist()]
+    m = len(d) - 1
+    return [[Fraction(d[i][j] - d[i][m] - d[j][m]) for j in range(m)] for i in range(m)]
+
+
 def exact_class(dist, p: int) -> str:
     """The class at integer p of an integer distance matrix, exact in Fractions.
 
     In the basis e_i - e_m of the zero-sum hyperplane the form has the
-    matrix G_ij = d_ij^p - d_im^p - d_jm^p (i, j < m), and by Sylvester's
-    law of inertia its class is that of G: STRICT when G is negative
-    definite, BOUNDARY when negative semidefinite and singular,
-    NOT_NEG_TYPE otherwise. Symmetric elimination keeps the inertia: a
-    positive pivot, or a zero pivot with a nonzero entry beside it (a 2 x 2
-    minor of determinant -b^2 < 0), shows a positive eigenvalue.
+    matrix G (_exact_gram), and by Sylvester's law of inertia its class is
+    that of G: STRICT when G is negative definite, BOUNDARY when negative
+    semidefinite and singular, NOT_NEG_TYPE otherwise. Symmetric
+    elimination keeps the inertia: a positive pivot, or a zero pivot with a
+    nonzero entry beside it (a 2 x 2 minor of determinant -b^2 < 0), shows
+    a positive eigenvalue.
     """
-    d = [[int(x) ** p for x in row] for row in np.asarray(dist).tolist()]
-    m = len(d) - 1
-    g = [[Fraction(d[i][j] - d[i][m] - d[j][m]) for j in range(m)] for i in range(m)]
+    g = _exact_gram(dist, p)
+    m = len(g)
     singular = False
     for k in range(m):
         pivot = g[k][k]
@@ -129,6 +137,44 @@ def exact_class(dist, p: int) -> str:
             for j in range(k + 1, m):
                 g[i][j] -= f * g[k][j]
     return "BOUNDARY" if singular else "STRICT"
+
+
+def exact_kernel(dist, p: int) -> list[list[int]]:
+    """A basis of the kernel of exact_class's G, each vector lifted to the
+    zero-sum hyperplane as coprime integers.
+
+    Gauss-Jordan elimination in Fractions brings G to reduced row echelon
+    form; each free column gives the kernel vector c with 1 there, 0 at
+    the other free columns and minus that column of the pivot rows at the
+    pivots. Scaled to coprime integers, c lifts through the basis e_i - e_m
+    to xi = (c, -sum c), a zero-sum integer vector whose form is
+    c^T G c = 0.
+    """
+    g = _exact_gram(dist, p)
+    m = len(g)
+    pivots = []
+    for col in range(m):
+        r = next((i for i in range(len(pivots), m) if g[i][col]), None)
+        if r is None:
+            continue
+        k = len(pivots)
+        g[k], g[r] = g[r], g[k]
+        g[k] = [x / g[k][col] for x in g[k]]
+        for i in range(m):
+            f = g[i][col]
+            if i != k and f:
+                g[i] = [a - f * b for a, b in zip(g[i], g[k])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(m) if c not in pivots):
+        c = [Fraction(0)] * m
+        c[free] = Fraction(1)
+        for k, col in enumerate(pivots):
+            c[col] = -g[k][free]
+        ints = [int(x * math.lcm(*(y.denominator for y in c))) for x in c]
+        ints = [x // math.gcd(*ints) for x in ints]
+        basis.append(ints + [-sum(ints)])
+    return basis
 
 
 def centered_eigenpairs(X: MetricSpace, p: float) -> tuple[np.ndarray, np.ndarray]:

@@ -532,6 +532,34 @@ class TestSupremalCommand:
         assert data["lo"] is None and data["midpoint"] is None
 
 
+class TestSolveCounts:
+    """check prints the direction, so it takes one eigvalsh and one solve at
+    every class; a witness at a STRICT exponent needs no direction."""
+
+    DIRECTION = [-0.408248290464, 0.816496580928, -0.408248290464]
+
+    @pytest.mark.parametrize("p, code, cls, lam, tol", [
+        ("1", 0, "STRICT", -0.666666666667, 2e-09),
+        ("2", 1, "BOUNDARY", 2.77555756156e-16, 4e-09),
+        ("3", 2, "NOT_NEG_TYPE", 1.33333333333, 8e-09),
+    ], ids=["strict", "boundary", "not_neg_type"])
+    def test_check(self, collinear_file, lapack, capsys, p, code, cls, lam, tol):
+        text = (f"classification: {cls}\np: {p}\nlambda_max: {lam:.12g}\n"
+                f"tolerance: {tol:.12g}\ndirection: [{', '.join(map(str, self.DIRECTION))}]\n")
+        payload = {"p": float(p), "classification": cls, "lambda_max": lam, "tolerance": tol,
+                   "direction": self.DIRECTION}
+        for fmt, out in (("text", text), ("json", render_json(payload) + "\n")):
+            lapack.clear()
+            assert main(["check", collinear_file, "--p", p, "--format", fmt]) == code
+            assert lapack == ["eigvalsh", "solve"]
+            assert capsys.readouterr().out == out
+
+    def test_strict_witness_takes_one_eigvalsh(self, collinear_file, lapack, capsys):
+        assert main(["witness", collinear_file, "--p", "1"]) == 1
+        assert lapack == ["eigvalsh"]
+        assert capsys.readouterr().out == ""
+
+
 class TestWitnessCommand:
     def test_fixed_p_witness(self, collinear_file, capsys):
         assert main(["witness", collinear_file, "--p", "3"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from collections import Counter
@@ -16,6 +17,8 @@ from helpers import (
     centered_spectrum,
     collinear_triple,
     exact_class,
+    exact_gap,
+    exact_kernel,
     fixed_exponent_corpus,
     probe_bound,
     quad_reference,
@@ -24,6 +27,7 @@ from helpers import (
     reference_supremal,
     sampled_form_max,
     small_graph_metrics,
+    unit_four_cycle,
 )
 from negtype import quadform
 from negtype import (
@@ -35,6 +39,7 @@ from negtype import (
     MetricSpace,
     NegativeExponent,
     NotBalanced,
+    SignedSimplex,
     SupremalStatus,
     classify,
     from_points,
@@ -44,6 +49,7 @@ from negtype import (
     random_ultrametric,
     supremal,
     validate_metric,
+    verify_equality,
     witness_at_p,
 )
 from negtype.cli import generate_space
@@ -298,6 +304,86 @@ class TestClassify:
             assert rep.classification is Classification.STRICT
 
 
+class TestLazyDirection:
+    """A report's direction is solved on its first read, from the space's form at p."""
+
+    @staticmethod
+    def space():
+        return generate_space("points", 30, seed=4)  # STRICT, BOUNDARY, NOT_NEG_TYPE below
+
+    PS = (1.0, 2.0, 3.0)
+
+    def test_reads_after_the_kept_form_moved_on(self, lapack):
+        # the reports at 1 and 2 are read only once the kept form is at 3:
+        # each builds and solves its form again, with the bits of a read
+        # made at once on a fresh copy
+        X, F = self.space(), self.space()
+        reps = [classify(X, p) for p in self.PS]
+        assert [r.classification for r in reps] == list(Classification)
+        assert lapack == ["eigvalsh"] * 3
+        eager = [classify(F, p).direction.weights.tobytes() for p in self.PS]
+        lapack.clear()
+        late = {i: reps[i].direction.weights.tobytes() for i in (2, 0, 1)}
+        assert lapack == ["solve", "eigvalsh", "solve", "eigvalsh", "solve"]
+        assert [late[i] for i in range(3)] == eager
+
+    def test_one_read_one_array(self, lapack):
+        X = self.space()
+        for p in self.PS:
+            rep = classify(X, p)
+            assert not any(isinstance(v, (np.ndarray, quadform._Form)) for v in vars(rep).values())
+            assert rep.direction is rep.direction
+            np.testing.assert_array_equal(rep.direction.weights, quadform._form(X, p).top[1])
+        assert lapack == ["eigvalsh", "solve"] * 3
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "p", "lambda_max", "classification", "tolerance"]
+        assert "direction" not in repr(rep)
+
+    def test_kept_form_holds_its_block_only_until_it_is_used(self):
+        # the block eigvalsh ran on is held for the solve, and dropped at
+        # STRICT, where no witness needs it: a kept form then holds D~_p alone
+        X = self.space()
+        for p in self.PS:
+            rep = classify(X, p)
+            form = quadform._form(X, p)
+            arrays = [v for v in vars(form).values() if isinstance(v, np.ndarray)]
+            held = 0 if rep.classification is Classification.STRICT else 1
+            assert len(arrays) == 1 + held and arrays[0] is form.d
+            rep.direction
+            assert [v for v in vars(form).values() if isinstance(v, np.ndarray)] == [form.d]
+
+    def test_failed_solve_at_the_read_falls_back_to_eigh(self, lapack, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        X = collinear_triple()
+        rep = classify(X, 3.0)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        v = rep.direction.weights
+        assert lapack == ["eigvalsh", "eigh"]
+        np.testing.assert_array_equal(v, quadform._form(X, 3.0).eigen[1])
+        assert abs(abs(v @ np.array([1, -2, 1])) / math.sqrt(6) - 1) < 1e-12
+
+    def test_eigen_failure_surfaces_at_the_read(self, monkeypatch):
+        # classify needs no eigh; the read that falls back to one raises
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        X = collinear_triple()
+        monkeypatch.setattr(np.linalg, "solve", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        rep = classify(X, 3.0)
+        with pytest.raises(EigenFailure):
+            rep.direction
+        monkeypatch.undo()  # the failed eigh kept nothing: a later read solves it
+        np.testing.assert_array_equal(rep.direction.weights, quadform._form(X, 3.0).eigen[1])
+
+    def test_hilbert_embeddable_takes_one_eigvalsh(self, lapack):
+        spaces = (collinear_triple(), unit_four_cycle(), self.space())
+        assert [hilbert_embeddable(X) for X in spaces] == [True, False, True]
+        assert lapack == ["eigvalsh"] * 3
+
+
 class TestExactClass:
     """classify against the inertia of the form, exact in rationals."""
 
@@ -331,6 +417,31 @@ class TestExactClass:
                     eq = witness_at_p(X, p).equality
                     assert eq.holds and eq.nontrivial, (d.tolist(), p)
         assert seen == {"STRICT": 2651, "BOUNDARY": 573, "NOT_NEG_TYPE": 4543}
+
+    def test_boundary_kernels_are_exact_equalities(self):
+        # at each BOUNDARY pair of the graphs above every vector of an exact
+        # rational kernel basis of the form is an integer zero-sum xi whose
+        # sign split is a nontrivial equality with gap exactly 0; where the
+        # kernel is a line, the float direction spans it
+        spaces = [*small_graph_metrics(5, (1,)),
+                  *(d for n in (2, 3, 4) for d in small_graph_metrics(n, (1, 2, 3)))]
+        dims = Counter()
+        for d in spaces:
+            X = validate_metric(None, d)
+            for p in (1, 2, 3):
+                if exact_class(d, p) != "BOUNDARY":
+                    continue
+                kernel = exact_kernel(d, p)
+                dims[len(kernel)] += 1
+                for xi in kernel:
+                    Q = SignedSimplex(tuple((i, w) for i, w in enumerate(xi) if w > 0),
+                                      tuple((i, -w) for i, w in enumerate(xi) if w < 0))
+                    assert exact_gap(X, p, Q)[0] == 0, (d.tolist(), p, xi)
+                    assert verify_equality(X, p, Q).nontrivial, (d.tolist(), p, xi)
+                if len(kernel) == 1:
+                    direction = classify(X, p).direction.weights
+                    assert angular_deviation(direction, kernel[0]) < 1e-6, (d.tolist(), p)
+        assert dims == {1: 189, 2: 324, 3: 60}
 
 
 class TestRestrictionCorrectness:
@@ -463,13 +574,15 @@ class TestSupremal:
         rng = np.random.default_rng(73)
         spaces = [collinear, four_cycle] + [random_space(rng) for _ in range(4)]
         honest = [supremal(X) for X in spaces]
-        real_top = quadform._top
+        real_spectrum = quadform._spectrum
 
-        def skewed(d, vector=True):
-            lam = real_top(d, vector)[0]
-            return (pos if lam > 0 else -neg if lam < 0 else 0.0), None
+        def skewed(d):
+            # the probe's value as supremal reads it, resized, with no floor left
+            a, lam, floor = real_spectrum(d)
+            g = 0.0 if abs(lam) <= floor else lam
+            return a, (pos if g > 0 else -neg if g < 0 else 0.0), 0.0
 
-        monkeypatch.setattr(quadform, "_top", skewed)
+        monkeypatch.setattr(quadform, "_spectrum", skewed)
         for X, ref in zip(spaces, honest):
             sup = supremal(X)
             assert sup.status is ref.status
@@ -558,7 +671,8 @@ class TestNoiseFloor:
         for evals in self.spectra(X, p):
             norm = max(-evals[0], evals[-1])
             assert abs(evals[-1]) <= 0.5 * quadform.FLOOR * norm
-        assert quadform._top(quadform._power(X, p)[0], vector=False)[0] == 0.0
+        _, lam, floor = quadform._spectrum(quadform._power(X, p)[0])
+        assert abs(lam) <= floor  # the sign probe reads exactly 0.0
 
     @pytest.mark.parametrize("kind,m,w",
                              PATHS_AND_CYCLES + closed_forms("points", 2.0, SIZES[:-1]))
