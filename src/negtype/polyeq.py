@@ -10,13 +10,17 @@ quadratic form through the induced zero-sum vector xi:
     <D_p xi, xi> = -2 * gap_p(Q)
 
 so a nonzero xi with vanishing form is the same thing as a nontrivial
-p-polygonal equality. At a fixed exponent the witness starts from the top
-eigenvector of the restricted form, from one shifted solve on the block
-that classify's eigvalsh ran on (quadform._Form.top); a STRICT class has
-no witness and takes the eigvalsh alone. Where the form on that vector is
-positive, it turns to an exact zero of the form against e_i - e_j of a
-farthest pair, where the form is negative, in closed form
-(_null_witness). At a supremal bracket lambda_max is zero to the bracket
+p-polygonal equality. This is the paper's continuity argument: where the
+form is positive at some zero-sum vector, it turns to an exact zero of
+the form against e_i - e_j of a farthest pair, where the form is
+negative, in closed form (_null_witness). At a fixed exponent above w
+(NOT_NEG_TYPE) any clearly positive vector will do, so the witness turns
+a Lanczos Ritz vector whose form is at least lambda_max / 2, from a few
+products with the block that classify's eigvalsh ran on and no solve
+(quadform._Form.ritz). At BOUNDARY, and behind a Ritz witness that fails,
+it turns the top eigenvector of one shifted solve on that block
+(quadform._Form.top); a STRICT class has no witness and takes the
+eigvalsh alone. At a supremal bracket lambda_max is zero to the bracket
 width, so the witness is the form's near-null direction: one linear
 solve finds it (quadform._near_null), and it turns the same way. eigh
 runs only behind a failed check: a witness that fails its check falls
@@ -444,16 +448,25 @@ def _null_witness(X: MetricSpace, form: _Form, v: np.ndarray | None,
 def _fixed_witness(X: MetricSpace, form: _Form, report: QuadFormReport) -> WitnessReport:
     """The witness on the form that report was classified from, or NoWitnessFound.
 
-    The form's top eigenvector (form.top: one solve on the block of
-    classify's eigvalsh, the very vector a report's direction reads)
-    turned to the form's exact zero (_null_witness), with classify's
-    method: IVT exactly at NOT_NEG_TYPE. Only where that solve failed or
-    its simplex does not verify does the eigen-plane witness (_witness)
-    take one eigh.
+    At NOT_NEG_TYPE any vector with a clearly positive form turns to an
+    exact zero of the form (_null_witness, method IVT), so the first tried
+    is a Lanczos Ritz vector whose form is at least lambda_max / 2
+    (form.ritz: a few products with the block of classify's eigvalsh, no
+    solve). At BOUNDARY, and where the Ritz vector is missing or its
+    simplex does not verify, the form's top eigenvector is turned (form.top:
+    one solve, the vector a report's direction reads), with classify's
+    method. Only where that solve failed or its simplex does not verify
+    does the eigen-plane witness (_witness) take one eigh. At STRICT, which
+    has no nontrivial equality, the eigen-plane witness is the only one
+    tried.
     """
-    method = (WitnessMethod.IVT if report.classification is Classification.NOT_NEG_TYPE
-              else WitnessMethod.EIGEN_DIRECTION)
-    return _null_witness(X, form, form.top[1], method) or _witness(X, form, report)
+    if report.classification is Classification.STRICT:
+        return _witness(X, form, report)
+    ivt = report.classification is Classification.NOT_NEG_TYPE
+    method = WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION
+    return ((ivt and _null_witness(X, form, form.ritz(), method))
+            or _null_witness(X, form, form.top[1], method)
+            or _witness(X, form, report))
 
 
 def witness_at_p(
@@ -461,17 +474,19 @@ def witness_at_p(
 ) -> WitnessReport:
     """Witness at a fixed exponent, when one exists.
 
-    classify's class, from one eigvalsh, and its top eigenvector, from one
-    shifted solve on the same block, turned to the exact zero of the form
-    against e_i - e_j of a farthest pair (method IVT at NOT_NEG_TYPE). At
-    BOUNDARY the form on it is within the tolerance of 0, and it turns
-    only where that form is positive (method EIGEN_DIRECTION). Only a
-    witness that verify_equality rejects, or a failed solve, falls back to
-    the zero of the form between the top and bottom eigendirections of one
-    eigh. STRICT raises NotApplicable after the eigvalsh alone: no
-    nontrivial p-polygonal equality exists there, so the direction is
-    never solved. A fallback witness that verify_equality rejects raises
-    NoWitnessFound.
+    classify's class, from one eigvalsh, then a vector turned to the exact
+    zero of the form against e_i - e_j of a farthest pair (_fixed_witness).
+    At NOT_NEG_TYPE (method IVT) the vector is a Lanczos Ritz vector on the
+    same block, whose form is at least lambda_max / 2: no solve. At
+    BOUNDARY it is the top eigenvector, from one shifted solve on that
+    block; the form on it is within the tolerance of 0, and it turns only
+    where that form is positive (method EIGEN_DIRECTION). A Ritz witness
+    that verify_equality rejects falls back to the top eigenvector, and a
+    top-vector witness that it rejects, or a failed solve, to the zero of
+    the form between the top and bottom eigendirections of one eigh.
+    STRICT raises NotApplicable after the eigvalsh alone: no nontrivial
+    p-polygonal equality exists there, so no vector is sought. A fallback
+    witness that verify_equality rejects raises NoWitnessFound.
     """
     report = classify(X, p, epsilon)
     if report.classification is Classification.STRICT:
@@ -490,10 +505,11 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
     EIGEN_DIRECTION); a bracket above the supremal exponent gets an exact
     zero of the form (method IVT). Where that witness does not verify, or
     the solve fails, the witness is witness_at_p's at the default tolerance
-    on the same form (_fixed_witness: eigvalsh and one solve, then eigh
-    only behind a second failed check): where the eigenvalue nearest 0 is
-    not the top one, and at a bracket below the supremal exponent, whose
-    NoWitnessFound it raises. The form is the space's kept one
+    on the same form (_fixed_witness after one eigvalsh): where the
+    eigenvalue nearest 0 is not the top one, and at a bracket below the
+    supremal exponent, whose class is STRICT: there the eigen-plane witness
+    of one eigh is the only one tried, and its NoWitnessFound is raised.
+    The form is the space's kept one
     (quadform._form), so a later check or classify at the witness's p
     builds nothing. Ultrametric spaces and capped searches raise
     NotApplicable.

@@ -25,17 +25,23 @@ through one O(m) reflection. Each public call builds D~_p at most once
 A decision at a fixed exponent takes one eigvalsh of that block, as does
 a sign probe of supremal (_spectrum). The top eigenvector comes from one
 shifted linear solve on the same block, run only when something reads it:
-a witness, or the report's direction. So a STRICT decision, which has no
-witness, costs the eigvalsh alone. eigh runs only behind a failed check:
-where that solve fails, or the witness turned from its vector does not
-verify. A space's D~_p at one exponent is one _Form: the read-only D~_p,
-its scale and, each solved on first read, its top eigenvalue and shift
-(spectrum), the top eigenpair (top) that the witness at a fixed exponent
-and the report's direction read, and the two extreme eigenpairs of one
-eigh (eigen) that only the fallback reads. The block that spectrum's
-eigvalsh ran on is held until top's solve overwrites it; classify drops
-it at STRICT. _form keeps the last form per space object (O(m^2) floats
-per live space, weakly keyed), so every call at (X, p) on every point
+the report's direction, or a witness at BOUNDARY. A witness at
+NOT_NEG_TYPE needs only a vector whose form is clearly positive: a
+Lanczos Ritz vector whose Ritz value reaches lambda_max / 2, from a few
+products with the block and no solve (_ritz; 0.9 to 2 ms at m = 500 and
+800 on a 2-core host, against 5 and 14 to 20 ms for the solve). So a
+STRICT decision, which has no witness, costs the eigvalsh alone. The solve
+also runs behind a Ritz vector that is missing or whose witness does not
+verify, and eigh only behind a failed check: where that solve fails, or
+the witness turned from its vector does not verify. A space's D~_p at one
+exponent is one _Form: the read-only D~_p, its scale and, each solved on
+first read, its top eigenvalue and shift (spectrum), the top eigenpair
+(top) that the report's direction reads, and the two extreme eigenpairs
+of one eigh (eigen) that only the fallback reads. The block that
+spectrum's eigvalsh ran on is held until the Ritz vector or top's solve
+takes it (a later solve forms it again, with the same bits); classify
+drops it at STRICT. _form keeps the last form per space object (O(m^2)
+floats per live space, weakly keyed), so every call at (X, p) on every point
 builds D~_p once: classify, witness_at_p and witness_at_supremal, and
 quad_form, polyeq.gap and polyeq.verify_equality when their vector or
 simplex covers every point (_block). The supremal witness first tries one
@@ -83,6 +89,8 @@ BALANCE_REL = 1e-12
 EPSILON_REL = 1e-9
 # Rounding floor of a sign probe, relative to the spectral norm of the form.
 FLOOR = 16 * np.finfo(float).eps
+# Lanczos steps a Ritz witness direction may take (_ritz).
+RITZ_STEPS = 32
 
 # space -> its last _Form, see _form
 _FORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -132,11 +140,13 @@ class QuadFormReport:
 
     The report keeps its space, not the form. direction, the top
     eigenvector, is solved on first read from the space's form at p (top,
-    or eigen where that solve fails): the very array a witness at p turns,
-    so (space, p) takes one solve whoever reads first. A read after the
-    space's kept form has moved to another exponent builds D~_p and solves
-    again, with the same bits; an eigh that fails raises EigenFailure at
-    that read. direction is not a dataclass field.
+    or eigen where that solve fails): at BOUNDARY the very array a witness
+    at p turns, so (space, p) takes one solve whoever reads first. At
+    NOT_NEG_TYPE a witness turns a Ritz vector instead (_Form.ritz), so
+    direction is its own solve. A read after the space's kept form has
+    moved to another exponent builds D~_p and solves again, with the same
+    bits; an eigh that fails raises EigenFailure at that read. direction is
+    not a dataclass field.
     """
 
     p: float
@@ -265,11 +275,13 @@ class _Form:
 
     Its top eigenvalue (spectrum), its top eigenpair (top) and its extreme
     eigenpairs (eigen) are solved on first read only. A decision at p reads
-    spectrum, one eigvalsh; a witness at p and a report's direction read
-    top, one solve on the block that eigvalsh ran on, which the form holds
-    until then (classify drops it at STRICT, where nothing need read top).
-    eigen, one eigh, is read only behind a failed check: where the solve
-    for the top vector fails, or its witness does not verify.
+    spectrum, one eigvalsh; a report's direction and a witness at BOUNDARY
+    read top, one solve on the block that eigvalsh ran on, which the form
+    holds until then (classify drops it at STRICT, where nothing need read
+    top). A witness at NOT_NEG_TYPE first reads ritz, a Lanczos run on that
+    block, which it drops. eigen, one eigh, is read only behind a failed
+    check: where the solve for the top vector fails, or its witness does
+    not verify.
     """
 
     p: float
@@ -287,6 +299,20 @@ class _Form:
         """Take the block that spectrum holds off the form, or None where none is held."""
         return self.__dict__.pop("block", None)  # one atomic pop: no two solves share a block
 
+    def ritz(self) -> np.ndarray | None:
+        """A unit zero-sum vector whose form is at least lambda_max / 2, or None (_ritz).
+
+        Lanczos reads the block that spectrum's eigvalsh ran on, or the
+        block formed again with the same bits where it is gone, and drops
+        it: the form then holds D~_p alone, and a later read of top forms
+        the block again. Nothing is kept, so every call repeats the bits.
+        """
+        lam, shift = self.spectrum
+        a = self.release()
+        if a is None:
+            a = _restrict(self.d)
+        return _ritz(a, 0.5 * lam, shift - lam)
+
     @functools.cached_property
     def top(self) -> tuple:
         """(lambda_max, v), v the top eigenvector, read-only, or None where the solve fails.
@@ -296,8 +322,8 @@ class _Form:
         the floor over its distance below lambda_max, so v is the top one
         unless another eigenvalue lies within a few floors of it, where v
         is a unit vector of that cluster. The solve overwrites the held
-        block, or, where classify released it, the block formed again with
-        the same bits. An eigvalsh that raises keeps nothing.
+        block, or, where classify or ritz released it, the block formed
+        again with the same bits. An eigvalsh that raises keeps nothing.
         """
         lam, shift = self.spectrum
         a = self.release()
@@ -362,6 +388,45 @@ def _inverse_step(a: np.ndarray, shift: float) -> np.ndarray | None:
         return None
     y /= top  # no overflow in the norm
     return _lift(y / np.linalg.norm(y))
+
+
+def _ritz(a: np.ndarray, target: float, floor: float) -> np.ndarray | None:
+    """A unit zero-sum Ritz vector of the restricted form a whose Ritz value reaches target.
+
+    Lanczos on a, read and never written (Paige, JIMA 10, 1972), from the
+    fixed-seed Gaussian start of _inverse_step, each new basis vector
+    reorthogonalised against all earlier ones twice. It stops at the first
+    step whose top Ritz value reaches target: from a random start the top
+    Ritz value nears lambda_max at a rate that needs no gap below it
+    (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992), so a
+    target short of lambda_max takes few steps. The Ritz vector is lifted
+    to R^m. None after RITZ_STEPS steps, or at a breakdown, where
+    the new residual is within floor: the Krylov space is then invariant
+    to rounding, and holds no vector that reaches target.
+    """
+    n = a.shape[0]
+    steps = min(RITZ_STEPS, n)
+    q = np.empty((steps, n))
+    t = np.zeros((steps, steps))
+    start = np.random.default_rng(0).standard_normal(n)
+    q[0] = start / np.linalg.norm(start)
+    for k in range(steps):
+        w = a @ q[k]
+        t[k, k] = float(q[k] @ w)
+        theta, s = np.linalg.eigh(t[:k + 1, :k + 1])
+        if theta[-1] >= target:
+            y = s[:, -1] @ q[:k + 1]
+            return _lift(y / np.linalg.norm(y))
+        if k + 1 == steps:
+            break
+        for _ in range(2):
+            w -= (q[:k + 1] @ w) @ q[:k + 1]
+        beta = float(np.linalg.norm(w))
+        if not beta > floor:
+            break
+        t[k, k + 1] = t[k + 1, k] = beta
+        q[k + 1] = w / beta
+    return None
 
 
 def _near_null(d: np.ndarray) -> np.ndarray | None:

@@ -26,17 +26,38 @@ def equilateral():
     return validate_metric(None, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
 
+class LapackCalls(list):
+    """The names of the np.linalg calls eigh, eigvalsh and solve, in call order.
+
+    sized holds (name, order of the matrix) for each call, so a list can be
+    read on the form's own order (of_order) apart from the small tridiagonal
+    eigh calls of a Lanczos run (quadform._ritz).
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.sized = []
+
+    def clear(self):
+        super().clear()
+        self.sized.clear()
+
+    def of_order(self, n):
+        return [name for name, k in self.sized if k == n]
+
+
 @pytest.fixture()
 def lapack(monkeypatch):
-    """The names of the np.linalg calls eigh, eigvalsh and solve, in call order."""
-    calls = []
+    """The np.linalg calls eigh, eigvalsh and solve, in call order (LapackCalls)."""
+    calls = LapackCalls()
 
     def counted(name):
         real = getattr(np.linalg, name)
 
-        def counting(*args, **kwargs):
+        def counting(a, *args, **kwargs):
             calls.append(name)
-            return real(*args, **kwargs)
+            calls.sized.append((name, np.shape(a)[0]))
+            return real(a, *args, **kwargs)
 
         return counting
 

@@ -901,14 +901,14 @@ direction: [-0.408248290464, 0.816496580928, -0.408248290464]
         (["witness", "{space}", "--p", "3", "--format", "text"], 0, """\
 p: 3
 method: IVT
-residual: 1.22789045257e-16
+residual: 5.46595872434e-16
 lhs: 0.571428571429
 rhs: 0.571428571429
 holds: True
 nontrivial: True
-xi: [-0.6452257149216517, 0.7559289460184544, -0.11070323109680284]
+xi: [-0.6452257149216516, 0.7559289460184544, -0.1107032310968029]
 simplex: {"left": [[1, 0.7559289460184544]], \
-"right": [[0, 0.6452257149216517], [2, 0.11070323109680284]]}
+"right": [[0, 0.6452257149216516], [2, 0.1107032310968029]]}
 """),
         (["verify", "{space}", "{simplex}", "--p", "2"], 0, """\
 p: 2
@@ -1205,6 +1205,14 @@ class TestImportCost:
         f.write_text(json.dumps({"matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
         body = ("from negtype.cli import main; "
                 f"rc = main(['check', {str(f)!r}, '--p', '1']); rc == 0 or sys.exit(rc)")
+        assert _scipy_loaded_by(body) == []
+
+    def test_witness_at_a_not_neg_type_exponent_loads_no_scipy(self, tmp_path):
+        # the Ritz vector's Lanczos run is numpy only
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
+        body = ("from negtype.cli import main; "
+                f"rc = main(['witness', {str(f)!r}, '--p', '3']); rc == 0 or sys.exit(rc)")
         assert _scipy_loaded_by(body) == []
 
     def test_interval_on_a_generated_ultrametric_loads_no_scipy(self, tmp_path):

@@ -96,6 +96,21 @@ def rejected_triangle() -> MetricSpace:
     return validate_metric(None, [[0, a, b], [a, 0, c], [b, c, 0]])
 
 
+def lanczos(steps: int) -> list:
+    """The lapack calls of a Lanczos run of that many steps (quadform._ritz).
+
+    Each step takes one eigh of its tridiagonal matrix, whose order is the
+    step's number.
+    """
+    return [("eigh", k) for k in range(1, steps + 1)]
+
+
+def witness_bits(w) -> tuple:
+    """Every field of a witness, its vector as bytes."""
+    return (w.p, w.xi.weights.tobytes(), w.simplex, w.residual, w.method,
+            dataclasses.astuple(w.equality))
+
+
 class TestGap:
     def test_two_point_single_cross_term(self, two_point):
         Q = SignedSimplex(((0, 1.0),), ((1, 1.0),))
@@ -858,7 +873,7 @@ class TestWitnessContract:
                     raised += 1
                     continue
                 assert verify_equality(X, p, w.simplex).nontrivial_equality, (spaces, p)
-        assert raised <= 31
+        assert raised <= 29
 
     def test_supremal_on_perturbed_ultrametrics(self):
         # the corpus of acceptance criterion 7
@@ -1036,9 +1051,11 @@ class TestBuildOnce:
     """Each public call builds D_p at most once, and each (space, p) is solved once;
     a simplex check on fewer than every point builds that block of D_p besides.
 
-    A decision takes one eigvalsh of the form, and its witness or the first
-    read of its direction one solve besides (lapack counts them by name);
-    eigh runs only behind a failed check. Every test builds its own
+    A decision takes one eigvalsh of the form, and the first read of its
+    direction one solve besides (lapack counts them by name and order). A
+    witness at NOT_NEG_TYPE takes a Lanczos run instead, whose eigh calls
+    are on its small tridiagonal matrices; at BOUNDARY it takes the solve.
+    eigh of the form runs only behind a failed check. Every test builds its own
     spaces: D~_p and its solves are remembered per space object, so a
     session fixture that an earlier test solved at the same exponent would
     take no build and no solve here.
@@ -1059,13 +1076,14 @@ class TestBuildOnce:
 
     def test_witness_at_p(self, builds, lapack):
         assert witness_at_p(collinear_triple(), 3.0).method is WitnessMethod.IVT
-        assert len(builds) == 1 and lapack == ["eigvalsh", "solve"]
+        assert len(builds) == 1 and lapack.sized == [("eigvalsh", 2), *lanczos(2)]
+        lapack.clear()
         assert witness_at_p(unit_four_cycle(), 1.0).method is WitnessMethod.EIGEN_DIRECTION
-        assert len(builds) == 2 and lapack == ["eigvalsh", "solve"] * 2
+        assert len(builds) == 2 and lapack == ["eigvalsh", "solve"]
 
     def test_witness_at_supremal(self, builds, lapack):
         # the witness from one solve; the fallback classifies the D~_p built
-        # for it, tries its top vector, then solves it with eigh
+        # for it, which is STRICT below w, and solves it with eigh alone
         collinear = collinear_triple()
         sup = supremal(collinear)
         builds.clear()
@@ -1077,15 +1095,105 @@ class TestBuildOnce:
         lapack.clear()
         with pytest.raises(NoWitnessFound):
             witness_at_supremal(unit_four_cycle(), low)
-        assert len(builds) == 1 and lapack == ["solve", "eigvalsh", "solve", "eigh"]
+        assert len(builds) == 1 and lapack == ["solve", "eigvalsh", "eigh"]
 
-    def test_rejected_witness_on_two_points_builds_its_block(self, builds, lapack):
-        # the class builds D~_p, which the check of the top-vector witness
-        # on all three points reads; the check of the eigen-plane witness
-        # {2} | {0} builds its own 2-point block
+    def test_supremal_fallback_below_w_skips_the_top_vector(self, lapack, monkeypatch):
+        # at a bracket below w the class is STRICT, which has no nontrivial
+        # equality: the fallback takes eigh at once, without forming the
+        # block again for a solve, and raises the eigen-plane witness
+        restricts = []
+        real = quadform._restrict
+
+        def counting(d):
+            restricts.append(d.shape[0])
+            return real(d)
+
+        monkeypatch.setattr(quadform, "_restrict", counting)
+        low = SupremalResult(SupremalStatus.FINITE, 0.5, 0.5, 64.0, 0)
+        with pytest.raises(NoWitnessFound) as exc:
+            witness_at_supremal(unit_four_cycle(), low)
+        # _near_null's solve, the class's eigvalsh and the eigh: three
+        assert restricts == [4] * 3 and lapack == ["solve", "eigvalsh", "eigh"]
+        F = unit_four_cycle()
+        rep = classify(F, 0.5)
+        assert rep.classification is Classification.STRICT
+        with pytest.raises(NoWitnessFound) as plane:
+            polyeq._witness(F, quadform._form(F, 0.5), rep)
+        assert witness_bits(exc.value.witness) == witness_bits(plane.value.witness)
+
+    @pytest.mark.parametrize("kind, q", GEN_KINDS, ids=GEN_IDS)
+    def test_not_neg_type_witness_takes_no_solve(self, builds, lapack, kind, q):
+        # a witness at NOT_NEG_TYPE turns a Ritz vector: after the class's
+        # eigvalsh, only the Lanczos run's eigh calls on its tridiagonal
+        # matrices, of order m - 1 only where the run spans F0, and no solve.
+        # A fresh copy of the space gives the same bits, and the kept form
+        # holds D~_p alone afterwards
+        seen = 0
+        for (X, p), (F, _) in zip(fixed_exponent_corpus(kind, q),
+                                  fixed_exponent_corpus(kind, q)):
+            if classify(X, p).classification is not Classification.NOT_NEG_TYPE:
+                continue
+            seen += 1
+            n = X.size - 1
+            lapack.clear()
+            builds.clear()
+            w = witness_at_p(X, p)
+            steps = len(lapack)
+            assert lapack.sized == lanczos(steps), (X.size, p)
+            # a check on fewer than every point builds its block (the 4-cycle at 2)
+            every = {i for i, _ in (*w.simplex.left, *w.simplex.right)} == set(range(X.size))
+            assert builds == ([] if every else [p]), (X.size, p)
+            assert steps < n or steps == n <= quadform.RITZ_STEPS, (X.size, p)
+            form = quadform._form(X, p)
+            assert [v for v in vars(form).values() if isinstance(v, np.ndarray)] == [form.d]
+            assert witness_bits(w) == witness_bits(witness_at_p(F, p)), (X.size, p)
+        assert seen >= 10
+
+    @pytest.mark.parametrize("kind, q", GEN_KINDS, ids=GEN_IDS)
+    def test_without_a_ritz_vector_the_witness_turns_the_top_vector(self, lapack, monkeypatch,
+                                                                    kind, q):
+        # where Lanczos finds no vector, the witness is the one turned from
+        # the top vector of one solve, which a report's direction reads, as
+        # before the Ritz vector was tried
+        monkeypatch.setattr(quadform, "_ritz", lambda a, target, floor: None)
+        for (X, p), (F, _) in zip(fixed_exponent_corpus(kind, q),
+                                  fixed_exponent_corpus(kind, q)):
+            if classify(X, p).classification is not Classification.NOT_NEG_TYPE:
+                continue
+            lapack.clear()
+            w = witness_at_p(X, p)
+            assert lapack == ["solve"], (X.size, p)
+            top = polyeq._null_witness(F, quadform._form(F, p), classify(F, p).direction.weights,
+                                       WitnessMethod.IVT)
+            assert witness_bits(w) == witness_bits(top), (X.size, p)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lanczos_breakdown_warns_nothing(self):
+        # a residual within the floor ends the run with no vector: a multiple
+        # of the identity below its target, a zero form, and the 4-cycle's
+        # form at 3, whose two distinct eigenvalues on F0 make its Krylov
+        # space invariant after two steps, asked for more than lambda_max
+        assert quadform._ritz(np.eye(3), 2.0, quadform.FLOOR) is None
+        assert quadform._ritz(np.zeros((2, 2)), 1.0, 0.0) is None
+        form = quadform._form(unit_four_cycle(), 3.0)
+        lam, shift = form.spectrum
+        assert quadform._ritz(quadform._restrict(form.d), 1.5 * lam, shift - lam) is None
+        # on three points the run spans F0 in two steps, and on the 4-cycle
+        # it reaches lambda_max there
+        for X, p in ((collinear_triple(), 3.0), (lopsided_triangle(), 40.0),
+                     (unit_four_cycle(), 3.0)):
+            assert witness_at_p(X, p).equality.nontrivial_equality
         with pytest.raises(NoWitnessFound):
             witness_at_p(rejected_triangle(), 64.0)
-        assert builds == [64.0, 64.0] and lapack == ["eigvalsh", "solve", "eigh"]
+
+    def test_rejected_witness_on_two_points_builds_its_block(self, builds, lapack):
+        # the class builds D~_p, which the checks of the Ritz and the
+        # top-vector witnesses on all three points read; the check of the
+        # eigen-plane witness {2} | {0} builds its own 2-point block
+        with pytest.raises(NoWitnessFound):
+            witness_at_p(rejected_triangle(), 64.0)
+        assert builds == [64.0, 64.0]
+        assert lapack.sized == [("eigvalsh", 2), *lanczos(2), ("solve", 2), ("eigh", 2)]
 
     def test_quad_form_reads_the_kept_matrix(self, builds):
         # after a decision at (X, p), a vector on every point builds nothing
@@ -1161,26 +1269,39 @@ class TestBuildOnce:
         assert classify(X, 3.0).classification is Classification.NOT_NEG_TYPE
         w = witness_at_p(X, 3.0)
         assert verify_equality(X, 3.0, w.simplex).nontrivial_equality
-        assert len(builds) == 1 and lapack == ["eigvalsh", "solve"]
+        assert len(builds) == 1 and lapack.sized == [("eigvalsh", 2), *lanczos(2)]
 
     @pytest.mark.parametrize("kind, q", GEN_KINDS, ids=GEN_IDS)
     def test_fixed_exponent_decisions_never_call_eigh(self, lapack, kind, q):
         # classify, witness_at_p and verify_equality at every class: one
-        # eigvalsh per (space, p), and one solve where a witness is sought
-        # (every one verifies from the top vector) or the direction is read
+        # eigvalsh of the form per (space, p); a witness at NOT_NEG_TYPE
+        # takes one Lanczos run and no solve (every one verifies from the
+        # Ritz vector), and at BOUNDARY one solve (every one verifies from
+        # the top vector); the first read of the direction solves, unless
+        # the BOUNDARY witness did. Only Lanczos calls eigh: on orders 1 to
+        # its step count, never above RITZ_STEPS
         for X, p in fixed_exponent_corpus(kind, q):
             lapack.clear()
+            n = X.size - 1
             rep = classify(X, p)
+            calls = [("eigvalsh", n)]
             if rep.classification is Classification.STRICT:
                 with pytest.raises(NotApplicable):
                     witness_at_p(X, p)
-                assert lapack == ["eigvalsh"], (X.size, p)
             else:
                 w = witness_at_p(X, p)
                 assert verify_equality(X, p, w.simplex).nontrivial_equality
-                assert lapack == ["eigvalsh", "solve"], (X.size, p)
+                if rep.classification is Classification.BOUNDARY:
+                    calls.append(("solve", n))
+                else:
+                    steps = len(lapack) - 1
+                    assert 1 <= steps <= min(n, quadform.RITZ_STEPS), (X.size, p)
+                    calls += lanczos(steps)
+            assert lapack.sized == calls, (X.size, p)
             rep.direction
-            assert lapack == ["eigvalsh", "solve"], (X.size, p)
+            if calls[-1] != ("solve", n):
+                calls.append(("solve", n))
+            assert lapack.sized == calls, (X.size, p)
 
     def test_kept_matrix_reports_equal_fresh_ones(self, builds, lapack):
         # verify_equality and gap on a simplex over every point read the D~_p
@@ -1200,19 +1321,22 @@ class TestBuildOnce:
             lapack.clear()
             X = space()
             rep, w = classify(X, p), witness_at_p(X, p)
+            assert rep.classification is Classification.NOT_NEG_TYPE
             assert {i for i, _ in (*w.simplex.left, *w.simplex.right)} == set(range(m))
             chk, g = verify_equality(X, p, w.simplex), gap(X, p, w.simplex)
             assert chk.nontrivial_equality, m
-            assert len(builds) == 1 and lapack == ["eigvalsh", "solve"]
+            # the witness takes a Lanczos run, no solve of the form
+            assert len(builds) == 1 and lapack.of_order(m - 1) == ["eigvalsh"]
+            ritz = lapack.sized[1:]
             F = space()
             fresh_chk, fresh_g = verify_equality(F, p, w.simplex), gap(F, p, w.simplex)
-            assert len(builds) == 2 and len(lapack) == 2  # F's form, not yet solved
+            assert len(builds) == 2 and len(lapack.sized) == 1 + len(ritz)  # F's, not yet solved
             fresh_rep, fresh_w = classify(F, p), witness_at_p(F, p)
-            assert len(builds) == 2 and lapack == ["eigvalsh", "solve"] * 2
+            assert len(builds) == 2 and lapack.sized == [("eigvalsh", m - 1), *ritz] * 2
 
             assert fields(rep) == fields(fresh_rep)
             assert rep.direction.weights.tobytes() == fresh_rep.direction.weights.tobytes()
-            assert lapack == ["eigvalsh", "solve"] * 2  # the witnesses' solves
+            assert lapack.of_order(m - 1) == ["eigvalsh", "eigvalsh", "solve", "solve"]
             assert fields(w) == fields(fresh_w)
             assert fields(chk) == fields(fresh_chk) == fields(w.equality)
             assert g == fresh_g == chk.gap
@@ -1231,12 +1355,12 @@ class TestBuildOnce:
         # the same matrix in another space object: the key is identity
         classify(validate_metric(X.labels, X.dist), 2.5)
         assert lapack == ["eigvalsh"] * 3
-        # the witness solves on the block kept since the class at 2.5
+        # the witness runs Lanczos on the block kept since the class at 2.5
         witness_at_p(X, 2.5)
-        assert lapack == ["eigvalsh"] * 3 + ["solve"]
+        assert lapack.sized == [("eigvalsh", 2)] * 3 + lanczos(2)
         # only the last exponent is kept
         classify(X, 3.0)
-        assert lapack == ["eigvalsh"] * 3 + ["solve", "eigvalsh"]
+        assert lapack.sized == [("eigvalsh", 2)] * 3 + lanczos(2) + [("eigvalsh", 2)]
 
     @pytest.mark.parametrize("space,p", [
         (collinear_triple, 3.0),
@@ -1245,17 +1369,26 @@ class TestBuildOnce:
         (lambda: generate_space("random", 12, seed=8), 2.5),
     ], ids=["collinear", "four_cycle", "l2_cloud", "random_graph"])
     def test_memo_hits_are_bit_identical(self, lapack, space, p):
+        # the witness takes one Lanczos run at NOT_NEG_TYPE, one solve at
+        # BOUNDARY (the 4-cycle), and a fresh space repeats the same calls
         X = space()
+        n = X.size - 1
         rep, w = classify(X, p), witness_at_p(X, p)
         again = classify(X, p)
-        assert lapack == ["eigvalsh", "solve"]
+        ritz = rep.classification is Classification.NOT_NEG_TYPE
+        solved = lapack.sized[1:]
+        assert lapack.sized[0] == ("eigvalsh", n)
+        assert solved == (lanczos(len(solved)) if ritz else [("solve", n)])
+        lapack.clear()
         fresh_rep, fresh_w = classify(space(), p), witness_at_p(space(), p)
-        assert lapack == ["eigvalsh", "solve", "eigvalsh", "eigvalsh", "solve"]
+        assert lapack.sized == [("eigvalsh", n), ("eigvalsh", n), *solved]
+        lapack.clear()
         for r in (rep, again):
             assert r.lambda_max == fresh_rep.lambda_max
             assert r.direction.weights.tobytes() == fresh_rep.direction.weights.tobytes()
-        # rep and again read the witness's vector; fresh_rep's space solves once
-        assert lapack == ["eigvalsh", "solve", "eigvalsh", "eigvalsh", "solve", "solve"]
+        # rep and again read one vector, solved by the first read where the
+        # witness took none; fresh_rep's space solves once
+        assert lapack.sized == [("solve", n)] * (2 if ritz else 1)
         assert w.xi.weights.tobytes() == fresh_w.xi.weights.tobytes()
         assert w.simplex == fresh_w.simplex
         assert (w.residual, w.lhs, w.rhs) == (fresh_w.residual, fresh_w.lhs, fresh_w.rhs)
