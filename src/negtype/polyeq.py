@@ -14,19 +14,20 @@ p-polygonal equality. This is the paper's continuity argument: where the
 form is positive at some zero-sum vector, it turns to an exact zero of
 the form against e_i - e_j of a farthest pair, where the form is
 negative, in closed form (_null_witness). At a fixed exponent above w
-(NOT_NEG_TYPE) any clearly positive vector will do, so the witness turns
-a Lanczos Ritz vector whose form is at least lambda_max / 2, from a few
-products with the block that classify's eigvalsh ran on and no solve
-(quadform._Form.ritz). At BOUNDARY, and behind a Ritz witness that fails,
-it turns the top eigenvector of one shifted solve on that block
-(quadform._Form.top); a STRICT class has no witness and takes the
-eigvalsh alone. At a supremal bracket lambda_max is zero to the bracket
-width, so the witness is the form's near-null direction: one linear
-solve finds it (quadform._near_null), and it turns the same way. eigh
-runs only behind a failed check: a witness that fails its check falls
-back to the zero of the form in the plane of the top and bottom
-eigendirections of one eigh (_witness). All of them
-read the space's one form at p (quadform._Form), whose D~_p is
+(NOT_NEG_TYPE) any positive vector will do, so the witness turns the
+Lanczos Ritz vector whose form proved the class in classify, from a few
+products with the restricted block and no eigensolve
+(quadform._Form.ritz). At BOUNDARY it turns the last Ritz vector of the
+same run, which the decision took before its eigvalsh. Behind a Ritz
+witness that fails it turns the top eigenvector of one shifted solve on
+that block (quadform._Form.top); a STRICT class has no witness and takes
+the Lanczos steps and the eigvalsh alone. At a supremal bracket
+lambda_max is zero to the bracket width, so the witness is the form's
+near-null direction: one linear solve finds it (quadform._near_null),
+and it turns the same way. eigh runs only behind a failed check: a
+witness that fails its check falls back to the zero of the form in the
+plane of the top and bottom eigendirections of one eigh (_witness). All
+of them read the space's one form at p (quadform._Form), whose D~_p is
 metric._power's, converted once. Every simplex, a witness's own included,
 is checked by verify_equality, which like gap reads only the block of D_p
 on the points of the simplex (quadform._block): the form itself when the
@@ -448,25 +449,25 @@ def _null_witness(X: MetricSpace, form: _Form, v: np.ndarray | None,
 def _fixed_witness(X: MetricSpace, form: _Form, report: QuadFormReport) -> WitnessReport:
     """The witness on the form that report was classified from, or NoWitnessFound.
 
-    At NOT_NEG_TYPE any vector with a clearly positive form turns to an
-    exact zero of the form (_null_witness, method IVT), so the first tried
-    is a Lanczos Ritz vector whose form is at least lambda_max / 2
-    (form.ritz: a few products with the block of classify's eigvalsh, no
-    solve). At BOUNDARY, and where the Ritz vector is missing or its
-    simplex does not verify, the form's top eigenvector is turned (form.top:
-    one solve, the vector a report's direction reads), with classify's
-    method. Only where that solve failed or its simplex does not verify
-    does the eigen-plane witness (_witness) take one eigh. At STRICT, which
-    has no nontrivial equality, the eigen-plane witness is the only one
-    tried.
+    At NOT_NEG_TYPE and BOUNDARY the first vector turned (_null_witness,
+    with classify's method) is a Ritz vector of the form's Lanczos run
+    (form.ritz), no solve: at a proved NOT_NEG_TYPE the one whose form
+    proved the class, else the run's last. Once its witness verifies, the
+    form drops its block. Where it does not, the form's top eigenvector is
+    turned (form.top: one solve, the vector a report's direction reads), and
+    only where that solve failed or its simplex does not verify does the
+    eigen-plane witness (_witness) take one eigh. At STRICT, which has no
+    nontrivial equality, the eigen-plane witness is the only one tried.
     """
     if report.classification is Classification.STRICT:
         return _witness(X, form, report)
     ivt = report.classification is Classification.NOT_NEG_TYPE
     method = WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION
-    return ((ivt and _null_witness(X, form, form.ritz(), method))
-            or _null_witness(X, form, form.top[1], method)
-            or _witness(X, form, report))
+    witness = _null_witness(X, form, form.ritz(report._step), method)
+    if witness is not None:
+        form.release()
+        return witness
+    return _null_witness(X, form, form.top[1], method) or _witness(X, form, report)
 
 
 def witness_at_p(
@@ -474,17 +475,17 @@ def witness_at_p(
 ) -> WitnessReport:
     """Witness at a fixed exponent, when one exists.
 
-    classify's class, from one eigvalsh, then a vector turned to the exact
-    zero of the form against e_i - e_j of a farthest pair (_fixed_witness).
-    At NOT_NEG_TYPE (method IVT) the vector is a Lanczos Ritz vector on the
-    same block, whose form is at least lambda_max / 2: no solve. At
-    BOUNDARY it is the top eigenvector, from one shifted solve on that
-    block; the form on it is within the tolerance of 0, and it turns only
-    where that form is positive (method EIGEN_DIRECTION). A Ritz witness
-    that verify_equality rejects falls back to the top eigenvector, and a
-    top-vector witness that it rejects, or a failed solve, to the zero of
-    the form between the top and bottom eigendirections of one eigh.
-    STRICT raises NotApplicable after the eigvalsh alone: no nontrivial
+    classify's class, then a vector turned to the exact zero of the form
+    against e_i - e_j of a farthest pair (_fixed_witness). The vector is a
+    Ritz vector of the Lanczos run classify took on the restricted block:
+    at NOT_NEG_TYPE (method IVT) the one whose form proved the class, with
+    no eigensolve of the form at all; at BOUNDARY the run's last, whose
+    form is within the tolerance of 0, and it turns only where that form is
+    positive (method EIGEN_DIRECTION). A Ritz witness that verify_equality
+    rejects falls back to the top eigenvector of one shifted solve on that
+    block, and a top-vector witness that it rejects, or a failed solve, to
+    the zero of the form between the top and bottom eigendirections of one
+    eigh. STRICT raises NotApplicable after the class alone: no nontrivial
     p-polygonal equality exists there, so no vector is sought. A fallback
     witness that verify_equality rejects raises NoWitnessFound.
     """
@@ -505,7 +506,7 @@ def witness_at_supremal(X: MetricSpace, sup: SupremalResult) -> WitnessReport:
     EIGEN_DIRECTION); a bracket above the supremal exponent gets an exact
     zero of the form (method IVT). Where that witness does not verify, or
     the solve fails, the witness is witness_at_p's at the default tolerance
-    on the same form (_fixed_witness after one eigvalsh): where the
+    on the same form (_fixed_witness after classify): where the
     eigenvalue nearest 0 is not the top one, and at a bracket below the
     supremal exponent, whose class is STRICT: there the eigen-plane witness
     of one eigh is the only one tried, and its NoWitnessFound is raised.

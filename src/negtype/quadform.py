@@ -22,34 +22,38 @@ over its entries (_restrict; 0.4 ms at m = 350 and 2 ms at m = 800 on a
 through one O(m) reflection. Each public call builds D~_p at most once
 (a witness checks a simplex that leaves out a point on its own block).
 
-A decision at a fixed exponent takes one eigvalsh of that block, as does
-a sign probe of supremal (_spectrum). The top eigenvector comes from one
-shifted linear solve on the same block, run only when something reads it:
-the report's direction, or a witness at BOUNDARY. A witness at
-NOT_NEG_TYPE needs only a vector whose form is clearly positive: a
-Lanczos Ritz vector whose Ritz value reaches lambda_max / 2, from a few
-products with the block and no solve (_ritz; 0.9 to 2 ms at m = 500 and
-800 on a 2-core host, against 5 and 14 to 20 ms for the solve). So a
-STRICT decision, which has no witness, costs the eigvalsh alone. The solve
-also runs behind a Ritz vector that is missing or whose witness does not
-verify, and eigh only behind a failed check: where that solve fails, or
-the witness turned from its vector does not verify. A space's D~_p at one
-exponent is one _Form: the read-only D~_p, its scale and, each solved on
-first read, its top eigenvalue and shift (spectrum), the top eigenpair
-(top) that the report's direction reads, and the two extreme eigenpairs
-of one eigh (eigen) that only the fallback reads. The block that
-spectrum's eigvalsh ran on is held until the Ritz vector or top's solve
-takes it (a later solve forms it again, with the same bits); classify
-drops it at STRICT. _form keeps the last form per space object (O(m^2)
-floats per live space, weakly keyed), so every call at (X, p) on every point
-builds D~_p once: classify, witness_at_p and witness_at_supremal, and
-quad_form, polyeq.gap and polyeq.verify_equality when their vector or
-simplex covers every point (_block). The supremal witness first tries one
-linear solve on that D~_p (_near_null; 2.5 ms at m = 350 against 15 ms
-for eigh on a 2-core host), and classifies the form only when it falls
-back to the fixed-exponent witness. A space is immutable (re-enabling
-writes on X.dist is unsupported). Sign probes and restricted_form neither
-read nor write the kept form.
+A decision at a fixed exponent first takes a few Lanczos steps on that
+block (_Run), which prove NOT_NEG_TYPE at the first step whose Ritz vector
+has a form above the tolerance by a rounding margin (classify, _KAPPA): the
+class eigvalsh would give, for one product with the block per step and no
+eigensolve (all LANCZOS_STEPS = 8 steps take 0.8 and 1.2 ms at m = 500 and
+800 on a 2-core host, against 12 to 14 and 34 to 37 ms for eigvalsh).
+Only where they prove nothing does one eigvalsh of the block decide, as it
+does each sign probe of supremal (_spectrum); a proved report computes
+its lambda_max on first read. The top eigenvector comes from one shifted
+linear solve on the same block, run only when something reads it: the
+report's direction, or a witness whose Ritz vector does not verify. A
+witness at NOT_NEG_TYPE or BOUNDARY turns a Ritz vector of the same run
+first: at NOT_NEG_TYPE the one whose form proved the class. eigh runs only
+behind a failed check: where that solve fails, or the witness turned from
+its vector does not verify. A space's D~_p at one exponent is one _Form:
+the read-only D~_p, its scale, the Lanczos run (kept, and resumed where a
+later call needs more steps), and, each solved on first read, its top
+eigenvalue and shift (spectrum), the top eigenpair (top) that the report's
+direction reads, and the two extreme eigenpairs of one eigh (eigen) that
+only the fallback reads. The block is formed once and held for the run,
+eigvalsh and the solve, until top's solve takes it; classify drops it at
+STRICT and a witness once its Ritz vector verifies (a later step or solve
+forms it again, with the same bits). _form keeps the last form per space
+object (O(m^2) floats per live space, weakly keyed), so every call at
+(X, p) on every point builds D~_p once: classify, witness_at_p and
+witness_at_supremal, and quad_form, polyeq.gap and polyeq.verify_equality
+when their vector or simplex covers every point (_block). The supremal
+witness first tries one linear solve on that D~_p (_near_null; 2.5 ms at
+m = 350 against 15 ms for eigh on a 2-core host), and classifies the form
+only when it falls back to the fixed-exponent witness. A space is
+immutable (re-enabling writes on X.dist is unsupported). Sign probes and
+restricted_form neither read nor write the kept form.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from .errors import (
     LengthMismatch,
     NotBalanced,
 )
-from .metric import MetricSpace, _exponent, _power, _real, is_ultrametric
+from .metric import _U, MetricSpace, _exponent, _power, _real, is_ultrametric
 
 __all__ = [
     "BalancedVector",
@@ -89,8 +93,21 @@ BALANCE_REL = 1e-12
 EPSILON_REL = 1e-9
 # Rounding floor of a sign probe, relative to the spectral norm of the form.
 FLOOR = 16 * np.finfo(float).eps
-# Lanczos steps a Ritz witness direction may take (_ritz).
-RITZ_STEPS = 32
+# Lanczos steps a decision takes before eigvalsh decides (_Run, classify).
+LANCZOS_STEPS = 8
+
+# A Lanczos decision's margin over the tolerance is _KAPPA m^2 u on the
+# normalised form. D~_p has entries in [0, 1], so its spectral norm and that
+# of its restricted form are at most m. The computed form f = v (D~_p v) of a
+# Ritz vector v is within about m u |v||D~_p||v| <= m^2 u of the exact form
+# of v, which one reflection lifts to unit length and zero sum within a few
+# m u, moving it by as much again. The block _restrict forms is within
+# about m u per entry, so m^2 u in norm, of the exact restricted form, and
+# eigvalsh's lambda_max is within its backward error, about (m - 1) u times
+# the block's norm <= m^2 u, of the block's. So f > eps + 16 m^2 u proves
+# that eigvalsh of the same block reads lambda_max > eps: the class it
+# would give. The margin is 1.1e-9 at m = 800, beside EPSILON_REL = 1e-9.
+_KAPPA = 16
 
 # space -> its last _Form, see _form
 _FORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -132,31 +149,40 @@ class SupremalStatus(str, enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class QuadFormReport:
-    """Largest restricted eigenvalue at one exponent, with its direction.
+    """A fixed-exponent class, with the largest restricted eigenvalue and its direction.
 
     STRICT means strict p-negative type (lambda_max < -eps), BOUNDARY means
     p-negative type but not strict (|lambda_max| <= eps), NOT_NEG_TYPE means
     the form takes positive values on F0 (lambda_max > eps).
 
-    The report keeps its space, not the form. direction, the top
-    eigenvector, is solved on first read from the space's form at p (top,
-    or eigen where that solve fails): at BOUNDARY the very array a witness
-    at p turns, so (space, p) takes one solve whoever reads first. At
-    NOT_NEG_TYPE a witness turns a Ritz vector instead (_Form.ritz), so
-    direction is its own solve. A read after the space's kept form has
-    moved to another exponent builds D~_p and solves again, with the same
-    bits; an eigh that fails raises EigenFailure at that read. direction is
-    not a dataclass field.
+    The report keeps its space, not the form. lambda_max and direction are
+    not dataclass fields. lambda_max is the eigvalsh of the decision where
+    it took one; where a Lanczos vector proved NOT_NEG_TYPE (classify), it
+    is computed on first read, one eigvalsh of the space's form at p.
+    direction, the top eigenvector, is solved on first read from that form
+    (top, or eigen where that solve fails), the array a witness at p turns
+    where its Ritz vector does not verify. A read after the space's kept
+    form has moved to another exponent builds D~_p and solves again, with
+    the same bits; an eigensolve that fails raises EigenFailure at that read.
     """
 
     p: float
-    lambda_max: float
     classification: Classification
     tolerance: float
     space: InitVar[MetricSpace]
+    known: InitVar[float | None] = None  # lambda_max, where the decision computed it
+    step: InitVar[int | None] = None  # the Lanczos step that proved the class
 
-    def __post_init__(self, space: MetricSpace):
+    def __post_init__(self, space: MetricSpace, known: float | None, step: int | None):
         object.__setattr__(self, "_space", space)
+        object.__setattr__(self, "_step", step)
+        if known is not None:  # the cached value of lambda_max
+            object.__setattr__(self, "lambda_max", known)
+
+    @functools.cached_property
+    def lambda_max(self) -> float:
+        form = _form(self._space, self.p)
+        return _real(form.spectrum[0], form.scale)
 
     @functools.cached_property
     def direction(self) -> BalancedVector:
@@ -236,82 +262,197 @@ def _lift(y: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solved(d: np.ndarray, solver):
-    """The restricted form of D~_p and solver's result on it, in one EigenFailure guard.
+def _checked(d: np.ndarray) -> np.ndarray:
+    """The restricted form of D~_p (_restrict); one that is not finite raises EigenFailure.
 
-    A form that is not finite (an unvalidated space's NaN or inf) and a
-    LinAlgError of the solver (no convergence) both raise EigenFailure.
+    An unvalidated space's NaN or inf makes the form non-finite.
+    """
+    a = _restrict(d)
+    if not np.isfinite(a).all():
+        raise EigenFailure("restricted form is not finite")
+    return a
+
+
+def _guarded(solver, a: np.ndarray):
+    """solver(a), with a LinAlgError (no convergence) raised as EigenFailure.
+
     Every eigensolver runs in the LAPACK that numpy loads: scipy.linalg
     bundles a second OpenBLAS, whose idle worker threads keep spinning after
     each call and slow the caller's next numpy BLAS call several-fold on a
     host with as many cores as BLAS threads.
     """
-    a = _restrict(d)
-    if not np.isfinite(a).all():
-        raise EigenFailure("restricted form is not finite")
     try:
-        return a, solver(a)
+        return solver(a)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
 
 
-def _spectrum(d: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """(a, lambda_max, floor): the restricted form a of D~_p and its top eigenvalue.
+def _largest(a: np.ndarray) -> tuple[float, float]:
+    """(lambda_max, floor) of the restricted form a, from eigvalsh alone.
 
-    The spectrum comes from eigvalsh alone, about half the cost of eigh; a
-    is the block it ran on, unchanged. The floor is FLOOR times the
-    spectral norm max(-lambda_min, |lambda_max|) of the form: a sign probe
-    reads lambda_max within it as exactly 0.0, and the top eigenvector is
-    solved at lambda_max plus it (_Form.top).
+    eigvalsh costs about half of eigh and leaves a unchanged. The floor is
+    FLOOR times the spectral norm max(-lambda_min, |lambda_max|) of the
+    form: a sign probe reads lambda_max within it as exactly 0.0, and the
+    top eigenvector is solved at lambda_max plus it (_Form.top).
     """
-    a, evals = _solved(d, np.linalg.eigvalsh)
+    evals = _guarded(np.linalg.eigvalsh, a)
     lam = float(evals[-1])
-    return a, lam, FLOOR * max(-float(evals[0]), abs(lam))
+    return lam, FLOOR * max(-float(evals[0]), abs(lam))
+
+
+def _spectrum(d: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(a, lambda_max, floor): the restricted form a of D~_p and _largest of it."""
+    a = _checked(d)
+    return a, *_largest(a)
+
+
+class _Run:
+    """A Lanczos run on the restricted form of one _Form, resumed a step at a time.
+
+    Lanczos (Paige, JIMA 10, 1972) from the fixed-seed Gaussian start of
+    _inverse_step, each new basis vector reorthogonalised against all
+    earlier ones twice. From a random start the top Ritz value nears
+    lambda_max at a rate that needs no gap below it (Kuczynski and
+    Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992), so a clearly
+    positive form shows within a few steps. Step j (from 1) keeps the top
+    Ritz pair of its j x j tridiagonal matrix; the Ritz vector, lifted to a
+    unit zero-sum vector in R^m, and its form on D~_p are computed on first
+    read (vector). Each step reads only the steps before it and a block with
+    the same bits, so a run resumed on a block formed again repeats a run
+    taken at once. A step whose eigh of the tridiagonal matrix fails is not
+    taken. The run ends after min(LANCZOS_STEPS, m - 1) steps, or at a
+    breakdown, where the new residual is within FLOOR times that matrix's
+    spectral norm: the Krylov space is then invariant to rounding, and its
+    Ritz pairs are eigenpairs of the form.
+    """
+
+    def __init__(self, n: int):
+        steps = min(LANCZOS_STEPS, n)
+        self.q = np.empty((steps, n))
+        self.t = np.zeros((steps, steps))
+        start = np.random.default_rng(0).standard_normal(n)
+        self.q[0] = start / np.linalg.norm(start)
+        self.tops: list[tuple[float, np.ndarray]] = []  # (theta, s) per step taken
+        self.lifted: dict[int, tuple[np.ndarray, float]] = {}  # step -> (v, form of v)
+        self.ended = False
+
+    def step(self, a: np.ndarray) -> bool:
+        """Take the next step on the block a, read and never written; False where none is left."""
+        if self.ended:
+            return False
+        k, q, t = len(self.tops), self.q, self.t
+        w = a @ q[k]
+        t[k, k] = float(q[k] @ w)
+        try:
+            theta, s = np.linalg.eigh(t[:k + 1, :k + 1])
+        except np.linalg.LinAlgError:  # the step is not taken, and a later call retries it
+            return False
+        self.tops.append((float(theta[-1]), s[:, -1]))
+        if k + 1 == len(q):
+            self.ended = True
+            return True
+        for _ in range(2):
+            w -= (q[:k + 1] @ w) @ q[:k + 1]
+        beta = float(np.linalg.norm(w))
+        if not beta > FLOOR * max(-float(theta[0]), abs(float(theta[-1]))):
+            self.ended = True
+        else:
+            t[k, k + 1] = t[k + 1, k] = beta
+            q[k + 1] = w / beta
+        return True
+
+    def vector(self, j: int, d: np.ndarray) -> tuple[np.ndarray, float]:
+        """(v, f): step j's Ritz vector, unit, zero-sum and read-only, and its form v D~_p v."""
+        got = self.lifted.get(j)
+        if got is None:
+            y = self.tops[j - 1][1] @ self.q[:j]
+            v = _lift(y / np.linalg.norm(y))
+            v.setflags(write=False)  # every later read hands out this same array
+            got = self.lifted[j] = v, float(v @ (d @ v))
+        return got
 
 
 @dataclass(frozen=True, eq=False)
 class _Form:
     """D~_p of one space at exponent p, read-only, with D_p = scale D~_p.
 
-    Its top eigenvalue (spectrum), its top eigenpair (top) and its extreme
-    eigenpairs (eigen) are solved on first read only. A decision at p reads
-    spectrum, one eigvalsh; a report's direction and a witness at BOUNDARY
-    read top, one solve on the block that eigvalsh ran on, which the form
-    holds until then (classify drops it at STRICT, where nothing need read
-    top). A witness at NOT_NEG_TYPE first reads ritz, a Lanczos run on that
-    block, which it drops. eigen, one eigh, is read only behind a failed
-    check: where the solve for the top vector fails, or its witness does
-    not verify.
+    A decision at p first reads proves, a few steps of a Lanczos run (_Run)
+    on the restricted block, and only where they prove nothing spectrum, one
+    eigvalsh of that block. A report's direction reads top, one solve on the
+    block, which overwrites it. A witness at NOT_NEG_TYPE or BOUNDARY first
+    turns a Ritz vector of the run (ritz). eigen, one eigh, is read only
+    behind a failed check: where the solve for the top vector fails, or its
+    witness does not verify. The block is formed once, on first need, and
+    held between them until top takes it or release drops it (classify at
+    STRICT, a witness once a Ritz vector verifies); a later read forms it
+    again with the same bits. The run is kept, so a later decision or
+    witness at p reads the steps already taken and takes only new ones.
+    A caller takes the block or the run off the form with one atomic pop
+    while it uses the block or steps the run, and puts it back, so no two
+    concurrent callers use one block or step one run at once; a caller that
+    finds one gone builds its own, with the same bits. Other callers read
+    only steps already taken, which no later step changes.
     """
 
     p: float
     d: np.ndarray
     scale: float
 
+    def _take(self) -> np.ndarray:
+        """The held block, taken off the form, or the block formed again (_checked)."""
+        a = self.__dict__.pop("block", None)
+        return _checked(self.d) if a is None else a
+
+    def _hold(self, a: np.ndarray) -> None:
+        self.__dict__["block"] = a
+
+    def release(self) -> None:
+        """Drop the block the form holds, if any: the form then holds D~_p alone."""
+        self.__dict__.pop("block", None)
+
+    def _run(self, steps: float) -> _Run:
+        """The kept run, taking new steps on the block until it has taken steps or ended."""
+        run = self.__dict__.pop("run", None) or _Run(self.d.shape[0] - 1)
+        if len(run.tops) < steps and not run.ended:
+            a = self._take()
+            while len(run.tops) < steps and run.step(a):
+                pass
+            self._hold(a)
+        self.__dict__["run"] = run
+        return run
+
+    def proves(self, threshold: float) -> int | None:
+        """The first step whose Ritz vector has a form above threshold, or None.
+
+        A step is tried only where its Ritz value is above threshold too.
+        The answer depends on the steps alone, so it is the same whatever
+        steps earlier calls took.
+        """
+        j = 0
+        while True:
+            run = self._run(j + 1)
+            if j == len(run.tops):
+                return None
+            j += 1
+            if run.tops[j - 1][0] > threshold and run.vector(j, self.d)[1] > threshold:
+                return j
+
+    def ritz(self, step: int | None) -> np.ndarray | None:
+        """The Ritz vector of that step, or of the run's last where step is None (_Run.vector).
+
+        None where the run took no step.
+        """
+        run = self._run(math.inf if step is None else step)
+        j = len(run.tops) if step is None else min(step, len(run.tops))
+        return run.vector(j, self.d)[0] if j else None
+
     @functools.cached_property
     def spectrum(self) -> tuple[float, float]:
-        """(lambda_max, lambda_max + floor) of _spectrum; its block is held for top."""
-        a, lam, floor = _spectrum(self.d)
-        self.__dict__["block"] = a
+        """(lambda_max, lambda_max + floor) of _largest on the block, which stays held."""
+        a = self._take()
+        lam, floor = _largest(a)
+        self._hold(a)
         return lam, lam + floor
-
-    def release(self) -> np.ndarray | None:
-        """Take the block that spectrum holds off the form, or None where none is held."""
-        return self.__dict__.pop("block", None)  # one atomic pop: no two solves share a block
-
-    def ritz(self) -> np.ndarray | None:
-        """A unit zero-sum vector whose form is at least lambda_max / 2, or None (_ritz).
-
-        Lanczos reads the block that spectrum's eigvalsh ran on, or the
-        block formed again with the same bits where it is gone, and drops
-        it: the form then holds D~_p alone, and a later read of top forms
-        the block again. Nothing is kept, so every call repeats the bits.
-        """
-        lam, shift = self.spectrum
-        a = self.release()
-        if a is None:
-            a = _restrict(self.d)
-        return _ritz(a, 0.5 * lam, shift - lam)
 
     @functools.cached_property
     def top(self) -> tuple:
@@ -321,15 +462,11 @@ class _Form:
         shift of spectrum: every eigenvector but the top one is damped by
         the floor over its distance below lambda_max, so v is the top one
         unless another eigenvalue lies within a few floors of it, where v
-        is a unit vector of that cluster. The solve overwrites the held
-        block, or, where classify or ritz released it, the block formed
-        again with the same bits. An eigvalsh that raises keeps nothing.
+        is a unit vector of that cluster. The solve overwrites the block it
+        takes. An eigvalsh that raises keeps nothing.
         """
         lam, shift = self.spectrum
-        a = self.release()
-        if a is None:
-            a = _restrict(self.d)
-        v = _inverse_step(a, shift)
+        v = _inverse_step(self._take(), shift)
         if v is not None:  # every later read hands out this same array
             v.setflags(write=False)
         return lam, v
@@ -341,7 +478,7 @@ class _Form:
         The eigenvectors are unit, zero-sum and read-only; a solve that
         raises keeps nothing.
         """
-        _, (evals, evecs) = _solved(self.d, np.linalg.eigh)
+        evals, evecs = _guarded(np.linalg.eigh, _checked(self.d))
         pairs = float(evals[-1]), _lift(evecs[:, -1]), float(evals[0]), _lift(evecs[:, 0])
         for v in pairs[1::2]:  # every later read hands out these same arrays
             v.setflags(write=False)
@@ -388,45 +525,6 @@ def _inverse_step(a: np.ndarray, shift: float) -> np.ndarray | None:
         return None
     y /= top  # no overflow in the norm
     return _lift(y / np.linalg.norm(y))
-
-
-def _ritz(a: np.ndarray, target: float, floor: float) -> np.ndarray | None:
-    """A unit zero-sum Ritz vector of the restricted form a whose Ritz value reaches target.
-
-    Lanczos on a, read and never written (Paige, JIMA 10, 1972), from the
-    fixed-seed Gaussian start of _inverse_step, each new basis vector
-    reorthogonalised against all earlier ones twice. It stops at the first
-    step whose top Ritz value reaches target: from a random start the top
-    Ritz value nears lambda_max at a rate that needs no gap below it
-    (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992), so a
-    target short of lambda_max takes few steps. The Ritz vector is lifted
-    to R^m. None after RITZ_STEPS steps, or at a breakdown, where
-    the new residual is within floor: the Krylov space is then invariant
-    to rounding, and holds no vector that reaches target.
-    """
-    n = a.shape[0]
-    steps = min(RITZ_STEPS, n)
-    q = np.empty((steps, n))
-    t = np.zeros((steps, steps))
-    start = np.random.default_rng(0).standard_normal(n)
-    q[0] = start / np.linalg.norm(start)
-    for k in range(steps):
-        w = a @ q[k]
-        t[k, k] = float(q[k] @ w)
-        theta, s = np.linalg.eigh(t[:k + 1, :k + 1])
-        if theta[-1] >= target:
-            y = s[:, -1] @ q[:k + 1]
-            return _lift(y / np.linalg.norm(y))
-        if k + 1 == steps:
-            break
-        for _ in range(2):
-            w -= (q[:k + 1] @ w) @ q[:k + 1]
-        beta = float(np.linalg.norm(w))
-        if not beta > floor:
-            break
-        t[k, k + 1] = t[k + 1, k] = beta
-        q[k + 1] = w / beta
-    return None
 
 
 def _near_null(d: np.ndarray) -> np.ndarray | None:
@@ -487,24 +585,32 @@ def restricted_form(X: MetricSpace, p: float) -> np.ndarray:
 def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadFormReport:
     """Three-way negative-type classification at exponent p.
 
-    Computes the largest eigenvalue of the restricted form (eigvalsh, see
-    _Form.spectrum) and compares it against epsilon, which must be finite
-    and nonnegative. The default is EPSILON_REL times the largest entry of
-    D_p; the comparison runs on the normalised form, where epsilon reads
-    epsilon / max D_p. The report's direction is solved only when it is
-    read (QuadFormReport.direction); at STRICT the form drops the block it
-    holds for that solve.
+    epsilon must be finite and nonnegative. The default is EPSILON_REL
+    times the largest entry of D_p; the comparison runs on the normalised
+    form, where epsilon reads epsilon / max D_p. A Lanczos run on the
+    restricted form (_Form.proves) first seeks a Ritz vector whose form
+    exceeds epsilon by the rounding margin _KAPPA m^2 u: where one of its
+    first LANCZOS_STEPS steps finds one, the class is NOT_NEG_TYPE, the one
+    eigvalsh would give, and lambda_max is computed only when it is read.
+    Otherwise the largest eigenvalue of the same block (eigvalsh, see
+    _Form.spectrum) is compared against epsilon. The report's direction is
+    solved only when it is read (QuadFormReport.direction); at STRICT the
+    form drops the block it holds for that solve.
     """
     if epsilon is not None and not 0.0 <= epsilon < math.inf:
         raise InvalidTolerance(f"epsilon = {epsilon}")
     form = _form(X, p)
-    lam, _ = form.spectrum
     scale = form.scale
     if epsilon is None:
         eps, epsilon = EPSILON_REL, _real(EPSILON_REL, scale)
     else:  # x / 0 reads as inf, 0 / 0 as 0
         eps = epsilon / scale if scale else math.inf if epsilon else 0.0
 
+    step = form.proves(eps + _KAPPA * X.size**2 * _U)
+    if step is not None:
+        return QuadFormReport(float(p), Classification.NOT_NEG_TYPE, float(epsilon), X,
+                              step=step)
+    lam, _ = form.spectrum
     if lam < -eps:
         cls = Classification.STRICT
         form.release()
@@ -512,7 +618,7 @@ def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadForm
         cls = Classification.NOT_NEG_TYPE
     else:
         cls = Classification.BOUNDARY
-    return QuadFormReport(float(p), _real(lam, scale), cls, float(epsilon), X)
+    return QuadFormReport(float(p), cls, float(epsilon), X, _real(lam, scale))
 
 
 def supremal(

@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from helpers import collinear_triple, unit_four_cycle
-from negtype import validate_metric
+from negtype import quadform, validate_metric
 
 
 @pytest.fixture(scope="session")
@@ -27,20 +29,23 @@ def equilateral():
 
 
 class LapackCalls(list):
-    """The names of the np.linalg calls eigh, eigvalsh and solve, in call order.
+    """The names of the np.linalg calls eigh, eigvalsh and solve on a form, in call order.
 
-    sized holds (name, order of the matrix) for each call, so a list can be
-    read on the form's own order (of_order) apart from the small tridiagonal
-    eigh calls of a Lanczos run (quadform._ritz).
+    A Lanczos step's eigh of its small tridiagonal matrix (quadform._Run.step)
+    is not a call on the form: steps counts those. sized holds (name, order
+    of the matrix) for every call, the steps' included, so a list can be
+    read on the form's own order (of_order).
     """
 
     def __init__(self):
         super().__init__()
         self.sized = []
+        self.steps = 0
 
     def clear(self):
         super().clear()
         self.sized.clear()
+        self.steps = 0
 
     def of_order(self, n):
         return [name for name, k in self.sized if k == n]
@@ -50,12 +55,16 @@ class LapackCalls(list):
 def lapack(monkeypatch):
     """The np.linalg calls eigh, eigvalsh and solve, in call order (LapackCalls)."""
     calls = LapackCalls()
+    step = quadform._Run.step.__code__
 
     def counted(name):
         real = getattr(np.linalg, name)
 
         def counting(a, *args, **kwargs):
-            calls.append(name)
+            if sys._getframe(1).f_code is step:
+                calls.steps += 1
+            else:
+                calls.append(name)
             calls.sized.append((name, np.shape(a)[0]))
             return real(a, *args, **kwargs)
 

@@ -533,8 +533,10 @@ class TestSupremalCommand:
 
 
 class TestSolveCounts:
-    """check prints the direction, so it takes one eigvalsh and one solve at
-    every class; a witness at a STRICT exponent needs no direction."""
+    """check prints lambda_max and the direction, so it takes one eigvalsh and
+    one solve of the form at every class, after the class's Lanczos steps
+    (two on three points, which span F0; they prove the class at 3); a
+    witness at a STRICT exponent needs no direction."""
 
     DIRECTION = [-0.408248290464, 0.816496580928, -0.408248290464]
 
@@ -551,12 +553,12 @@ class TestSolveCounts:
         for fmt, out in (("text", text), ("json", render_json(payload) + "\n")):
             lapack.clear()
             assert main(["check", collinear_file, "--p", p, "--format", fmt]) == code
-            assert lapack == ["eigvalsh", "solve"]
+            assert lapack == ["eigvalsh", "solve"] and lapack.steps == 2
             assert capsys.readouterr().out == out
 
     def test_strict_witness_takes_one_eigvalsh(self, collinear_file, lapack, capsys):
         assert main(["witness", collinear_file, "--p", "1"]) == 1
-        assert lapack == ["eigvalsh"]
+        assert lapack == ["eigvalsh"] and lapack.steps == 2
         assert capsys.readouterr().out == ""
 
 

@@ -774,9 +774,10 @@ class TestWitnessCorpus:
 
 class TestSupremalWitnessFromOneSolve:
     """witness_at_supremal takes the near-null vector of one solve of the form,
-    and witness_at_p's chain at the midpoint (the top vector, then the eigen
-    witness, _witness) only where that one does not verify: the eigenvalue
-    nearest 0 need not be the top one, and the solve may fail."""
+    and witness_at_p's chain at the midpoint (a Ritz vector of the class's
+    Lanczos run, the top vector, then the eigen witness, _witness) only where
+    that one does not verify: the eigenvalue nearest 0 need not be the top
+    one, and the solve may fail."""
 
     @staticmethod
     def eigen_witness(X, sup):
@@ -830,8 +831,17 @@ class TestSupremalWitnessFromOneSolve:
         lambda: generate_space("points", 40, q=1.0, seed=3),
     ], ids=["collinear", "four_cycle", "random_graph", "l1_cloud"])
     def test_failed_solve_gives_the_eigen_witness(self, monkeypatch, solve, space):
+        # where every solve fails, the witness is the Ritz witness of the
+        # class at the midpoint if that verifies (on all four spaces here,
+        # at BOUNDARY), else the eigen witness
         sup = supremal(space())
-        expected = self.eigen_witness(space(), sup)
+        F = space()
+        rep = classify(F, sup.midpoint)
+        form = quadform._form(F, sup.midpoint)
+        assert rep.classification is Classification.BOUNDARY
+        expected = (polyeq._null_witness(F, form, form.ritz(rep._step),
+                                         WitnessMethod.EIGEN_DIRECTION)
+                    or self.eigen_witness(space(), sup))
 
         def failing(a, b):
             if solve == "raises":
@@ -873,7 +883,7 @@ class TestWitnessContract:
                     raised += 1
                     continue
                 assert verify_equality(X, p, w.simplex).nontrivial_equality, (spaces, p)
-        assert raised <= 29
+        assert raised <= 27
 
     def test_supremal_on_perturbed_ultrametrics(self):
         # the corpus of acceptance criterion 7
@@ -1051,11 +1061,14 @@ class TestBuildOnce:
     """Each public call builds D_p at most once, and each (space, p) is solved once;
     a simplex check on fewer than every point builds that block of D_p besides.
 
-    A decision takes one eigvalsh of the form, and the first read of its
-    direction one solve besides (lapack counts them by name and order). A
-    witness at NOT_NEG_TYPE takes a Lanczos run instead, whose eigh calls
-    are on its small tridiagonal matrices; at BOUNDARY it takes the solve.
-    eigh of the form runs only behind a failed check. Every test builds its own
+    A decision takes a few Lanczos steps on the form, whose eigh calls are
+    on their small tridiagonal matrices (lapack.steps counts them), and one
+    eigvalsh of the form only where the steps do not prove NOT_NEG_TYPE; the
+    first read of its direction takes one solve besides, after the eigvalsh
+    of its shift (lapack counts the calls on the form by name and order). A
+    witness at NOT_NEG_TYPE or BOUNDARY turns a Ritz vector of the run, and
+    solves only where that does not verify. eigh of the form runs only
+    behind a failed check. Every test builds its own
     spaces: D~_p and its solves are remembered per space object, so a
     session fixture that an earlier test solved at the same exponent would
     take no build and no solve here.
@@ -1075,11 +1088,14 @@ class TestBuildOnce:
         return calls
 
     def test_witness_at_p(self, builds, lapack):
+        # the class at 3 is proved in two steps; the 4-cycle at 1 is
+        # BOUNDARY, and its two distinct eigenvalues on F0 end the run at a
+        # breakdown after two steps, whose Ritz vector verifies
         assert witness_at_p(collinear_triple(), 3.0).method is WitnessMethod.IVT
-        assert len(builds) == 1 and lapack.sized == [("eigvalsh", 2), *lanczos(2)]
+        assert len(builds) == 1 and lapack.sized == lanczos(2)
         lapack.clear()
         assert witness_at_p(unit_four_cycle(), 1.0).method is WitnessMethod.EIGEN_DIRECTION
-        assert len(builds) == 2 and lapack == ["eigvalsh", "solve"]
+        assert len(builds) == 2 and lapack.sized == [*lanczos(2), ("eigvalsh", 3)]
 
     def test_witness_at_supremal(self, builds, lapack):
         # the witness from one solve; the fallback classifies the D~_p built
@@ -1123,61 +1139,79 @@ class TestBuildOnce:
 
     @pytest.mark.parametrize("kind, q", GEN_KINDS, ids=GEN_IDS)
     def test_not_neg_type_witness_takes_no_solve(self, builds, lapack, kind, q):
-        # a witness at NOT_NEG_TYPE turns a Ritz vector: after the class's
-        # eigvalsh, only the Lanczos run's eigh calls on its tridiagonal
-        # matrices, of order m - 1 only where the run spans F0, and no solve.
-        # A fresh copy of the space gives the same bits, and the kept form
-        # holds D~_p alone afterwards
+        # every NOT_NEG_TYPE class here is proved by Lanczos, with no call on
+        # the form: only the steps' eigh calls on their tridiagonal matrices,
+        # of order m - 1 only where the run spans F0. The witness then turns
+        # the proving Ritz vector with no call and no new step, and so does a
+        # second witness, with no _restrict either. A fresh copy of the space
+        # gives the same bits, and the kept form holds D~_p alone afterwards
+        restricts = []
+        real = quadform._restrict
         seen = 0
         for (X, p), (F, _) in zip(fixed_exponent_corpus(kind, q),
                                   fixed_exponent_corpus(kind, q)):
-            if classify(X, p).classification is not Classification.NOT_NEG_TYPE:
+            lapack.clear()
+            rep = classify(X, p)
+            if rep.classification is not Classification.NOT_NEG_TYPE:
                 continue
             seen += 1
             n = X.size - 1
-            lapack.clear()
+            steps = lapack.steps
+            assert rep._step == steps <= min(n, quadform.LANCZOS_STEPS), (X.size, p)
+            assert lapack.sized == lanczos(steps), (X.size, p)
             builds.clear()
             w = witness_at_p(X, p)
-            steps = len(lapack)
             assert lapack.sized == lanczos(steps), (X.size, p)
             # a check on fewer than every point builds its block (the 4-cycle at 2)
             every = {i for i, _ in (*w.simplex.left, *w.simplex.right)} == set(range(X.size))
             assert builds == ([] if every else [p]), (X.size, p)
-            assert steps < n or steps == n <= quadform.RITZ_STEPS, (X.size, p)
             form = quadform._form(X, p)
             assert [v for v in vars(form).values() if isinstance(v, np.ndarray)] == [form.d]
-            assert witness_bits(w) == witness_bits(witness_at_p(F, p)), (X.size, p)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(quadform, "_restrict", lambda d: restricts.append(d) or real(d))
+                again = witness_at_p(X, p)
+            assert restricts == [] and lapack.sized == lanczos(steps), (X.size, p)
+            assert witness_bits(again) == witness_bits(w) == witness_bits(witness_at_p(F, p))
         assert seen >= 10
 
     @pytest.mark.parametrize("kind, q", GEN_KINDS, ids=GEN_IDS)
     def test_without_a_ritz_vector_the_witness_turns_the_top_vector(self, lapack, monkeypatch,
                                                                     kind, q):
-        # where Lanczos finds no vector, the witness is the one turned from
+        # where the run gives no vector, the witness is the one turned from
         # the top vector of one solve, which a report's direction reads, as
-        # before the Ritz vector was tried
-        monkeypatch.setattr(quadform, "_ritz", lambda a, target, floor: None)
+        # before the Ritz vector was tried; the solve's shift takes the
+        # eigvalsh that the proved class did not
+        monkeypatch.setattr(quadform._Form, "ritz", lambda form, step: None)
         for (X, p), (F, _) in zip(fixed_exponent_corpus(kind, q),
                                   fixed_exponent_corpus(kind, q)):
             if classify(X, p).classification is not Classification.NOT_NEG_TYPE:
                 continue
             lapack.clear()
             w = witness_at_p(X, p)
-            assert lapack == ["solve"], (X.size, p)
+            assert lapack == ["eigvalsh", "solve"] and lapack.steps == 0, (X.size, p)
             top = polyeq._null_witness(F, quadform._form(F, p), classify(F, p).direction.weights,
                                        WitnessMethod.IVT)
             assert witness_bits(w) == witness_bits(top), (X.size, p)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_lanczos_breakdown_warns_nothing(self):
-        # a residual within the floor ends the run with no vector: a multiple
-        # of the identity below its target, a zero form, and the 4-cycle's
-        # form at 3, whose two distinct eigenvalues on F0 make its Krylov
-        # space invariant after two steps, asked for more than lambda_max
-        assert quadform._ritz(np.eye(3), 2.0, quadform.FLOOR) is None
-        assert quadform._ritz(np.zeros((2, 2)), 1.0, 0.0) is None
+        # a residual within the floor ends the run: a multiple of the
+        # identity and a zero form after one step, and the 4-cycle's form at
+        # 3, whose two distinct eigenvalues on F0 make its Krylov space
+        # invariant after two steps, where the top Ritz value is lambda_max
+        def run(a):
+            r = quadform._Run(a.shape[0])
+            while r.step(a):
+                pass
+            return r
+
+        for a in (np.eye(3), np.zeros((2, 2))):
+            r = run(a)
+            assert r.ended and len(r.tops) == 1
         form = quadform._form(unit_four_cycle(), 3.0)
-        lam, shift = form.spectrum
-        assert quadform._ritz(quadform._restrict(form.d), 1.5 * lam, shift - lam) is None
+        r = run(quadform._restrict(form.d))
+        assert r.ended and len(r.tops) == 2
+        assert r.tops[-1][0] == pytest.approx(form.spectrum[0], rel=1e-14)
         # on three points the run spans F0 in two steps, and on the 4-cycle
         # it reaches lambda_max there
         for X, p in ((collinear_triple(), 3.0), (lopsided_triangle(), 40.0),
@@ -1189,11 +1223,13 @@ class TestBuildOnce:
     def test_rejected_witness_on_two_points_builds_its_block(self, builds, lapack):
         # the class builds D~_p, which the checks of the Ritz and the
         # top-vector witnesses on all three points read; the check of the
-        # eigen-plane witness {2} | {0} builds its own 2-point block
+        # eigen-plane witness {2} | {0} builds its own 2-point block. The
+        # class is proved in two steps, so the top vector's shift takes the
+        # eigvalsh before the solve
         with pytest.raises(NoWitnessFound):
             witness_at_p(rejected_triangle(), 64.0)
         assert builds == [64.0, 64.0]
-        assert lapack.sized == [("eigvalsh", 2), *lanczos(2), ("solve", 2), ("eigh", 2)]
+        assert lapack.sized == [*lanczos(2), ("eigvalsh", 2), ("solve", 2), ("eigh", 2)]
 
     def test_quad_form_reads_the_kept_matrix(self, builds):
         # after a decision at (X, p), a vector on every point builds nothing
@@ -1222,8 +1258,9 @@ class TestBuildOnce:
         # was built on: no build, and no eigensolve where the witness took
         # the fallback; the one-solve witness computes no eigenvalue, so the
         # class takes one eigvalsh, and the first read of its direction one
-        # solve. Where every solve fails, the fallback reads its direction
-        # and witness from one eigh
+        # solve. Where every solve fails, the fallback's class at BOUNDARY
+        # takes one eigvalsh and its witness verifies from the run's Ritz
+        # vector, so only the read of the direction falls back to one eigh
         X = space()
         sup = supremal(X)
         if fallback:
@@ -1233,7 +1270,7 @@ class TestBuildOnce:
             monkeypatch.setattr(np.linalg, "solve", singular)
         lapack.clear()
         w = witness_at_supremal(X, sup)
-        assert lapack == (["eigvalsh", "eigh"] if fallback else ["solve"])
+        assert lapack == (["eigvalsh"] if fallback else ["solve"])
         builds.clear()
         lapack.clear()
         assert verify_equality(X, w.p, w.simplex).nontrivial_equality
@@ -1242,7 +1279,7 @@ class TestBuildOnce:
         assert builds == [] and lapack == ([] if fallback else ["eigvalsh"])
         rep.direction
         rep.direction
-        assert builds == [] and lapack == ([] if fallback else ["eigvalsh", "solve"])
+        assert builds == [] and lapack == (["eigh"] if fallback else ["eigvalsh", "solve"])
 
     @pytest.mark.parametrize("mode, probes, p", [
         (["--p", "3"], [], 3.0),
@@ -1269,36 +1306,43 @@ class TestBuildOnce:
         assert classify(X, 3.0).classification is Classification.NOT_NEG_TYPE
         w = witness_at_p(X, 3.0)
         assert verify_equality(X, 3.0, w.simplex).nontrivial_equality
-        assert len(builds) == 1 and lapack.sized == [("eigvalsh", 2), *lanczos(2)]
+        assert len(builds) == 1 and lapack.sized == lanczos(2)
 
     @pytest.mark.parametrize("kind, q", GEN_KINDS, ids=GEN_IDS)
     def test_fixed_exponent_decisions_never_call_eigh(self, lapack, kind, q):
-        # classify, witness_at_p and verify_equality at every class: one
-        # eigvalsh of the form per (space, p); a witness at NOT_NEG_TYPE
-        # takes one Lanczos run and no solve (every one verifies from the
-        # Ritz vector), and at BOUNDARY one solve (every one verifies from
-        # the top vector); the first read of the direction solves, unless
-        # the BOUNDARY witness did. Only Lanczos calls eigh: on orders 1 to
-        # its step count, never above RITZ_STEPS
+        # classify, witness_at_p and verify_equality at every class. The
+        # class takes Lanczos steps, at most LANCZOS_STEPS and m - 1, and one
+        # eigvalsh of the form only where they prove nothing: every
+        # NOT_NEG_TYPE here is proved, and its witness verifies from the
+        # proving Ritz vector with no call. A BOUNDARY witness turns the
+        # run's last Ritz vector, and takes one solve only where that does
+        # not verify (cycles at 40 and 120 points). The first read of the
+        # direction takes the eigvalsh and the solve not yet taken. eigh runs
+        # only in the Lanczos steps, on their tridiagonal matrices
         for X, p in fixed_exponent_corpus(kind, q):
             lapack.clear()
             n = X.size - 1
             rep = classify(X, p)
-            calls = [("eigvalsh", n)]
+            proved = rep.classification is Classification.NOT_NEG_TYPE
+            steps = lapack.steps
+            assert 1 <= steps <= min(n, quadform.LANCZOS_STEPS), (X.size, p)
+            assert rep._step == (steps if proved else None), (X.size, p)
+            calls = lanczos(steps) + ([] if proved else [("eigvalsh", n)])
+            assert lapack.sized == calls, (X.size, p)
             if rep.classification is Classification.STRICT:
                 with pytest.raises(NotApplicable):
                     witness_at_p(X, p)
             else:
                 w = witness_at_p(X, p)
                 assert verify_equality(X, p, w.simplex).nontrivial_equality
-                if rep.classification is Classification.BOUNDARY:
+                if lapack.sized != calls:
+                    assert kind == "cycle" and X.size >= 40, (X.size, p)
+                    assert rep.classification is Classification.BOUNDARY
                     calls.append(("solve", n))
-                else:
-                    steps = len(lapack) - 1
-                    assert 1 <= steps <= min(n, quadform.RITZ_STEPS), (X.size, p)
-                    calls += lanczos(steps)
             assert lapack.sized == calls, (X.size, p)
             rep.direction
+            if proved:
+                calls.append(("eigvalsh", n))
             if calls[-1] != ("solve", n):
                 calls.append(("solve", n))
             assert lapack.sized == calls, (X.size, p)
@@ -1325,16 +1369,19 @@ class TestBuildOnce:
             assert {i for i, _ in (*w.simplex.left, *w.simplex.right)} == set(range(m))
             chk, g = verify_equality(X, p, w.simplex), gap(X, p, w.simplex)
             assert chk.nontrivial_equality, m
-            # the witness takes a Lanczos run, no solve of the form
-            assert len(builds) == 1 and lapack.of_order(m - 1) == ["eigvalsh"]
-            ritz = lapack.sized[1:]
+            # Lanczos proves the class, and the witness turns its Ritz
+            # vector: no call on the form
+            assert len(builds) == 1 and lapack == [] and lapack.of_order(m - 1) == []
+            ritz = list(lapack.sized)
+            assert ritz == lanczos(rep._step)
             F = space()
             fresh_chk, fresh_g = verify_equality(F, p, w.simplex), gap(F, p, w.simplex)
-            assert len(builds) == 2 and len(lapack.sized) == 1 + len(ritz)  # F's, not yet solved
+            assert len(builds) == 2 and lapack.sized == ritz  # F's, not yet classified
             fresh_rep, fresh_w = classify(F, p), witness_at_p(F, p)
-            assert len(builds) == 2 and lapack.sized == [("eigvalsh", m - 1), *ritz] * 2
+            assert len(builds) == 2 and lapack.sized == ritz * 2
 
             assert fields(rep) == fields(fresh_rep)
+            assert rep.lambda_max == fresh_rep.lambda_max
             assert rep.direction.weights.tobytes() == fresh_rep.direction.weights.tobytes()
             assert lapack.of_order(m - 1) == ["eigvalsh", "eigvalsh", "solve", "solve"]
             assert fields(w) == fields(fresh_w)
@@ -1348,19 +1395,20 @@ class TestBuildOnce:
             assert len(builds) == 2
 
     def test_new_exponent_or_new_space_solves_again(self, lapack):
+        # each class at 3 and 2.5 is proved in two Lanczos steps
         X = collinear_triple()
         classify(X, 3.0)
         classify(X, 2.5)
-        assert lapack == ["eigvalsh"] * 2
+        assert lapack.sized == lanczos(2) * 2
         # the same matrix in another space object: the key is identity
         classify(validate_metric(X.labels, X.dist), 2.5)
-        assert lapack == ["eigvalsh"] * 3
-        # the witness runs Lanczos on the block kept since the class at 2.5
+        assert lapack.sized == lanczos(2) * 3
+        # the witness turns the Ritz vector of the run kept since the class at 2.5
         witness_at_p(X, 2.5)
-        assert lapack.sized == [("eigvalsh", 2)] * 3 + lanczos(2)
+        assert lapack.sized == lanczos(2) * 3
         # only the last exponent is kept
         classify(X, 3.0)
-        assert lapack.sized == [("eigvalsh", 2)] * 3 + lanczos(2) + [("eigvalsh", 2)]
+        assert lapack.sized == lanczos(2) * 4 and lapack == []
 
     @pytest.mark.parametrize("space,p", [
         (collinear_triple, 3.0),
@@ -1369,26 +1417,29 @@ class TestBuildOnce:
         (lambda: generate_space("random", 12, seed=8), 2.5),
     ], ids=["collinear", "four_cycle", "l2_cloud", "random_graph"])
     def test_memo_hits_are_bit_identical(self, lapack, space, p):
-        # the witness takes one Lanczos run at NOT_NEG_TYPE, one solve at
-        # BOUNDARY (the 4-cycle), and a fresh space repeats the same calls
+        # the class takes Lanczos steps, which prove NOT_NEG_TYPE, and one
+        # eigvalsh where they do not (the 4-cycle, at BOUNDARY); the witness
+        # verifies from the run's Ritz vector with no call, the class again
+        # takes none, and each fresh space repeats the same calls
         X = space()
         n = X.size - 1
         rep, w = classify(X, p), witness_at_p(X, p)
         again = classify(X, p)
-        ritz = rep.classification is Classification.NOT_NEG_TYPE
-        solved = lapack.sized[1:]
-        assert lapack.sized[0] == ("eigvalsh", n)
-        assert solved == (lanczos(len(solved)) if ritz else [("solve", n)])
+        proved = rep.classification is Classification.NOT_NEG_TYPE
+        solved = list(lapack.sized)
+        assert lapack == ([] if proved else ["eigvalsh"])
+        assert solved == lanczos(lapack.steps) + ([] if proved else [("eigvalsh", n)])
         lapack.clear()
         fresh_rep, fresh_w = classify(space(), p), witness_at_p(space(), p)
-        assert lapack.sized == [("eigvalsh", n), ("eigvalsh", n), *solved]
+        assert lapack.sized == solved * 2
         lapack.clear()
         for r in (rep, again):
             assert r.lambda_max == fresh_rep.lambda_max
             assert r.direction.weights.tobytes() == fresh_rep.direction.weights.tobytes()
-        # rep and again read one vector, solved by the first read where the
-        # witness took none; fresh_rep's space solves once
-        assert lapack.sized == [("solve", n)] * (2 if ritz else 1)
+        # rep and again read one lambda_max and one vector, each computed by
+        # the first read where the class and the witness took none, and so
+        # does fresh_rep's space
+        assert lapack.sized == [("eigvalsh", n)] * 2 * proved + [("solve", n)] * 2
         assert w.xi.weights.tobytes() == fresh_w.xi.weights.tobytes()
         assert w.simplex == fresh_w.simplex
         assert (w.residual, w.lhs, w.rhs) == (fresh_w.residual, fresh_w.lhs, fresh_w.rhs)
@@ -1410,12 +1461,13 @@ class TestBuildOnce:
                 raise np.linalg.LinAlgError("did not converge")
             return counting(a)
 
+        # at 2 the Lanczos steps prove nothing, so the class takes eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", fail_once)
         X = collinear_triple()
         with pytest.raises(EigenFailure):
-            classify(X, 3.0)
-        rep = classify(X, 3.0)
-        assert rep.classification is Classification.NOT_NEG_TYPE
+            classify(X, 2.0)
+        rep = classify(X, 2.0)
+        assert rep.classification is Classification.BOUNDARY
         assert lapack == ["failed", "eigvalsh"]
         rep.direction
         assert lapack == ["failed", "eigvalsh", "solve"]
@@ -1423,7 +1475,8 @@ class TestBuildOnce:
     def test_concurrent_callers_read_their_own_exponent(self):
         # threads at two exponents replace each other's form in the one slot
         # of a shared space; none may read the other's: every answer has the
-        # bits of a fresh space's
+        # bits of a fresh space's. Threads at one exponent share a form: its
+        # Lanczos run, its held block and the solve that takes the block
         def space():
             return generate_space("random", 12, seed=8)
 
@@ -1432,7 +1485,9 @@ class TestBuildOnce:
         Q = vector_to_simplex(space(), xi)
 
         def answers(X, p):
-            return classify(X, p).lambda_max, quad_form(X, p, xi), verify_equality(X, p, Q).gap
+            rep = classify(X, p)
+            return (rep.lambda_max, rep.direction.weights.tobytes(), quad_form(X, p, xi),
+                    verify_equality(X, p, Q).gap, witness_at_p(X, p).xi.weights.tobytes())
 
         want = {p: answers(space(), p) for p in (2.5, 3.5)}
         X, errors = space(), []

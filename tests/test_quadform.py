@@ -305,7 +305,8 @@ class TestClassify:
 
 
 class TestLazyDirection:
-    """A report's direction is solved on its first read, from the space's form at p."""
+    """A report's direction is solved on its first read, from the space's form at p,
+    and so is its lambda_max where a Lanczos vector proved NOT_NEG_TYPE."""
 
     @staticmethod
     def space():
@@ -316,16 +317,34 @@ class TestLazyDirection:
     def test_reads_after_the_kept_form_moved_on(self, lapack):
         # the reports at 1 and 2 are read only once the kept form is at 3:
         # each builds and solves its form again, with the bits of a read
-        # made at once on a fresh copy
+        # made at once on a fresh copy. The class at 3 is proved by Lanczos,
+        # so the read of its direction takes the eigvalsh of its shift first
         X, F = self.space(), self.space()
         reps = [classify(X, p) for p in self.PS]
         assert [r.classification for r in reps] == list(Classification)
-        assert lapack == ["eigvalsh"] * 3
+        assert lapack == ["eigvalsh"] * 2
         eager = [classify(F, p).direction.weights.tobytes() for p in self.PS]
         lapack.clear()
         late = {i: reps[i].direction.weights.tobytes() for i in (2, 0, 1)}
-        assert lapack == ["solve", "eigvalsh", "solve", "eigvalsh", "solve"]
+        assert lapack == ["eigvalsh", "solve"] * 3 and lapack.steps == 0
         assert [late[i] for i in range(3)] == eager
+
+    def test_lambda_max_read_after_the_kept_form_moved_on(self, lapack):
+        # a proved NOT_NEG_TYPE computes no eigenvalue; its lambda_max is one
+        # eigvalsh on first read, with the bits of the class's eigvalsh on
+        # a fresh copy, whether the kept form is still at p or has moved on
+        X, Y, F = self.space(), self.space(), self.space()
+        rep, late = classify(X, 3.0), classify(Y, 3.0)
+        assert rep.classification is Classification.NOT_NEG_TYPE
+        assert lapack == [] and "lambda_max" not in vars(rep)
+        classify(Y, 1.0)
+        lapack.clear()
+        want = quadform._real(quadform._form(F, 3.0).spectrum[0], quadform._form(F, 3.0).scale)
+        assert lapack == ["eigvalsh"]
+        assert rep.lambda_max == late.lambda_max == want
+        assert rep.lambda_max is rep.lambda_max and late.lambda_max is late.lambda_max
+        assert lapack == ["eigvalsh"] * 3
+        assert want == pytest.approx(centered_lambda_max(F, 3.0), rel=1e-10)
 
     def test_one_read_one_array(self, lapack):
         X = self.space()
@@ -335,13 +354,13 @@ class TestLazyDirection:
             assert rep.direction is rep.direction
             np.testing.assert_array_equal(rep.direction.weights, quadform._form(X, p).top[1])
         assert lapack == ["eigvalsh", "solve"] * 3
-        assert [f.name for f in dataclasses.fields(rep)] == [
-            "p", "lambda_max", "classification", "tolerance"]
-        assert "direction" not in repr(rep)
+        assert [f.name for f in dataclasses.fields(rep)] == ["p", "classification", "tolerance"]
+        assert "direction" not in repr(rep) and "lambda_max" not in repr(rep)
 
     def test_kept_form_holds_its_block_only_until_it_is_used(self):
-        # the block eigvalsh ran on is held for the solve, and dropped at
-        # STRICT, where no witness needs it: a kept form then holds D~_p alone
+        # the block is formed once for the Lanczos run and eigvalsh and held
+        # for the solve, and dropped at STRICT, where no witness needs it: a
+        # kept form then holds D~_p alone
         X = self.space()
         for p in self.PS:
             rep = classify(X, p)
@@ -365,7 +384,9 @@ class TestLazyDirection:
         assert abs(abs(v @ np.array([1, -2, 1])) / math.sqrt(6) - 1) < 1e-12
 
     def test_eigen_failure_surfaces_at_the_read(self, monkeypatch):
-        # classify needs no eigh; the read that falls back to one raises
+        # classify needs no eigh of the form, and a Lanczos step whose eigh
+        # fails leaves the class to eigvalsh; the read that falls back to
+        # an eigh of the form raises
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
@@ -373,15 +394,124 @@ class TestLazyDirection:
         monkeypatch.setattr(np.linalg, "solve", fail)
         monkeypatch.setattr(np.linalg, "eigh", fail)
         rep = classify(X, 3.0)
+        assert rep.classification is Classification.NOT_NEG_TYPE
         with pytest.raises(EigenFailure):
             rep.direction
         monkeypatch.undo()  # the failed eigh kept nothing: a later read solves it
         np.testing.assert_array_equal(rep.direction.weights, quadform._form(X, 3.0).eigen[1])
 
-    def test_hilbert_embeddable_takes_one_eigvalsh(self, lapack):
+    def test_hilbert_embeddable_takes_an_eigvalsh_only_where_it_embeds(self, lapack):
+        # the 4-cycle at 2 is proved NOT_NEG_TYPE by Lanczos
         spaces = (collinear_triple(), unit_four_cycle(), self.space())
         assert [hilbert_embeddable(X) for X in spaces] == [True, False, True]
-        assert lapack == ["eigvalsh"] * 3
+        assert lapack == ["eigvalsh"] * 2
+        lapack.clear()
+        assert not hilbert_embeddable(generate_space("points", 200, q=1.0, seed=1))
+        assert lapack == [] and 1 <= lapack.steps <= quadform.LANCZOS_STEPS
+
+
+class TestLanczosDecision:
+    """classify first takes up to LANCZOS_STEPS Lanczos steps, which prove
+    NOT_NEG_TYPE where a Ritz vector's form exceeds the tolerance by the
+    margin _KAPPA m^2 u; eigvalsh decides the rest. Either way the class is
+    the one the eigvalsh rule gives."""
+
+    @staticmethod
+    def eigvalsh_class(X, p, epsilon=None):
+        """The class from eigvalsh of the restricted form, compared against the tolerance."""
+        d, scale = quadform._power(X, p)
+        lam = float(np.linalg.eigvalsh(quadform._restrict(d))[-1])
+        if epsilon is None:
+            eps = quadform.EPSILON_REL
+        else:
+            eps = epsilon / scale if scale else math.inf if epsilon else 0.0
+        return (Classification.STRICT if lam < -eps
+                else Classification.NOT_NEG_TYPE if lam > eps else Classification.BOUNDARY)
+
+    def test_sweep_corpus(self):
+        # the spaces of TestWitnessContract's sweep at its 8 exponents above
+        # the bracket, every one NOT_NEG_TYPE and proved, and at 0.5 lo,
+        # 0.99 lo and hi
+        rng = np.random.default_rng(123)
+        spaces = proved = 0
+        while spaces < 150:
+            X = random_space(rng)
+            sup = supremal(X)
+            if sup.status is not SupremalStatus.FINITE:
+                continue
+            spaces += 1
+            above = np.geomspace(1.01 * sup.hi, 64, 8).tolist()
+            for p in [*above, 0.5 * sup.lo, 0.99 * sup.lo, sup.hi]:
+                rep = classify(X, p)
+                assert rep.classification is self.eigvalsh_class(X, p), (spaces, p)
+                proved += rep._step is not None
+                assert rep._step is not None or p not in above, (spaces, p)
+        assert proved >= 1200
+
+    @pytest.mark.parametrize("kind, q", GEN_KINDS, ids=GEN_IDS)
+    def test_gen_corpus_at_every_tolerance(self, kind, q):
+        # epsilon = 0 leaves the margin alone above 0, and a huge epsilon
+        # makes every class BOUNDARY, which no step can prove
+        for X, p in fixed_exponent_corpus(kind, q):
+            for epsilon in (None, 0.0, 1e300):
+                rep = classify(X, p, epsilon)
+                assert rep.classification is self.eigvalsh_class(X, p, epsilon), (X.size, p)
+            assert rep.classification is Classification.BOUNDARY and rep._step is None
+
+    def test_the_margin_leaves_a_close_call_to_eigvalsh(self, lapack):
+        # lambda_max of the collinear triple's normalised form at 3 is 1/6:
+        # a tolerance within the margin below it is left to eigvalsh, and
+        # one twice the margin below it is proved in two steps
+        lam = classify(collinear_triple(), 3.0).lambda_max / 8.0  # max D_3 = 8
+        margin = quadform._KAPPA * 9 * 2.0**-53
+        X = collinear_triple()
+        lapack.clear()
+        close = classify(X, 3.0, 8.0 * (lam - 0.5 * margin))
+        assert close.classification is Classification.NOT_NEG_TYPE and close._step is None
+        assert lapack == ["eigvalsh"] and lapack.steps == 2
+        # the second class reads the two steps the run kept
+        far = classify(X, 3.0, 8.0 * (lam - 2.0 * margin))
+        assert far.classification is Classification.NOT_NEG_TYPE and far._step == 2
+        assert lapack == ["eigvalsh"] and lapack.steps == 2
+
+    def test_a_ritz_value_alone_proves_nothing(self, monkeypatch):
+        # the proof reads the form of the lifted Ritz vector on D~_p, not
+        # the Ritz value: with every Ritz value read as inf, the classes
+        # below stay the ones eigvalsh gives
+        real = quadform._Run.step
+
+        def inflated(run, a):
+            took = real(run, a)
+            if took:
+                run.tops[-1] = (math.inf, run.tops[-1][1])
+            return took
+
+        monkeypatch.setattr(quadform._Run, "step", inflated)
+        for X, p, cls in ((collinear_triple(), 1.0, Classification.STRICT),
+                          (collinear_triple(), 2.0, Classification.BOUNDARY),
+                          (unit_four_cycle(), 1.0, Classification.BOUNDARY)):
+            rep = classify(X, p)
+            assert rep.classification is cls and rep._step is None
+
+    def test_non_finite_form_raises_before_any_step(self, lapack):
+        X = MetricSpace(("a", "b", "c"), [[0, 1, math.inf], [1, 0, 1], [math.inf, 1, 0]])
+        with pytest.raises(EigenFailure, match="not finite"):
+            classify(X, 1.0)
+        assert lapack.sized == []
+
+    @pytest.mark.parametrize("kind, m, q, p", [
+        ("points", 300, 1.0, 2.0), ("points", 200, 2.0, 2.5), ("random", 100, 2.0, 3.0),
+    ], ids=["l1_cloud", "l2_cloud", "random_graph"])
+    def test_proved_class_and_witness_take_no_call_on_the_form(self, lapack, kind, m, q, p):
+        # no eigvalsh, solve or eigh of order m - 1: only the steps' eigh
+        # calls on their tridiagonal matrices
+        X = generate_space(kind, m, q=q, seed=1)
+        rep, w = classify(X, p), witness_at_p(X, p)
+        assert rep.classification is Classification.NOT_NEG_TYPE
+        assert w.equality.nontrivial_equality
+        assert lapack.of_order(m - 1) == [] and lapack == []
+        assert 1 <= lapack.steps == rep._step <= quadform.LANCZOS_STEPS
+        assert lapack.sized == [("eigh", k) for k in range(1, rep._step + 1)]
 
 
 class TestExactClass:
