@@ -117,6 +117,14 @@ class SignedSimplex:
                             for i, w in getattr(self, side))
             object.__setattr__(self, side, entries)
 
+    @classmethod
+    def _unchecked(cls, left: tuple, right: tuple) -> SignedSimplex:
+        """The simplex of entries that are already (int, float) pairs, read as they are."""
+        simplex = object.__new__(cls)
+        object.__setattr__(simplex, "left", left)
+        object.__setattr__(simplex, "right", right)
+        return simplex
+
 
 def _weight(w) -> float:
     """A weight as a float; a bool or a string is not one."""
@@ -272,10 +280,13 @@ def _net(sides: _Sides) -> np.ndarray:
 
 
 def _sign_split(w: np.ndarray) -> SignedSimplex:
-    """Positive components as left weights, negated negative components as right weights."""
+    """Positive components as left weights, negated negative components as right weights.
+
+    tolist gives Python ints and floats, so the entries need no second check.
+    """
     left, right = np.flatnonzero(w > 0.0), np.flatnonzero(w < 0.0)
-    return SignedSimplex(tuple(zip(left.tolist(), w[left].tolist())),
-                         tuple(zip(right.tolist(), (-w[right]).tolist())))
+    return SignedSimplex._unchecked(tuple(zip(left.tolist(), w[left].tolist())),
+                                    tuple(zip(right.tolist(), (-w[right]).tolist())))
 
 
 def gap(X: MetricSpace, p: float, Q: SignedSimplex) -> float:
@@ -413,7 +424,8 @@ def _witness(X: MetricSpace, form: _Form, report: QuadFormReport) -> WitnessRepo
 
 
 def _null_witness(X: MetricSpace, form: _Form, v: np.ndarray | None,
-                  method: WitnessMethod | None = None) -> WitnessReport | None:
+                  method: WitnessMethod | None = None,
+                  dv: np.ndarray | None = None) -> WitnessReport | None:
     """The witness from the unit zero-sum vector v on the form, if it verifies.
 
     Where the form f of v is positive, v turns to the exact zero of the form
@@ -421,13 +433,15 @@ def _null_witness(X: MetricSpace, form: _Form, v: np.ndarray | None,
     where the form is -D~(i, j) = -1: the root t of f + 2 b t - t^2 = 0
     nearest 0, b the bilinear form of v and u, needs no solve. method
     defaults to classify's rule read on f: IVT only where f exceeds
-    EPSILON_REL. None where the solve found no v, or the simplex is not a
-    nontrivial equality.
+    EPSILON_REL. dv, where given, is D~_p v, already computed (_Form.ritz).
+    None where the solve found no v, or the simplex is not a nontrivial
+    equality.
     """
     if v is None:
         return None
     d = form.d
-    dv = d @ v
+    if dv is None:
+        dv = d @ v
     f = float(v @ dv)
     if f > 0.0:
         i, j = divmod(int(np.argmax(d)), d.shape[0])
@@ -463,7 +477,8 @@ def _fixed_witness(X: MetricSpace, form: _Form, report: QuadFormReport) -> Witne
         return _witness(X, form, report)
     ivt = report.classification is Classification.NOT_NEG_TYPE
     method = WitnessMethod.IVT if ivt else WitnessMethod.EIGEN_DIRECTION
-    witness = _null_witness(X, form, form.ritz(report._step), method)
+    v, dv = form.ritz(report._step) or (None, None)
+    witness = _null_witness(X, form, v, method, dv)
     if witness is not None:
         form.release()
         return witness

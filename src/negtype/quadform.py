@@ -28,23 +28,30 @@ has a form above the tolerance by a rounding margin (classify, _KAPPA): the
 class eigvalsh would give, for one product with the block per step and no
 eigensolve (all LANCZOS_STEPS = 8 steps take 0.8 and 1.2 ms at m = 500 and
 800 on a 2-core host, against 12 to 14 and 34 to 37 ms for eigvalsh).
-Only where they prove nothing does one eigvalsh of the block decide, as it
-does each sign probe of supremal (_spectrum); a proved report computes
-its lambda_max on first read. The top eigenvector comes from one shifted
-linear solve on the same block, run only when something reads it: the
-report's direction, or a witness whose Ritz vector does not verify. A
-witness at NOT_NEG_TYPE or BOUNDARY turns a Ritz vector of the same run
-first: at NOT_NEG_TYPE the one whose form proved the class. eigh runs only
-behind a failed check: where that solve fails, or the witness turned from
-its vector does not verify. A space's D~_p at one exponent is one _Form:
-the read-only D~_p, its scale, the Lanczos run (kept, and resumed where a
-later call needs more steps), and, each solved on first read, its top
-eigenvalue and shift (spectrum), the top eigenpair (top) that the report's
-direction reads, and the two extreme eigenpairs of one eigh (eigen) that
-only the fallback reads. The block is formed once and held for the run,
-eigvalsh and the solve, until top's solve takes it; classify drops it at
-STRICT and a witness once its Ritz vector verifies (a later step or solve
-forms it again, with the same bits). _form keeps the last form per space
+Where they prove nothing and the run's last top Ritz value, a lower bound
+on lambda_max, is below minus that margin, one Cholesky factorisation of
+the negated block shifted by the margin proves STRICT where it succeeds
+(_definite; 5 and 14 ms at m = 500 and 800): again the class eigvalsh
+would give. Only where neither proves the class does one eigvalsh of the
+block decide, as it does each sign probe of supremal (_spectrum); a
+proved report computes its lambda_max on first read. The top eigenvector
+comes from one shifted linear solve on the same block, run only when
+something reads it: the report's direction, or a witness whose Ritz
+vector does not verify. A witness at NOT_NEG_TYPE or BOUNDARY turns a
+Ritz vector of the same run first: at NOT_NEG_TYPE the one whose form
+proved the class. eigh runs only behind a failed check: where that solve
+fails, or the witness turned from its vector does not verify. A space's
+D~_p at one exponent is one _Form: the read-only D~_p, its scale, the
+Lanczos run (kept, and resumed where a later call needs more steps), and,
+each solved on first read, its top eigenvalue and shift (spectrum), the
+top eigenpair (top) that the report's direction reads, and the two
+extreme eigenpairs of one eigh (eigen) that only the fallback reads. The
+block is formed once and held for the run, the factorisation, eigvalsh
+and the solve, until top's solve takes it; classify drops it at STRICT
+and a witness once its Ritz vector verifies (a later step or solve forms
+it again, with the same bits). A factorisation that proves STRICT drops
+the whole form unless a caller holds it, so a later read at p builds
+D~_p again. _form keeps the last form per space
 object (O(m^2) floats per live space, weakly keyed), so every call at
 (X, p) on every point builds D~_p once: classify, witness_at_p and
 witness_at_supremal, and quad_form, polyeq.gap and polyeq.verify_equality
@@ -107,6 +114,15 @@ LANCZOS_STEPS = 8
 # the block's norm <= m^2 u, of the block's. So f > eps + 16 m^2 u proves
 # that eigvalsh of the same block reads lambda_max > eps: the class it
 # would give. The margin is 1.1e-9 at m = 800, beside EPSILON_REL = 1e-9.
+# The same margin s = eps + 16 m^2 u proves STRICT from one Cholesky
+# factorisation of -a - s I, a the block eigvalsh would read (_definite).
+# A floating-point Cholesky that succeeds proves its matrix positive
+# definite up to a shift of about gamma_m tr, gamma_m = m u / (1 - m u) and
+# tr its trace (Rump, BIT 46, 2006); the diagonal shift adds a rounding of
+# a few m u. The trace of the restricted form is -(1/m) sum D~_p, so
+# tr(-a) <= m - 1 and the shift is within about m^2 u: lambda_max of a is
+# below -eps - 15 m^2 u. eigvalsh's backward error, about m^2 u again,
+# leaves its lambda_max below -eps: STRICT, the class it would give.
 _KAPPA = 16
 
 # space -> its last _Form, see _form
@@ -157,8 +173,9 @@ class QuadFormReport:
 
     The report keeps its space, not the form. lambda_max and direction are
     not dataclass fields. lambda_max is the eigvalsh of the decision where
-    it took one; where a Lanczos vector proved NOT_NEG_TYPE (classify), it
-    is computed on first read, one eigvalsh of the space's form at p.
+    it took one; where a Lanczos vector proved NOT_NEG_TYPE or a Cholesky
+    factorisation proved STRICT (classify), it is computed on first read,
+    one eigvalsh of the space's form at p.
     direction, the top eigenvector, is solved on first read from that form
     (top, or eigen where that solve fails), the array a witness at p turns
     where its Ritz vector does not verify. A read after the space's kept
@@ -333,7 +350,7 @@ class _Run:
         start = np.random.default_rng(0).standard_normal(n)
         self.q[0] = start / np.linalg.norm(start)
         self.tops: list[tuple[float, np.ndarray]] = []  # (theta, s) per step taken
-        self.lifted: dict[int, tuple[np.ndarray, float]] = {}  # step -> (v, form of v)
+        self.lifted: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}  # step -> (v, D~_p v, form of v)
         self.ended = False
 
     def step(self, a: np.ndarray) -> bool:
@@ -361,14 +378,16 @@ class _Run:
             q[k + 1] = w / beta
         return True
 
-    def vector(self, j: int, d: np.ndarray) -> tuple[np.ndarray, float]:
-        """(v, f): step j's Ritz vector, unit, zero-sum and read-only, and its form v D~_p v."""
+    def vector(self, j: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """(v, dv, f): step j's Ritz vector, unit, zero-sum and read-only, D~_p v and its form v dv."""
         got = self.lifted.get(j)
         if got is None:
             y = self.tops[j - 1][1] @ self.q[:j]
             v = _lift(y / np.linalg.norm(y))
-            v.setflags(write=False)  # every later read hands out this same array
-            got = self.lifted[j] = v, float(v @ (d @ v))
+            dv = d @ v
+            for x in (v, dv):  # every later read hands out these same arrays
+                x.setflags(write=False)
+            got = self.lifted[j] = v, dv, float(v @ dv)
         return got
 
 
@@ -377,16 +396,19 @@ class _Form:
     """D~_p of one space at exponent p, read-only, with D_p = scale D~_p.
 
     A decision at p first reads proves, a few steps of a Lanczos run (_Run)
-    on the restricted block, and only where they prove nothing spectrum, one
-    eigvalsh of that block. A report's direction reads top, one solve on the
-    block, which overwrites it. A witness at NOT_NEG_TYPE or BOUNDARY first
-    turns a Ritz vector of the run (ritz). eigen, one eigh, is read only
-    behind a failed check: where the solve for the top vector fails, or its
-    witness does not verify. The block is formed once, on first need, and
-    held between them until top takes it or release drops it (classify at
-    STRICT, a witness once a Ritz vector verifies); a later read forms it
-    again with the same bits. The run is kept, so a later decision or
-    witness at p reads the steps already taken and takes only new ones.
+    on the restricted block, then where they prove nothing may factor the
+    block (classify, _strict), and only where that proves nothing either
+    reads spectrum, one eigvalsh of that block. A report's direction reads
+    top, one solve on the block, which overwrites it. A witness at
+    NOT_NEG_TYPE or BOUNDARY first turns a Ritz vector of the run (ritz).
+    eigen, one eigh, is read only behind a failed check: where the solve
+    for the top vector fails, or its witness does not verify. The block is
+    formed once, on first need, and held between them until top takes it,
+    release drops it (classify at STRICT, a witness once a Ritz vector
+    verifies) or a factorisation that proves STRICT negates it; a later
+    read forms it again with the same bits. The run is kept, so a later
+    decision or witness at p reads the steps already taken and takes only
+    new ones.
     A caller takes the block or the run off the form with one atomic pop
     while it uses the block or steps the run, and puts it back, so no two
     concurrent callers use one block or step one run at once; a caller that
@@ -403,8 +425,11 @@ class _Form:
         a = self.__dict__.pop("block", None)
         return _checked(self.d) if a is None else a
 
-    def _hold(self, a: np.ndarray) -> None:
+    def _hold(self, a: np.ndarray, run: _Run | None = None) -> None:
+        """Hold the block a, and the run where the form has none."""
         self.__dict__["block"] = a
+        if run is not None:
+            self.__dict__.setdefault("run", run)
 
     def release(self) -> None:
         """Drop the block the form holds, if any: the form then holds D~_p alone."""
@@ -434,17 +459,17 @@ class _Form:
             if j == len(run.tops):
                 return None
             j += 1
-            if run.tops[j - 1][0] > threshold and run.vector(j, self.d)[1] > threshold:
+            if run.tops[j - 1][0] > threshold and run.vector(j, self.d)[2] > threshold:
                 return j
 
-    def ritz(self, step: int | None) -> np.ndarray | None:
-        """The Ritz vector of that step, or of the run's last where step is None (_Run.vector).
+    def ritz(self, step: int | None) -> tuple[np.ndarray, np.ndarray] | None:
+        """(v, D~_p v) for the Ritz vector v of that step, or of the run's last where step is None.
 
-        None where the run took no step.
+        See _Run.vector. None where the run took no step.
         """
         run = self._run(math.inf if step is None else step)
         j = len(run.tops) if step is None else min(step, len(run.tops))
-        return run.vector(j, self.d)[0] if j else None
+        return run.vector(j, self.d)[:2] if j else None
 
     @functools.cached_property
     def spectrum(self) -> tuple[float, float]:
@@ -527,6 +552,52 @@ def _inverse_step(a: np.ndarray, shift: float) -> np.ndarray | None:
     return _lift(y / np.linalg.norm(y))
 
 
+def _definite(a: np.ndarray, shift: float) -> bool:
+    """True where a Cholesky factorisation of -a - shift I succeeds (see _KAPPA).
+
+    It factors a itself, negated in place: numpy factors a copy, so the
+    factor and that copy are the only other arrays of its size. Where the
+    factorisation fails, a gets its bits back (negation is exact, and the
+    diagonal is put back as it was).
+    """
+    diagonal = a.diagonal().copy()
+    np.negative(a, out=a)
+    a[np.diag_indices_from(a)] -= shift
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        np.negative(a, out=a)
+        np.fill_diagonal(a, diagonal)
+        return False
+    return True
+
+
+def _strict(X: MetricSpace, p: float, margin: float) -> bool:
+    """True where _definite proves the form of X at p STRICT at that margin.
+
+    The form leaves the space's slot while the block it held is factored,
+    so D~_p is freed there unless a caller holds the form, which then goes
+    back to the slot. Where the factorisation fails, the block goes back to
+    the form, or with the form's Lanczos run to one built again where that
+    was freed.
+    """
+    form = _form(X, p)
+    a, run = form._take(), form.__dict__.get("run")
+    kept = weakref.ref(form)
+    if _FORMS.get(X) is form:
+        del _FORMS[X]
+    del form
+    proved = _definite(a, margin)
+    form = kept()
+    if form is not None:
+        _FORMS.setdefault(X, form)
+    if not proved:
+        if form is None:
+            form = _form(X, p)
+        form._hold(a, run)
+    return proved
+
+
 def _near_null(d: np.ndarray) -> np.ndarray | None:
     """A unit zero-sum vector that the form of D~_p nearly annuls, or None.
 
@@ -592,10 +663,15 @@ def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadForm
     exceeds epsilon by the rounding margin _KAPPA m^2 u: where one of its
     first LANCZOS_STEPS steps finds one, the class is NOT_NEG_TYPE, the one
     eigvalsh would give, and lambda_max is computed only when it is read.
-    Otherwise the largest eigenvalue of the same block (eigvalsh, see
+    Where the run's last top Ritz value is below minus that margin, one
+    Cholesky factorisation of the negated block shifted by the margin
+    follows (_strict): where it succeeds, the class is STRICT, again the
+    one eigvalsh would give, and lambda_max is computed only when it is
+    read. Otherwise the largest eigenvalue of the same block (eigvalsh, see
     _Form.spectrum) is compared against epsilon. The report's direction is
     solved only when it is read (QuadFormReport.direction); at STRICT the
-    form drops the block it holds for that solve.
+    form drops the block it holds for that solve, and a proved STRICT drops
+    the form as well.
     """
     if epsilon is not None and not 0.0 <= epsilon < math.inf:
         raise InvalidTolerance(f"epsilon = {epsilon}")
@@ -606,10 +682,20 @@ def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadForm
     else:  # x / 0 reads as inf, 0 / 0 as 0
         eps = epsilon / scale if scale else math.inf if epsilon else 0.0
 
-    step = form.proves(eps + _KAPPA * X.size**2 * _U)
+    margin = eps + _KAPPA * X.size**2 * _U
+    step = form.proves(margin)
     if step is not None:
         return QuadFormReport(float(p), Classification.NOT_NEG_TYPE, float(epsilon), X,
                               step=step)
+    # the run's last top Ritz value is at most lambda_max: at or above -margin
+    # (or where margin is inf) no factorisation can prove STRICT, and a form
+    # whose eigvalsh is taken already decides by it
+    tops = form._run(0).tops
+    if tops and tops[-1][0] < -margin and "spectrum" not in vars(form):
+        del form  # the factorisation frees D~_p where no caller holds the form
+        if _strict(X, p, margin):
+            return QuadFormReport(float(p), Classification.STRICT, float(epsilon), X)
+        form = _form(X, p)
     lam, _ = form.spectrum
     if lam < -eps:
         cls = Classification.STRICT

@@ -29,7 +29,7 @@ def equilateral():
 
 
 class LapackCalls(list):
-    """The names of the np.linalg calls eigh, eigvalsh and solve on a form, in call order.
+    """The names of the np.linalg calls eigh, eigvalsh, solve and cholesky on a form, in call order.
 
     A Lanczos step's eigh of its small tridiagonal matrix (quadform._Run.step)
     is not a call on the form: steps counts those. sized holds (name, order
@@ -53,7 +53,7 @@ class LapackCalls(list):
 
 @pytest.fixture()
 def lapack(monkeypatch):
-    """The np.linalg calls eigh, eigvalsh and solve, in call order (LapackCalls)."""
+    """The np.linalg calls eigh, eigvalsh, solve and cholesky, in call order (LapackCalls)."""
     calls = LapackCalls()
     step = quadform._Run.step.__code__
 
@@ -70,6 +70,6 @@ def lapack(monkeypatch):
 
         return counting
 
-    for name in ("eigh", "eigvalsh", "solve"):
+    for name in ("eigh", "eigvalsh", "solve", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counted(name))
     return calls

@@ -535,8 +535,9 @@ class TestSupremalCommand:
 class TestSolveCounts:
     """check prints lambda_max and the direction, so it takes one eigvalsh and
     one solve of the form at every class, after the class's Lanczos steps
-    (two on three points, which span F0; they prove the class at 3); a
-    witness at a STRICT exponent needs no direction."""
+    (two on three points, which span F0; they prove the class at 3) and, at
+    1, the Cholesky factorisation that proves STRICT; a witness at a STRICT
+    exponent needs no direction, so it takes the factorisation alone."""
 
     DIRECTION = [-0.408248290464, 0.816496580928, -0.408248290464]
 
@@ -553,12 +554,14 @@ class TestSolveCounts:
         for fmt, out in (("text", text), ("json", render_json(payload) + "\n")):
             lapack.clear()
             assert main(["check", collinear_file, "--p", p, "--format", fmt]) == code
-            assert lapack == ["eigvalsh", "solve"] and lapack.steps == 2
+            proof = ["cholesky"] if cls == "STRICT" else []
+            assert lapack == [*proof, "eigvalsh", "solve"] and lapack.steps == 2
             assert capsys.readouterr().out == out
 
-    def test_strict_witness_takes_one_eigvalsh(self, collinear_file, lapack, capsys):
+    def test_strict_witness_takes_one_cholesky(self, collinear_file, lapack, capsys):
         assert main(["witness", collinear_file, "--p", "1"]) == 1
-        assert lapack == ["eigvalsh"] and lapack.steps == 2
+        assert lapack == ["cholesky"] and lapack.steps == 2
+        assert lapack.of_order(2) == ["eigh", "cholesky"]  # no eigvalsh of the form
         assert capsys.readouterr().out == ""
 
 

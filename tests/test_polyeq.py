@@ -213,6 +213,19 @@ class TestGap:
 
 
 class TestSignedSimplex:
+    def test_sign_split_is_the_checked_simplex(self):
+        # vector_to_simplex and reduce build their simplex with no second
+        # check of its entries: it equals the simplex the public constructor
+        # makes of the same entries, every index an int and every weight a float
+        rng = np.random.default_rng(5)
+        for seed in range(20):
+            X = generate_space("points", 12, seed=seed)
+            v = rng.standard_normal(12)
+            Q = vector_to_simplex(X, v - v.mean())
+            for R in (Q, reduce(X, Q).simplex):
+                assert SignedSimplex(R.left, R.right) == R
+                assert all(type(i) is int and type(w) is float for i, w in (*R.left, *R.right))
+
     @pytest.mark.parametrize("index", [0.7, -0.5, math.inf, -math.inf, math.nan])
     def test_non_integral_index(self, index):
         with pytest.raises(ValueError, match="simplex index must be an integer"):
@@ -839,7 +852,7 @@ class TestSupremalWitnessFromOneSolve:
         rep = classify(F, sup.midpoint)
         form = quadform._form(F, sup.midpoint)
         assert rep.classification is Classification.BOUNDARY
-        expected = (polyeq._null_witness(F, form, form.ritz(rep._step),
+        expected = (polyeq._null_witness(F, form, form.ritz(rep._step)[0],
                                          WitnessMethod.EIGEN_DIRECTION)
                     or self.eigen_witness(space(), sup))
 
@@ -1099,7 +1112,8 @@ class TestBuildOnce:
 
     def test_witness_at_supremal(self, builds, lapack):
         # the witness from one solve; the fallback classifies the D~_p built
-        # for it, which is STRICT below w, and solves it with eigh alone
+        # for it, which is STRICT below w, proved by one Cholesky
+        # factorisation, and solves it with eigh alone
         collinear = collinear_triple()
         sup = supremal(collinear)
         builds.clear()
@@ -1111,7 +1125,7 @@ class TestBuildOnce:
         lapack.clear()
         with pytest.raises(NoWitnessFound):
             witness_at_supremal(unit_four_cycle(), low)
-        assert len(builds) == 1 and lapack == ["solve", "eigvalsh", "eigh"]
+        assert len(builds) == 1 and lapack == ["solve", "cholesky", "eigh"]
 
     def test_supremal_fallback_below_w_skips_the_top_vector(self, lapack, monkeypatch):
         # at a bracket below w the class is STRICT, which has no nontrivial
@@ -1128,8 +1142,8 @@ class TestBuildOnce:
         low = SupremalResult(SupremalStatus.FINITE, 0.5, 0.5, 64.0, 0)
         with pytest.raises(NoWitnessFound) as exc:
             witness_at_supremal(unit_four_cycle(), low)
-        # _near_null's solve, the class's eigvalsh and the eigh: three
-        assert restricts == [4] * 3 and lapack == ["solve", "eigvalsh", "eigh"]
+        # _near_null's solve, the class's factorisation and the eigh: three
+        assert restricts == [4] * 3 and lapack == ["solve", "cholesky", "eigh"]
         F = unit_four_cycle()
         rep = classify(F, 0.5)
         assert rep.classification is Classification.STRICT
@@ -1172,6 +1186,26 @@ class TestBuildOnce:
                 again = witness_at_p(X, p)
             assert restricts == [] and lapack.sized == lanczos(steps), (X.size, p)
             assert witness_bits(again) == witness_bits(w) == witness_bits(witness_at_p(F, p))
+        assert seen >= 10
+
+    @pytest.mark.parametrize("kind, q", GEN_KINDS, ids=GEN_IDS)
+    def test_ritz_witness_reads_the_kept_product(self, kind, q):
+        # the proof computes D~_p v for the proving Ritz vector once, and the
+        # witness turns v with that product: the bits of a witness that
+        # computes it again
+        seen = 0
+        for X, p in fixed_exponent_corpus(kind, q):
+            rep = classify(X, p)
+            if rep._step is None:
+                continue
+            seen += 1
+            form = quadform._form(X, p)
+            v, dv = form.ritz(rep._step)
+            np.testing.assert_array_equal(dv, form.d @ v)
+            kept = polyeq._null_witness(X, form, v, WitnessMethod.IVT, dv)
+            again = polyeq._null_witness(X, form, v, WitnessMethod.IVT)
+            assert witness_bits(kept) == witness_bits(again), (X.size, p)
+            assert witness_bits(witness_at_p(X, p)) == witness_bits(kept), (X.size, p)
         assert seen >= 10
 
     @pytest.mark.parametrize("kind, q", GEN_KINDS, ids=GEN_IDS)
@@ -1311,27 +1345,39 @@ class TestBuildOnce:
     @pytest.mark.parametrize("kind, q", GEN_KINDS, ids=GEN_IDS)
     def test_fixed_exponent_decisions_never_call_eigh(self, lapack, kind, q):
         # classify, witness_at_p and verify_equality at every class. The
-        # class takes Lanczos steps, at most LANCZOS_STEPS and m - 1, and one
-        # eigvalsh of the form only where they prove nothing: every
-        # NOT_NEG_TYPE here is proved, and its witness verifies from the
-        # proving Ritz vector with no call. A BOUNDARY witness turns the
-        # run's last Ritz vector, and takes one solve only where that does
-        # not verify (cycles at 40 and 120 points). The first read of the
-        # direction takes the eigvalsh and the solve not yet taken. eigh runs
-        # only in the Lanczos steps, on their tridiagonal matrices
+        # class takes Lanczos steps, at most LANCZOS_STEPS and m - 1, then
+        # one Cholesky factorisation of the form where they do not prove
+        # NOT_NEG_TYPE and the last Ritz value is below the margin, and one
+        # eigvalsh only where neither proves the class: every NOT_NEG_TYPE
+        # and every STRICT here is proved, and the factorisation fails only
+        # on the BOUNDARY cycles at 1 on 40 and 120 points. A proved STRICT
+        # drops the form, so the class that witness_at_p takes is made again,
+        # with the same calls. A NOT_NEG_TYPE
+        # witness verifies from the proving Ritz vector with no call. A
+        # BOUNDARY witness turns the run's last Ritz vector, and takes one
+        # solve only where that does not verify (cycles at 40 and 120
+        # points). The first read of the direction takes the eigvalsh and
+        # the solve not yet taken. eigh runs only in the Lanczos steps, on
+        # their tridiagonal matrices
         for X, p in fixed_exponent_corpus(kind, q):
             lapack.clear()
             n = X.size - 1
             rep = classify(X, p)
-            proved = rep.classification is Classification.NOT_NEG_TYPE
+            cls = rep.classification
+            proved = "lambda_max" not in vars(rep)
+            assert proved is (cls is not Classification.BOUNDARY), (X.size, p)
             steps = lapack.steps
             assert 1 <= steps <= min(n, quadform.LANCZOS_STEPS), (X.size, p)
-            assert rep._step == (steps if proved else None), (X.size, p)
-            calls = lanczos(steps) + ([] if proved else [("eigvalsh", n)])
+            assert rep._step == (steps if cls is Classification.NOT_NEG_TYPE else None)
+            tried = cls is Classification.STRICT or (kind == "cycle" and X.size >= 40
+                                                      and p == 1.0)
+            calls = lanczos(steps) + [("cholesky", n)] * tried
+            calls += [] if proved else [("eigvalsh", n)]
             assert lapack.sized == calls, (X.size, p)
-            if rep.classification is Classification.STRICT:
+            if cls is Classification.STRICT:
                 with pytest.raises(NotApplicable):
                     witness_at_p(X, p)
+                calls *= 2  # the proof dropped the form: the witness's class repeats it
             else:
                 w = witness_at_p(X, p)
                 assert verify_equality(X, p, w.simplex).nontrivial_equality
@@ -1514,17 +1560,20 @@ class TestBuildOnce:
         assert errors == []
 
     def test_supremal_probes_skip_the_memo(self, lapack):
-        # each probe and each class takes one eigvalsh and no solve
-        probes = 0
+        # each probe takes one eigvalsh and no solve; the class at 0.5, STRICT,
+        # takes one Cholesky factorisation, and the class at the midpoint,
+        # BOUNDARY, one eigvalsh
+        calls = []
         for X in (collinear_triple(), unit_four_cycle()):
             before = supremal(X)
-            classify(X, 0.5)  # not the midpoint, which the 4-cycle probes exactly
-            classify(X, before.midpoint)
+            assert classify(X, 0.5).classification is Classification.STRICT
+            classify(X, before.midpoint)  # not 0.5, which the 4-cycle probes exactly
             after = supremal(X)
             assert (after.lo, after.hi, after.evaluations) == (
                 before.lo, before.hi, before.evaluations)
-            probes += before.evaluations + after.evaluations
-        assert lapack == ["eigvalsh"] * (probes + 4)
+            calls += ["eigvalsh"] * before.evaluations + ["cholesky", "eigvalsh"]
+            calls += ["eigvalsh"] * after.evaluations
+        assert lapack == calls
 
 
 class TestDichotomy:

@@ -317,12 +317,14 @@ class TestLazyDirection:
     def test_reads_after_the_kept_form_moved_on(self, lapack):
         # the reports at 1 and 2 are read only once the kept form is at 3:
         # each builds and solves its form again, with the bits of a read
-        # made at once on a fresh copy. The class at 3 is proved by Lanczos,
-        # so the read of its direction takes the eigvalsh of its shift first
+        # made at once on a fresh copy. The class at 1 is proved by one
+        # Cholesky factorisation and the class at 3 by Lanczos, so the class
+        # at 2 alone takes an eigvalsh, and every read of a direction takes
+        # the eigvalsh of its shift first
         X, F = self.space(), self.space()
         reps = [classify(X, p) for p in self.PS]
         assert [r.classification for r in reps] == list(Classification)
-        assert lapack == ["eigvalsh"] * 2
+        assert lapack == ["cholesky", "eigvalsh"]
         eager = [classify(F, p).direction.weights.tobytes() for p in self.PS]
         lapack.clear()
         late = {i: reps[i].direction.weights.tobytes() for i in (2, 0, 1)}
@@ -353,7 +355,8 @@ class TestLazyDirection:
             assert not any(isinstance(v, (np.ndarray, quadform._Form)) for v in vars(rep).values())
             assert rep.direction is rep.direction
             np.testing.assert_array_equal(rep.direction.weights, quadform._form(X, p).top[1])
-        assert lapack == ["eigvalsh", "solve"] * 3
+        # the class at 1 is proved STRICT by one Cholesky factorisation
+        assert lapack == ["cholesky", *["eigvalsh", "solve"] * 3]
         assert [f.name for f in dataclasses.fields(rep)] == ["p", "classification", "tolerance"]
         assert "direction" not in repr(rep) and "lambda_max" not in repr(rep)
 
@@ -410,11 +413,23 @@ class TestLazyDirection:
         assert lapack == [] and 1 <= lapack.steps <= quadform.LANCZOS_STEPS
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestLanczosDecision:
     """classify first takes up to LANCZOS_STEPS Lanczos steps, which prove
     NOT_NEG_TYPE where a Ritz vector's form exceeds the tolerance by the
-    margin _KAPPA m^2 u; eigvalsh decides the rest. Either way the class is
-    the one the eigvalsh rule gives."""
+    margin _KAPPA m^2 u; where the last Ritz value is below minus that
+    margin, one Cholesky factorisation of the negated form shifted by it
+    proves STRICT where it succeeds; eigvalsh decides the rest. Either way
+    the class is the one the eigvalsh rule gives."""
+
+    # STRICT reports the factorisation proves in test_gen_corpus_at_every_tolerance
+    GEN_PROVED_STRICT = {("points", 2.0): 36, ("points", 1.0): 34, ("random", 2.0): 14,
+                         ("path", 2.0): 32, ("cycle", 2.0): 20}
+
+    @staticmethod
+    def proved_strict(rep):
+        """True where a Cholesky factorisation proved the report STRICT: no eigvalsh ran."""
+        return rep.classification is Classification.STRICT and "lambda_max" not in vars(rep)
 
     @staticmethod
     def eigvalsh_class(X, p, epsilon=None):
@@ -431,9 +446,11 @@ class TestLanczosDecision:
     def test_sweep_corpus(self):
         # the spaces of TestWitnessContract's sweep at its 8 exponents above
         # the bracket, every one NOT_NEG_TYPE and proved, and at 0.5 lo,
-        # 0.99 lo and hi
+        # 0.99 lo and hi; the factorisation proves STRICT at 0.5 lo and
+        # 0.99 lo
         rng = np.random.default_rng(123)
         spaces = proved = 0
+        strict = Counter()
         while spaces < 150:
             X = random_space(rng)
             sup = supremal(X)
@@ -441,22 +458,29 @@ class TestLanczosDecision:
                 continue
             spaces += 1
             above = np.geomspace(1.01 * sup.hi, 64, 8).tolist()
-            for p in [*above, 0.5 * sup.lo, 0.99 * sup.lo, sup.hi]:
+            for f, p in [*zip(["above"] * 8, above), (0.5, 0.5 * sup.lo),
+                         (0.99, 0.99 * sup.lo), ("hi", sup.hi)]:
                 rep = classify(X, p)
                 assert rep.classification is self.eigvalsh_class(X, p), (spaces, p)
                 proved += rep._step is not None
                 assert rep._step is not None or p not in above, (spaces, p)
+                strict[f] += self.proved_strict(rep)
         assert proved >= 1200
+        assert strict[0.5] >= 150 and strict[0.99] >= 150
 
     @pytest.mark.parametrize("kind, q", GEN_KINDS, ids=GEN_IDS)
     def test_gen_corpus_at_every_tolerance(self, kind, q):
         # epsilon = 0 leaves the margin alone above 0, and a huge epsilon
         # makes every class BOUNDARY, which no step can prove
+        proved = 0
         for X, p in fixed_exponent_corpus(kind, q):
             for epsilon in (None, 0.0, 1e300):
                 rep = classify(X, p, epsilon)
                 assert rep.classification is self.eigvalsh_class(X, p, epsilon), (X.size, p)
+                proved += self.proved_strict(rep)
             assert rep.classification is Classification.BOUNDARY and rep._step is None
+            assert "lambda_max" in vars(rep)
+        assert proved >= self.GEN_PROVED_STRICT[kind, q]
 
     def test_the_margin_leaves_a_close_call_to_eigvalsh(self, lapack):
         # lambda_max of the collinear triple's normalised form at 3 is 1/6:
@@ -473,6 +497,57 @@ class TestLanczosDecision:
         far = classify(X, 3.0, 8.0 * (lam - 2.0 * margin))
         assert far.classification is Classification.NOT_NEG_TYPE and far._step == 2
         assert lapack == ["eigvalsh"] and lapack.steps == 2
+
+    def test_strict_within_the_margin_is_left_to_eigvalsh(self, lapack):
+        # a tolerance half the margin below -lambda_max keeps the class
+        # STRICT. On three points the run spans F0, so its last Ritz value is
+        # lambda_max, above minus the margin: no factorisation is tried. On
+        # 40 points the run ends well below lambda_max, so the factorisation
+        # is tried, and it fails, since the form shifted by the margin is not
+        # negative definite by far more than its rounding; eigvalsh decides
+        for X, p in ((collinear_triple(), 1.0), (generate_space("points", 40, seed=0), 1.0)):
+            d, scale = quadform._power(X, p)
+            lam = float(np.linalg.eigvalsh(quadform._restrict(d))[-1])
+            margin = quadform._KAPPA * X.size**2 * 2.0**-53
+            lapack.clear()
+            rep = classify(X, p, scale * (-lam - 0.5 * margin))
+            assert rep.classification is Classification.STRICT and "lambda_max" in vars(rep)
+            assert lapack == (["eigvalsh"] if X.size == 3 else ["cholesky", "eigvalsh"])
+            assert rep.lambda_max == quadform._real(lam, scale)
+            # twice the margin below, the factorisation proves the class
+            lapack.clear()
+            far = classify(validate_metric(None, X.dist), p, scale * (-lam - 2.0 * margin))
+            assert self.proved_strict(far) and lapack == ["cholesky"]
+
+    def test_failed_factorisation_leaves_the_block_as_it_was(self):
+        # the BOUNDARY 4-cycle at 1, whose form shifted by any margin is not
+        # negative definite: the block keeps its bits for eigvalsh
+        a = quadform._restrict(quadform._power(unit_four_cycle(), 1.0)[0])
+        before = a.copy()
+        assert not quadform._definite(a, 1e-9)
+        assert a.tobytes() == before.tobytes()
+        assert quadform._definite(-np.eye(3), 0.5)
+
+    @pytest.mark.parametrize("kind, m, q, p", [
+        ("points", 300, 2.0, 1.0), ("points", 200, 1.0, 0.5), ("path", 150, 2.0, 1.0),
+    ], ids=["l2_cloud", "l1_cloud", "path"])
+    def test_proved_strict_takes_one_factorisation(self, lapack, kind, m, q, p):
+        # no eigvalsh, solve or eigh of order m - 1: the steps' eigh calls on
+        # their tridiagonal matrices and the one factorisation. The proof
+        # drops the space's form, and lambda_max read later is one eigvalsh
+        # of the form built again, with the bits of the eigvalsh rule
+        X = generate_space(kind, m, q=q, seed=1)
+        rep = classify(X, p)
+        assert self.proved_strict(rep)
+        assert lapack == ["cholesky"] and lapack.of_order(m - 1) == ["cholesky"]
+        steps = [("eigh", k) for k in range(1, lapack.steps + 1)]
+        assert lapack.steps == quadform.LANCZOS_STEPS
+        assert lapack.sized == [*steps, ("cholesky", m - 1)]
+        assert X not in quadform._FORMS
+        d, scale = quadform._power(X, p)
+        want = quadform._real(float(np.linalg.eigvalsh(quadform._restrict(d))[-1]), scale)
+        lapack.clear()
+        assert rep.lambda_max == want and lapack == ["eigvalsh"]
 
     def test_a_ritz_value_alone_proves_nothing(self, monkeypatch):
         # the proof reads the form of the lifted Ritz vector on D~_p, not
@@ -547,6 +622,37 @@ class TestExactClass:
                     eq = witness_at_p(X, p).equality
                     assert eq.holds and eq.nontrivial, (d.tolist(), p)
         assert seen == {"STRICT": 2651, "BOUNDARY": 573, "NOT_NEG_TYPE": 4543}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_factorisation_proof_is_exact(self):
+        # integer spaces of strict 1-negative type (odd cycles, and paths and
+        # trees with integer edge lengths): every class at 1 is proved STRICT
+        # by the factorisation, and the oracle agrees
+        def cycle(n):
+            k = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+            return np.minimum(k, n - k)
+
+        def path(n, rng):
+            x = np.cumsum(rng.integers(1, 6, n))
+            return np.abs(np.subtract.outer(x, x))
+
+        def tree(n, rng):
+            d = np.zeros((n, n), dtype=int)
+            for v in range(1, n):  # vertex v hangs off an earlier vertex u
+                u, w = int(rng.integers(v)), int(rng.integers(1, 6))
+                d[v, :v] = d[u, :v] + w
+                d[:v, v] = d[v, :v]
+            return d
+
+        rng = np.random.default_rng(37)
+        spaces = [cycle(n) for n in range(3, 32, 2)]
+        for _ in range(30):
+            n = int(rng.integers(3, 25))
+            spaces += [path(n, rng), tree(n, rng)]
+        for d in spaces:
+            rep = classify(validate_metric(None, d), 1.0)
+            assert TestLanczosDecision.proved_strict(rep), d.tolist()
+            assert exact_class(d, 1) == "STRICT", d.tolist()
 
     def test_boundary_kernels_are_exact_equalities(self):
         # at each BOUNDARY pair of the graphs above every vector of an exact
