@@ -50,7 +50,7 @@ from .polyeq import (
     witness_at_p,
     witness_at_supremal,
 )
-from .quadform import Classification, SupremalStatus, classify, supremal
+from .quadform import Classification, SupremalStatus, _classify, supremal
 
 __all__ = [
     "main",
@@ -341,7 +341,8 @@ def _supremal_of(X: MetricSpace, args):
 
 
 def _check(X: MetricSpace, args):
-    rep = classify(X, args.p, args.tol)
+    # lambda_max and the direction need the eigvalsh, so it decides the class
+    rep = _classify(X, args.p, args.tol, prove=False)
     payload = {
         "p": rep.p,
         "classification": rep.classification.value,

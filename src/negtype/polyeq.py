@@ -18,10 +18,11 @@ negative, in closed form (_null_witness). At a fixed exponent above w
 Lanczos Ritz vector whose form proved the class in classify, from a few
 products with the restricted block and no eigensolve
 (quadform._Form.ritz). At BOUNDARY it turns the last Ritz vector of the
-same run, which the decision took before its eigvalsh. Behind a Ritz
-witness that fails it turns the top eigenvector of one shifted solve on
-that block (quadform._Form.top); a STRICT class has no witness and takes
-the Lanczos steps and the eigvalsh alone. At a supremal bracket
+same run, whose form the decision read before its factorisation or its
+eigvalsh. Behind a Ritz witness that fails it turns the top eigenvector of
+one shifted solve on that block (quadform._Form.top); a STRICT class has no
+witness and takes the Lanczos steps and the factorisation or the eigvalsh
+alone. At a supremal bracket
 lambda_max is zero to the bracket width, so the witness is the form's
 near-null direction: one linear solve finds it (quadform._near_null),
 and it turns the same way. eigh runs only behind a failed check: a
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -102,6 +104,9 @@ __all__ = [
 
 # Default tolerance for verifying an equality, relative to max(|lhs|, |rhs|).
 VERIFY_REL = 1e-9
+
+# space -> a farthest pair of its points, see _farthest
+_FARTHEST: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -423,15 +428,29 @@ def _witness(X: MetricSpace, form: _Form, report: QuadFormReport) -> WitnessRepo
     return witness
 
 
+def _farthest(X: MetricSpace) -> tuple[int, int]:
+    """(i, j), the first largest entry of X.dist in row-major order, found once per space.
+
+    At every p > 0, D~_p = (d / max d)^p is 1 there, and its own first
+    largest entry is the same pair unless the rounding of the power makes
+    an earlier entry 1 as well.
+    """
+    pair = _FARTHEST.get(X)
+    if pair is None:
+        pair = _FARTHEST[X] = divmod(int(np.argmax(X.dist)), X.size)
+    return pair
+
+
 def _null_witness(X: MetricSpace, form: _Form, v: np.ndarray | None,
                   method: WitnessMethod | None = None,
                   dv: np.ndarray | None = None) -> WitnessReport | None:
     """The witness from the unit zero-sum vector v on the form, if it verifies.
 
     Where the form f of v is positive, v turns to the exact zero of the form
-    in its plane with u = (e_i - e_j) / sqrt(2) for a farthest pair i, j,
-    where the form is -D~(i, j) = -1: the root t of f + 2 b t - t^2 = 0
-    nearest 0, b the bilinear form of v and u, needs no solve. method
+    in its plane with u = (e_i - e_j) / sqrt(2) for the space's farthest
+    pair i, j (_farthest), where the form is -D~(i, j) = -1: the root t of
+    f + 2 b t - t^2 = 0 nearest 0, b the bilinear form of v and u, needs no
+    solve. method
     defaults to classify's rule read on f: IVT only where f exceeds
     EPSILON_REL. dv, where given, is D~_p v, already computed (_Form.ritz).
     None where the solve found no v, or the simplex is not a nontrivial
@@ -444,7 +463,7 @@ def _null_witness(X: MetricSpace, form: _Form, v: np.ndarray | None,
         dv = d @ v
     f = float(v @ dv)
     if f > 0.0:
-        i, j = divmod(int(np.argmax(d)), d.shape[0])
+        i, j = _farthest(X)
         b = (float(dv[i]) - float(dv[j])) / math.sqrt(2.0)
         t = -f / (b + math.copysign(math.sqrt(b * b + f * float(d[i, j])), b))
         v = v.copy()

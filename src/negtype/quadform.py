@@ -24,42 +24,44 @@ through one O(m) reflection. Each public call builds D~_p at most once
 
 A decision at a fixed exponent first takes a few Lanczos steps on that
 block (_Run), which prove NOT_NEG_TYPE at the first step whose Ritz vector
-has a form above the tolerance by a rounding margin (classify, _KAPPA): the
-class eigvalsh would give, for one product with the block per step and no
-eigensolve (all LANCZOS_STEPS = 8 steps take 0.8 and 1.2 ms at m = 500 and
-800 on a 2-core host, against 12 to 14 and 34 to 37 ms for eigvalsh).
-Where they prove nothing and the run's last top Ritz value, a lower bound
-on lambda_max, is below minus that margin, one Cholesky factorisation of
-the negated block shifted by the margin proves STRICT where it succeeds
-(_definite; 5 and 14 ms at m = 500 and 800): again the class eigvalsh
-would give. Only where neither proves the class does one eigvalsh of the
-block decide, as it does each sign probe of supremal (_spectrum); a
-proved report computes its lambda_max on first read. The top eigenvector
-comes from one shifted linear solve on the same block, run only when
-something reads it: the report's direction, or a witness whose Ritz
-vector does not verify. A witness at NOT_NEG_TYPE or BOUNDARY turns a
-Ritz vector of the same run first: at NOT_NEG_TYPE the one whose form
-proved the class. eigh runs only behind a failed check: where that solve
-fails, or the witness turned from its vector does not verify. A space's
-D~_p at one exponent is one _Form: the read-only D~_p, its scale, the
-Lanczos run (kept, and resumed where a later call needs more steps), and,
-each solved on first read, its top eigenvalue and shift (spectrum), the
-top eigenpair (top) that the report's direction reads, and the two
-extreme eigenpairs of one eigh (eigen) that only the fallback reads. The
-block is formed once and held for the run, the factorisation, eigvalsh
-and the solve, until top's solve takes it; classify drops it at STRICT
-and a witness once its Ritz vector verifies (a later step or solve forms
-it again, with the same bits). A factorisation that proves STRICT drops
-the whole form unless a caller holds it, so a later read at p builds
-D~_p again. _form keeps the last form per space
-object (O(m^2) floats per live space, weakly keyed), so every call at
-(X, p) on every point builds D~_p once: classify, witness_at_p and
+has a form above the tolerance eps by a rounding margin r, sized by the
+largest row sum of D~_p (classify, _KAPPA): the class eigvalsh would give,
+for one product with the block per step and no eigensolve (all
+LANCZOS_STEPS = 8 steps take 0.8 and 1.2 ms at m = 500 and 800 on a 2-core
+host, against 12 to 14 and 34 to 37 ms for eigvalsh). Where they prove
+nothing, the run's last Ritz pair bounds lambda_max from below, and one
+Cholesky factorisation of the block, shifted, bounds it from above
+(_definite; 5 and 11 to 14 ms at m = 500 and 800): below -(eps + r) it
+proves STRICT, and below eps - r, where the last Ritz vector's form is at
+least r - eps, BOUNDARY; again the class eigvalsh would give. Only where no
+proof holds does one eigvalsh of the block decide, as it does each sign
+probe of supremal (_spectrum); a proved report computes its lambda_max on
+first read. The top eigenvector comes from one shifted linear solve on the
+same block, run only when something reads it: the report's direction, or a
+witness whose Ritz vector does not verify. A witness at NOT_NEG_TYPE or
+BOUNDARY turns a Ritz vector of the same run first: at NOT_NEG_TYPE the one
+whose form proved the class. eigh runs only behind a failed check: where
+that solve fails, or the witness turned from its vector does not verify. A
+space's D~_p at one exponent is one _Form: the read-only D~_p, its scale,
+the Lanczos run (kept, and resumed where a later call needs more steps),
+the answers of the BOUNDARY factorisations (below), and, each solved on
+first read, its top eigenvalue and shift (spectrum), the top eigenpair
+(top) that the report's direction reads, and the two extreme eigenpairs of
+one eigh (eigen) that only the fallback reads. The block is formed once and
+held for the run, the factorisations, eigvalsh and the solve, until top's
+solve takes it; a BOUNDARY factorisation gives it its bits back, classify
+drops it at STRICT and a witness once its Ritz vector verifies (a later
+step or solve forms it again, with the same bits). A factorisation that
+proves STRICT drops the whole form unless a caller holds it, so a later
+read at p builds D~_p again. _form keeps the last form per space object
+(O(m^2) floats per live space, weakly keyed), so every call at (X, p) on
+every point builds D~_p once: classify, witness_at_p and
 witness_at_supremal, and quad_form, polyeq.gap and polyeq.verify_equality
 when their vector or simplex covers every point (_block). The supremal
-witness first tries one linear solve on that D~_p (_near_null; 2.5 ms at
-m = 350 against 15 ms for eigh on a 2-core host), and classifies the form
-only when it falls back to the fixed-exponent witness. A space is
-immutable (re-enabling writes on X.dist is unsupported). Sign probes and
+witness first tries one linear solve on that D~_p (_near_null; 2.5 ms at m
+= 350 against 15 ms for eigh on a 2-core host), and classifies the form
+only when it falls back to the fixed-exponent witness. A space is immutable
+(re-enabling writes on X.dist is unsupported). Sign probes and
 restricted_form neither read nor write the kept form.
 """
 
@@ -103,26 +105,34 @@ FLOOR = 16 * np.finfo(float).eps
 # Lanczos steps a decision takes before eigvalsh decides (_Run, classify).
 LANCZOS_STEPS = 8
 
-# A Lanczos decision's margin over the tolerance is _KAPPA m^2 u on the
-# normalised form. D~_p has entries in [0, 1], so its spectral norm and that
-# of its restricted form are at most m. The computed form f = v (D~_p v) of a
-# Ritz vector v is within about m u |v||D~_p||v| <= m^2 u of the exact form
-# of v, which one reflection lifts to unit length and zero sum within a few
-# m u, moving it by as much again. The block _restrict forms is within
-# about m u per entry, so m^2 u in norm, of the exact restricted form, and
-# eigvalsh's lambda_max is within its backward error, about (m - 1) u times
-# the block's norm <= m^2 u, of the block's. So f > eps + 16 m^2 u proves
-# that eigvalsh of the same block reads lambda_max > eps: the class it
-# would give. The margin is 1.1e-9 at m = 800, beside EPSILON_REL = 1e-9.
-# The same margin s = eps + 16 m^2 u proves STRICT from one Cholesky
-# factorisation of -a - s I, a the block eigvalsh would read (_definite).
-# A floating-point Cholesky that succeeds proves its matrix positive
-# definite up to a shift of about gamma_m tr, gamma_m = m u / (1 - m u) and
-# tr its trace (Rump, BIT 46, 2006); the diagonal shift adds a rounding of
-# a few m u. The trace of the restricted form is -(1/m) sum D~_p, so
-# tr(-a) <= m - 1 and the shift is within about m^2 u: lambda_max of a is
-# below -eps - 15 m^2 u. eigvalsh's backward error, about m^2 u again,
-# leaves its lambda_max below -eps: STRICT, the class it would give.
+# A decision at a fixed exponent reads the rounding part r = _KAPPA m u
+# (N + m eps) of its margins (classify), on the normalised form, where
+# N is the largest row sum of D~_p. D~_p has entries in [0, 1], so N <= m,
+# and N bounds the spectral norm of D~_p and so that of its restricted
+# form. The computed form f = v (D~_p v) of a Ritz vector v is within about
+# m u |v| |D~_p| |v| <= m u N of the exact form of v, which one reflection
+# lifts to unit length and zero sum within a few m u, moving it by as much
+# again. The block _restrict forms is within about m u N in norm of the
+# exact restricted form (its one product with D~_p errs by m u N at most,
+# and each entry rounds once more), and eigvalsh's lambda_max is within its
+# backward error, about (m - 1) u times the block's norm <= m u N, of the
+# block's. So f > eps + r proves that eigvalsh of the same block reads
+# lambda_max > eps, NOT_NEG_TYPE, and f >= r - eps that it reads
+# lambda_max >= -eps: the class eigvalsh would give is not STRICT.
+# One Cholesky factorisation of c I - a, a the block eigvalsh would read,
+# proves lambda_max of a below c + r / 2 where it succeeds (_definite): a
+# floating-point Cholesky that succeeds proves its matrix positive definite
+# up to a shift of about gamma_m tr, gamma_m = m u / (1 - m u) and tr its
+# trace (Rump, BIT 46, 2006), and the diagonal shift adds a rounding of a
+# few u (|c| + 1). The trace of the restricted form is -(1/m) sum D~_p, so
+# tr(-a) <= N, and tr = tr(-a) + (m - 1) c is at most N + m eps for every
+# c <= eps, so the shift is within about m u (N + m eps). With eigvalsh's
+# backward error, m u N again, c = -(eps + r) proves lambda_max < -eps,
+# STRICT (_strict), and c = eps - r proves lambda_max < eps, which with a
+# Ritz vector's f >= r - eps is BOUNDARY: each the class eigvalsh would
+# give. r is 3.8e-10 on the m = 800 form of sweep_lib's l2 cloud at p = 2
+# (N = 265), beside EPSILON_REL = 1e-9, and at most 1.14e-9 at m = 800. A
+# margin that is not finite, or eps <= r, never factors.
 _KAPPA = 16
 
 # space -> its last _Form, see _form
@@ -174,8 +184,8 @@ class QuadFormReport:
     The report keeps its space, not the form. lambda_max and direction are
     not dataclass fields. lambda_max is the eigvalsh of the decision where
     it took one; where a Lanczos vector proved NOT_NEG_TYPE or a Cholesky
-    factorisation proved STRICT (classify), it is computed on first read,
-    one eigvalsh of the space's form at p.
+    factorisation proved STRICT or BOUNDARY (classify), it is computed on
+    first read, one eigvalsh of the space's form at p.
     direction, the top eigenvector, is solved on first read from that form
     (top, or eigen where that solve fails), the array a witness at p turns
     where its Ritz vector does not verify. A read after the space's kept
@@ -397,10 +407,12 @@ class _Form:
 
     A decision at p first reads proves, a few steps of a Lanczos run (_Run)
     on the restricted block, then where they prove nothing may factor the
-    block (classify, _strict), and only where that proves nothing either
-    reads spectrum, one eigvalsh of that block. A report's direction reads
-    top, one solve on the block, which overwrites it. A witness at
-    NOT_NEG_TYPE or BOUNDARY first turns a Ritz vector of the run (ritz).
+    block (classify: _strict, or below), and only where that
+    proves nothing either reads spectrum, one eigvalsh of that block. norm,
+    the largest row sum of D~_p, sizes the rounding part of the margins. A
+    report's direction reads top, one solve on the block, which overwrites
+    it. A witness at NOT_NEG_TYPE or BOUNDARY first turns a Ritz vector of
+    the run (ritz).
     eigen, one eigh, is read only behind a failed check: where the solve
     for the top vector fails, or its witness does not verify. The block is
     formed once, on first need, and held between them until top takes it,
@@ -408,7 +420,8 @@ class _Form:
     verifies) or a factorisation that proves STRICT negates it; a later
     read forms it again with the same bits. The run is kept, so a later
     decision or witness at p reads the steps already taken and takes only
-    new ones.
+    new ones, and so is each answer of below, so a witness's own class
+    factors nothing again.
     A caller takes the block or the run off the form with one atomic pop
     while it uses the block or steps the run, and puts it back, so no two
     concurrent callers use one block or step one run at once; a caller that
@@ -470,6 +483,24 @@ class _Form:
         run = self._run(math.inf if step is None else step)
         j = len(run.tops) if step is None else min(step, len(run.tops))
         return run.vector(j, self.d)[:2] if j else None
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """N, the largest row sum of D~_p: at most m, and at least its spectral norm (_KAPPA)."""
+        return float(self.d.sum(axis=0).max(initial=0.0))
+
+    def below(self, c: float) -> bool:
+        """True where _definite proves lambda_max of the block below c; the block keeps its bits.
+
+        The answer is kept per c, as spectrum is, so a later decision at
+        the same tolerance factors nothing.
+        """
+        kept = self.__dict__.setdefault("factored", {})
+        if c not in kept:
+            a = self._take()
+            kept[c] = _definite(a, c, keep=True)
+            self._hold(a)
+        return kept[c]
 
     @functools.cached_property
     def spectrum(self) -> tuple[float, float]:
@@ -552,24 +583,26 @@ def _inverse_step(a: np.ndarray, shift: float) -> np.ndarray | None:
     return _lift(y / np.linalg.norm(y))
 
 
-def _definite(a: np.ndarray, shift: float) -> bool:
-    """True where a Cholesky factorisation of -a - shift I succeeds (see _KAPPA).
+def _definite(a: np.ndarray, c: float, keep: bool = False) -> bool:
+    """True where a Cholesky factorisation of c I - a succeeds: lambda_max of a is below c (_KAPPA).
 
-    It factors a itself, negated in place: numpy factors a copy, so the
-    factor and that copy are the only other arrays of its size. Where the
-    factorisation fails, a gets its bits back (negation is exact, and the
-    diagonal is put back as it was).
+    It factors a itself, negated and shifted in place: numpy factors a
+    copy, so the factor and that copy are the only other arrays of its
+    size. Where the factorisation fails, or with keep, a gets its bits back
+    (negation is exact, and the diagonal is put back as it was).
     """
     diagonal = a.diagonal().copy()
     np.negative(a, out=a)
-    a[np.diag_indices_from(a)] -= shift
+    a[np.diag_indices_from(a)] += c
     try:
         np.linalg.cholesky(a)
+        proved = True
     except np.linalg.LinAlgError:
+        proved = False
+    if keep or not proved:
         np.negative(a, out=a)
         np.fill_diagonal(a, diagonal)
-        return False
-    return True
+    return proved
 
 
 def _strict(X: MetricSpace, p: float, margin: float) -> bool:
@@ -587,7 +620,7 @@ def _strict(X: MetricSpace, p: float, margin: float) -> bool:
     if _FORMS.get(X) is form:
         del _FORMS[X]
     del form
-    proved = _definite(a, margin)
+    proved = _definite(a, -margin)
     form = kept()
     if form is not None:
         _FORMS.setdefault(X, form)
@@ -658,21 +691,31 @@ def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadForm
 
     epsilon must be finite and nonnegative. The default is EPSILON_REL
     times the largest entry of D_p; the comparison runs on the normalised
-    form, where epsilon reads epsilon / max D_p. A Lanczos run on the
-    restricted form (_Form.proves) first seeks a Ritz vector whose form
-    exceeds epsilon by the rounding margin _KAPPA m^2 u: where one of its
-    first LANCZOS_STEPS steps finds one, the class is NOT_NEG_TYPE, the one
-    eigvalsh would give, and lambda_max is computed only when it is read.
-    Where the run's last top Ritz value is below minus that margin, one
-    Cholesky factorisation of the negated block shifted by the margin
-    follows (_strict): where it succeeds, the class is STRICT, again the
-    one eigvalsh would give, and lambda_max is computed only when it is
-    read. Otherwise the largest eigenvalue of the same block (eigvalsh, see
-    _Form.spectrum) is compared against epsilon. The report's direction is
-    solved only when it is read (QuadFormReport.direction); at STRICT the
-    form drops the block it holds for that solve, and a proved STRICT drops
-    the form as well.
+    form, where epsilon reads eps = epsilon / max D_p. Each class is first
+    sought as a proof with a margin of eps plus the rounding part r (_KAPPA),
+    and every proof gives the class eigvalsh would give:
+    - NOT_NEG_TYPE: a Lanczos run on the restricted form (_Form.proves)
+      seeks a Ritz vector whose form exceeds eps + r in its first
+      LANCZOS_STEPS steps;
+    - STRICT: where the run's last top Ritz value is below -(eps + r), one
+      Cholesky factorisation of the negated block shifted by eps + r
+      (_strict);
+    - BOUNDARY: where the form of the run's last Ritz vector is at least
+      r - eps and below eps - r (_Run.vector), one Cholesky factorisation
+      of (eps - r) I minus the block (_Form.below), which keeps its bits,
+      and the form its answer.
+    A proved report computes lambda_max only when it is read. Where no
+    proof holds, and on a form whose eigvalsh is already taken, the largest
+    eigenvalue of the same block (eigvalsh, see _Form.spectrum) is compared
+    against eps. The report's direction is solved only when it is read
+    (QuadFormReport.direction); at STRICT the form drops the block it holds
+    for that solve, and a proved STRICT drops the form as well.
     """
+    return _classify(X, p, epsilon, prove=True)
+
+
+def _classify(X: MetricSpace, p: float, epsilon: float | None, prove: bool) -> QuadFormReport:
+    """classify, or with prove False, the eigvalsh rule alone, for a caller that reads lambda_max."""
     if epsilon is not None and not 0.0 <= epsilon < math.inf:
         raise InvalidTolerance(f"epsilon = {epsilon}")
     form = _form(X, p)
@@ -682,20 +725,33 @@ def classify(X: MetricSpace, p: float, epsilon: float | None = None) -> QuadForm
     else:  # x / 0 reads as inf, 0 / 0 as 0
         eps = epsilon / scale if scale else math.inf if epsilon else 0.0
 
-    margin = eps + _KAPPA * X.size**2 * _U
-    step = form.proves(margin)
-    if step is not None:
-        return QuadFormReport(float(p), Classification.NOT_NEG_TYPE, float(epsilon), X,
-                              step=step)
-    # the run's last top Ritz value is at most lambda_max: at or above -margin
-    # (or where margin is inf) no factorisation can prove STRICT, and a form
-    # whose eigvalsh is taken already decides by it
-    tops = form._run(0).tops
-    if tops and tops[-1][0] < -margin and "spectrum" not in vars(form):
-        del form  # the factorisation frees D~_p where no caller holds the form
-        if _strict(X, p, margin):
-            return QuadFormReport(float(p), Classification.STRICT, float(epsilon), X)
-        form = _form(X, p)
+    if prove:
+        m = X.size
+        r = _KAPPA * m * _U * (form.norm + m * eps)
+        margin = eps + r
+        step = form.proves(margin)
+        if step is not None:
+            return QuadFormReport(float(p), Classification.NOT_NEG_TYPE, float(epsilon), X,
+                                  step=step)
+        # the run's last top Ritz value is at most lambda_max: at or above
+        # -margin (or where margin is inf) no factorisation can prove
+        # STRICT, and a form whose eigvalsh is taken already decides by it
+        run = form._run(0)
+        tops = run.tops
+        if tops and "spectrum" not in vars(form):
+            if tops[-1][0] < -margin:
+                del form  # the factorisation frees D~_p where no caller holds the form
+                if _strict(X, p, margin):
+                    return QuadFormReport(float(p), Classification.STRICT, float(epsilon), X)
+                form = _form(X, p)
+            # a last Ritz vector whose form on D~_p is at least r - eps
+            # proves lambda_max >= -eps (its Ritz value is read first); one
+            # at or above eps - r leaves no room below eps - r for the
+            # factorisation to prove
+            elif (eps > r and tops[-1][0] >= r - eps
+                  and r - eps <= run.vector(len(tops), form.d)[2] < eps - r
+                  and form.below(eps - r)):
+                return QuadFormReport(float(p), Classification.BOUNDARY, float(epsilon), X)
     lam, _ = form.spectrum
     if lam < -eps:
         cls = Classification.STRICT

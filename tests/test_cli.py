@@ -533,11 +533,12 @@ class TestSupremalCommand:
 
 
 class TestSolveCounts:
-    """check prints lambda_max and the direction, so it takes one eigvalsh and
-    one solve of the form at every class, after the class's Lanczos steps
-    (two on three points, which span F0; they prove the class at 3) and, at
-    1, the Cholesky factorisation that proves STRICT; a witness at a STRICT
-    exponent needs no direction, so it takes the factorisation alone."""
+    """check prints lambda_max and the direction, which need the eigvalsh, so
+    it decides the class by that eigvalsh: one eigvalsh and one solve of the
+    form at every class, with no Lanczos step and no factorisation; a
+    witness at a STRICT exponent needs no direction, so it takes the
+    class's two Lanczos steps (three points span F0 in two) and the
+    Cholesky factorisation that proves STRICT alone."""
 
     DIRECTION = [-0.408248290464, 0.816496580928, -0.408248290464]
 
@@ -554,8 +555,7 @@ class TestSolveCounts:
         for fmt, out in (("text", text), ("json", render_json(payload) + "\n")):
             lapack.clear()
             assert main(["check", collinear_file, "--p", p, "--format", fmt]) == code
-            proof = ["cholesky"] if cls == "STRICT" else []
-            assert lapack == [*proof, "eigvalsh", "solve"] and lapack.steps == 2
+            assert lapack == ["eigvalsh", "solve"] and lapack.steps == 0
             assert capsys.readouterr().out == out
 
     def test_strict_witness_takes_one_cholesky(self, collinear_file, lapack, capsys):

@@ -673,6 +673,28 @@ class TestWitnessAtP:
         assert w.equality.nontrivial_equality and w.residual <= 1e-12 * 4.0
 
 
+    @pytest.mark.parametrize("kind, m, p", [
+        ("points", 40, 3.0), ("random", 30, 2.5), ("path", 25, 2.0), ("cycle", 12, 1.0),
+    ], ids=["l2_cloud", "random_graph", "path", "cycle"])
+    def test_permuted_witness_verifies_on_the_permuted_space(self, kind, m, p):
+        # point k of Y is point perm[k] of X, so X's point i is Y's inv[i]:
+        # the witness simplex at p, with its indices carried over, is a
+        # nontrivial equality on Y, and Y's own witness carried back is one on X
+        X = generate_space(kind, m, seed=3)
+        perm = np.random.default_rng(m).permutation(m)
+        inv = np.argsort(perm)
+        Y = validate_metric(None, X.dist[np.ix_(perm, perm)])
+        assert classify(Y, p).classification is classify(X, p).classification
+
+        def carried(Q, to):
+            return SignedSimplex(tuple((int(to[i]), w) for i, w in Q.left),
+                                 tuple((int(to[i]), w) for i, w in Q.right))
+
+        w, v = witness_at_p(X, p), witness_at_p(Y, p)
+        assert verify_equality(Y, p, carried(w.simplex, inv)).nontrivial_equality
+        assert verify_equality(X, p, carried(v.simplex, perm)).nontrivial_equality
+
+
 class TestWitnessAtSupremal:
     # both regimes at w: D_p singular (path, even cycle, l2 cloud) and D_p
     # invertible (l1 cloud, random graph)
@@ -1075,10 +1097,12 @@ class TestBuildOnce:
     a simplex check on fewer than every point builds that block of D_p besides.
 
     A decision takes a few Lanczos steps on the form, whose eigh calls are
-    on their small tridiagonal matrices (lapack.steps counts them), and one
-    eigvalsh of the form only where the steps do not prove NOT_NEG_TYPE; the
-    first read of its direction takes one solve besides, after the eigvalsh
-    of its shift (lapack counts the calls on the form by name and order). A
+    on their small tridiagonal matrices (lapack.steps counts them), then
+    one Cholesky factorisation of the form where the steps do not prove
+    NOT_NEG_TYPE and its last Ritz value is outside the margin, and one
+    eigvalsh of the form only where neither proves the class; the first
+    read of its direction takes one solve besides, after the eigvalsh of
+    its shift (lapack counts the calls on the form by name and order). A
     witness at NOT_NEG_TYPE or BOUNDARY turns a Ritz vector of the run, and
     solves only where that does not verify. eigh of the form runs only
     behind a failed check. Every test builds its own
@@ -1103,12 +1127,13 @@ class TestBuildOnce:
     def test_witness_at_p(self, builds, lapack):
         # the class at 3 is proved in two steps; the 4-cycle at 1 is
         # BOUNDARY, and its two distinct eigenvalues on F0 end the run at a
-        # breakdown after two steps, whose Ritz vector verifies
+        # breakdown after two steps, whose Ritz vector proves the lower end
+        # of the class, one factorisation the upper end, and which verifies
         assert witness_at_p(collinear_triple(), 3.0).method is WitnessMethod.IVT
         assert len(builds) == 1 and lapack.sized == lanczos(2)
         lapack.clear()
         assert witness_at_p(unit_four_cycle(), 1.0).method is WitnessMethod.EIGEN_DIRECTION
-        assert len(builds) == 2 and lapack.sized == [*lanczos(2), ("eigvalsh", 3)]
+        assert len(builds) == 2 and lapack.sized == [*lanczos(2), ("cholesky", 3)]
 
     def test_witness_at_supremal(self, builds, lapack):
         # the witness from one solve; the fallback classifies the D~_p built
@@ -1289,12 +1314,13 @@ class TestBuildOnce:
     def test_supremal_witness_form_serves_later_calls(self, builds, lapack, monkeypatch,
                                                       space, fallback):
         # a check or a class at the witness's p reads the form the witness
-        # was built on: no build, and no eigensolve where the witness took
-        # the fallback; the one-solve witness computes no eigenvalue, so the
-        # class takes one eigvalsh, and the first read of its direction one
-        # solve. Where every solve fails, the fallback's class at BOUNDARY
-        # takes one eigvalsh and its witness verifies from the run's Ritz
-        # vector, so only the read of the direction falls back to one eigh
+        # was built on: no build, and no call where the witness took the
+        # fallback; the one-solve witness computes no eigenvalue, so the
+        # class, BOUNDARY, takes the one factorisation that proves it, and
+        # the first read of its direction one eigvalsh and one solve. Where
+        # every solve fails, the fallback's class takes that factorisation
+        # and its witness verifies from the run's Ritz vector, so the read
+        # of the direction takes the eigvalsh and falls back to one eigh
         X = space()
         sup = supremal(X)
         if fallback:
@@ -1304,16 +1330,17 @@ class TestBuildOnce:
             monkeypatch.setattr(np.linalg, "solve", singular)
         lapack.clear()
         w = witness_at_supremal(X, sup)
-        assert lapack == (["eigvalsh"] if fallback else ["solve"])
+        assert lapack == (["cholesky"] if fallback else ["solve"])
         builds.clear()
         lapack.clear()
         assert verify_equality(X, w.p, w.simplex).nontrivial_equality
         assert builds == []
         rep = classify(X, w.p)
-        assert builds == [] and lapack == ([] if fallback else ["eigvalsh"])
+        assert builds == [] and lapack == ([] if fallback else ["cholesky"])
         rep.direction
         rep.direction
-        assert builds == [] and lapack == (["eigh"] if fallback else ["eigvalsh", "solve"])
+        assert builds == [] and lapack == (["eigvalsh", "eigh"] if fallback
+                                           else ["cholesky", "eigvalsh", "solve"])
 
     @pytest.mark.parametrize("mode, probes, p", [
         (["--p", "3"], [], 3.0),
@@ -1346,31 +1373,31 @@ class TestBuildOnce:
     def test_fixed_exponent_decisions_never_call_eigh(self, lapack, kind, q):
         # classify, witness_at_p and verify_equality at every class. The
         # class takes Lanczos steps, at most LANCZOS_STEPS and m - 1, then
-        # one Cholesky factorisation of the form where they do not prove
-        # NOT_NEG_TYPE and the last Ritz value is below the margin, and one
-        # eigvalsh only where neither proves the class: every NOT_NEG_TYPE
-        # and every STRICT here is proved, and the factorisation fails only
-        # on the BOUNDARY cycles at 1 on 40 and 120 points. A proved STRICT
-        # drops the form, so the class that witness_at_p takes is made again,
-        # with the same calls. A NOT_NEG_TYPE
-        # witness verifies from the proving Ritz vector with no call. A
-        # BOUNDARY witness turns the run's last Ritz vector, and takes one
-        # solve only where that does not verify (cycles at 40 and 120
-        # points). The first read of the direction takes the eigvalsh and
-        # the solve not yet taken. eigh runs only in the Lanczos steps, on
-        # their tridiagonal matrices
+        # one Cholesky factorisation of the form at every STRICT and
+        # BOUNDARY, and one eigvalsh only where that does not prove the
+        # class: every class here is proved but the BOUNDARY cycles at 1 on
+        # 40 and 120 points, whose last Ritz value is below the margin, so
+        # the factorisation tried is the STRICT one, and it fails. A proved
+        # STRICT drops the form, so the class that witness_at_p takes is
+        # made again, with the same calls; a BOUNDARY form keeps its
+        # factorisation's answer, so that class takes no call. A
+        # NOT_NEG_TYPE witness verifies from the proving Ritz vector with no
+        # call. A BOUNDARY witness turns the run's last Ritz vector, and
+        # takes one solve only where that does not verify (cycles at 40 and
+        # 120 points). The first read of the direction takes the eigvalsh
+        # and the solve not yet taken. eigh runs only in the Lanczos steps,
+        # on their tridiagonal matrices
         for X, p in fixed_exponent_corpus(kind, q):
             lapack.clear()
             n = X.size - 1
             rep = classify(X, p)
             cls = rep.classification
             proved = "lambda_max" not in vars(rep)
-            assert proved is (cls is not Classification.BOUNDARY), (X.size, p)
+            assert proved is not (kind == "cycle" and X.size >= 40 and p == 1.0), (X.size, p)
             steps = lapack.steps
             assert 1 <= steps <= min(n, quadform.LANCZOS_STEPS), (X.size, p)
             assert rep._step == (steps if cls is Classification.NOT_NEG_TYPE else None)
-            tried = cls is Classification.STRICT or (kind == "cycle" and X.size >= 40
-                                                      and p == 1.0)
+            tried = cls is not Classification.NOT_NEG_TYPE
             calls = lanczos(steps) + [("cholesky", n)] * tried
             calls += [] if proved else [("eigvalsh", n)]
             assert lapack.sized == calls, (X.size, p)
@@ -1464,17 +1491,17 @@ class TestBuildOnce:
     ], ids=["collinear", "four_cycle", "l2_cloud", "random_graph"])
     def test_memo_hits_are_bit_identical(self, lapack, space, p):
         # the class takes Lanczos steps, which prove NOT_NEG_TYPE, and one
-        # eigvalsh where they do not (the 4-cycle, at BOUNDARY); the witness
-        # verifies from the run's Ritz vector with no call, the class again
-        # takes none, and each fresh space repeats the same calls
+        # factorisation where they do not (the 4-cycle, at BOUNDARY); the
+        # witness verifies from the run's Ritz vector with no call, the
+        # class again takes none, and each fresh space repeats the same calls
         X = space()
         n = X.size - 1
         rep, w = classify(X, p), witness_at_p(X, p)
         again = classify(X, p)
-        proved = rep.classification is Classification.NOT_NEG_TYPE
+        factored = rep.classification is Classification.BOUNDARY
         solved = list(lapack.sized)
-        assert lapack == ([] if proved else ["eigvalsh"])
-        assert solved == lanczos(lapack.steps) + ([] if proved else [("eigvalsh", n)])
+        assert lapack == ["cholesky"] * factored
+        assert solved == lanczos(lapack.steps) + [("cholesky", n)] * factored
         lapack.clear()
         fresh_rep, fresh_w = classify(space(), p), witness_at_p(space(), p)
         assert lapack.sized == solved * 2
@@ -1483,12 +1510,28 @@ class TestBuildOnce:
             assert r.lambda_max == fresh_rep.lambda_max
             assert r.direction.weights.tobytes() == fresh_rep.direction.weights.tobytes()
         # rep and again read one lambda_max and one vector, each computed by
-        # the first read where the class and the witness took none, and so
+        # the first read, since the class and the witness took none, and so
         # does fresh_rep's space
-        assert lapack.sized == [("eigvalsh", n)] * 2 * proved + [("solve", n)] * 2
+        assert lapack.sized == [("eigvalsh", n)] * 2 + [("solve", n)] * 2
         assert w.xi.weights.tobytes() == fresh_w.xi.weights.tobytes()
         assert w.simplex == fresh_w.simplex
         assert (w.residual, w.lhs, w.rhs) == (fresh_w.residual, fresh_w.lhs, fresh_w.rhs)
+
+    def test_farthest_pair_is_found_once_per_space(self):
+        # the turn reads the first largest entry of X.dist, found on the
+        # first witness and kept per space: at every p > 0 it is the first
+        # largest entry of D~_p, where the power rounds no other entry to 1
+        X = generate_space("points", 40, seed=2)
+        assert X not in polyeq._FARTHEST
+        for p in (2.5, 3.0, 8.0):
+            witness_at_p(X, p)
+            d = quadform._form(X, p).d
+            assert np.count_nonzero(d == 1.0) == 2
+            assert polyeq._FARTHEST[X] == divmod(int(np.argmax(d)), X.size)
+        ref = weakref.ref(X)
+        del X
+        gc.collect()
+        assert ref() is None
 
     def test_solved_space_is_not_kept_alive(self):
         X = collinear_triple()
@@ -1507,24 +1550,24 @@ class TestBuildOnce:
                 raise np.linalg.LinAlgError("did not converge")
             return counting(a)
 
-        # at 2 the Lanczos steps prove nothing, so the class takes eigvalsh
+        # at 2 with a tolerance of 1e-15 on the normalised form (max D_2 is
+        # 4), below the rounding part of the margins, nothing proves the
+        # class, so it takes eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", fail_once)
         X = collinear_triple()
         with pytest.raises(EigenFailure):
-            classify(X, 2.0)
-        rep = classify(X, 2.0)
+            classify(X, 2.0, 4e-15)
+        rep = classify(X, 2.0, 4e-15)
         assert rep.classification is Classification.BOUNDARY
         assert lapack == ["failed", "eigvalsh"]
         rep.direction
         assert lapack == ["failed", "eigvalsh", "solve"]
 
-    def test_concurrent_callers_read_their_own_exponent(self):
-        # threads at two exponents replace each other's form in the one slot
-        # of a shared space; none may read the other's: every answer has the
-        # bits of a fresh space's. Threads at one exponent share a form: its
-        # Lanczos run, its held block and the solve that takes the block
+    @staticmethod
+    def concurrent_answers(kind, ps):
+        """Threads at the two exponents ps on one shared space each answer as a fresh space does."""
         def space():
-            return generate_space("random", 12, seed=8)
+            return generate_space(kind, 12, seed=8)
 
         xi = np.random.default_rng(5).standard_normal(12)
         xi -= xi.mean()
@@ -1535,7 +1578,7 @@ class TestBuildOnce:
             return (rep.lambda_max, rep.direction.weights.tobytes(), quad_form(X, p, xi),
                     verify_equality(X, p, Q).gap, witness_at_p(X, p).xi.weights.tobytes())
 
-        want = {p: answers(space(), p) for p in (2.5, 3.5)}
+        want = {p: answers(space(), p) for p in ps}
         X, errors = space(), []
 
         def work(p):
@@ -1546,7 +1589,7 @@ class TestBuildOnce:
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=work, args=(p,)) for p in (2.5, 3.5) * 8]
+        threads = [threading.Thread(target=work, args=(p,)) for p in ps * 8]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1559,10 +1602,25 @@ class TestBuildOnce:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
 
+    def test_concurrent_callers_read_their_own_exponent(self):
+        # threads at two exponents replace each other's form in the one slot
+        # of a shared space; none may read the other's: every answer has the
+        # bits of a fresh space's. Threads at one exponent share a form: its
+        # Lanczos run, its held block and the solve that takes the block
+        self.concurrent_answers("random", (2.5, 3.5))
+
+    def test_concurrent_callers_share_a_boundary_proof(self):
+        # as above, on a path at 2, where the threads also share the
+        # BOUNDARY factorisation that negates the held block in place, and
+        # the answer the form keeps
+        rep = classify(generate_space("path", 12, seed=8), 2.0)
+        assert rep.classification is Classification.BOUNDARY and "lambda_max" not in vars(rep)
+        self.concurrent_answers("path", (2.0, 3.0))
+
     def test_supremal_probes_skip_the_memo(self, lapack):
         # each probe takes one eigvalsh and no solve; the class at 0.5, STRICT,
-        # takes one Cholesky factorisation, and the class at the midpoint,
-        # BOUNDARY, one eigvalsh
+        # and the class at the midpoint, BOUNDARY, take one Cholesky
+        # factorisation each
         calls = []
         for X in (collinear_triple(), unit_four_cycle()):
             before = supremal(X)
@@ -1571,7 +1629,7 @@ class TestBuildOnce:
             after = supremal(X)
             assert (after.lo, after.hi, after.evaluations) == (
                 before.lo, before.hi, before.evaluations)
-            calls += ["eigvalsh"] * before.evaluations + ["cholesky", "eigvalsh"]
+            calls += ["eigvalsh"] * before.evaluations + ["cholesky", "cholesky"]
             calls += ["eigvalsh"] * after.evaluations
         assert lapack == calls
 

@@ -317,14 +317,14 @@ class TestLazyDirection:
     def test_reads_after_the_kept_form_moved_on(self, lapack):
         # the reports at 1 and 2 are read only once the kept form is at 3:
         # each builds and solves its form again, with the bits of a read
-        # made at once on a fresh copy. The class at 1 is proved by one
-        # Cholesky factorisation and the class at 3 by Lanczos, so the class
-        # at 2 alone takes an eigvalsh, and every read of a direction takes
+        # made at once on a fresh copy. The classes at 1 and 2 are proved by
+        # one Cholesky factorisation each and the class at 3 by Lanczos, so
+        # no class takes an eigvalsh, and every read of a direction takes
         # the eigvalsh of its shift first
         X, F = self.space(), self.space()
         reps = [classify(X, p) for p in self.PS]
         assert [r.classification for r in reps] == list(Classification)
-        assert lapack == ["cholesky", "eigvalsh"]
+        assert lapack == ["cholesky", "cholesky"]
         eager = [classify(F, p).direction.weights.tobytes() for p in self.PS]
         lapack.clear()
         late = {i: reps[i].direction.weights.tobytes() for i in (2, 0, 1)}
@@ -355,8 +355,9 @@ class TestLazyDirection:
             assert not any(isinstance(v, (np.ndarray, quadform._Form)) for v in vars(rep).values())
             assert rep.direction is rep.direction
             np.testing.assert_array_equal(rep.direction.weights, quadform._form(X, p).top[1])
-        # the class at 1 is proved STRICT by one Cholesky factorisation
-        assert lapack == ["cholesky", *["eigvalsh", "solve"] * 3]
+        # the classes at 1 and 2 are proved STRICT and BOUNDARY by one
+        # Cholesky factorisation each
+        assert lapack == ["cholesky", "eigvalsh", "solve", "cholesky", *["eigvalsh", "solve"] * 2]
         assert [f.name for f in dataclasses.fields(rep)] == ["p", "classification", "tolerance"]
         assert "direction" not in repr(rep) and "lambda_max" not in repr(rep)
 
@@ -403,11 +404,12 @@ class TestLazyDirection:
         monkeypatch.undo()  # the failed eigh kept nothing: a later read solves it
         np.testing.assert_array_equal(rep.direction.weights, quadform._form(X, 3.0).eigen[1])
 
-    def test_hilbert_embeddable_takes_an_eigvalsh_only_where_it_embeds(self, lapack):
-        # the 4-cycle at 2 is proved NOT_NEG_TYPE by Lanczos
+    def test_hilbert_embeddable_factors_only_where_it_embeds(self, lapack):
+        # the 4-cycle at 2 is proved NOT_NEG_TYPE by Lanczos, and the other
+        # two spaces BOUNDARY at 2 by one Cholesky factorisation each
         spaces = (collinear_triple(), unit_four_cycle(), self.space())
         assert [hilbert_embeddable(X) for X in spaces] == [True, False, True]
-        assert lapack == ["eigvalsh"] * 2
+        assert lapack == ["cholesky"] * 2
         lapack.clear()
         assert not hilbert_embeddable(generate_space("points", 200, q=1.0, seed=1))
         assert lapack == [] and 1 <= lapack.steps <= quadform.LANCZOS_STEPS
@@ -416,20 +418,39 @@ class TestLazyDirection:
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestLanczosDecision:
     """classify first takes up to LANCZOS_STEPS Lanczos steps, which prove
-    NOT_NEG_TYPE where a Ritz vector's form exceeds the tolerance by the
-    margin _KAPPA m^2 u; where the last Ritz value is below minus that
-    margin, one Cholesky factorisation of the negated form shifted by it
-    proves STRICT where it succeeds; eigvalsh decides the rest. Either way
-    the class is the one the eigvalsh rule gives."""
+    NOT_NEG_TYPE where a Ritz vector's form exceeds the tolerance eps by
+    eps + r, r = _KAPPA m u (N + m eps) and N the largest row sum of D~_p.
+    Where the last Ritz value is below -(eps + r), one Cholesky
+    factorisation of the negated form shifted by eps + r proves STRICT
+    where it succeeds; where the last Ritz vector's form is at least
+    r - eps, one of (eps - r) I minus the form proves BOUNDARY where it
+    succeeds. eigvalsh decides the rest. Either way the class is the one
+    the eigvalsh rule gives."""
 
     # STRICT reports the factorisation proves in test_gen_corpus_at_every_tolerance
     GEN_PROVED_STRICT = {("points", 2.0): 36, ("points", 1.0): 34, ("random", 2.0): 14,
                          ("path", 2.0): 32, ("cycle", 2.0): 20}
+    # BOUNDARY reports it proves there, at the default tolerance and at 1e300
+    GEN_PROVED_BOUNDARY = {("points", 2.0): (6, 34), ("points", 1.0): (0, 40),
+                           ("random", 2.0): (0, 40), ("path", 2.0): (8, 32),
+                           ("cycle", 2.0): (2, 34)}
 
     @staticmethod
     def proved_strict(rep):
         """True where a Cholesky factorisation proved the report STRICT: no eigvalsh ran."""
         return rep.classification is Classification.STRICT and "lambda_max" not in vars(rep)
+
+    @staticmethod
+    def proved_boundary(rep):
+        """True where a Cholesky factorisation proved the report BOUNDARY: no eigvalsh ran."""
+        return rep.classification is Classification.BOUNDARY and "lambda_max" not in vars(rep)
+
+    @staticmethod
+    def rounding(X, p, eps):
+        """r = _KAPPA m u (N + m eps) on the form of X at p, N summed here."""
+        m = X.size
+        norm = float(quadform._power(X, p)[0].sum(axis=1).max())
+        return quadform._KAPPA * m * 2.0**-53 * (norm + m * eps)
 
     @staticmethod
     def eigvalsh_class(X, p, epsilon=None):
@@ -447,10 +468,10 @@ class TestLanczosDecision:
         # the spaces of TestWitnessContract's sweep at its 8 exponents above
         # the bracket, every one NOT_NEG_TYPE and proved, and at 0.5 lo,
         # 0.99 lo and hi; the factorisation proves STRICT at 0.5 lo and
-        # 0.99 lo
+        # 0.99 lo, and BOUNDARY at hi, where every class is BOUNDARY
         rng = np.random.default_rng(123)
         spaces = proved = 0
-        strict = Counter()
+        strict, boundary = Counter(), Counter()
         while spaces < 150:
             X = random_space(rng)
             sup = supremal(X)
@@ -465,38 +486,64 @@ class TestLanczosDecision:
                 proved += rep._step is not None
                 assert rep._step is not None or p not in above, (spaces, p)
                 strict[f] += self.proved_strict(rep)
+                boundary[f] += self.proved_boundary(rep)
         assert proved >= 1200
         assert strict[0.5] >= 150 and strict[0.99] >= 150
+        assert +boundary == {"hi": 150}
 
     @pytest.mark.parametrize("kind, q", GEN_KINDS, ids=GEN_IDS)
     def test_gen_corpus_at_every_tolerance(self, kind, q):
-        # epsilon = 0 leaves the margin alone above 0, and a huge epsilon
-        # makes every class BOUNDARY, which no step can prove
-        proved = 0
+        # epsilon = 0 leaves the margin alone above 0 and proves no
+        # BOUNDARY, and a huge epsilon makes every class BOUNDARY, which no
+        # step proves and the factorisation proves where no eigvalsh of the
+        # form was taken at a smaller epsilon
+        proved, boundary = 0, Counter()
         for X, p in fixed_exponent_corpus(kind, q):
             for epsilon in (None, 0.0, 1e300):
                 rep = classify(X, p, epsilon)
                 assert rep.classification is self.eigvalsh_class(X, p, epsilon), (X.size, p)
                 proved += self.proved_strict(rep)
+                boundary[epsilon] += self.proved_boundary(rep)
             assert rep.classification is Classification.BOUNDARY and rep._step is None
-            assert "lambda_max" in vars(rep)
         assert proved >= self.GEN_PROVED_STRICT[kind, q]
+        assert boundary[0.0] == 0
+        at_default, at_huge = self.GEN_PROVED_BOUNDARY[kind, q]
+        assert boundary[None] >= at_default and boundary[1e300] >= at_huge
 
     def test_the_margin_leaves_a_close_call_to_eigvalsh(self, lapack):
         # lambda_max of the collinear triple's normalised form at 3 is 1/6:
-        # a tolerance within the margin below it is left to eigvalsh, and
-        # one twice the margin below it is proved in two steps
+        # a tolerance within r below it is left to eigvalsh, and one 2 r
+        # below it is proved in two steps
         lam = classify(collinear_triple(), 3.0).lambda_max / 8.0  # max D_3 = 8
-        margin = quadform._KAPPA * 9 * 2.0**-53
         X = collinear_triple()
+        r = self.rounding(X, 3.0, lam)
         lapack.clear()
-        close = classify(X, 3.0, 8.0 * (lam - 0.5 * margin))
+        close = classify(X, 3.0, 8.0 * (lam - 0.5 * r))
         assert close.classification is Classification.NOT_NEG_TYPE and close._step is None
         assert lapack == ["eigvalsh"] and lapack.steps == 2
         # the second class reads the two steps the run kept
-        far = classify(X, 3.0, 8.0 * (lam - 2.0 * margin))
+        far = classify(X, 3.0, 8.0 * (lam - 2.0 * r))
         assert far.classification is Classification.NOT_NEG_TYPE and far._step == 2
         assert lapack == ["eigvalsh"] and lapack.steps == 2
+
+    @pytest.mark.parametrize("space, p", [(collinear_triple, 3.0), (unit_four_cycle, 8.0)],
+                             ids=["collinear", "four_cycle"])
+    def test_boundary_within_the_margin_is_left_to_eigvalsh(self, lapack, space, p):
+        # a tolerance r / 2 above lambda_max makes the class BOUNDARY, and
+        # the factorisation of (eps - r) I minus the form, below lambda_max,
+        # is not tried: eigvalsh decides. 2 r above, it proves the class. On
+        # the 4-cycle at 8, lambda_max = 1 - 2^-7 and N = 1 + 2^-7, so the
+        # shift's own share m eps of the factored matrix's trace is most of r
+        d, scale = quadform._power(space(), p)
+        lam = float(np.linalg.eigvalsh(quadform._restrict(d))[-1])
+        r = self.rounding(space(), p, lam)
+        lapack.clear()
+        close = classify(space(), p, scale * (lam + 0.5 * r))
+        assert close.classification is Classification.BOUNDARY and "lambda_max" in vars(close)
+        assert lapack == ["eigvalsh"]
+        lapack.clear()
+        far = classify(space(), p, scale * (lam + 2.0 * r))
+        assert self.proved_boundary(far) and lapack == ["cholesky"]
 
     def test_strict_within_the_margin_is_left_to_eigvalsh(self, lapack):
         # a tolerance half the margin below -lambda_max keeps the class
@@ -520,13 +567,16 @@ class TestLanczosDecision:
             assert self.proved_strict(far) and lapack == ["cholesky"]
 
     def test_failed_factorisation_leaves_the_block_as_it_was(self):
-        # the BOUNDARY 4-cycle at 1, whose form shifted by any margin is not
-        # negative definite: the block keeps its bits for eigvalsh
+        # the BOUNDARY 4-cycle at 1, whose lambda_max is 0: the form is not
+        # below -1e-9, and the block keeps its bits for eigvalsh; it is
+        # below 1e-9, and with keep the block keeps its bits as well
         a = quadform._restrict(quadform._power(unit_four_cycle(), 1.0)[0])
         before = a.copy()
-        assert not quadform._definite(a, 1e-9)
+        assert not quadform._definite(a, -1e-9)
         assert a.tobytes() == before.tobytes()
-        assert quadform._definite(-np.eye(3), 0.5)
+        assert quadform._definite(a, 1e-9, keep=True)
+        assert a.tobytes() == before.tobytes()
+        assert quadform._definite(-np.eye(3), -0.5) and not quadform._definite(-np.eye(3), -1.0)
 
     @pytest.mark.parametrize("kind, m, q, p", [
         ("points", 300, 2.0, 1.0), ("points", 200, 1.0, 0.5), ("path", 150, 2.0, 1.0),
@@ -549,24 +599,62 @@ class TestLanczosDecision:
         lapack.clear()
         assert rep.lambda_max == want and lapack == ["eigvalsh"]
 
-    def test_a_ritz_value_alone_proves_nothing(self, monkeypatch):
-        # the proof reads the form of the lifted Ritz vector on D~_p, not
-        # the Ritz value: with every Ritz value read as inf, the classes
-        # below stay the ones eigvalsh gives
+    @pytest.mark.parametrize("kind, m", [("points", 200), ("path", 150)], ids=["l2_cloud", "path"])
+    def test_proved_boundary_takes_one_factorisation(self, lapack, kind, m):
+        # classify, witness_at_p and verify_equality take the steps' eigh
+        # calls on their tridiagonal matrices and one factorisation: the
+        # witness's own class reads the answer the form keeps. The block
+        # keeps its bits, those of _restrict, so lambda_max read at once
+        # after the proof on a fresh copy is the eigvalsh rule's
+        X = generate_space(kind, m, seed=1)
+        rep = classify(X, 2.0)
+        assert self.proved_boundary(rep)
+        form = quadform._form(X, 2.0)
+        assert form.__dict__["block"].tobytes() == quadform._restrict(form.d).tobytes()
+        w = witness_at_p(X, 2.0)
+        assert verify_equality(X, 2.0, w.simplex).nontrivial_equality
+        assert lapack == ["cholesky"] and lapack.of_order(m - 1) == ["cholesky"]
+        # the form has rank 3 (l2_cloud) or 1 (path), so the run breaks down early
+        steps = [("eigh", k) for k in range(1, lapack.steps + 1)]
+        assert 1 <= lapack.steps < quadform.LANCZOS_STEPS
+        assert lapack.sized == [*steps, ("cholesky", m - 1)]
+        Y = validate_metric(None, X.dist)
+        again = classify(Y, 2.0)
+        d, scale = quadform._power(X, 2.0)
+        want = quadform._real(float(np.linalg.eigvalsh(quadform._restrict(d))[-1]), scale)
+        assert self.proved_boundary(again) and again.lambda_max == want == rep.lambda_max
+
+    @staticmethod
+    def classes_with_every_ritz_value(monkeypatch, theta):
+        """Classify four spaces with the top Ritz value of every step read as theta."""
         real = quadform._Run.step
 
         def inflated(run, a):
             took = real(run, a)
             if took:
-                run.tops[-1] = (math.inf, run.tops[-1][1])
+                run.tops[-1] = (theta, run.tops[-1][1])
             return took
 
         monkeypatch.setattr(quadform._Run, "step", inflated)
         for X, p, cls in ((collinear_triple(), 1.0, Classification.STRICT),
                           (collinear_triple(), 2.0, Classification.BOUNDARY),
-                          (unit_four_cycle(), 1.0, Classification.BOUNDARY)):
+                          (unit_four_cycle(), 1.0, Classification.BOUNDARY),
+                          (generate_space("points", 40, seed=0), 1.0, Classification.STRICT)):
             rep = classify(X, p)
             assert rep.classification is cls and rep._step is None
+
+    def test_a_ritz_value_alone_proves_nothing(self, monkeypatch):
+        # the proofs read the form of the lifted Ritz vector on D~_p, not
+        # the Ritz value: with every Ritz value read as inf, the classes
+        # stay the ones eigvalsh gives. A STRICT form is below eps - r, so
+        # only its own Ritz vector's form keeps the factorisation from
+        # proving BOUNDARY
+        self.classes_with_every_ritz_value(monkeypatch, math.inf)
+
+    def test_a_ritz_value_within_the_gates_proves_nothing(self, monkeypatch):
+        # as above, with every Ritz value read as 0, inside the gates of
+        # the BOUNDARY factorisation at both ends
+        self.classes_with_every_ritz_value(monkeypatch, 0.0)
 
     def test_non_finite_form_raises_before_any_step(self, lapack):
         X = MetricSpace(("a", "b", "c"), [[0, 1, math.inf], [1, 0, 1], [math.inf, 1, 0]])
@@ -627,7 +715,9 @@ class TestExactClass:
     def test_every_factorisation_proof_is_exact(self):
         # integer spaces of strict 1-negative type (odd cycles, and paths and
         # trees with integer edge lengths): every class at 1 is proved STRICT
-        # by the factorisation, and the oracle agrees
+        # by the factorisation, and the oracle agrees. The paths at 2 and
+        # the unit 4-cycle at 1 are BOUNDARY: the factorisation proves each
+        # of those, and the oracle agrees
         def cycle(n):
             k = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
             return np.minimum(k, n - k)
@@ -645,14 +735,19 @@ class TestExactClass:
             return d
 
         rng = np.random.default_rng(37)
-        spaces = [cycle(n) for n in range(3, 32, 2)]
+        spaces, boundary = [cycle(n) for n in range(3, 32, 2)], [(cycle(4), 1)]
         for _ in range(30):
             n = int(rng.integers(3, 25))
             spaces += [path(n, rng), tree(n, rng)]
+            boundary.append((spaces[-2], 2))
         for d in spaces:
             rep = classify(validate_metric(None, d), 1.0)
             assert TestLanczosDecision.proved_strict(rep), d.tolist()
             assert exact_class(d, 1) == "STRICT", d.tolist()
+        for d, p in boundary:
+            rep = classify(validate_metric(None, d), float(p))
+            assert TestLanczosDecision.proved_boundary(rep), d.tolist()
+            assert exact_class(d, p) == "BOUNDARY", d.tolist()
 
     def test_boundary_kernels_are_exact_equalities(self):
         # at each BOUNDARY pair of the graphs above every vector of an exact
